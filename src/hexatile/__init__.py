@@ -5,7 +5,7 @@ from .lgv import SignedCount, even_count, odd_count
 from .formulas import byun_even, byun_odd_corrected, macmahon
 from .oracle import render_svg, signed_count
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "EVEN",

@@ -3,7 +3,9 @@ rendering, and determinant-kernel benchmarks.
 
 Output is machine readable: JSON Lines for counts, one JSON report per
 verification run, CSV for benchmarks.  Big integers are emitted as decimal
-strings.  Exit codes: 0 all good, 1 usage error, 2 mathematical disagreement.
+strings.  Exit codes: 0 all good, 1 usage error (including a closed form
+with a pole at the spec), 2 mathematical disagreement (including a closed
+form whose value is not an integer).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import formulas, lgv, oracle, qfit, schur
 from .detkernel import det_bareiss, det_modular
+from .exactmath import NotIntegerError, PoleError
 from .formulas import OutOfValidityError
 from .hexmodel import EVEN, ODD, HexSpec
 
@@ -129,7 +132,11 @@ def cmd_count(args) -> int:
         t0 = time.perf_counter()
         try:
             value, sign = _run_method(method, spec)
-        except (OutOfValidityError, ValueError, oracle.CapExceededError) as exc:
+        except NotIntegerError as exc:
+            # no tiling count is a fraction: the formula disagrees with every method
+            print(f"count: {exc}", file=sys.stderr)
+            return DISAGREEMENT
+        except (OutOfValidityError, ValueError, PoleError, oracle.CapExceededError) as exc:
             print(f"count: {exc}", file=sys.stderr)
             return USAGE_ERROR
         elapsed = (time.perf_counter() - t0) * 1000.0

@@ -116,19 +116,6 @@ def prime_pool(count: int) -> list[int]:
     return _PRIME_CACHE[:count]
 
 
-_SMALL_PRIME_CACHE: list[int] = []
-
-
-def small_prime_pool(count: int) -> list[int]:
-    """Largest primes below 2^31, descending; two residues multiply within int64."""
-    candidate = _SMALL_PRIME_CACHE[-1] - 2 if _SMALL_PRIME_CACHE else (1 << 31) - 1
-    while len(_SMALL_PRIME_CACHE) < count:
-        if _is_prime(candidate):
-            _SMALL_PRIME_CACHE.append(candidate)
-        candidate -= 2
-    return _SMALL_PRIME_CACHE[:count]
-
-
 def _det_mod(m: IntMatrix, p: int) -> int:
     n = len(m)
     a = [[x % p for x in row] for row in m]

@@ -18,6 +18,10 @@ class PoleError(ArithmeticError):
     """Negative-index Pochhammer convention hit a zero factor in the denominator."""
 
 
+class NotIntegerError(ValueError):
+    """An exact rational that must be an integer (a count, say) is not."""
+
+
 def binom(n: int, k: int) -> int:
     """Binomial coefficient under the lattice-path convention.
 
@@ -62,5 +66,5 @@ def as_int(q: Rat, what: str = "value") -> int:
     """Assert that an exact rational reduces to an integer and return it."""
     q = Fraction(q)
     if q.denominator != 1:
-        raise ValueError(f"{what} is not an integer: {q}")
+        raise NotIntegerError(f"{what} is not an integer: {q}")
     return q.numerator

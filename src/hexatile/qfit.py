@@ -1,31 +1,32 @@
 """Exact multivariate interpolation of the residual factor Q = E/P.
 
-Small systems go through detkernel.solve_exact on a full-rank square
-subsystem; large ones (the quartic-depth fit needs 1820 monomials) are
-solved modulo 31-bit primes and lifted by CRT plus rational reconstruction.
-Either way the candidate is re-checked exactly against every sample point,
-so no modular shortcut can corrupt the result: anything returned is the
+The default fit samples Q on the lattice simplex {x in N^4 : |x| <= D+1} in
+shifted coordinates a = t+alpha, b = d+1+beta, c = d+t+1+gamma, p = t.
+Every such point is admissible (0 <= p <= a, b > d, c > d+p), and the set
+is unisolvent for total degree <= D+1.  The Newton coefficients of the
+interpolant are the iterated forward differences along each axis; layer
+D+1 of that table must vanish for Q to have degree <= D, and the rest is
+expanded exactly into monomials in (a, b, c, p).  A caller's own grid goes
+through detkernel.solve_exact instead.  Either way the candidate is
+re-checked exactly against every sample point: anything returned is the
 unique interpolant, and anything else raises.
+
+Newton interpolation on principal lattices: Chung & Yao, SIAM J. Numer.
+Anal. 14 (1977); Sauer & Xu, Math. Comp. 64 (1995).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .detkernel import prime_pool, small_prime_pool, solve_exact
+from .detkernel import SingularMatrixError, solve_exact
 from .formulas import prefactor_P
 from .lgv import even_count
-
-_EXACT_DIM_CAP = 350
 
 
 class UnderdeterminedError(ValueError):
@@ -111,7 +112,8 @@ def default_grid(d: int, degree_bound: int, n_points: int) -> list:
 
     Each axis spans degree_bound+2 values so no monomial of the basis can
     vanish on the whole box; a fixed-seed subsample trims the box to the
-    requested size without collapsing that spread.
+    requested size without collapsing that spread.  fit() samples the
+    simplex instead; this box serves callers that pass their own grid.
     """
     width = degree_bound + 1
     box = [
@@ -126,213 +128,195 @@ def default_grid(d: int, degree_bound: int, n_points: int) -> list:
     return sorted(random.Random(17).sample(box, n_points))
 
 
-def _map_samples(fn, grid):
-    workers = int(os.environ.get("HEXATILE_THREADS", "1") or 1)
-    if workers <= 1:
-        return map(fn, grid)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return pool.map(fn, grid)
+def _simplex(n: int) -> list:
+    """Lattice points x = (alpha, beta, gamma, t) with |x| <= n, layer by layer.
 
-
-def _independent_rows(rows: list, m: int) -> list:
-    """Indices of m rows that are linearly independent over Q.
-
-    Rank is certified modulo two distinct 62-bit primes; the subsequent
-    exact solve and full re-verification make a bad prime harmless.
+    The list for n is a prefix of the list for n + 1.
     """
-    for prime in prime_pool(2):
-        work = [([x % prime for x in rows[i]], i) for i in range(len(rows))]
-        picked = []
-        col = 0
-        ri = 0
-        while col < m and ri < len(work):
-            piv = None
-            for k in range(ri, len(work)):
-                if work[k][0][col] != 0:
-                    piv = k
-                    break
-            if piv is None:
-                col += 1
-                continue
-            work[ri], work[piv] = work[piv], work[ri]
-            vec, orig = work[ri]
-            inv = pow(vec[col], prime - 2, prime)
-            for k in range(ri + 1, len(work)):
-                f = work[k][0][col]
-                if f:
-                    wk = work[k][0]
-                    for j in range(col, m):
-                        wk[j] = (wk[j] - f * inv * vec[j]) % prime
-            picked.append(orig)
-            ri += 1
-            col += 1
-        if len(picked) == m:
-            return picked
-    raise UnderdeterminedError("sample grid does not span the monomial basis")
+    return [
+        (total - beta - gamma - t, beta, gamma, t)
+        for total in range(n + 1)
+        for t in range(total + 1)
+        for gamma in range(total - t + 1)
+        for beta in range(total - t - gamma + 1)
+    ]
+
+
+def _point(d: int, x: tuple) -> tuple:
+    """(a, b, c, p) of the shifted lattice point x = (alpha, beta, gamma, t)."""
+    alpha, beta, gamma, t = x
+    return (t + alpha, d + 1 + beta, d + t + 1 + gamma, t)
+
+
+def simplex_grid(d: int, n: int) -> list:
+    """The (a, b, c, p) points fit() samples for degree bound n - 1."""
+    return [_point(d, x) for x in _simplex(n)]
+
+
+def _newton_table(values: dict, n: int) -> dict:
+    """Forward differences Delta^k f(0), |k| <= n, of f given on the n-simplex.
+
+    Differencing one axis at a time keeps every line inside the simplex:
+    the line through (0, x') along an axis has n - |x'| + 1 points.
+    """
+    table = dict(values)
+    for axis in range(4):
+        for start in [x for x in table if x[axis] == 0]:
+            keys = [start[:axis] + (j,) + start[axis + 1:]
+                    for j in range(n - sum(start) + 1)]
+            line = [table[k] for k in keys]
+            for j in range(1, len(line)):
+                for i in range(len(line) - 1, j - 1, -1):
+                    line[i] -= line[i - 1]
+            table.update(zip(keys, line))
+    return table
+
+
+def _along(terms: dict, axis: int, rows: list, into: Optional[int] = None) -> dict:
+    """Apply a linear map to one exponent axis of an integer polynomial.
+
+    An exponent k on `axis` becomes e with weight w for each (e, w) in
+    rows[k]; with `into`, the k - e given up move to that axis, which
+    substitutes x -> x + s*y when rows holds the binomial expansion in s.
+    """
+    out: dict = {}
+    for key, v in terms.items():
+        k = key[axis]
+        for e, w in rows[k]:
+            new = list(key)
+            new[axis] = e
+            if into is not None:
+                new[into] += k - e
+            new = tuple(new)
+            out[new] = out.get(new, 0) + v * w
+    return {key: v for key, v in out.items() if v}
+
+
+def _shift_rows(degree: int, s: int) -> list:
+    """rows for _along: x^k = sum_e C(k, e) s^(k-e) x^e, i.e. x -> x + s."""
+    return [[(e, math.comb(k, e) * s ** (k - e)) for e in range(k + 1)]
+            for k in range(degree + 1)]
+
+
+def _newton_to_poly(coeffs: dict, degree: int, d: int, scale: int) -> MultiPoly:
+    """Monomial form in (a, b, c, p) of sum_k coeffs[k] prod_i C(x_i, k_i) / scale."""
+    # C(x, k) = sum_e s(k, e) x^e / k!, s the signed Stirling numbers of the
+    # first kind; multiplying by degree! per axis keeps every weight integral
+    fact = math.factorial(degree)
+    stirling = [[1]]
+    for k in range(degree):
+        prev = stirling[-1] + [0]
+        stirling.append([(prev[e - 1] if e else 0) - k * prev[e] for e in range(k + 2)])
+    rows = [[(e, s_ke * (fact // math.factorial(k))) for e, s_ke in enumerate(row)]
+            for k, row in enumerate(stirling)]
+    terms = dict(coeffs)
+    for axis in range(4):
+        terms = _along(terms, axis, rows)
+    # alpha = a - p, beta = b - (d+1), gamma = c - p - (d+1), t = p
+    terms = _along(terms, 1, _shift_rows(degree, -(d + 1)))
+    terms = _along(terms, 2, _shift_rows(degree, -(d + 1)))
+    terms = _along(terms, 2, _shift_rows(degree, -1), into=3)
+    terms = _along(terms, 0, _shift_rows(degree, -1), into=3)
+    den = scale * fact**4
+    return MultiPoly({key: Fraction(v, den) for key, v in terms.items()})
 
 
 def _first_mismatch(poly: MultiPoly, grid: list, ys: list):
-    """First grid point where poly misses its sample, or None (exact, integer path)."""
+    """First grid point where poly misses its sample, or None (exact, integer path).
+
+    Terms are grouped by their (a, b) exponents, and each group's (c, p)
+    part is evaluated once per distinct (c, p) of the grid.
+    """
     scale = math.lcm(*(coef.denominator for coef in poly.coeffs.values())) if poly.coeffs else 1
-    terms = [(key, int(coef * scale)) for key, coef in poly.coeffs.items()]
-    emax = [max((key[v] for key, _ in terms), default=0) for v in range(4)]
+    groups: dict = {}
+    for (ea, eb, ec, ep), coef in poly.coeffs.items():
+        groups.setdefault((ea, eb), []).append((ec, ep, int(coef * scale)))
+    inner: dict = {}
     for (a, b, c, p), y in zip(grid, ys):
-        pows = []
-        for v, x in enumerate((a, b, c, p)):
-            col = [1] * (emax[v] + 1)
-            for e in range(1, emax[v] + 1):
-                col[e] = col[e - 1] * x
-            pows.append(col)
-        acc = 0
-        for (ea, eb, ec, ep), coef in terms:
-            acc += coef * pows[0][ea] * pows[1][eb] * pows[2][ec] * pows[3][ep]
+        parts = inner.get((c, p))
+        if parts is None:
+            parts = inner[(c, p)] = [
+                (ea, eb, sum(k * c**ec * p**ep for ec, ep, k in terms))
+                for (ea, eb), terms in groups.items()
+            ]
+        acc = sum(v * a**ea * b**eb for ea, eb, v in parts)
         if acc * y.denominator != y.numerator * scale:
             return (a, b, c, p)
     return None
 
 
-def _solve_mod(basis: list, grid: list, ys: list, prime: int):
-    """Solve the interpolation system mod prime by incremental elimination.
+def _fit_simplex(d: int, degree_bound: int, samples: dict) -> MultiPoly:
+    """Newton fit on the (degree_bound + 1)-simplex.
 
-    Returns ("ok", residues), ("deficient", None) when fewer than m pivots
-    exist mod prime, ("conflict", None) when a row reduces to 0 = nonzero,
-    or ("skip", None) when prime divides a sample denominator.
+    samples maps shifted lattice points to sampled ratios; missing points
+    are sampled and added, so a caller raising the bound reuses them.
     """
-    m = len(basis)
-    rhs = []
-    for y in ys:
-        den = y.denominator % prime
-        if den == 0:
-            return "skip", None
-        rhs.append(y.numerator % prime * pow(den, -1, prime) % prime)
-    emax = [max(key[v] for key in basis) for v in range(4)]
-    coords = [np.array([pt[v] for pt in grid], dtype=np.int64) for v in range(4)]
-    pows = []
-    for v in range(4):
-        col = [np.ones(len(grid), dtype=np.int64)]
-        for _ in range(emax[v]):
-            col.append(col[-1] * coords[v] % prime)
-        pows.append(col)
-    aug = np.empty((len(grid), m + 1), dtype=np.int64)
-    for j, (ea, eb, ec, ep) in enumerate(basis):
-        aug[:, j] = pows[0][ea] * pows[1][eb] % prime * pows[2][ec] % prime * pows[3][ep] % prime
-    aug[:, m] = np.array(rhs, dtype=np.int64)
-    pivots = []  # (column, normalized row); rows stay reduced against earlier pivots
-    for i in range(len(grid)):
-        row = aug[i].copy()
-        for col, prow in pivots:
-            coef = int(row[col])
-            if coef:
-                row -= coef * prow
-                row %= prime
-        nz = np.nonzero(row[:m])[0]
-        if nz.size == 0:
-            if row[m] != 0:
-                return "conflict", None
-            continue
-        col = int(nz[0])
-        row = row * pow(int(row[col]), -1, prime) % prime
-        pivots.append((col, row))
-        if len(pivots) == m:
-            break
-    if len(pivots) < m:
-        return "deficient", None
-    xs = np.zeros(m, dtype=np.int64)
-    for col, prow in reversed(pivots):
-        tail = int(np.sum(prow[:m] * xs % prime)) % prime
-        xs[col] = (int(prow[m]) - tail) % prime
-    return "ok", [int(v) for v in xs]
-
-
-def _rational_lift(residues: list, modulus: int) -> Optional[list]:
-    """Rational reconstruction of every coordinate, or None if any fails."""
-    bound = math.isqrt(modulus >> 1)
-    out = []
-    for r in residues:
-        a, b = modulus, r % modulus
-        s, t = 0, 1
-        while b > bound:
-            q = a // b
-            a, b = b, a - q * b
-            s, t = t, s - q * t
-        den = abs(t)
-        num = b if t > 0 else -b
-        if den == 0 or den > bound or (num - r * den) % modulus != 0:
-            return None
-        out.append(Fraction(num, den))
-    return out
-
-
-def _fit_modular(basis: list, grid: list, ys: list, degree_bound: int) -> MultiPoly:
-    """CRT-lifted fit for systems too large for the exact square solve."""
-    primes = small_prime_pool(10)
-    residues = None
-    modulus = 1
-    deficient = conflicts = 0
-    for prime in primes:
-        status, xs = _solve_mod(basis, grid, ys, prime)
-        if status == "skip":
-            continue
-        if status == "deficient":
-            deficient += 1
-            if deficient >= 2:
-                raise UnderdeterminedError("sample grid does not span the monomial basis")
-            continue
-        if status == "conflict":
-            conflicts += 1
-            if conflicts >= 2:
-                raise FitInconsistentError(
-                    f"degree {degree_bound} cannot interpolate the samples"
-                )
-            continue
-        if residues is None:
-            residues, modulus = xs, prime
-        else:
-            inv = pow(modulus % prime, -1, prime)
-            residues = [
-                (r + (x - r) % prime * inv % prime * modulus) % (modulus * prime)
-                for r, x in zip(residues, xs)
-            ]
-            modulus *= prime
-        lifted = _rational_lift(residues, modulus)
-        if lifted is None:
-            continue
-        poly = MultiPoly({key: coef for key, coef in zip(basis, lifted)})
-        if _first_mismatch(poly, grid, ys) is None:
-            return poly
-    raise FitInconsistentError(
-        f"degree {degree_bound} cannot interpolate the samples"
+    n = degree_bound + 1
+    xs = _simplex(n)
+    for x in xs:
+        if x not in samples:
+            a, b, c, p = _point(d, x)
+            samples[x] = sample_ratio(a, b, c, d, p)
+    ys = [samples[x] for x in xs]
+    scale = math.lcm(*(y.denominator for y in ys))
+    table = _newton_table(
+        {x: y.numerator * (scale // y.denominator) for x, y in zip(xs, ys)}, n
     )
+    if any(table[k] for k in xs if sum(k) == n):
+        raise FitInconsistentError(
+            f"degree {degree_bound} cannot interpolate the samples: "
+            f"Newton layer {n} does not vanish"
+        )
+    newton = {k: v for k, v in table.items() if v and sum(k) < n}
+    poly = _newton_to_poly(newton, degree_bound, d, scale)
+    bad = _first_mismatch(poly, [_point(d, x) for x in xs], ys)
+    if bad is not None:
+        raise FitInconsistentError(
+            f"degree {degree_bound} cannot interpolate sample at {bad}"
+        )
+    return poly
 
 
-def fit(d: int, degree_bound: Optional[int] = None, grid: Optional[list] = None) -> MultiPoly:
-    """The unique total-degree <= bound polynomial through all samples."""
-    if degree_bound is None:
-        degree_bound = 2 * (d - 1)
+def _fit_grid(d: int, degree_bound: int, grid: list) -> MultiPoly:
+    """Least-squares normal equations, solved exactly, on a caller's grid.
+
+    With full column rank the solution is the only candidate; the exact
+    re-check then decides whether it interpolates every sample.
+    """
     basis = monomials(degree_bound)
     m = len(basis)
-    if grid is None:
-        grid = default_grid(d, degree_bound, round(m * 1.25) + 1)
     if len(grid) <= m:
         raise UnderdeterminedError(f"{len(grid)} points for {m} monomials")
-    ys = list(_map_samples(lambda q: sample_ratio(q[0], q[1], q[2], d, q[3]), grid))
-    if m > _EXACT_DIM_CAP:
-        return _fit_modular(basis, grid, ys, degree_bound)
+    ys = [sample_ratio(a, b, c, d, p) for (a, b, c, p) in grid]
+    scale = math.lcm(*(y.denominator for y in ys))
+    rhs = [y.numerator * (scale // y.denominator) for y in ys]
     rows = [
         [a**ea * b**eb * c**ec * p**ep for (ea, eb, ec, ep) in basis]
         for (a, b, c, p) in grid
     ]
-    idx = _independent_rows(rows, m)
-    square = [[rows[i][j] * ys[i].denominator for j in range(m)] for i in idx]
-    rhs = [[ys[i].numerator] for i in idx]
-    sol = solve_exact(square, rhs)
-    poly = MultiPoly({basis[j]: sol[j][0] for j in range(m)})
+    cols = list(zip(*rows))
+    gram = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
+    proj = [[sum(x * y for x, y in zip(ci, rhs))] for ci in cols]
+    try:
+        sol = solve_exact(gram, proj)
+    except SingularMatrixError:
+        raise UnderdeterminedError("sample grid does not span the monomial basis") from None
+    poly = MultiPoly({basis[j]: sol[j][0] / scale for j in range(m)})
     bad = _first_mismatch(poly, grid, ys)
     if bad is not None:
         raise FitInconsistentError(
             f"degree {degree_bound} cannot interpolate sample at {bad}"
         )
     return poly
+
+
+def fit(d: int, degree_bound: Optional[int] = None, grid: Optional[list] = None) -> MultiPoly:
+    """The unique total-degree <= bound polynomial through all samples."""
+    if degree_bound is None:
+        degree_bound = 2 * (d - 1)
+    if grid is not None:
+        return _fit_grid(d, degree_bound, grid)
+    return _fit_simplex(d, degree_bound, {})
 
 
 def _diff_degree(vals: list) -> Optional[int]:
@@ -363,18 +347,15 @@ def probe_degree(d: int, max_degree: int = 24) -> int:
 
 
 def fit_auto(d: int, max_degree: int = 24):
-    """(degree, poly) for the smallest consistent degree bound.
-
-    The search starts at the larger of 2(d-1) and the line-probe estimate;
-    the probe only ever undershoots, and an undershoot is caught by the
-    inconsistency check and bumped.
+    """(degree, poly) for the smallest degree bound from 2(d-1) up whose
+    Newton layer above it vanishes; each bound reuses the samples of the last.
     """
-    deg = max(2 * (d - 1), probe_degree(d, max_degree))
-    while deg <= max_degree:
+    samples: dict = {}
+    for degree in range(max(2 * (d - 1), 0), max_degree + 1):
         try:
-            return deg, fit(d, deg)
+            return degree, _fit_simplex(d, degree, samples)
         except FitInconsistentError:
-            deg += 1
+            continue
     raise FitInconsistentError(f"no interpolant up to total degree {max_degree}")
 
 

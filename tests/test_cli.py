@@ -77,6 +77,28 @@ def test_count_disagreement_exits_2(capsys):
     assert values == {"-15", "24"}
 
 
+def test_count_non_integer_formula_exits_2(capsys):
+    # the transcribed halved-odd product is 250/3 here; the det line is printed first
+    code, out, err = run(
+        capsys,
+        *count_flags(3, 2, 2, 2, 1, "odd"),
+        "--method", "det", "--method", "formula:byun_odd",
+    )
+    assert code == DISAGREE
+    assert [json.loads(line)["value"] for line in out.strip().splitlines()] == ["25"]
+    assert "not an integer: 250/3" in err
+    assert "Traceback" not in err
+
+
+def test_count_formula_pole_usage_error(capsys):
+    code, out, err = run(
+        capsys, *count_flags(2, 1, 1, 2, 1, "even"), "--method", "formula:byun_even"
+    )
+    assert code == USAGE
+    assert out == ""
+    assert "denominator vanishes" in err
+
+
 def test_count_corrected_formula_agrees(capsys):
     code, out, _ = run(
         capsys,

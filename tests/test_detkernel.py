@@ -14,7 +14,6 @@ from hexatile.detkernel import (
     identity,
     mat_mul,
     prime_pool,
-    small_prime_pool,
     solve_exact,
 )
 from hexatile.exactmath import binom
@@ -101,7 +100,4 @@ def test_prime_pools_are_prime_and_deterministic():
 
     pool = prime_pool(6)
     assert pool == prime_pool(6)
-    small = small_prime_pool(4)
-    assert all(q < 1 << 31 for q in small)
-    assert sorted(small, reverse=True) == small
-    assert all(isprime(q) for q in pool + small)
+    assert all(isprime(q) for q in pool)

@@ -1,6 +1,7 @@
 """Exact interpolation of the residual factor Q = E / P."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +19,7 @@ from hexatile.qfit import (
     poly_to_json,
     probe_degree,
     sample_ratio,
+    simplex_grid,
     substitution_check,
 )
 
@@ -72,6 +74,39 @@ def test_fit_d1_constant_one():
 def test_fit_d2_exact_polynomial():
     poly = fit(2)
     assert poly.coeffs == D2_EXPECTED
+
+
+def test_simplex_points_admissible_with_nonzero_prefactor():
+    for d in (1, 2, 3, 4):
+        for n in (0, 1, 4, 7):
+            grid = simplex_grid(d, n)
+            assert len(grid) == len(set(grid)) == comb(n + 4, 4)
+            for a, b, c, p in grid:
+                assert 0 <= p <= a and b > d and c > d + p
+                assert prefactor_P(a, b, c, d, p) != 0
+    # the samples for a lower bound are a prefix of those for a higher one
+    assert simplex_grid(3, 6)[: comb(9, 4)] == simplex_grid(3, 5)
+
+
+def test_fit_d3_bound_8_matches_fit_auto():
+    degree, poly = fit_auto(3)
+    assert degree == 6
+    assert poly.total_degree() == 6
+    assert fit(3, 8).coeffs == poly.coeffs
+
+
+def test_fit_d3_rejects_bound_5():
+    with pytest.raises(FitInconsistentError):
+        fit(3, 5)
+
+
+def test_fit_custom_grid_d2():
+    assert fit(2, grid=default_grid(2, 2, 40)).coeffs == D2_EXPECTED
+    # enough points, but all at p = 0: no monomial with p is pinned down
+    flat = [pt for pt in default_grid(2, 2, 10**6) if pt[3] == 0]
+    assert len(flat) > len(monomials(2))
+    with pytest.raises(UnderdeterminedError):
+        fit(2, 2, grid=flat)
 
 
 def test_fit_degree_stability():
