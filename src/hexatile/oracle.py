@@ -1,27 +1,32 @@
-"""Brute-force ground truth for the determinant engine.
+"""Ground truth for the determinant engine, independent of its code.
 
-Enumerates every monotone lattice path per endpoint pair, then every
-vertex-disjoint family over all end assignments, accumulating the
-permutation sign.  Small cases only; the point is independence from the
-determinant code path, not speed.  Also reconstructs and renders the
-lozenge tiling corresponding to a nonintersecting family.
+`signed_count` sums the signed vertex-disjoint path families by a
+transfer-matrix sweep over the antidiagonals x + y = t: it reads only the
+path endpoints from `hexmodel`, never `lgv`, `detkernel` or the binomials,
+and costs polynomial time for a fixed number of paths.  `count_families`
+runs the same sweep unsigned and for the identity assignment alone.
+Witnesses come from exhaustive enumeration: `first_tiling` searches every
+monotone path per endpoint pair for one disjoint family (a + d <= 7), and
+`reconstruct_tiling` and `render_svg` turn it into a lozenge tiling.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from .hexmodel import EVEN, HexSpec, Point, all_ends, all_starts, path_count
 
 PATH_CAP = 10**6
+SIGNED, UNSIGNED, IDENTITY = "signed", "unsigned", "identity"
 SCALE = 40  # px per lattice unit
 _SQ3 = 3**0.5
 
 
 class CapExceededError(RuntimeError):
-    """Enumeration would exceed the configured path cap."""
+    """Enumeration or a sweep would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -94,46 +99,135 @@ def _candidates(spec: HexSpec, cap: int):
     return n, cand
 
 
-def _search(spec: HexSpec, cap: int):
-    """Returns (signed total, number of tuples, number of identity tuples)."""
-    if spec.dim > 7:
-        raise ValueError("oracle is desk-scale only: a + d <= 7")
-    n, cand = _candidates(spec, cap)
-    total = tuples = id_tuples = 0
+def _reach(ends: list, t: int, identity: bool) -> list:
+    """Per source label, the x on antidiagonal t from which a sink that label
+    may still end at (one at t or later) is reachable."""
+    if identity:
+        return [set(range(t - e.y, e.x + 1)) if e.x + e.y >= t else set() for e in ends]
+    ok: set = set()
+    for e in ends:
+        if e.x + e.y >= t:
+            ok.update(range(t - e.y, e.x + 1))
+    return [ok] * len(ends)
 
-    def go(i, used_v, used_e, odd_inv, is_id):
-        nonlocal total, tuples, id_tuples
-        if i == n:
-            total += -1 if odd_inv else 1
-            tuples += 1
-            id_tuples += is_id
-            return
-        for j in range(n):
-            if used_e >> j & 1:
-                continue
-            lst = cand[i][j]
-            if not lst:
-                continue
-            flip = (used_e >> (j + 1)).bit_count() & 1
-            ue = used_e | 1 << j
-            for m, _ in lst:
-                if m & used_v:
-                    continue
-                go(i + 1, used_v | m, ue, odd_inv ^ flip, is_id and i == j)
 
-    go(0, 0, 0, 0, True)
-    return total, tuples, id_tuples
+def _move(states: dict, allowed: list, live: int, cap: int) -> dict:
+    """Advance every live path to x or x + 1, one path per pass.
+
+    Before pass k, the paths left of k have moved and the rest have not, so
+    path k - 1 may sit on path k's vertex; path k must then move on.
+    """
+    for k in range(live):
+        step: dict = {}
+        for key, w in states.items():
+            xs, labels = key
+            x = xs[k]
+            ok = allowed[labels[k]]
+            if x in ok and (k == 0 or xs[k - 1] < x):
+                step[key] = step.get(key, 0) + w
+            if x + 1 in ok:
+                key = (xs[:k] + (x + 1,) + xs[k + 1:], labels)
+                step[key] = step.get(key, 0) + w
+        if len(step) > cap:
+            raise CapExceededError(f"more than {cap} sweep states on one antidiagonal")
+        states = step
+    return states
+
+
+def _settle(xs, labels, w, sources, sinks, joined, ended, mode):
+    """Join the sources and end the paths on the sinks of one antidiagonal.
+
+    Returns (xs, labels, w), or None when the state admits no family: a
+    source vertex already occupied, an empty sink vertex, or (IDENTITY) a
+    sink reached by another label.  joined masks the labels started so far,
+    ended the sinks used before this antidiagonal.
+    """
+    xs, labels = list(xs), list(labels)
+    for sx, i in sources:
+        k = bisect_left(xs, sx)
+        if k < len(xs) and xs[k] == sx:
+            return None
+        xs.insert(k, sx)
+        labels.insert(k, i)
+    for ex, j in sinks:
+        k = bisect_left(xs, ex)
+        if k == len(xs) or xs[k] != ex:
+            return None
+        i = labels[k]
+        if mode == IDENTITY and i != j:
+            return None
+        if mode == SIGNED:
+            # inversions against the pairs already ended, mod 2
+            finished = joined & ~sum(1 << label for label in labels)
+            if ((finished & ((1 << i) - 1)).bit_count() + (ended & ((1 << j) - 1)).bit_count()) & 1:
+                w = -w
+        ended |= 1 << j
+        del xs[k], labels[k]
+    return tuple(xs), tuple(labels), w
+
+
+def _sweep(spec: HexSpec, cap: int, mode: str) -> int:
+    """Sum over vertex-disjoint path families, swept over antidiagonals x + y = t.
+
+    Disjoint unit-step paths keep their order on every antidiagonal, so a
+    state is the (x, source label) pairs of the live paths, sorted by x,
+    with an integer weight.  Each step moves every live path to x or x + 1,
+    drops paths that can reach no remaining sink, joins the sources at t and
+    ends the path on each sink at t.  SIGNED weighs a family by the sign of
+    its source-to-sink permutation, built up as paths end; UNSIGNED weighs
+    every family 1; IDENTITY counts the families that end source j at sink j.
+    """
+    starts, ends = all_starts(spec), all_ends(spec)
+    n = len(starts)
+    if len(set(starts)) < n or len(set(ends)) < n:
+        return 0  # two paths would share an endpoint
+    if n == 0:
+        return 1
+    sources: dict = {}
+    sinks: dict = {}
+    for i, s in enumerate(starts):
+        sources.setdefault(s.x + s.y, []).append((s.x, i))
+    for j, e in enumerate(ends):
+        sinks.setdefault(e.x + e.y, []).append((e.x, j))
+    if min(sinks) < min(sources):
+        return 0  # a sink before every source
+    states = {((), ()): 1}
+    joined = ended = live = 0  # joined, ended: bit masks over labels, sinks
+    for t in range(min(sources), max(sinks) + 1):
+        states = _move(states, _reach(ends, t, mode == IDENTITY), live, cap)
+        here, ending = sources.get(t, ()), sinks.get(t, ())
+        if not (here or ending):
+            continue
+        joined |= sum(1 << i for _, i in here)
+        settled: dict = {}
+        for (xs, labels), w in states.items():
+            got = _settle(xs, labels, w, here, ending, joined, ended, mode)
+            if got is not None:
+                key = got[:2]
+                settled[key] = settled.get(key, 0) + got[2]
+        if not settled:
+            return 0
+        states = settled
+        ended |= sum(1 << j for _, j in ending)
+        live += len(here) - len(ending)
+    return states[(), ()]
 
 
 def signed_count(spec: HexSpec, cap: int = PATH_CAP) -> int:
-    """LGV sum over vertex-disjoint path families; equals the determinant."""
-    return _search(spec, cap)[0]
+    """LGV sum over vertex-disjoint path families; equals the determinant.
+
+    Computed by a transfer-matrix sweep that reads only the path endpoints
+    (`all_starts`, `all_ends`), never the determinant code.  cap bounds the
+    live states on one antidiagonal; past it, CapExceededError.  An odd
+    needle that leaves the hexagon gives 0 here and in the determinant; that
+    0 is the library's count, not the tiling count of the clipped region.
+    """
+    return _sweep(spec, cap, SIGNED)
 
 
 def count_families(spec: HexSpec, cap: int = PATH_CAP):
     """(total disjoint families, families realizing the identity assignment)."""
-    _, tuples, id_tuples = _search(spec, cap)
-    return tuples, id_tuples
+    return _sweep(spec, cap, UNSIGNED), _sweep(spec, cap, IDENTITY)
 
 
 def first_tiling(spec: HexSpec, cap: int = PATH_CAP) -> Optional[PathFamily]:
@@ -171,8 +265,13 @@ def first_tiling(spec: HexSpec, cap: int = PATH_CAP) -> Optional[PathFamily]:
 
 
 def intrusion_triangles(spec: HexSpec) -> list:
-    """The 2d unit triangles removed by the intrusion (some may fall outside
-    the hexagon; such a needle does less damage, or none at all)."""
+    """The 2d unit triangles removed by the intrusion.
+
+    Some may fall outside the hexagon.  An even needle then does less damage,
+    or none at all.  For an odd needle the library's count stays the LGV
+    determinant, which is 0 there; it is not the tiling count of the region
+    clipped to the hexagon, which can be positive.
+    """
     a, d, p = spec.a, spec.d, spec.p
     if d == 0:
         return []

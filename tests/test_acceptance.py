@@ -76,7 +76,7 @@ def test_criterion_02_oracle_equivalence():
                         cases += 1
     negative = signed_count(HexSpec(4, 5, 3, 3, 3, ODD))
     ok = ok and negative == odd_count(4, 5, 3, 3, 3).value == -8008 and negative < 0
-    report(2, f"brute-force path families match every determinant ({cases} specs, "
+    report(2, f"path-family sweep matches every determinant ({cases} specs, "
               "incl. the negative odd instance)", ok)
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: flags, JSON output, and the exit-code contract."""
 
+import functools
 import json
 
 import pytest
 
+from hexatile import oracle
 from hexatile.cli import main
 
 PASS = 0
@@ -52,6 +54,24 @@ def test_count_methods_agree(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [rec["value"] for rec in lines] == ["3", "3"]
     assert {rec["method"] for rec in lines} == {"det", "oracle"}
+
+
+def test_count_oracle_past_dimension_seven(capsys):
+    code, out, _ = run(
+        capsys, *count_flags(6, 3, 3, 2, 3, "even"), "--method", "det", "--method", "oracle"
+    )
+    assert code == PASS
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["value"] for rec in lines] == ["3000", "3000"]
+    assert lines[1]["matrix_dim"] == 8
+
+
+def test_count_oracle_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "signed_count", functools.partial(oracle.signed_count, cap=5))
+    code, out, err = run(capsys, *count_flags(6, 3, 3, 2, 3, "even"), "--method", "oracle")
+    assert code == USAGE
+    assert out == ""
+    assert "sweep states" in err
 
 
 def test_count_negative_odd_instance(capsys):

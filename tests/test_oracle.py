@@ -1,16 +1,20 @@
-"""Brute-force path enumeration, the signed family count, and SVG output."""
+"""Path enumeration, the swept signed family count, and SVG output."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexatile.hexmodel import EVEN, ODD, HexSpec, Point, path_count
+from hexatile.hexmodel import EVEN, ODD, HexSpec, Point, all_ends, all_starts, path_count
 from hexatile.lgv import even_count, odd_count
 from hexatile.oracle import (
     CapExceededError,
+    _inside,
     count_families,
     enumerate_paths,
     first_tiling,
+    intrusion_triangles,
     render_svg,
     signed_count,
 )
@@ -50,6 +54,7 @@ def test_signed_count_examples():
     assert signed_count(HexSpec(1, 2, 2, 1, 0, EVEN)) == 3
     assert signed_count(HexSpec(4, 5, 3, 3, 3, ODD)) == -8008
     assert signed_count(HexSpec(4, 5, 3, 3, 3, ODD)) == odd_count(4, 5, 3, 3, 3).value
+    assert signed_count(HexSpec(6, 3, 3, 2, 3, EVEN)) == even_count(6, 3, 3, 2, 3).value == 3000
 
 
 def test_even_families_realize_only_identity():
@@ -64,6 +69,13 @@ def test_even_families_realize_only_identity():
         assert total == even_count(spec.a, spec.b, spec.c, spec.d, spec.p).value
 
 
+def test_count_families_with_other_assignments():
+    # the odd families all realize non-identity assignments
+    assert count_families(HexSpec(4, 5, 3, 3, 3, ODD)) == (8008, 0)
+    assert count_families(HexSpec(2, 3, 3, 2, 0, ODD)) == (23, 0)
+    assert signed_count(HexSpec(2, 3, 3, 2, 0, ODD)) == 23
+
+
 def test_signed_count_matches_determinant_on_small_grid():
     for a in range(0, 4):
         for d in range(0, 3):
@@ -74,6 +86,78 @@ def test_signed_count_matches_determinant_on_small_grid():
                         assert signed_count(even) == even_count(a, b, c, d, p).value, even
                         odd = HexSpec(a, b, c, d, p, ODD)
                         assert signed_count(odd) == odd_count(a, b, c, d, p).value, odd
+
+
+def test_signed_count_matches_determinant_on_wide_grid():
+    # criterion 02's grid widened to a + d <= 7 and b, c <= 5: 11100 specs
+    cases = 0
+    for a in range(0, 8):
+        for d in range(0, 8 - a):
+            for b in range(1, 6):
+                for c in range(1, 6):
+                    for p in range(-d, a + d + 1):
+                        even = HexSpec(a, b, c, d, p, EVEN)
+                        assert signed_count(even) == even_count(a, b, c, d, p).value, even
+                        cases += 1
+                    for p in range(0, a + 2):
+                        odd = HexSpec(a, b, c, d, p, ODD)
+                        assert signed_count(odd) == odd_count(a, b, c, d, p).value, odd
+                        cases += 1
+    assert cases == 11100
+
+
+def _endpoints_coincide(spec):
+    """Some endpoint is shared beyond the pairs every spec of its parity shares."""
+    starts, ends = all_starts(spec), all_ends(spec)
+    lateral = starts[: spec.a] + ends[: spec.a]
+    intrusive = set(starts[spec.a:]) | set(ends[spec.a:])
+    return len(set(lateral)) < len(lateral) or bool(set(lateral) & intrusive)
+
+
+COINCIDENT = [
+    spec
+    for a, b, c, d in itertools.product(range(5), range(5), range(5), range(4))
+    for p in range(-4, a + 5)
+    for spec in (HexSpec(a, b, c, d, p, EVEN), HexSpec(a, b, c, d, p, ODD))
+    if _endpoints_coincide(spec)
+]
+
+
+@st.composite
+def formal_specs(draw):
+    """Flat hexagons (b or c = 0), odd specs with a = 0, coincident endpoints."""
+    kind = draw(st.sampled_from(["flat", "odd_a0", "coincident"]))
+    if kind == "coincident":
+        return draw(st.sampled_from(COINCIDENT))
+    a = 0 if kind == "odd_a0" else draw(st.integers(0, 4))
+    b, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if kind == "flat":
+        b, c = (0, c) if draw(st.booleans()) else (b, 0)
+    parity = ODD if kind == "odd_a0" else draw(st.sampled_from([EVEN, ODD]))
+    return HexSpec(a, b, c, draw(st.integers(0, 3)), draw(st.integers(-4, a + 4)), parity)
+
+
+@given(formal_specs())
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_determinant_on_formal_edge_cases(spec):
+    count = even_count if spec.parity == EVEN else odd_count
+    assert signed_count(spec) == count(spec.a, spec.b, spec.c, spec.d, spec.p).value
+
+
+def test_odd_needle_leaving_the_hexagon_counts_zero():
+    # the library's count is the determinant (0), not the clipped region's tilings
+    spec = HexSpec(2, 3, 3, 1, 2, ODD)
+    assert not _inside(spec, ("U", (-1, 0)))
+    assert ("U", (-1, 0)) in intrusion_triangles(spec)
+    assert signed_count(spec) == odd_count(2, 3, 3, 1, 2).value == 0
+
+
+def test_sweep_state_cap():
+    spec = HexSpec(6, 3, 3, 2, 3, EVEN)
+    with pytest.raises(CapExceededError):
+        signed_count(spec, cap=5)
+    with pytest.raises(CapExceededError):
+        count_families(spec, cap=5)
 
 
 def test_first_tiling_exists_for_damage_free():
