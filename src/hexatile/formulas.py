@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exactmath import PoleError, as_int, binom, factorial, pochhammer
+from .exactmath import NotIntegerError, PoleError, as_int, binom, factorial, pochhammer
 from .lgv import even_count
 
 
@@ -28,10 +28,14 @@ def macmahon(a: int, b: int, c: int) -> int:
     """Number of lozenge tilings of the intact (a,b,c)-hexagon."""
     if min(a, b, c) < 0:
         raise ValueError("a, b, c must be nonnegative")
-    out = Fraction(1)
+    num = den = 1
     for i in range(a):
-        out *= Fraction(factorial(i) * factorial(b + c + i), factorial(b + i) * factorial(c + i))
-    return as_int(out, "macmahon product")
+        num *= factorial(i) * factorial(b + c + i)
+        den *= factorial(b + i) * factorial(c + i)
+    q, r = divmod(num, den)
+    if r:
+        raise NotIntegerError(f"macmahon product is not an integer: {Fraction(num, den)}")
+    return q
 
 
 def byun_even(p: int, b: int, c: int, d: int) -> int:
@@ -198,24 +202,19 @@ def prefactor_P(a: int, b: int, c: int, d: int, p: int) -> Fraction:
     """Product P = B_p B_a B_d of the modified ansatz (0 <= p <= a, b > d > 0, c > d+p)."""
     if not (0 <= p <= a and b > d > 0 and c > d + p):
         raise OutOfValidityError("prefactor_P needs 0 <= p <= a, b > d > 0, c > d+p")
-    bp = Fraction(1)
-    for i in range(p):
-        bp *= Fraction(
-            factorial(i) * factorial(b + c - d + i),
-            factorial(b - d + i) * factorial(a + c - p + i),
-        )
-    ba = Fraction(1)
-    for i in range(p, a):
-        ba *= Fraction(
-            factorial(i) * factorial(b + c - d + i),
-            factorial(b + i) * factorial(c - d - p + i),
-        )
-    bd = Fraction(1)
-    for i in range(d):
-        bd *= pochhammer(a - p + 1 + i, p) / (
-            factorial(p + i) * pochhammer(b + c - 2 * d + 1 + i, i)
-        )
-    return bp * ba * bd
+    # One exact fraction of integer products; every Pochhammer argument is
+    # positive here, so (x)_k = (x+k-1)!/(x-1)!.
+    num = den = 1
+    for i in range(p):  # B_p
+        num *= factorial(i) * factorial(b + c - d + i)
+        den *= factorial(b - d + i) * factorial(a + c - p + i)
+    for i in range(p, a):  # B_a
+        num *= factorial(i) * factorial(b + c - d + i)
+        den *= factorial(b + i) * factorial(c - d - p + i)
+    for i in range(d):  # B_d: (a-p+1+i)_p / ((p+i)! (b+c-2d+1+i)_i)
+        num *= factorial(a + i) * factorial(b + c - 2 * d + i)
+        den *= factorial(a - p + i) * factorial(p + i) * factorial(b + c - 2 * d + 2 * i)
+    return Fraction(num, den)
 
 
 def special_prefactor(a: int, b: int, c: int, d: int, p: int) -> Fraction:

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detkernel import IntMatrix, det_bareiss, det_modular
+from .detkernel import IntMatrix, det_bareiss
 from .hexmodel import EVEN, ODD, HexSpec, all_ends, all_starts, binom, path_count
-
-# Bareiss wins while entries stay binomial-sized; modular takes over beyond this.
-_MODULAR_DIM = 60
 
 
 @dataclass(frozen=True)
@@ -32,18 +29,22 @@ def _entries(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatrix:
     """Path-count matrix for arbitrary integer b, c (formal extension).
 
     The condensation recursion shifts b and c below zero; the binomial
-    convention keeps every entry well defined there.
+    convention keeps every entry well defined there.  The intrusive points
+    sit after the first min(max(p, 0), a) lateral points, among both starts
+    and ends: this simultaneous permutation leaves the determinant as it is
+    and keeps the matrix near its lateral band, which det_bareiss exploits.
     """
     n = a + d
     starts = [(1 - i, i - 1) for i in range(1, a + 1)]
     ends = [(b + 1 - j, c + j - 1) for j in range(1, a + 1)]
+    q = min(max(p, 0), a)
     if parity == EVEN:
         mids = [(-p + i, p + i - 1) for i in range(1, d + 1)]
-        starts += mids
-        ends += mids
+        starts[q:q] = mids
+        ends[q:q] = mids
     else:
-        starts += [(-p + i, p + i) for i in range(1, d + 1)]
-        ends += [(-p + j - 1, p + j - 1) for j in range(1, d + 1)]
+        starts[q:q] = [(-p + i, p + i) for i in range(1, d + 1)]
+        ends[q:q] = [(-p + j - 1, p + j - 1) for j in range(1, d + 1)]
     out = []
     for (x, y) in starts:
         out.append([binom((u - x) + (v - y), u - x) for (u, v) in ends])
@@ -58,16 +59,10 @@ def build_matrix(spec: HexSpec) -> IntMatrix:
     return [[path_count(s, e) for e in ends] for s in starts]
 
 
-def _det(m: IntMatrix) -> int:
-    if len(m) >= _MODULAR_DIM:
-        return det_modular(m)
-    return det_bareiss(m)
-
-
 def _signed(a: int, b: int, c: int, d: int, p: int, parity: str) -> SignedCount:
     if min(a, b, c, d) < 0:
         raise ValueError("a, b, c, d must be nonnegative")
-    return SignedCount.of(_det(_entries(a, b, c, d, p, parity)))
+    return SignedCount.of(det_bareiss(_entries(a, b, c, d, p, parity)))
 
 
 def even_count(a: int, b: int, c: int, d: int, p: int) -> SignedCount:
@@ -97,18 +92,18 @@ def even_count_by_condensation(a: int, b: int, c: int, d: int, p: int) -> int:
         if key in memo:
             return memo[key]
         if a == 1:
-            v = _det(_entries(1, b, c, d, p, EVEN))
+            v = det_bareiss(_entries(1, b, c, d, p, EVEN))
         else:
             lower = rec(a - 2, b, c, p - 1)
             if lower == 0:
-                v = _det(_entries(a, b, c, d, p, EVEN))
+                v = det_bareiss(_entries(a, b, c, d, p, EVEN))
             else:
                 num = rec(a - 1, b, c, p - 1) * rec(a - 1, b, c, p) - rec(
                     a - 1, b + 1, c - 1, p - 1
                 ) * rec(a - 1, b - 1, c + 1, p)
                 q, r = divmod(num, lower)
                 if r:
-                    v = _det(_entries(a, b, c, d, p, EVEN))
+                    v = det_bareiss(_entries(a, b, c, d, p, EVEN))
                 else:
                     v = q
         memo[key] = v
@@ -133,7 +128,7 @@ def _condensation_holds(a: int, b: int, c: int, d: int, p: int, parity: str) -> 
     def x(a_, b_, c_, p_):
         # a_ = 0 stays meaningful: the intrusive-only determinant (1 when d = 0,
         # and 0 for the odd family once d > 0, where the diagonal vanishes).
-        return _det(_entries(a_, b_, c_, d, p_, parity))
+        return det_bareiss(_entries(a_, b_, c_, d, p_, parity))
 
     lhs = x(a, b, c, p) * x(a - 2, b, c, p - 1)
     rhs = x(a - 1, b, c, p - 1) * x(a - 1, b, c, p) - x(a - 1, b + 1, c - 1, p - 1) * x(

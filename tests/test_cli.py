@@ -7,6 +7,7 @@ import pytest
 
 from hexatile import oracle
 from hexatile.cli import main
+from hexatile.formulas import macmahon
 
 PASS = 0
 USAGE = 1
@@ -242,7 +243,11 @@ def test_bench_rows_and_agreement(capsys):
     code, out, _ = run(capsys, "bench", "--dims", "4,6")
     assert code == PASS
     lines = out.strip().splitlines()
-    assert lines[0] == "dim,kernel,elapsed_ms,result_digits"
+    assert lines[0] == "dim,shape,kernel,elapsed_ms,result_digits"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 4  # two dims, two kernels
-    assert {r[1] for r in rows} == {"bareiss", "modular"}
+    assert len(rows) == 8  # two dims, two shapes, two kernels
+    assert {r[1] for r in rows} == {"boxed", "thin"}
+    assert {r[2] for r in rows} == {"bareiss", "modular"}
+    digits = {(r[0], r[1]): r[4] for r in rows}
+    assert digits[("6", "boxed")] == str(len(str(macmahon(6, 6, 6))))
+    assert digits[("6", "thin")] == str(len(str(macmahon(6, 5, 6))))

@@ -1,5 +1,6 @@
 """Exact determinant kernels and the rational linear solver."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,9 @@ from hexatile.detkernel import (
 from hexatile.exactmath import binom
 
 small_entries = st.integers(min_value=-1000, max_value=1000)
+# Mostly zeros: zero pivots, row swaps, rows skipped at some steps (and so
+# scaled lazily) and short rows all turn up often.
+sparse_entries = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-40, 40))
 
 
 def square(n, draw):
@@ -37,6 +41,52 @@ def test_det_bareiss_small_cases():
 def test_det_bareiss_rejects_ragged():
     with pytest.raises(ValueError):
         det_bareiss([[1, 2], [3]])
+
+
+def leibniz(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def sparse_square(max_n):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+@given(sparse_square(7))
+@settings(max_examples=200, deadline=None)
+def test_bareiss_on_mostly_zero_matrices(m):
+    det = det_bareiss(m)
+    assert det == det_modular(m)
+    if len(m) <= 6:
+        assert det == leibniz(m)
+
+
+def test_bareiss_lazy_rows_and_swaps():
+    # row 1 is skipped at step 0 and then becomes the pivot (catch-up)
+    assert det_bareiss([[2, 1, 1], [0, 3, 1], [1, 1, 5]]) == 26
+    # row 2 is skipped at steps 0 and 1: only its last entry catches up
+    assert det_bareiss([[2, 1, 1], [1, 3, 1], [0, 0, 5]]) == 25
+    # row 3 is skipped at step 0 and updated at step 1 from its stale scale
+    m = [[3, 1, 0, 2], [1, 4, 1, 0], [2, 0, 5, 1], [0, 2, 1, 7]]
+    assert det_bareiss(m) == leibniz(m)
+    # a zero pivot swaps in a row that was skipped before
+    m = [[2, 1, 0, 0], [4, 2, 1, 0], [0, 3, 1, 1], [1, 0, 0, 3]]
+    assert det_bareiss(m) == leibniz(m) != 0
+    # banded: entries past a row's last nonzero column stay untouched
+    band = [[binom(5, 2 + i - j) for j in range(9)] for i in range(9)]
+    assert det_bareiss(band) == det_modular(band)
+    assert det_bareiss([[0, 0], [0, 0]]) == 0
+    assert det_bareiss([[0, 1], [1, 0]]) == -1
+    assert det_bareiss([[7]]) == 7
 
 
 def test_det_modular_small_cases():

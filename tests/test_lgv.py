@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexatile.detkernel import det_bareiss
-from hexatile.formulas import macmahon
+from hexatile.detkernel import det_bareiss, det_modular
+from hexatile.formulas import byun_even, macmahon
 from hexatile.hexmodel import EVEN, ODD, HexSpec, is_damage_free
 from hexatile.lgv import (
+    _entries,
     build_matrix,
     even_count,
     even_count_by_condensation,
@@ -31,6 +32,36 @@ def test_build_matrix_macmahon_form():
 def test_build_matrix_dimension():
     assert len(build_matrix(HexSpec(4, 5, 3, 2, 4, EVEN))) == 6
     assert len(build_matrix(HexSpec(4, 5, 3, 3, 3, ODD))) == 7
+
+
+@given(
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=-1, max_value=6),
+    st.integers(min_value=-1, max_value=6),
+    st.integers(min_value=0, max_value=3),
+    st.data(),
+    st.sampled_from([EVEN, ODD]),
+)
+@settings(max_examples=150, deadline=None)
+def test_count_matrix_bareiss_matches_modular(a, b, c, d, data, parity):
+    # formal b or c = -1 is what the condensation recursion builds
+    p = data.draw(st.integers(min_value=-3, max_value=a + 3))
+    m = _entries(a, b, c, d, p, parity)
+    det = det_bareiss(m)
+    assert det == det_modular(m)
+    if min(b, c) >= 0:
+        # build_matrix orders lateral points first and intrusive ones last
+        assert det == det_modular(build_matrix(HexSpec(a, b, c, d, p, parity)))
+
+
+def test_dim_80_thin_hexagon_matches_macmahon():
+    assert even_count(80, 5, 6, 0, 0).value == macmahon(80, 5, 6)
+    assert odd_count(80, 6, 5, 0, 40).value == macmahon(80, 6, 5)
+
+
+def test_large_halved_hexagon_matches_byun_even():
+    # dim 63: a = 60 = 2p with a three-unit intrusion at the centre
+    assert even_count(60, 5, 7, 3, 30).value == byun_even(30, 5, 7, 3)
 
 
 def test_even_count_base_cases():
