@@ -4,18 +4,16 @@ rendering, and determinant-kernel benchmarks.
 Output is machine readable: JSON Lines for counts, one JSON report per
 verification run, CSV for benchmarks.  Big integers are emitted as decimal
 strings.  Exit codes: 0 all good, 1 usage error (including a closed form
-with a pole at the spec), 2 mathematical disagreement (including a closed
-form whose value is not an integer).
+with a pole at the spec and a negative verify range), 2 mathematical
+disagreement (including a closed form whose value is not an integer).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import formulas, lgv, oracle, qfit, schur
 from .detkernel import det_bareiss, det_modular
@@ -35,19 +33,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _workers() -> int:
-    return max(1, int(os.environ.get("HEXATILE_THREADS", "1") or 1))
-
-
 def _sweep(points, fn):
-    """(cases, failures) for fn over points; deterministic order, optional fan-out."""
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(fn, points))
-    else:
-        flags = [fn(q) for q in points]
-    failures = [list(q) for q, ok in zip(points, flags) if not ok]
+    """(cases, failures) for fn over points, in order."""
+    failures = [list(q) for q in points if not fn(q)]
     return len(points), failures
 
 
@@ -305,6 +293,11 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    ranges = {"amax": args.amax, "bmax": args.bmax, "cmax": args.cmax, "dmax": args.dmax}
+    negative = [f"--{name} {value}" for name, value in ranges.items() if value < 0]
+    if negative:
+        print(f"verify: ranges must be nonnegative: {', '.join(negative)}", file=sys.stderr)
+        return USAGE_ERROR
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
@@ -312,8 +305,7 @@ def cmd_verify(args) -> int:
     passed = all(not ch["failures"] or ch.get("informational") for ch in checks)
     print(json.dumps({
         "suite": args.suite,
-        "ranges": {"amax": args.amax, "bmax": args.bmax,
-                   "cmax": args.cmax, "dmax": args.dmax},
+        "ranges": ranges,
         "checks": checks,
         "passed": passed,
     }))

@@ -47,6 +47,14 @@ def pochhammer(x: Rat, n: int) -> Fraction:
     (x)_{m+n} = (x)_m (x+m)_n.  Raises PoleError when a denominator
     factor vanishes.
     """
+    if isinstance(x, int):
+        # one integer product instead of n Fraction multiplications
+        if n >= 0:
+            return Fraction(math.prod(range(x, x + n)))
+        den = math.prod(range(x + n, x))
+        if den == 0:
+            raise PoleError(f"({x})_{n} has a zero factor in its denominator")
+        return Fraction(1, den)
     x = Fraction(x)
     if n >= 0:
         out = Fraction(1)

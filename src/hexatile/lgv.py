@@ -59,10 +59,34 @@ def build_matrix(spec: HexSpec) -> IntMatrix:
     return [[path_count(s, e) for e in ends] for s in starts]
 
 
+# Bound on memoized determinants.  One `hexatile verify all` pass plus the
+# identity registry at the CLI default ranges needs 9.8k distinct points
+# (BENCH_pr5.json), so they all fit; a full memo is cleared, not scanned.
+_MEMO_BOUND = 1 << 14
+_memo: dict[tuple[int, int, int, int, int, str], int] = {}
+
+
+def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
+    """det of _entries(a, b, c, d, p, parity), memoized on the literal arguments.
+
+    Every determinant in this module goes through here.  Keys are not
+    canonicalized (no mirror images), so the symmetry and condensation
+    checks still compare values computed at distinct points.
+    """
+    key = (a, b, c, d, p, parity)
+    value = _memo.get(key)
+    if value is None:
+        value = det_bareiss(_entries(a, b, c, d, p, parity))
+        if len(_memo) >= _MEMO_BOUND:
+            _memo.clear()
+        _memo[key] = value
+    return value
+
+
 def _signed(a: int, b: int, c: int, d: int, p: int, parity: str) -> SignedCount:
     if min(a, b, c, d) < 0:
         raise ValueError("a, b, c, d must be nonnegative")
-    return SignedCount.of(det_bareiss(_entries(a, b, c, d, p, parity)))
+    return SignedCount.of(_det(a, b, c, d, p, parity))
 
 
 def even_count(a: int, b: int, c: int, d: int, p: int) -> SignedCount:
@@ -92,18 +116,18 @@ def even_count_by_condensation(a: int, b: int, c: int, d: int, p: int) -> int:
         if key in memo:
             return memo[key]
         if a == 1:
-            v = det_bareiss(_entries(1, b, c, d, p, EVEN))
+            v = _det(1, b, c, d, p, EVEN)
         else:
             lower = rec(a - 2, b, c, p - 1)
             if lower == 0:
-                v = det_bareiss(_entries(a, b, c, d, p, EVEN))
+                v = _det(a, b, c, d, p, EVEN)
             else:
                 num = rec(a - 1, b, c, p - 1) * rec(a - 1, b, c, p) - rec(
                     a - 1, b + 1, c - 1, p - 1
                 ) * rec(a - 1, b - 1, c + 1, p)
                 q, r = divmod(num, lower)
                 if r:
-                    v = det_bareiss(_entries(a, b, c, d, p, EVEN))
+                    v = _det(a, b, c, d, p, EVEN)
                 else:
                     v = q
         memo[key] = v
@@ -128,7 +152,7 @@ def _condensation_holds(a: int, b: int, c: int, d: int, p: int, parity: str) -> 
     def x(a_, b_, c_, p_):
         # a_ = 0 stays meaningful: the intrusive-only determinant (1 when d = 0,
         # and 0 for the odd family once d > 0, where the diagonal vanishes).
-        return det_bareiss(_entries(a_, b_, c_, d, p_, parity))
+        return _det(a_, b_, c_, d, p_, parity)
 
     lhs = x(a, b, c, p) * x(a - 2, b, c, p - 1)
     rhs = x(a - 1, b, c, p - 1) * x(a - 1, b, c, p) - x(a - 1, b + 1, c - 1, p - 1) * x(

@@ -251,3 +251,12 @@ def test_bench_rows_and_agreement(capsys):
     digits = {(r[0], r[1]): r[4] for r in rows}
     assert digits[("6", "boxed")] == str(len(str(macmahon(6, 6, 6))))
     assert digits[("6", "thin")] == str(len(str(macmahon(6, 5, 6))))
+
+
+@pytest.mark.parametrize("flag", ["--amax", "--bmax", "--cmax", "--dmax"])
+def test_verify_negative_range_usage_error(capsys, flag):
+    code, out, err = run(capsys, "verify", "all", flag, "-1")
+    assert code == USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{flag} -1" in err

@@ -83,3 +83,18 @@ def test_as_int_accepts_exact_integers():
 def test_as_int_rejects_proper_fractions():
     with pytest.raises(ValueError, match="not an integer"):
         as_int(Fraction(1, 3), "test quantity")
+
+
+def test_pochhammer_integer_path_matches_fraction_loop():
+    # a Fraction argument takes the factor-by-factor loop, an int the integer path
+    for x in range(-8, 9):
+        for n in range(-8, 9):
+            try:
+                want = pochhammer(Fraction(x), n)
+            except PoleError:
+                with pytest.raises(PoleError):
+                    pochhammer(x, n)
+                continue
+            got = pochhammer(x, n)
+            assert type(got) is Fraction, (x, n)
+            assert got == want, (x, n)

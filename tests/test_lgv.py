@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexatile import lgv
 from hexatile.detkernel import det_bareiss, det_modular
 from hexatile.formulas import byun_even, macmahon
 from hexatile.hexmodel import EVEN, ODD, HexSpec, is_damage_free
@@ -170,3 +171,62 @@ def test_dodgson_odd_negative_instance_neighborhood():
     for da in (-1, 0, 1):
         for dp in (-1, 0, 1):
             assert verify_dodgson_odd(4 + da, 5, 3, 3, 3 + dp)
+
+
+def test_dodgson_at_formal_minus_one():
+    # b or c = -1 puts the shifted points at -2: the matrices stay formal
+    for a in range(2, 5):
+        for other in range(0, 4):
+            for d in range(0, 3):
+                for p in range(-1, a + 2):
+                    for b, c in ((-1, other), (other, -1)):
+                        assert verify_dodgson_even(a, b, c, d, p), (a, b, c, d, p)
+                        assert verify_dodgson_odd(a, b, c, d, p), (a, b, c, d, p)
+
+
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.data(),
+    st.sampled_from([EVEN, ODD]),
+)
+@settings(max_examples=150, deadline=None)
+def test_memoized_counts_match_modular(a, b, c, d, data, parity):
+    p = data.draw(st.integers(min_value=-3, max_value=a + 3))
+    count = even_count if parity == EVEN else odd_count
+    first = count(a, b, c, d, p)
+    warm = count(a, b, c, d, p)  # served from the memo
+    assert warm == first
+    assert warm.value == det_modular(build_matrix(HexSpec(a, b, c, d, p, parity)))
+
+
+def test_warm_memo_still_rejects_negative_sides():
+    # condensation stores formal points with b or c = -1 in the memo
+    assert verify_dodgson_even(2, 0, 2, 1, 1)
+    assert (1, -1, 3, 1, 1, EVEN) in lgv._memo
+    with pytest.raises(ValueError):
+        even_count(1, -1, 3, 1, 1)
+    assert verify_dodgson_odd(2, 2, 0, 1, 1)
+    assert (1, 3, -1, 1, 0, ODD) in lgv._memo
+    with pytest.raises(ValueError):
+        odd_count(1, 3, -1, 1, 0)
+    for bad in ((-1, 2, 2, 1, 0), (2, 2, 2, -1, 0)):
+        with pytest.raises(ValueError):
+            even_count(*bad)
+        with pytest.raises(ValueError):
+            odd_count(*bad)
+
+
+def test_memo_stays_within_its_bound():
+    bound = lgv._MEMO_BOUND
+    # a = 0, d = 0 gives an empty matrix: cheap distinct points, more than the bound
+    side = 2 + int(bound ** 0.5)
+    assert side * side > bound
+    for b in range(side):
+        for c in range(side):
+            assert even_count(0, b, c, 0, 0).value == 1
+            assert len(lgv._memo) <= bound
+    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
+    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
