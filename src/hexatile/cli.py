@@ -52,6 +52,11 @@ def _signed_for(spec: HexSpec) -> lgv.SignedCount:
     return lgv.odd_count(spec.a, spec.b, spec.c, spec.d, spec.p)
 
 
+_METHODS = ("det", "modular", "condense", "oracle")
+_FORMULAS = ("macmahon", "byun_even", "byun_odd", "byun_odd_corrected", "p1md", "d1",
+             "reflection")
+
+
 def _formula_value(name: str, spec: HexSpec) -> int:
     a, b, c, d, p = spec.a, spec.b, spec.c, spec.d, spec.p
     if name == "macmahon":
@@ -80,14 +85,10 @@ def _formula_value(name: str, spec: HexSpec) -> int:
         if spec.parity != EVEN or d != 1 or p != 0:
             raise OutOfValidityError("formula:d1 needs even parity, d = 1, p = 0")
         return formulas.d1_corollary(a, b, c)
-    if name == "reflection":
-        if spec.parity != EVEN or a != 1:
-            raise OutOfValidityError("formula:reflection needs even parity and a = 1")
-        return formulas.count_a1_reflection(b, c, d, p)
-    raise OutOfValidityError(
-        f"unknown formula {name!r}; known: macmahon, byun_even, byun_odd, "
-        "byun_odd_corrected, p1md, d1, reflection"
-    )
+    # "reflection", the last name in _FORMULAS (cmd_count admits no other)
+    if spec.parity != EVEN or a != 1:
+        raise OutOfValidityError("formula:reflection needs even parity and a = 1")
+    return formulas.count_a1_reflection(b, c, d, p)
 
 
 def _run_method(method: str, spec: HexSpec):
@@ -106,15 +107,19 @@ def _run_method(method: str, spec: HexSpec):
     if method == "oracle":
         val = oracle.signed_count(spec)
         return val, (0 if val == 0 else (1 if val > 0 else -1))
-    if method.startswith("formula:"):
-        val = _formula_value(method.split(":", 1)[1], spec)
-        return val, (0 if val == 0 else (1 if val > 0 else -1))
-    raise OutOfValidityError(f"unknown method {method!r}")
+    val = _formula_value(method.split(":", 1)[1], spec)
+    return val, (0 if val == 0 else (1 if val > 0 else -1))
 
 
 def cmd_count(args) -> int:
     spec = HexSpec(args.a, args.b, args.c, args.d, args.p, args.parity)
     methods = args.method or ["det"]
+    for method in methods:
+        kind, _, name = method.partition(":")
+        if method not in _METHODS and (kind != "formula" or name not in _FORMULAS):
+            print(f"count: unknown method {method!r}; known: {', '.join(_METHODS)}, "
+                  f"formula:<{'|'.join(_FORMULAS)}>", file=sys.stderr)
+            return USAGE_ERROR
     magnitudes = []
     for method in methods:
         t0 = time.perf_counter()

@@ -1,9 +1,11 @@
-"""Exact dense determinant and linear-solve kernels over int and Fraction.
+"""Exact dense determinant and linear-solve kernels over the integers.
 
-Matrices are dense row-major lists of lists.  Fraction-free Bareiss
-elimination computes every count; it skips the structural zeros of the
-banded LGV matrices, so its cost follows the band, not the dimension.  A
-multi-modular/CRT kernel with the same contract is the independent
+Matrices are dense row-major lists of lists.  One fraction-free (Bareiss)
+elimination that skips the structural zeros of the banded LGV matrices
+computes every count, so its cost follows the band, not the dimension.  The
+same elimination, run on [m | rhs], is the linear solve: it returns
+det m and det(m) m^-1 rhs, both integral, so no Fraction is ever formed.  A
+multi-modular/CRT kernel with the determinant's contract is the independent
 cross-check (`hexatile count --method modular`, `hexatile bench`, the
 acceptance suite).  Its prime pool is a fixed, deterministic sequence (the
 largest primes below 2^62, in descending order), so every run is
@@ -45,33 +47,35 @@ def mat_mul(a, b):
     return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in cols] for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination that skips zeros.
-
-    Step k eliminates only the rows with a nonzero in column k, and updates
-    each of them only up to one past the last nonzero column of it or of the
-    pivot row (`end`).  A row skipped at some steps is scaled lazily: `at[i]`
-    is the divisor its entries are currently scaled to.  Sylvester's identity
-    makes every division exact, also when a stale row catches up: its next
-    update divides by `at[i]` instead of the current `prev`, and a stale pivot
-    row (or last entry) is brought up to date by `x * prev // at[i]`.  On a
-    banded LGV matrix the work is about n * band^2 instead of n^3 / 3.
-    """
+    """Exact determinant by fraction-free (Bareiss) elimination that skips zeros."""
     n = len(m)
-    a = []
+    return _eliminate([list(row) for row in m], n, n)
+
+
+def _eliminate(a: IntMatrix, n: int, width: int) -> int:
+    """det of the leading n x n block of the n rows `a`, eliminated in place.
+
+    Every row must have `width` >= n entries; columns past n (an augmented
+    right-hand side) are carried along.  Step k eliminates only the rows with a
+    nonzero in column k, and updates each of them only up to one past the
+    last nonzero column of it or of the pivot row (`end`).  A row skipped at
+    some steps is scaled lazily: `at[i]` is the divisor its entries are
+    currently scaled to.  Sylvester's identity makes every division exact,
+    also when a stale row catches up: its next update divides by `at[i]`
+    instead of the current `prev`, and a stale pivot row (or last entry) is
+    brought up to date by `x * prev // at[i]`.  On a banded LGV matrix the
+    work is about n * band^2 instead of n^3 / 3.  Afterwards every row k is
+    upper triangular from column k on, each row at one scale of its own.
+    Returns 0, leaving `a` part-eliminated, when the block is singular.
+    """
     end = []
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        row = list(row)
-        e = n
+    for row in a:
+        e = len(row)
+        if e != width:
+            raise ValueError(f"matrix rows must have {width} entries")
         while e and not row[e - 1]:
             e -= 1
-        a.append(row)
         end.append(e)
     if n < 2:
         return a[0][0] if n else 1
@@ -114,7 +118,7 @@ def det_bareiss(m: IntMatrix) -> int:
                         row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // s
                 at[i] = pivot
         prev = pivot
-    last = a[-1][-1]
+    last = a[-1][n - 1]
     s = at[-1]
     if s != prev:
         last = last * prev // s
@@ -237,55 +241,28 @@ def det_modular(m: IntMatrix) -> int:
     return residue
 
 
-def det_rational(m: RatMatrix) -> Fraction:
-    """Exact determinant of a Fraction matrix (clear denominators per row)."""
-    n = _check_square(m)
-    if n == 0:
-        return Fraction(1)
-    scaled = []
-    scale = 1
-    for row in m:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scaled.append([int(x * lcm) for x in row])
-        scale *= lcm
-    return Fraction(det_bareiss(scaled), scale)
+def solve_exact(m: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix]:
+    """(delta, Y) with delta = det m and m Y = delta rhs, all in integers.
 
-
-def solve_exact(m: IntMatrix, rhs: IntMatrix) -> RatMatrix:
-    """Exact X with m X = rhs, by fraction-free forward elimination.
-
-    Raises SingularMatrixError when m is singular.
+    One fraction-free elimination of [m | rhs] gives delta, signed by its
+    row swaps.  Y = delta m^-1 rhs is integral by Cramer's rule, so each
+    back-substitution division is exact.  The eliminated rows keep the
+    scales the lazy elimination left them at; scaling an equation does not
+    change its solution, so they are read as they are.  Raises
+    SingularMatrixError when m is singular.
     """
     n = _check_square(m)
-    if any(len(row) != len(rhs[0]) for row in rhs) or len(rhs) != n:
+    if len(rhs) != n:
         raise ValueError("rhs has incompatible dimensions")
     r = len(rhs[0]) if rhs else 0
-    w = n + r
     aug = [list(m[i]) + list(rhs[i]) for i in range(n)]
-    prev = 1
-    for k in range(n):
-        if aug[k][k] == 0:
-            for i in range(k + 1, n):
-                if aug[i][k] != 0:
-                    aug[k], aug[i] = aug[i], aug[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular")
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = aug[i], aug[k]
-            aik = row_i[k]
-            for j in range(k + 1, w):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    x: RatMatrix = [[Fraction(0)] * r for _ in range(n)]
+    delta = _eliminate(aug, n, n + r)
+    if not delta:
+        raise SingularMatrixError("matrix is singular")
+    y: IntMatrix = [[]] * n
     for k in range(n - 1, -1, -1):
-        for j in range(r):
-            acc = Fraction(aug[k][n + j])
-            for t in range(k + 1, n):
-                acc -= aug[k][t] * x[t][j]
-            x[k][j] = acc / aug[k][k]
-    return x
+        row = aug[k]
+        known = [(row[t], y[t]) for t in range(k + 1, n) if row[t]]
+        y[k] = [(delta * row[n + j] - sum(u * yt[j] for u, yt in known)) // row[k]
+                for j in range(r)]
+    return delta, y

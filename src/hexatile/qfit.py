@@ -298,10 +298,10 @@ def _fit_grid(d: int, degree_bound: int, grid: list) -> MultiPoly:
     gram = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
     proj = [[sum(x * y for x, y in zip(ci, rhs))] for ci in cols]
     try:
-        sol = solve_exact(gram, proj)
+        delta, sol = solve_exact(gram, proj)
     except SingularMatrixError:
         raise UnderdeterminedError("sample grid does not span the monomial basis") from None
-    poly = MultiPoly({basis[j]: sol[j][0] / scale for j in range(m)})
+    poly = MultiPoly({basis[j]: Fraction(sol[j][0], delta * scale) for j in range(m)})
     bad = _first_mismatch(poly, grid, ys)
     if bad is not None:
         raise FitInconsistentError(

@@ -1,7 +1,9 @@
 """MacMahon-matrix structure: LU factorization, explicit inverse, and the
 block reduction of the intrusion determinant to a small d x d matrix F.
 
-All matrices are dense lists of Fractions; every check is exact.
+The bundle's matrices are dense lists of Fractions.  The blocks Q1-Q4 are
+integer matrices, and the complement is kept scaled to integers by
+delta = det Q2: Y = delta Q2^-1 Q1 and Fp = delta F.  Every check is exact.
 """
 
 from __future__ import annotations
@@ -9,16 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .detkernel import (
-    RatMatrix,
-    det_rational,
-    identity,
-    mat_mul,
-    mat_sub,
-    solve_exact,
-)
+from .detkernel import RatMatrix, det_bareiss, identity, mat_mul, solve_exact
 from .exactmath import as_int, binom, factorial, pochhammer
-from .formulas import OutOfValidityError, macmahon
+from .formulas import OutOfValidityError
 
 
 @dataclass(frozen=True)
@@ -44,8 +39,9 @@ class BlockDecomposition:
     Q2: list
     Q3: list
     Q4: list
-    X: RatMatrix  # Q2^-1.Q1
-    F: RatMatrix
+    delta: int  # det Q2 = M(a, b, c)
+    Y: list  # delta Q2^-1.Q1, integral
+    Fp: list  # delta F = delta Q4 - Q3.Y
 
 
 def build_bundle(a: int, b: int, c: int) -> MacMahonBundle:
@@ -102,15 +98,7 @@ def build_bundle(a: int, b: int, c: int) -> MacMahonBundle:
 
 def inverse_entry(a: int, b: int, c: int, i: int, j: int) -> Fraction:
     """(i,j)-entry of M^-1 as the explicit single sum (1-based indices)."""
-    s = Fraction(0)
-    for k in range(max(i, j), a + 1):
-        coef = binom(k - 1, i - 1) * binom(k - 1, j - 1)
-        if coef == 0:
-            continue
-        s += coef * pochhammer(b, k - i) * pochhammer(c, k - j) / (
-            factorial(k - 1) * factorial(b + c + k - 1)
-        )
-    return (-1) ** (i + j) * factorial(b + j - 1) * factorial(c + i - 1) * s
+    return (-1) ** (i + j) * factorial(b + j - 1) * factorial(c + i - 1) * _inner_sum(a, b, c, i, j)
 
 
 def verify_inverse(bundle: MacMahonBundle) -> bool:
@@ -129,25 +117,25 @@ def verify_inverse(bundle: MacMahonBundle) -> bool:
 
 
 def build_blocks(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
-    """Q1, Q2, Q3, Q4 blocks of the even-intrusion matrix, X = Q2^-1.Q1 and
-    F = Q4 - Q3.X."""
-    if a < 1 or d < 1:
-        raise ValueError("block decomposition needs a >= 1 and d >= 1")
+    """Q1, Q2, Q3, Q4 blocks of the even-intrusion matrix, delta = det Q2,
+    Y = delta Q2^-1.Q1 and Fp = delta Q4 - Q3.Y, all integers."""
+    if a < 1 or d < 0:
+        raise ValueError("block decomposition needs a >= 1 and d >= 0")
     q1 = [[binom(2 * j - 1, -i + j + p) for j in range(1, d + 1)] for i in range(1, a + 1)]
     q2 = [[binom(b + c, c - i + j) for j in range(1, a + 1)] for i in range(1, a + 1)]
     q3 = [[binom(b + c - 2 * i + 1, c - i + j - p) for j in range(1, a + 1)] for i in range(1, d + 1)]
     q4 = [[binom(2 * (j - i), j - i) for j in range(1, d + 1)] for i in range(1, d + 1)]
-    x = solve_exact(q2, q1)
-    f = mat_sub(q4, mat_mul(q3, x))
-    return BlockDecomposition(a=a, b=b, c=c, d=d, p=p, Q1=q1, Q2=q2, Q3=q3, Q4=q4, X=x, F=f)
+    delta, y = solve_exact(q2, q1)
+    fp = [[delta * x - z for x, z in zip(r4, rz)] for r4, rz in zip(q4, mat_mul(q3, y))]
+    return BlockDecomposition(a=a, b=b, c=c, d=d, p=p, Q1=q1, Q2=q2, Q3=q3, Q4=q4,
+                              delta=delta, Y=y, Fp=fp)
 
 
 def count_via_F(a: int, b: int, c: int, d: int, p: int) -> int:
-    """E(a,b,c,d,p) as det(F) times the MacMahon count (det of empty F is 1)."""
-    if d == 0:
-        return macmahon(a, b, c)
+    """E(a,b,c,d,p) = det(F) det(Q2) = det(Fp) / delta^(d-1) (det of empty Fp is 1)."""
     blocks = build_blocks(a, b, c, d, p)
-    return as_int(det_rational(blocks.F) * macmahon(a, b, c), "count_via_F")
+    delta = blocks.delta
+    return as_int(Fraction(det_bareiss(blocks.Fp) * delta, delta**d), "count_via_F")
 
 
 def _inner_sum(a: int, b: int, c: int, i: int, l: int) -> Fraction:
@@ -194,14 +182,12 @@ def triple_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> Fraction
 
 def verify_triple_sum(a: int, b: int, c: int, p: int, i: int, j: int) -> bool:
     """Check the double- and triple-sum displays against direct linear algebra."""
-    d = max(i, j)
-    blocks = build_blocks(a, b, c, d, p)
-    ok = True
-    if i <= a:
-        ok = ok and double_sum_entry(a, b, c, p, i, j) == blocks.X[i - 1][j - 1]
-    q3x = mat_mul(blocks.Q3, blocks.X)
-    ok = ok and triple_sum_entry(a, b, c, p, i, j) == q3x[i - 1][j - 1]
-    return ok
+    blocks = build_blocks(a, b, c, max(i, j), p)
+    delta, y = blocks.delta, blocks.Y
+    if i <= a and delta * double_sum_entry(a, b, c, p, i, j) != y[i - 1][j - 1]:
+        return False
+    q3y = sum(q * row[j - 1] for q, row in zip(blocks.Q3[i - 1], y))
+    return delta * triple_sum_entry(a, b, c, p, i, j) == q3y
 
 
 def verify_sum_formula(a: int, b: int, c: int, p: int) -> bool:

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from hexatile.detkernel import det_modular, det_rational, identity, mat_mul
+from hexatile.detkernel import det_bareiss, det_modular, identity, mat_mul
 from hexatile.exactmath import PoleError, binom
 from hexatile.formulas import (
     OutOfValidityError,
@@ -213,17 +213,19 @@ def test_criterion_10_complement_count():
                         cases += 1
     # complement entries do not depend on the intrusion length
     for a, b, c, p in [(4, 5, 5, 2), (3, 4, 6, 1), (2, 6, 6, 0)]:
-        big = build_blocks(a, b, c, 4, p).F
+        big = build_blocks(a, b, c, 4, p).Fp
         for d in range(1, 4):
-            small = build_blocks(a, b, c, d, p).F
+            small = build_blocks(a, b, c, d, p).Fp
             ok = ok and all(small[i][j] == big[i][j] for i in range(d) for j in range(d))
     # at a = 2p the complement determinant factors into the closed product
     for p in range(1, 3):
         for b in range(2, 7):
             for c in range(2, 7):
                 for d in range(1, min(b, c) + 1):
-                    f = build_blocks(2 * p, b, c, d, p).F
-                    ok = ok and det_rational(f) == detF_factorized(p, b, c, d)
+                    # det F = det(Fp) / delta^d, cross-multiplied
+                    blocks = build_blocks(2 * p, b, c, d, p)
+                    want = detF_factorized(p, b, c, d) * blocks.delta**d
+                    ok = ok and det_bareiss(blocks.Fp) == want
     report(10, f"block-complement count matches the determinant ({cases} cases, "
                "d-independent entries, factored det at a=2p)", ok)
 

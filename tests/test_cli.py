@@ -137,6 +137,22 @@ def test_count_unknown_method_usage_error(capsys):
     assert "guess" in err
 
 
+def test_count_unknown_method_checked_before_any_runs(capsys):
+    code, out, err = run(
+        capsys, *count_flags(2, 2, 2, 1, 0, "even"), "--method", "det",
+        "--method", "modular", "--method", "oracle", "--method", "closed-form",
+    )
+    assert code == USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "closed-form" in err
+    code, out, err = run(
+        capsys, *count_flags(2, 2, 2, 1, 0, "even"), "--method", "det",
+        "--method", "formula:nope",
+    )
+    assert (code, out) == (USAGE, "")
+    assert "formula:nope" in err
+
+
 def test_count_formula_out_of_window_usage_error(capsys):
     # macmahon gate requires d == 0
     code, _, err = run(

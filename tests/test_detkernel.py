@@ -1,7 +1,6 @@
-"""Exact determinant kernels and the rational linear solver."""
+"""Exact determinant kernels and the fraction-free linear solver."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from hexatile.detkernel import (
     SingularMatrixError,
     det_bareiss,
     det_modular,
-    det_rational,
     identity,
     mat_mul,
     prime_pool,
@@ -117,21 +115,42 @@ def test_row_swap_negates_and_duplicate_row_kills():
     assert det_modular([m[0], m[0], m[2]]) == 0
 
 
-def test_det_rational():
-    assert det_rational([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
-    assert det_rational([[Fraction(-7, 5)]]) == Fraction(-7, 5)
-
-
 def test_solve_exact_identity_and_scaling():
     rhs = [[1, 2], [3, 4]]
-    assert solve_exact(identity(2), rhs) == [[1, 2], [3, 4]]
-    half = solve_exact([[2, 0], [0, 2]], identity(2))
-    assert half == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    assert solve_exact(identity(2), rhs) == (1, [[1, 2], [3, 4]])
+    # X = I/2 is carried as delta = 4 and Y = 4 X
+    assert solve_exact([[2, 0], [0, 2]], identity(2)) == (4, [[2, 0], [0, 2]])
 
 
 def test_solve_exact_singular():
     with pytest.raises(SingularMatrixError):
         solve_exact([[1, 1], [1, 1]], identity(2))
+
+
+def test_solve_exact_row_swap_signs():
+    # a zero pivot in column 0 swaps rows 0 and 1, so delta = det m < 0;
+    # X = m^-1 rhs = [[1/2, 1], [3, 0]]
+    m = [[0, 1, 0], [2, 0, 0], [0, 0, 1]]
+    delta, y = solve_exact(m, [[3, 0], [1, 2], [5, -1]])
+    assert delta == det_bareiss(m) == -2
+    assert y == [[-1, -2], [-6, 0], [-10, 2]]
+
+
+@given(sparse_square(7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_on_mostly_zero_matrices(m, data):
+    n = len(m)
+    r = data.draw(st.integers(min_value=1, max_value=3))
+    rhs = [[data.draw(small_entries) for _ in range(r)] for _ in range(n)]
+    det = det_bareiss(m)
+    assert det == det_modular(m)
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            solve_exact(m, rhs)
+        return
+    delta, y = solve_exact(m, rhs)
+    assert delta == det
+    assert mat_mul(m, y) == [[delta * v for v in row] for row in rhs]
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
@@ -141,8 +160,8 @@ def test_solve_round_trip(n, data):
     if det_bareiss(m) == 0:
         return
     rhs = square(n, lambda: data.draw(st.integers(min_value=-9, max_value=9)))
-    x = solve_exact(m, rhs)
-    assert mat_mul(m, x) == [[Fraction(v) for v in row] for row in rhs]
+    delta, y = solve_exact(m, rhs)
+    assert mat_mul(m, y) == [[delta * v for v in row] for row in rhs]
 
 
 def test_prime_pools_are_prime_and_deterministic():

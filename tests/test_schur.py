@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexatile.detkernel import det_rational, identity, mat_mul
+from hexatile.detkernel import det_bareiss, identity, mat_mul
 from hexatile.exactmath import binom, factorial
 from hexatile.formulas import detF_factorized, macmahon
 from hexatile.hexmodel import EVEN, HexSpec
@@ -66,7 +66,7 @@ def test_det_u_is_macmahon():
             for i in range(a):
                 diag *= bundle.U[i][i]
             assert diag == macmahon(a, b, c)
-            assert det_rational(bundle.M) == macmahon(a, b, c)
+            assert det_bareiss([[int(x) for x in row] for row in bundle.M]) == macmahon(a, b, c)
 
 
 def test_verify_inverse():
@@ -102,9 +102,9 @@ def test_q4_structure():
 
 
 def test_f_entries_do_not_depend_on_d():
-    base = build_blocks(4, 5, 5, 4, 2).F
+    base = build_blocks(4, 5, 5, 4, 2).Fp
     for d in range(1, 4):
-        smaller = build_blocks(4, 5, 5, d, 2).F
+        smaller = build_blocks(4, 5, 5, d, 2).Fp
         for i in range(d):
             for j in range(d):
                 assert smaller[i][j] == base[i][j]
@@ -121,6 +121,32 @@ def test_count_via_F():
                         assert count_via_F(a, b, c, d, p) == even_count(a, b, c, d, p).value
 
 
+def test_count_via_F_outside_the_needle_window():
+    for a in range(1, 5):
+        for b in range(1, 5):
+            for c in range(1, 5):
+                for d in range(1, 4):
+                    for p in (-2, a + 2):
+                        assert count_via_F(a, b, c, d, p) == even_count(a, b, c, d, p).value
+
+
+def test_blocks_delta_is_macmahon_and_solves_q2():
+    # every point of the `schur` verify suite at its default ranges
+    points = 0
+    for a in range(1, 5):
+        for b in range(1, 6):
+            for c in range(1, 6):
+                for d in range(0, 4):
+                    for p in range(0, a + 1):
+                        blocks = build_blocks(a, b, c, d, p)
+                        assert blocks.delta == macmahon(a, b, c)
+                        assert mat_mul(blocks.Q2, blocks.Y) == [
+                            [blocks.delta * v for v in row] for row in blocks.Q1
+                        ]
+                        points += 1
+    assert points == 1400
+
+
 def test_count_via_F_d0_degenerates_to_macmahon():
     assert count_via_F(3, 4, 5, 0, 1) == macmahon(3, 4, 5)
 
@@ -130,8 +156,10 @@ def test_detF_matches_factorized_at_a_2p():
         for b in range(2, 6):
             for c in range(2, 6):
                 for d in range(1, min(b, c) + 1):
-                    f = build_blocks(2 * p, b, c, d, p).F
-                    assert det_rational(f) == detF_factorized(p, b, c, d)
+                    blocks = build_blocks(2 * p, b, c, d, p)
+                    # det F = det(Fp) / delta^d, cross-multiplied
+                    want = detF_factorized(p, b, c, d) * blocks.delta**d
+                    assert det_bareiss(blocks.Fp) == want
 
 
 def test_triple_sum_entries():
@@ -150,11 +178,12 @@ def test_triple_sum_entry_value():
     from hexatile.detkernel import solve_exact
 
     blocks = build_blocks(3, 3, 3, 2, 1)
-    product = mat_mul(blocks.Q3, solve_exact(blocks.Q2, blocks.Q1))
+    delta, y = solve_exact(blocks.Q2, blocks.Q1)
+    product = mat_mul(blocks.Q3, y)  # delta Q3.Q2^{-1}.Q1
     # triple_sum_entry uses 1-based indices into Q3.Q2^{-1}.Q1
     for i in range(1, 3):
         for j in range(1, 3):
-            assert triple_sum_entry(3, 3, 3, 1, i, j) == product[i - 1][j - 1]
+            assert delta * triple_sum_entry(3, 3, 3, 1, i, j) == product[i - 1][j - 1]
 
 
 def test_verify_sum_formula():
