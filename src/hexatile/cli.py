@@ -4,8 +4,9 @@ rendering, and determinant-kernel benchmarks.
 Output is machine readable: JSON Lines for counts, one JSON report per
 verification run, CSV for benchmarks.  Big integers are emitted as decimal
 strings.  Exit codes: 0 all good, 1 usage error (including a closed form
-with a pole at the spec and a negative verify range), 2 mathematical
-disagreement (including a closed form whose value is not an integer).
+with a pole at the spec, a negative verify range and an output file that
+cannot be written), 2 mathematical disagreement (including a closed form
+whose value is not an integer).
 """
 
 from __future__ import annotations
@@ -37,6 +38,17 @@ def _sweep(points, fn):
     """(cases, failures) for fn over points, in order."""
     failures = [list(q) for q in points if not fn(q)]
     return len(points), failures
+
+
+def _write(cmd: str, path: str, text: str) -> bool:
+    """Write text to path; on failure say why on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"{cmd}: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _spec_dict(spec: HexSpec) -> dict:
@@ -323,13 +335,12 @@ def cmd_fit(args) -> int:
             degree, poly = qfit.fit_auto(args.d)
         else:
             degree, poly = args.degree, qfit.fit(args.d, args.degree)
-    except (qfit.FitInconsistentError, qfit.UnderdeterminedError) as exc:
+    except qfit.FitInconsistentError as exc:
         print(f"fit: {exc}", file=sys.stderr)
         return DISAGREEMENT
     out = args.out or f"q_d{args.d}.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(qfit.poly_to_json(poly, args.d))
-        fh.write("\n")
+    if not _write("fit", out, qfit.poly_to_json(poly, args.d) + "\n"):
+        return USAGE_ERROR
     print(f"Q(d={args.d}), total degree {degree}: {poly}")
     print(f"wrote {out}")
     return 0
@@ -341,7 +352,7 @@ def cmd_render(args) -> int:
     if args.with_tiling:
         try:
             family = oracle.first_tiling(spec)
-        except (oracle.CapExceededError, ValueError) as exc:
+        except oracle.CapExceededError as exc:
             print(f"render: {exc}", file=sys.stderr)
             return USAGE_ERROR
         if family is None:
@@ -349,8 +360,8 @@ def cmd_render(args) -> int:
             return DISAGREEMENT
     out = args.out or "hexagon_a{}b{}c{}d{}p{}_{}.svg".format(
         args.a, args.b, args.c, args.d, args.p, args.parity)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(oracle.render_svg(spec, family))
+    if not _write("render", out, oracle.render_svg(spec, family)):
+        return USAGE_ERROR
     print(f"wrote {out}")
     return 0
 
@@ -381,8 +392,8 @@ def cmd_bench(args) -> int:
                 return DISAGREEMENT
     text = "\n".join(rows) + "\n"
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write("bench", args.csv, text):
+            return USAGE_ERROR
         print(f"wrote {args.csv}")
     else:
         print(text, end="")

@@ -5,9 +5,9 @@ transfer-matrix sweep over the antidiagonals x + y = t: it reads only the
 path endpoints from `hexmodel`, never `lgv`, `detkernel` or the binomials,
 and costs polynomial time for a fixed number of paths.  `count_families`
 runs the same sweep unsigned and for the identity assignment alone.
-Witnesses come from exhaustive enumeration: `first_tiling` searches every
-monotone path per endpoint pair for one disjoint family (a + d <= 7), and
-`reconstruct_tiling` and `render_svg` turn it into a lozenge tiling.
+`first_tiling` takes a witness family from the unsigned sweep by walking
+back through its states, and `reconstruct_tiling` and `render_svg` turn it
+into a lozenge tiling.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .hexmodel import EVEN, HexSpec, Point, all_ends, all_starts, path_count
+from .hexmodel import EVEN, HexSpec, Point, all_ends, all_starts
 
 PATH_CAP = 10**6
 SIGNED, UNSIGNED, IDENTITY = "signed", "unsigned", "identity"
@@ -26,7 +26,7 @@ _SQ3 = 3**0.5
 
 
 class CapExceededError(RuntimeError):
-    """Enumeration or a sweep would exceed the configured cap."""
+    """A sweep would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -51,52 +51,6 @@ class MonotonePath:
 class PathFamily:
     sigma: tuple
     paths: tuple
-
-
-def enumerate_paths(frm: Point, to: Point, cap: int = PATH_CAP) -> list:
-    """All monotone paths frm -> to, in lexicographic step order."""
-    if path_count(frm, to) > cap:
-        raise CapExceededError(f"{path_count(frm, to)} paths exceed cap {cap}")
-    out = []
-
-    def go(prefix, x, y):
-        if (x, y) == (to.x, to.y):
-            out.append(MonotonePath(points=tuple(prefix)))
-            return
-        if x < to.x:
-            prefix.append(Point(x + 1, y))
-            go(prefix, x + 1, y)
-            prefix.pop()
-        if y < to.y:
-            prefix.append(Point(x, y + 1))
-            go(prefix, x, y + 1)
-            prefix.pop()
-
-    if to.x >= frm.x and to.y >= frm.y:
-        go([Point(frm.x, frm.y)], frm.x, frm.y)
-    return out
-
-
-def _candidates(spec: HexSpec, cap: int):
-    starts, ends = all_starts(spec), all_ends(spec)
-    n = len(starts)
-    vid: dict = {}
-
-    def mask(points):
-        m = 0
-        for pt in points:
-            if pt not in vid:
-                vid[pt] = len(vid)
-            m |= 1 << vid[pt]
-        return m
-
-    cand = []
-    for s in starts:
-        row = []
-        for e in ends:
-            row.append([(mask(p.points), p) for p in enumerate_paths(s, e, cap)])
-        cand.append(row)
-    return n, cand
 
 
 def _reach(ends: list, t: int, identity: bool) -> list:
@@ -166,7 +120,7 @@ def _settle(xs, labels, w, sources, sinks, joined, ended, mode):
     return tuple(xs), tuple(labels), w
 
 
-def _sweep(spec: HexSpec, cap: int, mode: str) -> int:
+def _sweep(spec: HexSpec, cap: int, mode: str, history: Optional[list] = None) -> int:
     """Sum over vertex-disjoint path families, swept over antidiagonals x + y = t.
 
     Disjoint unit-step paths keep their order on every antidiagonal, so a
@@ -176,6 +130,8 @@ def _sweep(spec: HexSpec, cap: int, mode: str) -> int:
     ends the path on each sink at t.  SIGNED weighs a family by the sign of
     its source-to-sink permutation, built up as paths end; UNSIGNED weighs
     every family 1; IDENTITY counts the families that end source j at sink j.
+    A history list receives (t, sources, sinks, states before the move) for
+    every antidiagonal swept.
     """
     starts, ends = all_starts(spec), all_ends(spec)
     n = len(starts)
@@ -194,8 +150,10 @@ def _sweep(spec: HexSpec, cap: int, mode: str) -> int:
     states = {((), ()): 1}
     joined = ended = live = 0  # joined, ended: bit masks over labels, sinks
     for t in range(min(sources), max(sinks) + 1):
-        states = _move(states, _reach(ends, t, mode == IDENTITY), live, cap)
         here, ending = sources.get(t, ()), sinks.get(t, ())
+        if history is not None:
+            history.append((t, here, ending, states))
+        states = _move(states, _reach(ends, t, mode == IDENTITY), live, cap)
         if not (here or ending):
             continue
         joined |= sum(1 << i for _, i in here)
@@ -230,31 +188,49 @@ def count_families(spec: HexSpec, cap: int = PATH_CAP):
     return _sweep(spec, cap, UNSIGNED), _sweep(spec, cap, IDENTITY)
 
 
+def _step_back(before: dict, moved: list, here, ending, key: tuple) -> tuple:
+    """A state of before whose paths move by 0 or +1 onto moved and settle into key.
+
+    Every state on one antidiagonal has the same number of live paths, so
+    each state of before pairs its paths with those of moved one to one.
+    """
+    for xs, labels in before:
+        if all(0 <= m - x <= 1 for m, x in zip(moved, xs)):
+            got = _settle(moved, labels, 1, here, ending, 0, 0, UNSIGNED)
+            if got is not None and got[:2] == key:
+                return xs, labels
+    raise AssertionError("a swept state has no swept predecessor")
+
+
 def first_tiling(spec: HexSpec, cap: int = PATH_CAP) -> Optional[PathFamily]:
-    """One vertex-disjoint family, or None when none exists."""
-    if spec.dim > 7:
-        raise ValueError("oracle is desk-scale only: a + d <= 7")
-    n, cand = _candidates(spec, cap)
-    chosen: list = []
+    """One vertex-disjoint family, or None when none exists.
 
-    def go(i, used_v, used_e):
-        if i == n:
-            return True
-        for j in range(n):
-            if used_e >> j & 1:
-                continue
-            for m, path in cand[i][j]:
-                if m & used_v:
-                    continue
-                chosen.append((j, path))
-                if go(i + 1, used_v | m, used_e | 1 << j):
-                    return True
-                chosen.pop()
-        return False
-
-    if not go(0, 0, 0):
+    The UNSIGNED sweep keeps every antidiagonal's states, and the walk back
+    from the final empty state picks on each antidiagonal a kept state that
+    steps into the current one.  Every kept state was reached from the
+    sources, so the walk never stalls.  UNSIGNED, not IDENTITY: some odd
+    specs have families but none with the identity assignment.
+    """
+    history: list = []
+    if _sweep(spec, cap, UNSIGNED, history) == 0:
         return None
-    return PathFamily(sigma=tuple(j for j, _ in chosen), paths=tuple(p for _, p in chosen))
+    n = len(all_starts(spec))
+    points: list = [[] for _ in range(n)]
+    sigma = [0] * n
+    key = ((), ())
+    for t, here, ending, before in reversed(history):
+        # the paths on t after the move: the ones kept past t and the ones
+        # ending on t, less the ones starting on t
+        moved = sorted(set(key[0]).union(x for x, _ in ending).difference(x for x, _ in here))
+        key = _step_back(before, moved, here, ending, key)
+        on_t = dict(zip(moved, key[1]))
+        on_t.update(here)
+        for x, i in on_t.items():
+            points[i].append(Point(x, t - x))
+        for x, j in ending:
+            sigma[on_t[x]] = j
+    paths = tuple(MonotonePath(points=tuple(reversed(pts))) for pts in points)
+    return PathFamily(sigma=tuple(sigma), paths=paths)
 
 
 # --- geometry on the triangular lattice --------------------------------------

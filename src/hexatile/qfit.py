@@ -6,8 +6,7 @@ Every such point is admissible (0 <= p <= a, b > d, c > d+p), and the set
 is unisolvent for total degree <= D+1.  The Newton coefficients of the
 interpolant are the iterated forward differences along each axis; layer
 D+1 of that table must vanish for Q to have degree <= D, and the rest is
-expanded exactly into monomials in (a, b, c, p).  A caller's own grid goes
-through detkernel.solve_exact instead.  Either way the candidate is
+expanded exactly into monomials in (a, b, c, p).  The candidate is
 re-checked exactly against every sample point: anything returned is the
 unique interpolant, and anything else raises.
 
@@ -19,18 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .detkernel import SingularMatrixError, solve_exact
 from .formulas import prefactor_P
 from .lgv import even_count
-
-
-class UnderdeterminedError(ValueError):
-    """Grid has too few independent points for the monomial basis."""
 
 
 class FitInconsistentError(ValueError):
@@ -92,40 +85,6 @@ def sample_ratio(a: int, b: int, c: int, d: int, p: int) -> Fraction:
     if pf == 0:
         raise ValueError("prefactor vanishes; point cannot be sampled")
     return Fraction(even_count(a, b, c, d, p).value) / pf
-
-
-def monomials(degree_bound: int) -> list:
-    out = [
-        (ea, eb, ec, ep)
-        for ea in range(degree_bound + 1)
-        for eb in range(degree_bound + 1)
-        for ec in range(degree_bound + 1)
-        for ep in range(degree_bound + 1)
-        if ea + eb + ec + ep <= degree_bound
-    ]
-    out.sort(key=lambda k: (sum(k), k))
-    return out
-
-
-def default_grid(d: int, degree_bound: int, n_points: int) -> list:
-    """Integer sample points satisfying 0 <= p <= a, b > d, c > d+p.
-
-    Each axis spans degree_bound+2 values so no monomial of the basis can
-    vanish on the whole box; a fixed-seed subsample trims the box to the
-    requested size without collapsing that spread.  fit() samples the
-    simplex instead; this box serves callers that pass their own grid.
-    """
-    width = degree_bound + 1
-    box = [
-        (a, b, c, p)
-        for p in range(0, width + 1)
-        for a in range(p, p + width + 1)
-        for b in range(d + 1, d + width + 2)
-        for c in range(d + p + 1, d + p + width + 2)
-    ]
-    if len(box) <= n_points:
-        return box
-    return sorted(random.Random(17).sample(box, n_points))
 
 
 def _simplex(n: int) -> list:
@@ -277,45 +236,10 @@ def _fit_simplex(d: int, degree_bound: int, samples: dict) -> MultiPoly:
     return poly
 
 
-def _fit_grid(d: int, degree_bound: int, grid: list) -> MultiPoly:
-    """Least-squares normal equations, solved exactly, on a caller's grid.
-
-    With full column rank the solution is the only candidate; the exact
-    re-check then decides whether it interpolates every sample.
-    """
-    basis = monomials(degree_bound)
-    m = len(basis)
-    if len(grid) <= m:
-        raise UnderdeterminedError(f"{len(grid)} points for {m} monomials")
-    ys = [sample_ratio(a, b, c, d, p) for (a, b, c, p) in grid]
-    scale = math.lcm(*(y.denominator for y in ys))
-    rhs = [y.numerator * (scale // y.denominator) for y in ys]
-    rows = [
-        [a**ea * b**eb * c**ec * p**ep for (ea, eb, ec, ep) in basis]
-        for (a, b, c, p) in grid
-    ]
-    cols = list(zip(*rows))
-    gram = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
-    proj = [[sum(x * y for x, y in zip(ci, rhs))] for ci in cols]
-    try:
-        delta, sol = solve_exact(gram, proj)
-    except SingularMatrixError:
-        raise UnderdeterminedError("sample grid does not span the monomial basis") from None
-    poly = MultiPoly({basis[j]: Fraction(sol[j][0], delta * scale) for j in range(m)})
-    bad = _first_mismatch(poly, grid, ys)
-    if bad is not None:
-        raise FitInconsistentError(
-            f"degree {degree_bound} cannot interpolate sample at {bad}"
-        )
-    return poly
-
-
-def fit(d: int, degree_bound: Optional[int] = None, grid: Optional[list] = None) -> MultiPoly:
-    """The unique total-degree <= bound polynomial through all samples."""
+def fit(d: int, degree_bound: Optional[int] = None) -> MultiPoly:
+    """The unique total-degree <= bound polynomial through the simplex samples."""
     if degree_bound is None:
         degree_bound = 2 * (d - 1)
-    if grid is not None:
-        return _fit_grid(d, degree_bound, grid)
     return _fit_simplex(d, degree_bound, {})
 
 

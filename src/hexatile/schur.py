@@ -4,12 +4,15 @@ block reduction of the intrusion determinant to a small d x d matrix F.
 The bundle's matrices are dense lists of Fractions.  The blocks Q1-Q4 are
 integer matrices, and the complement is kept scaled to integers by
 delta = det Q2: Y = delta Q2^-1 Q1 and Fp = delta F.  Every check is exact.
+The displayed double sums and their inner sums are memoized (bounded) on
+their arguments, so a sweep of checks evaluates each distinct term once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .detkernel import RatMatrix, det_bareiss, identity, mat_mul, solve_exact
 from .exactmath import as_int, binom, factorial, pochhammer
@@ -138,6 +141,7 @@ def count_via_F(a: int, b: int, c: int, d: int, p: int) -> int:
     return as_int(Fraction(det_bareiss(blocks.Fp) * delta, delta**d), "count_via_F")
 
 
+@lru_cache(maxsize=4096)
 def _inner_sum(a: int, b: int, c: int, i: int, l: int) -> Fraction:
     # sum over k of the M^-1-shaped kernel; zero-binomial terms skipped so no
     # negative-length Pochhammer is ever formed
@@ -152,6 +156,7 @@ def _inner_sum(a: int, b: int, c: int, i: int, l: int) -> Fraction:
     return s
 
 
+@lru_cache(maxsize=4096)
 def double_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> Fraction:
     """(i,j)-entry of Q2^-1.Q1 as the displayed double sum (1-based)."""
     out = Fraction(0)

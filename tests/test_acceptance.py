@@ -35,7 +35,7 @@ from hexatile.lgv import (
     verify_dodgson_odd,
 )
 from hexatile.oracle import signed_count
-from hexatile.qfit import cross_validate, default_grid, fit, fit_auto
+from hexatile.qfit import cross_validate, fit, fit_auto
 from hexatile.schur import build_blocks, build_bundle, count_via_F, verify_inverse
 
 
@@ -275,10 +275,17 @@ def test_criterion_13_reflection_principle():
 
 
 def _holdout_points(d, degree, n=50, seed=99):
-    # sampled outside the fitting box so validation points are genuinely unseen
-    taken = set(default_grid(d, degree, 10**9))
-    rng = random.Random(seed)
+    # sampled outside this box, a superset of the fitted simplex's points, so
+    # validation points are genuinely unseen
     width = degree + 1
+    taken = {
+        (a, b, c, p)
+        for p in range(0, width + 1)
+        for a in range(p, p + width + 1)
+        for b in range(d + 1, d + width + 2)
+        for c in range(d + p + 1, d + p + width + 2)
+    }
+    rng = random.Random(seed)
     points = []
     while len(points) < n:
         p = rng.randint(0, width + 4)

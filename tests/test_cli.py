@@ -246,6 +246,15 @@ def test_render_with_tiling(tmp_path, capsys):
     assert "#b3cde3" in out_file.read_text()
 
 
+def test_render_with_tiling_past_dimension_seven(tmp_path, capsys):
+    out_file = tmp_path / "wide.svg"
+    code, _, _ = run(capsys, "render", "--a", "8", "--b", "8", "--c", "8",
+                     "--d", "3", "--p", "3", "--parity", "odd",
+                     "--with-tiling", "--out", str(out_file))
+    assert code == PASS
+    assert "#b3cde3" in out_file.read_text()
+
+
 def test_render_untileable_spec_fails(tmp_path, capsys):
     out_file = tmp_path / "none.svg"
     code, _, err = run(capsys, "render", "--a", "2", "--b", "3", "--c", "3",
@@ -276,3 +285,18 @@ def test_verify_negative_range_usage_error(capsys, flag):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert f"{flag} -1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--d", "1", "--out"),
+    ("render", "--a", "2", "--b", "2", "--c", "2", "--out"),
+    ("bench", "--dims", "2", "--csv"),
+])
+def test_unwritable_output_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(target) in err
+    assert not target.exists()

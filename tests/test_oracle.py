@@ -1,4 +1,4 @@
-"""Path enumeration, the swept signed family count, and SVG output."""
+"""The swept signed family count, sweep witnesses, and SVG output."""
 
 import itertools
 
@@ -12,41 +12,30 @@ from hexatile.oracle import (
     CapExceededError,
     _inside,
     count_families,
-    enumerate_paths,
     first_tiling,
     intrusion_triangles,
+    reconstruct_tiling,
     render_svg,
     signed_count,
 )
 
 
-def test_enumerate_paths_counts():
-    assert len(enumerate_paths(Point(0, 0), Point(1, 1))) == 2
-    assert len(enumerate_paths(Point(0, 0), Point(0, 0))) == 1
-    assert list(enumerate_paths(Point(0, 0), Point(0, 0))[0].points) == [Point(0, 0)]
-    assert len(enumerate_paths(Point(0, 0), Point(3, 2))) == 10
-    assert enumerate_paths(Point(0, 0), Point(-1, 2)) == []
-
-
-def test_enumerate_paths_are_monotone():
-    for path in enumerate_paths(Point(1, -1), Point(3, 1)):
-        assert path.points[0] == Point(1, -1)
-        assert path.points[-1] == Point(3, 1)
-        for prev, nxt in zip(path.points, path.points[1:]):
-            step = (nxt.x - prev.x, nxt.y - prev.y)
-            assert step in ((1, 0), (0, 1))
+def _monotone_paths(frm, to):
+    """Every monotone path frm -> to, as a tuple of points, by brute force."""
+    if (frm.x, frm.y) == (to.x, to.y):
+        return [(frm,)]
+    out = []
+    for step in (Point(frm.x + 1, frm.y), Point(frm.x, frm.y + 1)):
+        if step.x <= to.x and step.y <= to.y:
+            out.extend((frm,) + rest for rest in _monotone_paths(step, to))
+    return out
 
 
 @given(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_enumeration_length_equals_path_count(dx, dy):
     frm, to = Point(0, 0), Point(dx, dy)
-    assert len(enumerate_paths(frm, to)) == path_count(frm, to)
-
-
-def test_enumeration_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_paths(Point(0, 0), Point(12, 12), cap=100)
+    assert len(_monotone_paths(frm, to)) == path_count(frm, to)
 
 
 def test_signed_count_examples():
@@ -178,6 +167,50 @@ def test_first_tiling_hexc_instance():
     assert len(family.paths) == 6
     zero_length = [p for p in family.paths if len(p.points) == 1]
     assert len(zero_length) == 2
+
+
+def _assert_witness(spec, family):
+    """family joins start i to end sigma[i] by disjoint paths and is a tiling."""
+    starts, ends = all_starts(spec), all_ends(spec)
+    assert len(family.paths) == len(starts)
+    assert sorted(family.sigma) == list(range(len(starts)))
+    seen = set()
+    for i, (j, path) in enumerate(zip(family.sigma, family.paths)):
+        assert path.start == starts[i] and path.end == ends[j]
+        assert seen.isdisjoint(path.points)
+        seen.update(path.points)
+    reconstruct_tiling(spec, family)
+
+
+def test_first_tiling_exists_iff_families_exist():
+    # 3750 specs: a <= 4, b, c <= 4, d <= 2, p in -1..a+1, both parities
+    cases = found = 0
+    for a, b, c, d in itertools.product(range(5), range(5), range(5), range(3)):
+        for p in range(-1, a + 2):
+            for parity in (EVEN, ODD):
+                spec = HexSpec(a, b, c, d, p, parity)
+                family = first_tiling(spec)
+                assert (family is not None) == (count_families(spec)[0] > 0), spec
+                if family is not None:
+                    _assert_witness(spec, family)
+                    found += 1
+                cases += 1
+    assert cases == 3750
+    assert found > 0
+
+
+def test_first_tiling_odd_witness_is_not_identity():
+    # every family of this spec realizes a non-identity assignment
+    spec = HexSpec(4, 5, 3, 3, 3, ODD)
+    family = first_tiling(spec)
+    assert family is not None
+    assert family.sigma != tuple(range(len(family.sigma)))
+    _assert_witness(spec, family)
+
+
+def test_first_tiling_state_cap():
+    with pytest.raises(CapExceededError):
+        first_tiling(HexSpec(6, 3, 3, 2, 3, EVEN), cap=5)
 
 
 INTRUSION_FILL = "#de2d26"

@@ -9,12 +9,9 @@ from hexatile.formulas import byun_even, prefactor_P, q_known
 from hexatile.qfit import (
     FitInconsistentError,
     MultiPoly,
-    UnderdeterminedError,
     cross_validate,
-    default_grid,
     fit,
     fit_auto,
-    monomials,
     poly_from_json,
     poly_to_json,
     probe_degree,
@@ -49,20 +46,6 @@ def test_sample_ratio_d2_value():
 def test_sample_ratio_rejects_invalid():
     with pytest.raises(ValueError):
         sample_ratio(2, 1, 5, 2, 0)  # needs b > d
-
-
-def test_monomials_count():
-    # 4 variables, total degree <= 2: C(6,4) = 15 monomials
-    assert len(monomials(2)) == 15
-    assert monomials(0) == [(0, 0, 0, 0)]
-
-
-def test_default_grid_respects_constraints():
-    grid = default_grid(2, 2, 40)
-    assert len(grid) == 40
-    assert len(set(grid)) == 40
-    for a, b, c, p in grid:
-        assert 0 <= p <= a and b > 2 and c > 2 + p
 
 
 def test_fit_d1_constant_one():
@@ -100,22 +83,8 @@ def test_fit_d3_rejects_bound_5():
         fit(3, 5)
 
 
-def test_fit_custom_grid_d2():
-    assert fit(2, grid=default_grid(2, 2, 40)).coeffs == D2_EXPECTED
-    # enough points, but all at p = 0: no monomial with p is pinned down
-    flat = [pt for pt in default_grid(2, 2, 10**6) if pt[3] == 0]
-    assert len(flat) > len(monomials(2))
-    with pytest.raises(UnderdeterminedError):
-        fit(2, 2, grid=flat)
-
-
 def test_fit_degree_stability():
     assert fit(2, 3).coeffs == fit(2, 2).coeffs
-
-
-def test_fit_underdetermined():
-    with pytest.raises(UnderdeterminedError):
-        fit(2, 2, grid=[(2, 4, 5, 0), (3, 4, 5, 1)])
 
 
 def test_fit_inconsistent_when_degree_too_small():
