@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from . import formulas, lgv, oracle, qfit, schur
+from . import formulas, lgv, oracle, qfit
 from .detkernel import det_bareiss, det_modular
 from .exactmath import NotIntegerError, PoleError
 from .formulas import OutOfValidityError
@@ -32,12 +32,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _sweep(points, fn):
-    """(cases, failures) for fn over points, in order."""
-    failures = [list(q) for q in points if not fn(q)]
-    return len(points), failures
 
 
 def _write(cmd: str, path: str, text: str) -> bool:
@@ -160,152 +154,19 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _suite_macmahon(amax, bmax, cmax, dmax):
-    pts = [(a, b, c) for a in range(amax + 1) for b in range(1, bmax + 1)
-           for c in range(1, cmax + 1)]
-    cases, fails = _sweep(
-        pts, lambda q: lgv.even_count(q[0], q[1], q[2], 0, 0).value
-        == formulas.macmahon(*q))
-    return [{"name": "macmahon_product", "cases": cases, "failures": fails}]
-
-
-def _suite_byun(amax, bmax, cmax, dmax):
-    pts = [(p, b, c, d)
-           for p in range(0, amax // 2 + 1)
-           for b in range(1, bmax + 1) for c in range(1, cmax + 1)
-           for d in range(1, min(b, c, dmax) + 1)]
-    cases, fails = _sweep(
-        pts, lambda q: formulas.byun_even(*q)
-        == lgv.even_count(2 * q[0], q[1], q[2], q[3], q[0]).value)
-    out = [{"name": "halved_even_product", "cases": cases, "failures": fails}]
-    cases, fails = _sweep(
-        pts, lambda q: (-1) ** q[3] * formulas.byun_odd_corrected(*q)
-        == lgv.odd_count(2 * q[0] + 1, q[1], q[2], q[3], q[0]).value)
-    out.append({"name": "halved_odd_product_corrected", "cases": cases,
-                "failures": fails})
-
-    def printed_matches(q):
-        try:
-            return formulas.byun_odd(*q) == abs(
-                lgv.odd_count(2 * q[0] + 1, q[1], q[2], q[3], q[0]).value)
-        except (OutOfValidityError, ValueError, ArithmeticError):
-            return False
-    cases, fails = _sweep(pts, printed_matches)
-    out.append({"name": "halved_odd_product_printed", "cases": cases,
-                "failures": fails, "informational": True})
-    return out
-
-
-def _suite_p1md(amax, bmax, cmax, dmax):
-    out = []
-    pts = [(a, b, c, d) for a in range(amax + 1) for b in range(1, bmax + 1)
-           for c in range(1, cmax + 1) for d in range(1, dmax + 1)]
-
-    def simple_ok(q):
-        return formulas.p_one_minus_d_simple(*q) == lgv.even_count(
-            q[0], q[1], q[2], q[3], 1 - q[3]).value
-
-    def alt_ok(variant):
-        def check(q):
-            try:
-                want = lgv.even_count(q[0], q[1], q[2], q[3], 1 - q[3]).value
-                return formulas.p_one_minus_d_alt(*q, variant=variant) == want
-            except OutOfValidityError:
-                return True
-        return check
-
-    cases, fails = _sweep(pts, simple_ok)
-    out.append({"name": "p1md_simple", "cases": cases, "failures": fails})
-    cases, fails = _sweep(pts, alt_ok("sum"))
-    out.append({"name": "p1md_sum", "cases": cases, "failures": fails})
-    cases, fails = _sweep(pts, alt_ok("polynomial"))
-    out.append({"name": "p1md_polynomial", "cases": cases, "failures": fails})
-    for res in formulas.verify_identities(
-            "p1d_aux,p1d_zb,sa,factorial_sum,f_recursion,f_d_recursion,f_alternative",
-            amax, bmax, cmax, dmax):
-        out.append({"name": res.name, "cases": res.cases, "failures": res.failures})
-    return out
-
-
-def _suite_d1(amax, bmax, cmax, dmax):
-    pts = [(a, b, c) for a in range(amax + 1) for b in range(1, bmax + 1)
-           for c in range(1, cmax + 1)]
-    cases, fails = _sweep(
-        pts, lambda q: formulas.d1_corollary(*q)
-        == lgv.even_count(q[0], q[1], q[2], 1, 0).value)
-    return [{"name": "unit_intrusion_corollary", "cases": cases, "failures": fails}]
-
-
-def _suite_lu(amax, bmax, cmax, dmax):
-    pts = [(a, b, c) for a in range(1, amax + 1) for b in range(1, bmax + 1)
-           for c in range(1, cmax + 1)]
-    cases, fails = _sweep(
-        pts, lambda q: schur.verify_inverse(schur.build_bundle(*q)))
-    return [{"name": "binomial_lu_inverse", "cases": cases, "failures": fails}]
-
-
-def _suite_schur(amax, bmax, cmax, dmax):
-    pts = [(a, b, c, d, p)
-           for a in range(1, amax + 1) for b in range(1, bmax + 1)
-           for c in range(1, cmax + 1) for d in range(0, dmax + 1)
-           for p in range(0, a + 1)]
-    cases, fails = _sweep(
-        pts, lambda q: schur.count_via_F(*q) == lgv.even_count(*q).value)
-    out = [{"name": "complement_block_count", "cases": cases, "failures": fails}]
-    tpts = [(a, b, c, p, i, j)
-            for a in range(1, min(amax, 4) + 1)
-            for b in range(1, min(bmax, 4) + 1) for c in range(1, min(cmax, 4) + 1)
-            for p in range(0, min(a, 2) + 1)
-            for i in range(1, min(dmax, 2) + 1) for j in range(1, min(dmax, 2) + 1)]
-    cases, fails = _sweep(tpts, lambda q: schur.verify_triple_sum(*q))
-    out.append({"name": "inverse_entry_sums", "cases": cases, "failures": fails})
-    return out
-
-
-def _suite_sums(amax, bmax, cmax, dmax):
-    pts = [(a, b, c, p) for a in range(1, amax + 1) for b in range(1, bmax + 1)
-           for c in range(1, cmax + 1) for p in range(0, a + 1)]
-
-    def check(q):
-        try:
-            return schur.verify_sum_formula(*q)
-        except OutOfValidityError:
-            return True
-    cases, fails = _sweep(pts, check)
-    return [{"name": "telescoped_double_sum", "cases": cases, "failures": fails}]
-
-
-def _suite_condense(amax, bmax, cmax, dmax):
-    pts = [(a, b, c, d, p)
-           for a in range(2, amax + 1) for b in range(1, bmax + 1)
-           for c in range(1, cmax + 1) for d in range(0, dmax + 1)
-           for p in range(0, a + 1)]
-    cases, fails = _sweep(pts, lambda q: lgv.verify_dodgson_even(*q))
-    out = [{"name": "condensation_even", "cases": cases, "failures": fails}]
-    cases, fails = _sweep(pts, lambda q: lgv.verify_dodgson_odd(*q))
-    out.append({"name": "condensation_odd", "cases": cases, "failures": fails})
-    return out
-
-
-def _suite_symmetry(amax, bmax, cmax, dmax):
-    pts = [(a, b, c, d, p)
-           for a in range(amax + 1) for b in range(1, bmax + 1)
-           for c in range(1, cmax + 1) for d in range(0, dmax + 1)
-           for p in range(0, a + 1)]
-    cases, fails = _sweep(pts, lambda q: lgv.verify_symmetry(*q))
-    return [{"name": "mirror_symmetry", "cases": cases, "failures": fails}]
-
-
+# Each suite runs these checks of the formulas registry, in this order.
 _SUITES = {
-    "macmahon": _suite_macmahon,
-    "byun": _suite_byun,
-    "p1md": _suite_p1md,
-    "d1": _suite_d1,
-    "lu": _suite_lu,
-    "schur": _suite_schur,
-    "sums": _suite_sums,
-    "condense": _suite_condense,
-    "symmetry": _suite_symmetry,
+    "macmahon": ("macmahon_product",),
+    "byun": ("halved_even_product", "halved_odd_product_corrected",
+             "halved_odd_product_printed"),
+    "p1md": ("p1md_simple", "p1md_sum", "p1md_polynomial", "p1d_aux", "p1d_zb", "sa",
+             "factorial_sum", "f_recursion", "f_d_recursion", "f_alternative"),
+    "d1": ("unit_intrusion_corollary",),
+    "lu": ("binomial_lu_inverse",),
+    "schur": ("complement_block_count", "inverse_entry_sums"),
+    "sums": ("telescoped_double_sum",),
+    "condense": ("condensation_even", "condensation_odd"),
+    "symmetry": ("mirror_symmetry",),
 }
 
 
@@ -315,10 +176,13 @@ def cmd_verify(args) -> int:
     if negative:
         print(f"verify: ranges must be nonnegative: {', '.join(negative)}", file=sys.stderr)
         return USAGE_ERROR
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = [name for suite in suites for name in _SUITES[suite]]
     checks = []
-    for name in names:
-        checks.extend(_SUITES[name](args.amax, args.bmax, args.cmax, args.dmax))
+    for res in formulas._run_checks(names, args.amax, args.bmax, args.cmax, args.dmax):
+        checks.append({"name": res.name, "cases": res.cases, "failures": res.failures})
+        if res.informational:
+            checks[-1]["informational"] = True
     passed = all(not ch["failures"] or ch.get("informational") for ch in checks)
     print(json.dumps({
         "suite": args.suite,

@@ -236,8 +236,17 @@ def _fit_simplex(d: int, degree_bound: int, samples: dict) -> MultiPoly:
     return poly
 
 
+def _check_fit_args(d: int, degree: Optional[int]) -> None:
+    """ValueError, before any sampling, for a depth or degree bound with no fit."""
+    if d < 1:
+        raise ValueError(f"Q is fitted for intrusion depths d >= 1, not d = {d}")
+    if degree is not None and degree < 0:
+        raise ValueError(f"degree bound must be nonnegative, not {degree}")
+
+
 def fit(d: int, degree_bound: Optional[int] = None) -> MultiPoly:
     """The unique total-degree <= bound polynomial through the simplex samples."""
+    _check_fit_args(d, degree_bound)
     if degree_bound is None:
         degree_bound = 2 * (d - 1)
     return _fit_simplex(d, degree_bound, {})
@@ -274,6 +283,7 @@ def fit_auto(d: int, max_degree: int = 24):
     """(degree, poly) for the smallest degree bound from 2(d-1) up whose
     Newton layer above it vanishes; each bound reuses the samples of the last.
     """
+    _check_fit_args(d, max_degree)
     samples: dict = {}
     for degree in range(max(2 * (d - 1), 0), max_degree + 1):
         try:

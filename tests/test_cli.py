@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hexatile import oracle
+from hexatile import cli, oracle
 from hexatile.cli import main
 from hexatile.formulas import macmahon
 
@@ -299,4 +299,70 @@ def test_unwritable_output_usage_error(tmp_path, capsys, argv):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert str(target) in err
+    assert not target.exists()
+
+
+# `verify all` at the CLI default ranges: cases per check, in report order.
+VERIFY_ALL_CASES = {
+    "macmahon_product": 125, "halved_even_product": 150,
+    "halved_odd_product_corrected": 150, "halved_odd_product_printed": 150,
+    "p1md_simple": 375, "p1md_sum": 375, "p1md_polynomial": 375, "p1d_aux": 237,
+    "p1d_zb": 360, "sa": 120, "factorial_sum": 24, "f_recursion": 360,
+    "f_d_recursion": 240, "f_alternative": 162, "unit_intrusion_corollary": 125,
+    "binomial_lu_inverse": 100, "complement_block_count": 1400,
+    "inverse_entry_sums": 704, "telescoped_double_sum": 350,
+    "condensation_even": 1200, "condensation_odd": 1200, "mirror_symmetry": 1500,
+}
+
+
+def test_verify_all_default_ranges_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == PASS
+    report = json.loads(out)
+    assert report["ranges"] == {"amax": 4, "bmax": 5, "cmax": 5, "dmax": 3}
+    checks = report["checks"]
+    assert list(VERIFY_ALL_CASES) == [ch["name"] for ch in checks]
+    assert {ch["name"]: ch["cases"] for ch in checks} == VERIFY_ALL_CASES
+    assert sum(VERIFY_ALL_CASES.values()) == 9782
+    informational = [ch for ch in checks if ch.get("informational")]
+    assert [ch["name"] for ch in informational] == ["halved_odd_product_printed"]
+    assert informational[0]["informational"] is True
+    assert len(informational[0]["failures"]) == 150
+    assert all(not ch["failures"] for ch in checks if not ch.get("informational"))
+
+
+def test_verify_all_concatenates_the_suites_in_order(capsys):
+    ranges = ("--amax", "2", "--bmax", "3", "--cmax", "3", "--dmax", "2")
+    _, out, _ = run(capsys, "verify", "all", *ranges)
+    everything = json.loads(out)["checks"]
+    parts = []
+    for suite in cli._SUITES:
+        _, out, _ = run(capsys, "verify", suite, *ranges)
+        parts.extend(json.loads(out)["checks"])
+    assert everything == parts
+    assert [ch["name"] for ch in everything] == [
+        name for names in cli._SUITES.values() for name in names]
+
+
+def test_verify_f_d_recursion_honours_dmax(capsys):
+    code, out, _ = run(capsys, "verify", "p1md", "--dmax", "1")
+    assert code == PASS
+    by_name = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+    assert by_name["f_d_recursion"]["cases"] == 0
+    _, out, _ = run(capsys, "verify", "p1md", "--dmax", "2")
+    assert {ch["name"]: ch["cases"] for ch in json.loads(out)["checks"]}["f_d_recursion"] == 120
+
+
+@pytest.mark.parametrize("argv", [
+    ("--d", "2", "--degree", "-1"),
+    ("--d", "0"),
+    ("--d", "-1"),
+])
+def test_fit_bad_depth_or_degree_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "q.json"
+    code, out, err = run(capsys, "fit", *argv, "--out", str(target))
+    assert code == USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "prefactor_P" not in err and "Newton" not in err
     assert not target.exists()

@@ -247,3 +247,47 @@ def test_verify_identities_all_pass():
 def test_verify_identities_unknown_suite():
     with pytest.raises(ValueError):
         verify_identities("nonsense")
+
+
+# verify_identities at the CLI default ranges: cases per identity, in order.
+IDENTITY_CASES = {
+    "elementary": 180, "cancel1": 120, "cancel2": 120, "cancel3": 120,
+    "general_recursion": 2100, "g_is_one_d0": 180, "special_recursion": 402,
+    "r_is_one_far": 500, "x1": 155, "special_x1": 150, "r1_reflection": 212,
+    "p1d_aux": 237, "sa": 120, "factorial_sum": 24, "f_recursion": 360, "p1d_zb": 360,
+    "f_d_recursion": 240, "f_alternative": 162, "sum_formula": 340,
+}
+
+
+def test_verify_identities_default_ranges_pinned():
+    report = verify_identities("all", 4, 5, 5, 3)
+    assert [r.name for r in report] == list(IDENTITY_CASES)
+    assert {r.name: r.cases for r in report} == IDENTITY_CASES
+    assert sum(IDENTITY_CASES.values()) == 6082
+    assert all(r.passed and not r.informational for r in report)
+
+
+def test_verify_identities_comma_list_keeps_order():
+    report = verify_identities(" sa, factorial_sum ", 3, 3, 3, 1)
+    assert [r.name for r in report] == ["sa", "factorial_sum"]
+    with pytest.raises(ValueError, match="unknown identity 'macmahon_product'"):
+        verify_identities("sa,macmahon_product")
+
+
+def test_f_d_recursion_honours_dmax():
+    assert [r.cases for r in verify_identities("f_d_recursion", 4, 5, 5, 1)] == [0]
+    assert [r.cases for r in verify_identities("f_d_recursion", 4, 5, 5, 2)] == [120]
+
+
+def test_registry_names_unique_and_resolved():
+    from hexatile import cli, formulas
+
+    suite_checks = [name for names in cli._SUITES.values() for name in names]
+    assert len(suite_checks) == len(set(suite_checks)) == 22
+    identities = formulas._IDENTITIES
+    assert len(identities) == len(set(identities)) == 19
+    # 15 suite-only checks plus the 19 identities, each registered once
+    assert set(suite_checks) | set(identities) == set(formulas._REGISTRY)
+    assert len(formulas._REGISTRY) == 34
+    assert [n for n, chk in formulas._REGISTRY.items() if chk.informational] == [
+        "halved_odd_product_printed"]
