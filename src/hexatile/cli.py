@@ -52,12 +52,6 @@ def _spec_dict(spec: HexSpec) -> dict:
     }
 
 
-def _signed_for(spec: HexSpec) -> lgv.SignedCount:
-    if spec.parity == EVEN:
-        return lgv.even_count(spec.a, spec.b, spec.c, spec.d, spec.p)
-    return lgv.odd_count(spec.a, spec.b, spec.c, spec.d, spec.p)
-
-
 _METHODS = ("det", "modular", "condense", "oracle")
 _FORMULAS = ("macmahon", "byun_even", "byun_odd", "byun_odd_corrected", "p1md", "d1",
              "reflection")
@@ -97,24 +91,22 @@ def _formula_value(name: str, spec: HexSpec) -> int:
     return formulas.count_a1_reflection(b, c, d, p)
 
 
-def _run_method(method: str, spec: HexSpec):
-    """(value, sign) for one counting method."""
+def _run_method(method: str, spec: HexSpec) -> lgv.SignedCount:
+    """The signed count of spec by one counting method."""
+    a, b, c, d, p = spec.a, spec.b, spec.c, spec.d, spec.p
     if method == "det":
-        sc = _signed_for(spec)
-        return sc.value, sc.sign
+        return (lgv.even_count if spec.parity == EVEN else lgv.odd_count)(a, b, c, d, p)
     if method == "modular":
-        val = det_modular(lgv.build_matrix(spec))
-        return val, (0 if val == 0 else (1 if val > 0 else -1))
-    if method == "condense":
+        val = det_modular(lgv.path_matrix(a, b, c, d, p, spec.parity))
+    elif method == "condense":
         if spec.parity != EVEN:
             raise OutOfValidityError("condense counts even intrusions only")
-        val = lgv.even_count_by_condensation(spec.a, spec.b, spec.c, spec.d, spec.p)
-        return val, (0 if val == 0 else (1 if val > 0 else -1))
-    if method == "oracle":
+        val = lgv.even_count_by_condensation(a, b, c, d, p)
+    elif method == "oracle":
         val = oracle.signed_count(spec)
-        return val, (0 if val == 0 else (1 if val > 0 else -1))
-    val = _formula_value(method.split(":", 1)[1], spec)
-    return val, (0 if val == 0 else (1 if val > 0 else -1))
+    else:
+        val = _formula_value(method.split(":", 1)[1], spec)
+    return lgv.SignedCount.of(val)
 
 
 def cmd_count(args) -> int:
@@ -130,7 +122,7 @@ def cmd_count(args) -> int:
     for method in methods:
         t0 = time.perf_counter()
         try:
-            value, sign = _run_method(method, spec)
+            sc = _run_method(method, spec)
         except NotIntegerError as exc:
             # no tiling count is a fraction: the formula disagrees with every method
             print(f"count: {exc}", file=sys.stderr)
@@ -139,12 +131,12 @@ def cmd_count(args) -> int:
             print(f"count: {exc}", file=sys.stderr)
             return USAGE_ERROR
         elapsed = (time.perf_counter() - t0) * 1000.0
-        magnitudes.append(abs(value))
+        magnitudes.append(sc.tilings)
         print(json.dumps({
             "spec": _spec_dict(spec),
             "method": method,
-            "value": str(value),
-            "sign": sign,
+            "value": str(sc.value),
+            "sign": sc.sign,
             "matrix_dim": spec.dim,
             "elapsed_ms": round(elapsed, 3),
         }))
@@ -237,7 +229,7 @@ def cmd_bench(args) -> int:
     for n in dims:
         # boxed (n, n, n) fills the matrix; thin (n, 5, 6) keeps it banded
         for shape, (b, c) in (("boxed", (n, n)), ("thin", (5, 6))):
-            matrix = lgv.build_matrix(HexSpec(n, b, c, 0, 0))
+            matrix = lgv.path_matrix(n, b, c, 0, 0, EVEN)
             values = {}
             for kernel in kernels:
                 fn = det_bareiss if kernel == "bareiss" else det_modular

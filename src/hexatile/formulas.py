@@ -497,7 +497,6 @@ def _special_x1(a, b, c, d):
     for b in range(d, B + 1)
     for c in range(d, C + 1)
     for i in range(-min(2, b - 1), min(2, c - 1) + 1)
-    if b + c >= 2 * d - 1
 ))
 def _r1_reflection(b, c, d, i):
     # R(1, b+i, c-i, d, 1-d) in closed form; the printed display only matches

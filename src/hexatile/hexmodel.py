@@ -2,24 +2,17 @@
 
 After tilting the triangular lattice, the nonintersecting paths live in
 Z x Z with unit steps to the right and upwards.  The lowest lateral
-starting point sits at (0,0); all other endpoint coordinates follow the
-closed forms below.
+starting point sits at (0,0); `endpoints` gives every other coordinate.
+It is the only place they are written: the determinant (`lgv`) and the
+path sweep (`oracle`) both read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
-from .exactmath import binom
 
 EVEN = "even"
 ODD = "odd"
-
-
-class Point(NamedTuple):
-    x: int
-    y: int
 
 
 @dataclass(frozen=True)
@@ -49,53 +42,25 @@ class HexSpec:
         return self.a + self.d
 
 
-def lateral_start(spec: HexSpec, i: int) -> Point:
-    """i-th lateral starting point (1-based, counted from lower right)."""
-    if not 1 <= i <= spec.a:
-        raise IndexError(f"lateral index {i} out of range 1..{spec.a}")
-    return Point(1 - i, i - 1)
+def endpoints(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[list, list]:
+    """(starts, ends) of the LGV path families, as (x, y) pairs.
 
-
-def lateral_end(spec: HexSpec, j: int) -> Point:
-    """j-th lateral ending point (1-based)."""
-    if not 1 <= j <= spec.a:
-        raise IndexError(f"lateral index {j} out of range 1..{spec.a}")
-    return Point(spec.b + 1 - j, spec.c + j - 1)
-
-
-def intrusive_points(spec: HexSpec) -> tuple[list[Point], list[Point]]:
-    """Intrusive starting and ending points, ordered lower left to upper right.
-
-    Even intrusions: the i-th starting point coincides with the i-th ending
-    point at (-p+i, p+i-1), so the corresponding paths have length 0.
-    Odd intrusions: start_i = (-p+i, p+i) and end_j = (-p+j-1, p+j-1);
-    note start_i equals end_{i+1}.
+    The a lateral points come first, counted from the lower right: start i
+    at (1-i, i-1) and end j at (b+1-j, c+j-1).  The d intrusive points
+    follow, ordered lower left to upper right.  Even intrusions: start i and
+    end i coincide at (i-p, p+i-1), so those paths have length 0.  Odd
+    intrusions: start i = (i-p, p+i) and end j = (j-1-p, p+j-1), so start i
+    equals end i+1.  b and c may be negative: the condensation recursion
+    shifts them formally below zero.
     """
-    p, d = spec.p, spec.d
-    if spec.parity == EVEN:
-        pts = [Point(-p + i, p + i - 1) for i in range(1, d + 1)]
-        return pts, list(pts)
-    starts = [Point(-p + i, p + i) for i in range(1, d + 1)]
-    ends = [Point(-p + j - 1, p + j - 1) for j in range(1, d + 1)]
+    starts = [(1 - i, i - 1) for i in range(1, a + 1)]
+    ends = [(b + 1 - j, c + j - 1) for j in range(1, a + 1)]
+    if parity == EVEN:
+        mids = [(i - p, p + i - 1) for i in range(1, d + 1)]
+        return starts + mids, ends + mids
+    starts += [(i - p, p + i) for i in range(1, d + 1)]
+    ends += [(j - 1 - p, p + j - 1) for j in range(1, d + 1)]
     return starts, ends
-
-
-def all_starts(spec: HexSpec) -> list[Point]:
-    """All starting points in LGV order: lateral first, then intrusive."""
-    starts, _ = intrusive_points(spec)
-    return [lateral_start(spec, i) for i in range(1, spec.a + 1)] + starts
-
-
-def all_ends(spec: HexSpec) -> list[Point]:
-    _, ends = intrusive_points(spec)
-    return [lateral_end(spec, j) for j in range(1, spec.a + 1)] + ends
-
-
-def path_count(frm: Point, to: Point) -> int:
-    """Number of monotone lattice paths from frm to to; 0 if unreachable."""
-    dx = to.x - frm.x
-    dy = to.y - frm.y
-    return binom(dx + dy, dx)
 
 
 def is_damage_free(spec: HexSpec) -> bool:

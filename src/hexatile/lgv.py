@@ -9,9 +9,10 @@ negative of the count (the admissible permutation can be odd).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .detkernel import IntMatrix, det_bareiss
-from .hexmodel import EVEN, ODD, HexSpec, all_ends, all_starts, binom, path_count
+from .hexmodel import EVEN, ODD, endpoints
 
 
 @dataclass(frozen=True)
@@ -25,38 +26,23 @@ class SignedCount:
         return SignedCount(value, abs(value), 0 if value == 0 else (1 if value > 0 else -1))
 
 
-def _entries(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatrix:
-    """Path-count matrix for arbitrary integer b, c (formal extension).
+def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatrix:
+    """Path-count matrix on `endpoints`, for any integer b, c (formal extension).
 
-    The condensation recursion shifts b and c below zero; the binomial
-    convention keeps every entry well defined there.  The intrusive points
-    sit after the first min(max(p, 0), a) lateral points, among both starts
-    and ends: this simultaneous permutation leaves the determinant as it is
-    and keeps the matrix near its lateral band, which det_bareiss exploits.
+    Entry (i, j) counts the monotone paths from start i to end j: C(dx+dy, dx)
+    for their offset (dx, dy), and 0 when dx or dy is negative.  The
+    intrusive points sit after the first min(max(p, 0), a) lateral points,
+    among both starts and ends: this simultaneous permutation leaves the
+    determinant as it is and keeps the matrix near its lateral band, which
+    det_bareiss exploits.
     """
-    n = a + d
-    starts = [(1 - i, i - 1) for i in range(1, a + 1)]
-    ends = [(b + 1 - j, c + j - 1) for j in range(1, a + 1)]
+    starts, ends = endpoints(a, b, c, d, p, parity)
     q = min(max(p, 0), a)
-    if parity == EVEN:
-        mids = [(-p + i, p + i - 1) for i in range(1, d + 1)]
-        starts[q:q] = mids
-        ends[q:q] = mids
-    else:
-        starts[q:q] = [(-p + i, p + i) for i in range(1, d + 1)]
-        ends[q:q] = [(-p + j - 1, p + j - 1) for j in range(1, d + 1)]
-    out = []
-    for (x, y) in starts:
-        out.append([binom((u - x) + (v - y), u - x) for (u, v) in ends])
-    assert len(out) == n
-    return out
-
-
-def build_matrix(spec: HexSpec) -> IntMatrix:
-    """Square LGV matrix of dimension a+d; entry (i,j) counts paths start_i -> end_j."""
-    starts = all_starts(spec)
-    ends = all_ends(spec)
-    return [[path_count(s, e) for e in ends] for s in starts]
+    if d and q < a:
+        starts[q:] = starts[a:] + starts[q:a]
+        ends[q:] = ends[a:] + ends[q:a]
+    return [[comb(u - x + v - y, u - x) if u >= x and v >= y else 0 for (u, v) in ends]
+            for (x, y) in starts]
 
 
 # Bound on memoized determinants.  One `hexatile verify all` pass plus the
@@ -67,7 +53,7 @@ _memo: dict[tuple[int, int, int, int, int, str], int] = {}
 
 
 def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
-    """det of _entries(a, b, c, d, p, parity), memoized on the literal arguments.
+    """det of path_matrix(a, b, c, d, p, parity), memoized on the literal arguments.
 
     Every determinant in this module goes through here.  Keys are not
     canonicalized (no mirror images), so the symmetry and condensation
@@ -76,7 +62,7 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     key = (a, b, c, d, p, parity)
     value = _memo.get(key)
     if value is None:
-        value = det_bareiss(_entries(a, b, c, d, p, parity))
+        value = det_bareiss(path_matrix(a, b, c, d, p, parity))
         if len(_memo) >= _MEMO_BOUND:
             _memo.clear()
         _memo[key] = value

@@ -1,23 +1,27 @@
-"""Ground truth for the determinant engine, independent of its code.
+"""Ground truth for the determinant engine, from code that builds no LGV matrix.
 
 `signed_count` sums the signed vertex-disjoint path families by a
 transfer-matrix sweep over the antidiagonals x + y = t: it reads only the
-path endpoints from `hexmodel`, never `lgv`, `detkernel` or the binomials,
-and costs polynomial time for a fixed number of paths.  `count_families`
-runs the same sweep unsigned and for the identity assignment alone.
-`first_tiling` takes a witness family from the unsigned sweep by walking
-back through its states, and `reconstruct_tiling` and `render_svg` turn it
-into a lozenge tiling.
+path endpoints (`hexmodel.endpoints`), never `lgv`, `detkernel` or the
+binomials, and costs polynomial time for a fixed number of paths.
+`count_families` runs the same sweep unsigned and for the identity
+assignment alone.  `region_count` shares not even the endpoints: it counts
+the tilings of the free unit triangles as the determinant of their
+adjacency matrix, with `detkernel.det_bareiss` its one shared piece.  `first_tiling` takes a witness family from the unsigned
+sweep by walking back through its states, and `reconstruct_tiling` and
+`render_svg` turn it into a lozenge tiling.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .hexmodel import EVEN, HexSpec, Point, all_ends, all_starts
+from .detkernel import det_bareiss
+from .hexmodel import EVEN, HexSpec, endpoints
 
 PATH_CAP = 10**6
 SIGNED, UNSIGNED, IDENTITY = "signed", "unsigned", "identity"
@@ -27,6 +31,11 @@ _SQ3 = 3**0.5
 
 class CapExceededError(RuntimeError):
     """A sweep would exceed the configured cap."""
+
+
+class Point(NamedTuple):
+    x: int
+    y: int
 
 
 @dataclass(frozen=True)
@@ -57,11 +66,11 @@ def _reach(ends: list, t: int, identity: bool) -> list:
     """Per source label, the x on antidiagonal t from which a sink that label
     may still end at (one at t or later) is reachable."""
     if identity:
-        return [set(range(t - e.y, e.x + 1)) if e.x + e.y >= t else set() for e in ends]
+        return [set(range(t - ey, ex + 1)) if ex + ey >= t else set() for ex, ey in ends]
     ok: set = set()
-    for e in ends:
-        if e.x + e.y >= t:
-            ok.update(range(t - e.y, e.x + 1))
+    for ex, ey in ends:
+        if ex + ey >= t:
+            ok.update(range(t - ey, ex + 1))
     return [ok] * len(ends)
 
 
@@ -133,7 +142,7 @@ def _sweep(spec: HexSpec, cap: int, mode: str, history: Optional[list] = None) -
     A history list receives (t, sources, sinks, states before the move) for
     every antidiagonal swept.
     """
-    starts, ends = all_starts(spec), all_ends(spec)
+    starts, ends = endpoints(spec.a, spec.b, spec.c, spec.d, spec.p, spec.parity)
     n = len(starts)
     if len(set(starts)) < n or len(set(ends)) < n:
         return 0  # two paths would share an endpoint
@@ -141,10 +150,10 @@ def _sweep(spec: HexSpec, cap: int, mode: str, history: Optional[list] = None) -
         return 1
     sources: dict = {}
     sinks: dict = {}
-    for i, s in enumerate(starts):
-        sources.setdefault(s.x + s.y, []).append((s.x, i))
-    for j, e in enumerate(ends):
-        sinks.setdefault(e.x + e.y, []).append((e.x, j))
+    for i, (x, y) in enumerate(starts):
+        sources.setdefault(x + y, []).append((x, i))
+    for j, (x, y) in enumerate(ends):
+        sinks.setdefault(x + y, []).append((x, j))
     if min(sinks) < min(sources):
         return 0  # a sink before every source
     states = {((), ()): 1}
@@ -175,7 +184,7 @@ def signed_count(spec: HexSpec, cap: int = PATH_CAP) -> int:
     """LGV sum over vertex-disjoint path families; equals the determinant.
 
     Computed by a transfer-matrix sweep that reads only the path endpoints
-    (`all_starts`, `all_ends`), never the determinant code.  cap bounds the
+    (`hexmodel.endpoints`), never the determinant code.  cap bounds the
     live states on one antidiagonal; past it, CapExceededError.  An odd
     needle that leaves the hexagon gives 0 here and in the determinant; that
     0 is the library's count, not the tiling count of the clipped region.
@@ -214,7 +223,7 @@ def first_tiling(spec: HexSpec, cap: int = PATH_CAP) -> Optional[PathFamily]:
     history: list = []
     if _sweep(spec, cap, UNSIGNED, history) == 0:
         return None
-    n = len(all_starts(spec))
+    n = spec.dim
     points: list = [[] for _ in range(n)]
     sigma = [0] * n
     key = ((), ())
@@ -287,6 +296,44 @@ def _tri_corners(tri):
     return [(m + 1, n), (m + 1, n + 1), (m, n + 1)]
 
 
+def _free_triangles(spec: HexSpec) -> set:
+    """The unit triangles of the hexagon that the intrusion leaves free."""
+    cells = itertools.product(range(-spec.c, spec.a), range(spec.b + spec.c))
+    free = {tri for tri in itertools.product("UD", cells) if _inside(spec, tri)}
+    return free.difference(intrusion_triangles(spec))
+
+
+def region_count(spec: HexSpec) -> int:
+    """Lozenge tilings of the free triangles: |det| of their adjacency matrix.
+
+    Rows are the free up triangles, columns the free down ones, and an entry
+    is 1 where the two share an edge.  The needle touches the hexagon's
+    boundary, so the region has no holes and every inner face of the
+    adjacency graph is a hexagon; then the all-ones weighting is a Kasteleyn
+    signing, and |det| counts perfect matchings, that is tilings (Kasteleyn,
+    Physica 27, 1961; Kenyon, "Lectures on dimers", 2009).  It reads only the
+    triangle geometry, neither `endpoints` nor the path sweep.  Where an odd
+    needle leaves the hexagon, this is the clipped region's count, which can
+    be positive while the determinant is 0.
+    """
+    free = _free_triangles(spec)
+    # row by row (n, then m), so that neighbours stay near the diagonal
+    ups = sorted((n, m) for kind, (m, n) in free if kind == "U")
+    downs = sorted((n, m) for kind, (m, n) in free if kind == "D")
+    if len(ups) != len(downs):
+        return 0
+    column = {(m, n): k for k, (n, m) in enumerate(downs)}
+    matrix = []
+    for n, m in ups:
+        row = [0] * len(downs)
+        # the down triangles across its right, left and bottom edges
+        for mate in ((m, n), (m - 1, n), (m, n - 1)):
+            if mate in column:
+                row[column[mate]] = 1
+        matrix.append(row)
+    return abs(det_bareiss(matrix))
+
+
 def reconstruct_tiling(spec: HexSpec, family: PathFamily):
     """Lozenges (as triangle pairs) of the tiling encoded by a path family.
 
@@ -295,10 +342,7 @@ def reconstruct_tiling(spec: HexSpec, family: PathFamily):
     undamaged region, which would mean the family does not encode a tiling.
     """
     a = spec.a
-    removed = {t for t in intrusion_triangles(spec) if _inside(spec, t)}
-    free = {("U", (m, n)) for m in range(-spec.c, a) for n in range(spec.b + spec.c) if _up_inside(spec, m, n)}
-    free |= {("D", (m, n)) for m in range(-spec.c, a) for n in range(spec.b + spec.c) if _down_inside(spec, m, n)}
-    free -= removed
+    free = _free_triangles(spec)
 
     def take(tri):
         if tri not in free:

@@ -1,23 +1,10 @@
-"""Lattice coordinates of path endpoints and the single-pair path counter."""
+"""Lattice coordinates of path endpoints and the path counts between them."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hexatile.exactmath import binom
-from hexatile.hexmodel import (
-    EVEN,
-    ODD,
-    HexSpec,
-    Point,
-    all_ends,
-    all_starts,
-    intrusive_points,
-    is_damage_free,
-    lateral_end,
-    lateral_start,
-    path_count,
-)
+from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints, is_damage_free
+from hexatile.lgv import path_matrix
 
 
 def test_spec_rejects_negative_sides():
@@ -28,81 +15,63 @@ def test_spec_rejects_negative_sides():
 
 
 def test_lateral_start_coordinates():
-    spec = HexSpec(4, 5, 3, 0, 0, EVEN)
-    assert lateral_start(spec, 1) == Point(0, 0)
-    assert lateral_start(spec, 2) == Point(-1, 1)
-    assert lateral_start(spec, 4) == Point(-3, 3)
-    with pytest.raises(IndexError):
-        lateral_start(spec, 5)
-    with pytest.raises(IndexError):
-        lateral_start(spec, 0)
+    starts, _ = endpoints(4, 5, 3, 0, 0, EVEN)
+    assert starts == [(0, 0), (-1, 1), (-2, 2), (-3, 3)]
 
 
 def test_lateral_end_coordinates():
-    spec = HexSpec(4, 5, 3, 0, 0, EVEN)
-    assert lateral_end(spec, 1) == Point(5, 3)
-    assert lateral_end(spec, 4) == Point(2, 6)
-    assert lateral_end(HexSpec(2, 2, 2, 0, 0, EVEN), 2) == Point(1, 3)
+    _, ends = endpoints(4, 5, 3, 0, 0, EVEN)
+    assert ends[0] == (5, 3)
+    assert ends[3] == (2, 6)
+    assert endpoints(2, 2, 2, 0, 0, EVEN)[1][1] == (1, 3)
+    # formal b, c < 0, as the condensation recursion builds them
+    assert endpoints(2, -1, 3, 0, 0, EVEN)[1] == [(-1, 3), (-2, 4)]
 
 
 def test_intrusive_points_even():
-    starts, ends = intrusive_points(HexSpec(2, 4, 4, 1, 0, EVEN))
-    assert starts == ends == [Point(1, 0)]
-    starts, ends = intrusive_points(HexSpec(3, 4, 4, 2, 1, EVEN))
-    assert starts == ends == [Point(0, 1), Point(1, 2)]
+    starts, ends = endpoints(2, 4, 4, 1, 0, EVEN)
+    assert starts[2:] == ends[2:] == [(1, 0)]
+    starts, ends = endpoints(3, 4, 4, 2, 1, EVEN)
+    assert starts[3:] == ends[3:] == [(0, 1), (1, 2)]
 
 
 def test_intrusive_points_odd():
-    starts, ends = intrusive_points(HexSpec(4, 5, 3, 1, 3, ODD))
-    assert starts == [Point(-2, 4)]
-    assert ends == [Point(-3, 3)]
+    starts, ends = endpoints(4, 5, 3, 1, 3, ODD)
+    assert starts[4:] == [(-2, 4)]
+    assert ends[4:] == [(-3, 3)]
 
 
 def test_intrusive_points_empty_for_d0():
     for parity in (EVEN, ODD):
-        starts, ends = intrusive_points(HexSpec(3, 2, 2, 0, 1, parity))
-        assert starts == [] and ends == []
+        starts, ends = endpoints(3, 2, 2, 0, 1, parity)
+        assert starts == [(0, 0), (-1, 1), (-2, 2)]
+        assert ends == [(2, 2), (1, 3), (0, 4)]
 
 
 def test_all_points_order_lateral_first():
-    spec = HexSpec(2, 3, 3, 2, 1, EVEN)
-    starts = all_starts(spec)
-    ends = all_ends(spec)
-    assert len(starts) == len(ends) == spec.dim == 4
-    assert starts[:2] == [lateral_start(spec, 1), lateral_start(spec, 2)]
-    assert ends[:2] == [lateral_end(spec, 1), lateral_end(spec, 2)]
-    assert starts[2:] == intrusive_points(spec)[0]
+    starts, ends = endpoints(2, 3, 3, 2, 1, EVEN)
+    assert len(starts) == len(ends) == HexSpec(2, 3, 3, 2, 1, EVEN).dim == 4
+    assert starts[:2] == [(0, 0), (-1, 1)]
+    assert ends[:2] == [(3, 3), (2, 4)]
+    assert starts[2:] == ends[2:] == [(0, 1), (1, 2)]
 
 
 def test_path_count_values():
-    assert path_count(Point(0, 0), Point(6, 4)) == 210
-    assert path_count(Point(0, 0), Point(-1, 0)) == 0
-    assert path_count(Point(0, 0), Point(0, -2)) == 0
-    assert path_count(Point(0, 0), Point(0, 0)) == 1
-
-
-@given(
-    st.integers(min_value=-8, max_value=8),
-    st.integers(min_value=-8, max_value=8),
-    st.integers(min_value=-8, max_value=8),
-    st.integers(min_value=-8, max_value=8),
-    st.integers(min_value=-20, max_value=20),
-    st.integers(min_value=-20, max_value=20),
-)
-def test_path_count_translation_invariant(x, y, u, v, tx, ty):
-    base = path_count(Point(x, y), Point(u, v))
-    shifted = path_count(Point(x + tx, y + ty), Point(u + tx, v + ty))
-    assert base == shifted
+    # one lateral path from (0, 0) to (b, c): the matrix entry counts its routes
+    assert path_matrix(1, 6, 4, 0, 0, EVEN) == [[210]]
+    assert path_matrix(1, -1, 0, 0, 0, EVEN) == [[0]]  # end (-1, 0) out of reach
+    assert path_matrix(1, 0, -2, 0, 0, EVEN) == [[0]]  # end (0, -2) out of reach
+    assert path_matrix(1, 0, 0, 0, 0, EVEN) == [[1]]
 
 
 def test_even_intrusive_self_paths_match_closed_form():
-    # start i to end j inside the intrusion counts binom(2(j-i), j-i)
+    # start i to end j inside the intrusion counts binom(2(j-i), j-i); the
+    # matrix puts the intrusive block after the first p lateral points
     for p in range(0, 4):
-        spec = HexSpec(4, 6, 6, 4, p, EVEN)
-        starts, ends = intrusive_points(spec)
-        for i, s in enumerate(starts, start=1):
-            for j, e in enumerate(ends, start=1):
-                assert path_count(s, e) == binom(2 * (j - i), j - i)
+        m = path_matrix(4, 6, 6, 4, p, EVEN)
+        for i in range(4):
+            for j in range(4):
+                assert m[p + i][p + j] == binom(2 * (j - i), j - i)
 
 
 def test_is_damage_free_examples():

@@ -6,33 +6,37 @@ from hypothesis import strategies as st
 
 from hexatile import lgv
 from hexatile.detkernel import det_bareiss, det_modular
+from hexatile.exactmath import binom
 from hexatile.formulas import byun_even, macmahon
-from hexatile.hexmodel import EVEN, ODD, HexSpec, is_damage_free
+from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints, is_damage_free
 from hexatile.lgv import (
-    _entries,
-    build_matrix,
     even_count,
     even_count_by_condensation,
     odd_count,
+    path_matrix,
     verify_dodgson_even,
     verify_dodgson_odd,
     verify_symmetry,
 )
+from hexatile.oracle import region_count
 
 
-def test_build_matrix_macmahon_form():
+def lateral_first(a, b, c, d, p, parity):
+    """The path-count matrix on `endpoints` in their own order, lateral first."""
+    starts, ends = endpoints(a, b, c, d, p, parity)
+    return [[binom(u - x + v - y, u - x) for (u, v) in ends] for (x, y) in starts]
+
+
+def test_path_matrix_macmahon_form():
     # d=0 rows are binom(b+c, b-i+j); its determinant is the box count
-    spec = HexSpec(3, 2, 4, 0, 0, EVEN)
-    m = build_matrix(spec)
-    from hexatile.exactmath import binom
-
+    m = path_matrix(3, 2, 4, 0, 0, EVEN)
     assert m == [[binom(6, 2 + i - j) for j in range(3)] for i in range(3)]
     assert det_bareiss(m) == macmahon(3, 2, 4)
 
 
-def test_build_matrix_dimension():
-    assert len(build_matrix(HexSpec(4, 5, 3, 2, 4, EVEN))) == 6
-    assert len(build_matrix(HexSpec(4, 5, 3, 3, 3, ODD))) == 7
+def test_path_matrix_dimension():
+    assert len(path_matrix(4, 5, 3, 2, 4, EVEN)) == 6
+    assert len(path_matrix(4, 5, 3, 3, 3, ODD)) == 7
 
 
 @given(
@@ -47,12 +51,12 @@ def test_build_matrix_dimension():
 def test_count_matrix_bareiss_matches_modular(a, b, c, d, data, parity):
     # formal b or c = -1 is what the condensation recursion builds
     p = data.draw(st.integers(min_value=-3, max_value=a + 3))
-    m = _entries(a, b, c, d, p, parity)
+    m = path_matrix(a, b, c, d, p, parity)
     det = det_bareiss(m)
     assert det == det_modular(m)
-    if min(b, c) >= 0:
-        # build_matrix orders lateral points first and intrusive ones last
-        assert det == det_modular(build_matrix(HexSpec(a, b, c, d, p, parity)))
+    # path_matrix moves the intrusive points among the lateral ones, in rows
+    # and columns alike, which leaves the determinant as it is
+    assert det == det_modular(lateral_first(a, b, c, d, p, parity))
 
 
 def test_dim_80_thin_hexagon_matches_macmahon():
@@ -83,8 +87,10 @@ def test_signed_count_fields():
 
 def test_damage_free_even_specs_give_macmahon():
     for a, b, c, d, p in [(2, 4, 2, 1, -1), (2, 4, 2, 3, -2), (3, 3, 3, 2, 5)]:
-        assert is_damage_free(HexSpec(a, b, c, d, p, EVEN))
+        spec = HexSpec(a, b, c, d, p, EVEN)
+        assert is_damage_free(spec)
         assert even_count(a, b, c, d, p).value == macmahon(a, b, c)
+        assert region_count(spec) == macmahon(a, b, c)  # without the determinant
 
 
 def test_odd_zero_outside_position_window():
@@ -199,7 +205,7 @@ def test_memoized_counts_match_modular(a, b, c, d, data, parity):
     first = count(a, b, c, d, p)
     warm = count(a, b, c, d, p)  # served from the memo
     assert warm == first
-    assert warm.value == det_modular(build_matrix(HexSpec(a, b, c, d, p, parity)))
+    assert warm.value == det_modular(lateral_first(a, b, c, d, p, parity))
 
 
 def test_warm_memo_still_rejects_negative_sides():

@@ -6,18 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexatile.hexmodel import EVEN, ODD, HexSpec, Point, all_ends, all_starts, path_count
-from hexatile.lgv import even_count, odd_count
+from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints
+from hexatile.lgv import even_count, odd_count, path_matrix
 from hexatile.oracle import (
     CapExceededError,
+    Point,
     _inside,
     count_families,
     first_tiling,
     intrusion_triangles,
     reconstruct_tiling,
+    region_count,
     render_svg,
     signed_count,
 )
+
+
+def _ends(spec):
+    return endpoints(spec.a, spec.b, spec.c, spec.d, spec.p, spec.parity)
 
 
 def _monotone_paths(frm, to):
@@ -34,8 +40,9 @@ def _monotone_paths(frm, to):
 @given(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_enumeration_length_equals_path_count(dx, dy):
+    # the one lateral path of a = 1, d = 0 runs from (0, 0) to (b, c)
     frm, to = Point(0, 0), Point(dx, dy)
-    assert len(_monotone_paths(frm, to)) == path_count(frm, to)
+    assert len(_monotone_paths(frm, to)) == path_matrix(1, dx, dy, 0, 0, EVEN)[0][0]
 
 
 def test_signed_count_examples():
@@ -97,7 +104,7 @@ def test_signed_count_matches_determinant_on_wide_grid():
 
 def _endpoints_coincide(spec):
     """Some endpoint is shared beyond the pairs every spec of its parity shares."""
-    starts, ends = all_starts(spec), all_ends(spec)
+    starts, ends = _ends(spec)
     lateral = starts[: spec.a] + ends[: spec.a]
     intrusive = set(starts[spec.a:]) | set(ends[spec.a:])
     return len(set(lateral)) < len(lateral) or bool(set(lateral) & intrusive)
@@ -133,12 +140,40 @@ def test_sweep_matches_determinant_on_formal_edge_cases(spec):
     assert signed_count(spec) == count(spec.a, spec.b, spec.c, spec.d, spec.p).value
 
 
+def _leaves_hexagon(spec):
+    return not all(_inside(spec, tri) for tri in intrusion_triangles(spec))
+
+
 def test_odd_needle_leaving_the_hexagon_counts_zero():
     # the library's count is the determinant (0), not the clipped region's tilings
     spec = HexSpec(2, 3, 3, 1, 2, ODD)
     assert not _inside(spec, ("U", (-1, 0)))
     assert ("U", (-1, 0)) in intrusion_triangles(spec)
     assert signed_count(spec) == odd_count(2, 3, 3, 1, 2).value == 0
+    # here the clipped region has tilings too
+    spec = HexSpec(1, 1, 2, 1, 2, ODD)
+    assert _leaves_hexagon(spec)
+    assert region_count(spec) == 3
+    assert signed_count(spec) == odd_count(1, 1, 2, 1, 2).value == 0
+
+
+def test_region_count_matches_determinant():
+    # 3750 specs: a <= 4, b, c <= 4, d <= 2, p in -1..a+1, both parities;
+    # odd needles that leave the hexagon are not counted by the determinant
+    equal = skipped = 0
+    for a, b, c, d in itertools.product(range(5), range(5), range(5), range(3)):
+        for p in range(-1, a + 2):
+            for parity in (EVEN, ODD):
+                spec = HexSpec(a, b, c, d, p, parity)
+                if parity == ODD and _leaves_hexagon(spec):
+                    skipped += 1
+                    continue
+                count = even_count if parity == EVEN else odd_count
+                assert region_count(spec) == count(a, b, c, d, p).tilings, spec
+                equal += 1
+    assert (equal, skipped) == (2816, 934)
+    # a 336 x 336 adjacency matrix
+    assert region_count(HexSpec(12, 10, 10, 4, 6, EVEN)) == even_count(12, 10, 10, 4, 6).value
 
 
 def test_sweep_state_cap():
@@ -171,7 +206,7 @@ def test_first_tiling_hexc_instance():
 
 def _assert_witness(spec, family):
     """family joins start i to end sigma[i] by disjoint paths and is a tiling."""
-    starts, ends = all_starts(spec), all_ends(spec)
+    starts, ends = _ends(spec)
     assert len(family.paths) == len(starts)
     assert sorted(family.sigma) == list(range(len(starts)))
     seen = set()

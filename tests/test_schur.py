@@ -8,8 +8,8 @@ import pytest
 from hexatile.detkernel import det_bareiss, identity, mat_mul
 from hexatile.exactmath import binom, factorial
 from hexatile.formulas import detF_factorized, macmahon
-from hexatile.hexmodel import EVEN, HexSpec
-from hexatile.lgv import build_matrix, even_count
+from hexatile.hexmodel import EVEN, endpoints
+from hexatile.lgv import even_count
 from hexatile.schur import (
     build_blocks,
     build_bundle,
@@ -80,7 +80,9 @@ def test_verify_inverse():
 def test_blocks_reassemble_to_lgv_matrix():
     for a, b, c, d, p in [(4, 5, 3, 2, 4), (2, 3, 3, 1, 0), (3, 4, 5, 2, 2), (1, 2, 2, 1, 1)]:
         blocks = build_blocks(a, b, c, d, p)
-        full = build_matrix(HexSpec(a, b, c, d, p, EVEN))
+        # the LGV matrix with lateral points first, intrusive ones last
+        starts, ends = endpoints(a, b, c, d, p, EVEN)
+        full = [[binom(u - x + v - y, u - x) for (u, v) in ends] for (x, y) in starts]
         for i in range(a):
             for j in range(a):
                 assert blocks.Q2[i][j] == full[i][j]
