@@ -3,15 +3,17 @@ rendering, and determinant-kernel benchmarks.
 
 Output is machine readable: JSON Lines for counts, one JSON report per
 verification run, CSV for benchmarks.  Big integers are emitted as decimal
-strings.  Exit codes: 0 all good, 1 usage error (including a closed form
-with a pole at the spec, a negative verify range and an output file that
-cannot be written), 2 mathematical disagreement (including a closed form
-whose value is not an integer).
+strings, in full at any size.  Exit codes: 0 all good, 1 usage error
+(including a closed form with a pole at the spec, a negative verify range
+and an output file that cannot be written), 2 mathematical disagreement
+(including a closed form whose value is not an integer).  Every failure
+prints one line on stderr, `<command>: <reason>`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -34,113 +36,82 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _write(cmd: str, path: str, text: str) -> bool:
-    """Write text to path; on failure say why on stderr and return False."""
+def _write(path: str, text: str) -> None:
+    """Write text to path; an OSError becomes a ValueError that names the path."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"{cmd}: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return False
-    return True
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _spec_dict(spec: HexSpec) -> dict:
-    return {
-        "a": spec.a, "b": spec.b, "c": spec.c, "d": spec.d, "p": spec.p,
-        "parity": spec.parity,
-    }
+def _inside(window, reason: str, value):
+    """A count method for the specs where window holds; elsewhere it raises
+    OutOfValidityError(reason)."""
+
+    def method(s: HexSpec) -> int:
+        if not window(s):
+            raise OutOfValidityError(reason)
+        return value(s)
+
+    return method
 
 
-_METHODS = ("det", "modular", "condense", "oracle")
-_FORMULAS = ("macmahon", "byun_even", "byun_odd", "byun_odd_corrected", "p1md", "d1",
-             "reflection")
-
-
-def _formula_value(name: str, spec: HexSpec) -> int:
-    a, b, c, d, p = spec.a, spec.b, spec.c, spec.d, spec.p
-    if name == "macmahon":
-        if d != 0:
-            raise OutOfValidityError("formula:macmahon needs d = 0")
-        return formulas.macmahon(a, b, c)
-    if name == "byun_even":
-        if spec.parity != EVEN or a != 2 * p:
-            raise OutOfValidityError("formula:byun_even needs even parity and a = 2p")
-        return formulas.byun_even(p, b, c, d)
-    if name == "byun_odd":
-        if spec.parity != ODD or a != 2 * p + 1:
-            raise OutOfValidityError("formula:byun_odd needs odd parity and a = 2p+1")
-        return formulas.byun_odd(p, b, c, d)
-    if name == "byun_odd_corrected":
-        if spec.parity != ODD or a != 2 * p + 1:
-            raise OutOfValidityError(
-                "formula:byun_odd_corrected needs odd parity and a = 2p+1"
-            )
-        return (-1) ** d * formulas.byun_odd_corrected(p, b, c, d)
-    if name == "p1md":
-        if spec.parity != EVEN or p != 1 - d:
-            raise OutOfValidityError("formula:p1md needs even parity and p = 1-d")
-        return formulas.p_one_minus_d_simple(a, b, c, d)
-    if name == "d1":
-        if spec.parity != EVEN or d != 1 or p != 0:
-            raise OutOfValidityError("formula:d1 needs even parity, d = 1, p = 0")
-        return formulas.d1_corollary(a, b, c)
-    # "reflection", the last name in _FORMULAS (cmd_count admits no other)
-    if spec.parity != EVEN or a != 1:
-        raise OutOfValidityError("formula:reflection needs even parity and a = 1")
-    return formulas.count_a1_reflection(b, c, d, p)
-
-
-def _run_method(method: str, spec: HexSpec) -> lgv.SignedCount:
-    """The signed count of spec by one counting method."""
-    a, b, c, d, p = spec.a, spec.b, spec.c, spec.d, spec.p
-    if method == "det":
-        return (lgv.even_count if spec.parity == EVEN else lgv.odd_count)(a, b, c, d, p)
-    if method == "modular":
-        val = det_modular(lgv.path_matrix(a, b, c, d, p, spec.parity))
-    elif method == "condense":
-        if spec.parity != EVEN:
-            raise OutOfValidityError("condense counts even intrusions only")
-        val = lgv.even_count_by_condensation(a, b, c, d, p)
-    elif method == "oracle":
-        val = oracle.signed_count(spec)
-    else:
-        val = _formula_value(method.split(":", 1)[1], spec)
-    return lgv.SignedCount.of(val)
+# Every `count --method` name, in help order, with the signed count it gives.
+# The entries look library functions up when they run, so a wrapped or patched
+# function is the one called.
+_METHODS = {
+    "det": lambda s: (lgv.even_count if s.parity == EVEN else lgv.odd_count)(
+        s.a, s.b, s.c, s.d, s.p).value,
+    "modular": lambda s: det_modular(lgv.path_matrix(s.a, s.b, s.c, s.d, s.p, s.parity)),
+    "condense": _inside(lambda s: s.parity == EVEN, "condense counts even intrusions only",
+                        lambda s: lgv.even_count_by_condensation(s.a, s.b, s.c, s.d, s.p)),
+    "oracle": lambda s: oracle.signed_count(s),
+    "formula:macmahon": _inside(lambda s: s.d == 0, "formula:macmahon needs d = 0",
+                                lambda s: formulas.macmahon(s.a, s.b, s.c)),
+    "formula:byun_even": _inside(lambda s: s.parity == EVEN and s.a == 2 * s.p,
+                                 "formula:byun_even needs even parity and a = 2p",
+                                 lambda s: formulas.byun_even(s.p, s.b, s.c, s.d)),
+    "formula:byun_odd": _inside(lambda s: s.parity == ODD and s.a == 2 * s.p + 1,
+                                "formula:byun_odd needs odd parity and a = 2p+1",
+                                lambda s: formulas.byun_odd(s.p, s.b, s.c, s.d)),
+    "formula:byun_odd_corrected": _inside(
+        lambda s: s.parity == ODD and s.a == 2 * s.p + 1,
+        "formula:byun_odd_corrected needs odd parity and a = 2p+1",
+        lambda s: (-1) ** s.d * formulas.byun_odd_corrected(s.p, s.b, s.c, s.d)),
+    "formula:p1md": _inside(lambda s: s.parity == EVEN and s.p == 1 - s.d,
+                            "formula:p1md needs even parity and p = 1-d",
+                            lambda s: formulas.p_one_minus_d_simple(s.a, s.b, s.c, s.d)),
+    "formula:d1": _inside(lambda s: s.parity == EVEN and s.d == 1 and s.p == 0,
+                          "formula:d1 needs even parity, d = 1, p = 0",
+                          lambda s: formulas.d1_corollary(s.a, s.b, s.c)),
+    "formula:reflection": _inside(lambda s: s.parity == EVEN and s.a == 1,
+                                  "formula:reflection needs even parity and a = 1",
+                                  lambda s: formulas.count_a1_reflection(s.b, s.c, s.d, s.p)),
+}
 
 
 def cmd_count(args) -> int:
     spec = HexSpec(args.a, args.b, args.c, args.d, args.p, args.parity)
     methods = args.method or ["det"]
-    for method in methods:
-        kind, _, name = method.partition(":")
-        if method not in _METHODS and (kind != "formula" or name not in _FORMULAS):
-            print(f"count: unknown method {method!r}; known: {', '.join(_METHODS)}, "
-                  f"formula:<{'|'.join(_FORMULAS)}>", file=sys.stderr)
-            return USAGE_ERROR
-    magnitudes = []
+    unknown = [method for method in methods if method not in _METHODS]
+    if unknown:
+        raise ValueError(f"unknown method {unknown[0]!r}; known: {', '.join(_METHODS)}")
+    magnitudes = set()
     for method in methods:
         t0 = time.perf_counter()
-        try:
-            sc = _run_method(method, spec)
-        except NotIntegerError as exc:
-            # no tiling count is a fraction: the formula disagrees with every method
-            print(f"count: {exc}", file=sys.stderr)
-            return DISAGREEMENT
-        except (OutOfValidityError, ValueError, PoleError, oracle.CapExceededError) as exc:
-            print(f"count: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        sc = lgv.SignedCount.of(_METHODS[method](spec))
         elapsed = (time.perf_counter() - t0) * 1000.0
-        magnitudes.append(sc.tilings)
+        magnitudes.add(sc.tilings)
         print(json.dumps({
-            "spec": _spec_dict(spec),
+            "spec": dataclasses.asdict(spec),
             "method": method,
             "value": str(sc.value),
             "sign": sc.sign,
             "matrix_dim": spec.dim,
             "elapsed_ms": round(elapsed, 3),
         }))
-    if len(set(magnitudes)) > 1:
+    if len(magnitudes) > 1:
         print("count: methods disagree on the tiling count", file=sys.stderr)
         return DISAGREEMENT
     return 0
@@ -166,8 +137,7 @@ def cmd_verify(args) -> int:
     ranges = {"amax": args.amax, "bmax": args.bmax, "cmax": args.cmax, "dmax": args.dmax}
     negative = [f"--{name} {value}" for name, value in ranges.items() if value < 0]
     if negative:
-        print(f"verify: ranges must be nonnegative: {', '.join(negative)}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"ranges must be nonnegative: {', '.join(negative)}")
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     names = [name for suite in suites for name in _SUITES[suite]]
     checks = []
@@ -186,17 +156,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        if args.degree is None:
-            degree, poly = qfit.fit_auto(args.d)
-        else:
-            degree, poly = args.degree, qfit.fit(args.d, args.degree)
-    except qfit.FitInconsistentError as exc:
-        print(f"fit: {exc}", file=sys.stderr)
-        return DISAGREEMENT
+    if args.degree is None:
+        degree, poly = qfit.fit_auto(args.d)
+    else:
+        degree, poly = args.degree, qfit.fit(args.d, args.degree)
     out = args.out or f"q_d{args.d}.json"
-    if not _write("fit", out, qfit.poly_to_json(poly, args.d) + "\n"):
-        return USAGE_ERROR
+    _write(out, qfit.poly_to_json(poly, args.d) + "\n")
     print(f"Q(d={args.d}), total degree {degree}: {poly}")
     print(f"wrote {out}")
     return 0
@@ -206,18 +171,13 @@ def cmd_render(args) -> int:
     spec = HexSpec(args.a, args.b, args.c, args.d, args.p, args.parity)
     family = None
     if args.with_tiling:
-        try:
-            family = oracle.first_tiling(spec)
-        except oracle.CapExceededError as exc:
-            print(f"render: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        family = oracle.first_tiling(spec)
         if family is None:
             print("render: spec admits no tiling", file=sys.stderr)
             return DISAGREEMENT
     out = args.out or "hexagon_a{}b{}c{}d{}p{}_{}.svg".format(
         args.a, args.b, args.c, args.d, args.p, args.parity)
-    if not _write("render", out, oracle.render_svg(spec, family)):
-        return USAGE_ERROR
+    _write(out, oracle.render_svg(spec, family))
     print(f"wrote {out}")
     return 0
 
@@ -248,22 +208,20 @@ def cmd_bench(args) -> int:
                 return DISAGREEMENT
     text = "\n".join(rows) + "\n"
     if args.csv:
-        if not _write("bench", args.csv, text):
-            return USAGE_ERROR
+        _write(args.csv, text)
         print(f"wrote {args.csv}")
     else:
         print(text, end="")
     return 0
 
 
-def _add_spec_flags(sub, with_parity=True):
+def _add_spec_flags(sub):
     sub.add_argument("--a", type=int, required=True)
     sub.add_argument("--b", type=int, required=True)
     sub.add_argument("--c", type=int, required=True)
     sub.add_argument("--d", type=int, default=0)
     sub.add_argument("--p", type=int, default=0)
-    if with_parity:
-        sub.add_argument("--parity", choices=[EVEN, ODD], default=EVEN)
+    sub.add_argument("--parity", choices=[EVEN, ODD], default=EVEN)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("count", help="count tilings by one or more methods")
     _add_spec_flags(sub)
     sub.add_argument("--method", action="append",
-                     help="det | modular | condense | oracle | formula:<name> "
-                          "(repeatable; default det)")
+                     help=f"{' | '.join(_METHODS)} (repeatable; default det)")
     sub.set_defaults(fn=cmd_count)
 
     sub = subs.add_parser("verify", help="run an identity sweep suite")
@@ -307,13 +264,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each failure a command may raise, most specific first: the
+# first two are ValueErrors too.  Any other exception is a bug and keeps its
+# traceback.
+_FAILURES = {
+    NotIntegerError: DISAGREEMENT,  # no tiling count is a fraction
+    qfit.FitInconsistentError: DISAGREEMENT,
+    ValueError: USAGE_ERROR,
+    PoleError: USAGE_ERROR,
+    oracle.CapExceededError: USAGE_ERROR,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # counts print in full, past 4300 digits too
     try:
         return args.fn(args)
-    except ValueError as exc:
-        print(f"hexatile: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except tuple(_FAILURES) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return next(code for kind, code in _FAILURES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

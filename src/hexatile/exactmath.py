@@ -22,6 +22,10 @@ class NotIntegerError(ValueError):
     """An exact rational that must be an integer (a count, say) is not."""
 
 
+class OutOfValidityError(ValueError):
+    """Parameters violate a formula's stated validity window."""
+
+
 def binom(n: int, k: int) -> int:
     """Binomial coefficient under the lattice-path convention.
 

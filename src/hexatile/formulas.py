@@ -17,13 +17,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional
 
-from . import lgv
-from .exactmath import NotIntegerError, PoleError, as_int, binom, factorial, pochhammer
+from . import lgv, schur
+from .exactmath import (NotIntegerError, OutOfValidityError, PoleError, as_int, binom,
+                        factorial, pochhammer)
 from .lgv import even_count
-
-
-class OutOfValidityError(ValueError):
-    """Parameters violate the formula's stated validity window."""
 
 
 class UnknownQError(ValueError):
@@ -360,12 +357,6 @@ def _run_checks(names, amax: int, bmax: int, cmax: int, dmax: int) -> list[Ident
     return out
 
 
-def _schur():
-    from . import schur  # schur imports this module, so bind it at call time
-
-    return schur
-
-
 # Points generators take (A, B, C, D) = (amax, bmax, cmax, dmax).
 
 
@@ -612,7 +603,7 @@ def _f_alternative(a, b, c, d):
     if b + p >= 1 and (p < 1 or c >= 2)
 ))
 def _sum_formula(a, b, c, p):
-    return _schur().verify_sum_formula(a, b, c, p)
+    return schur.verify_sum_formula(a, b, c, p)
 
 
 _IDENTITIES = tuple(_REGISTRY)
@@ -685,12 +676,12 @@ def _unit_intrusion_corollary(a, b, c):
 
 @_check("binomial_lu_inverse", _box(1, 1, 1))
 def _binomial_lu_inverse(a, b, c):
-    return _schur().verify_inverse(_schur().build_bundle(a, b, c))
+    return schur.verify_inverse(schur.build_bundle(a, b, c))
 
 
 @_check("complement_block_count", _abcdp(1))
 def _complement_block_count(a, b, c, d, p):
-    return _schur().count_via_F(a, b, c, d, p) == even_count(a, b, c, d, p).value
+    return schur.count_via_F(a, b, c, d, p) == even_count(a, b, c, d, p).value
 
 
 @_check("inverse_entry_sums", lambda A, B, C, D: (
@@ -701,7 +692,7 @@ def _complement_block_count(a, b, c, d, p):
     for j in range(1, min(D, 2) + 1)
 ))
 def _inverse_entry_sums(a, b, c, p, i, j):
-    return _schur().verify_triple_sum(a, b, c, p, i, j)
+    return schur.verify_triple_sum(a, b, c, p, i, j)
 
 
 @_check("telescoped_double_sum", lambda A, B, C, D: (
@@ -709,7 +700,7 @@ def _inverse_entry_sums(a, b, c, p, i, j):
 ))
 def _telescoped_double_sum(a, b, c, p):
     try:
-        return _schur().verify_sum_formula(a, b, c, p)
+        return schur.verify_sum_formula(a, b, c, p)
     except OutOfValidityError:
         return True  # outside the formula's window: counted as a pass
 

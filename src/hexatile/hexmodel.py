@@ -51,8 +51,11 @@ def endpoints(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[list
     end i coincide at (i-p, p+i-1), so those paths have length 0.  Odd
     intrusions: start i = (i-p, p+i) and end j = (j-1-p, p+j-1), so start i
     equals end i+1.  b and c may be negative: the condensation recursion
-    shifts them formally below zero.
+    shifts them formally below zero.  Any parity but EVEN and ODD is a
+    ValueError.
     """
+    if parity not in (EVEN, ODD):
+        raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, not {parity!r}")
     starts = [(1 - i, i - 1) for i in range(1, a + 1)]
     ends = [(b + 1 - j, c + j - 1) for j in range(1, a + 1)]
     if parity == EVEN:

@@ -9,6 +9,7 @@ negative of the count (the admissible permutation can be odd).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .detkernel import IntMatrix, det_bareiss
@@ -45,13 +46,10 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
             for (x, y) in starts]
 
 
-# Bound on memoized determinants.  One `hexatile verify all` pass plus the
-# identity registry at the CLI default ranges needs 9.8k distinct points
-# (BENCH_pr5.json), so they all fit; a full memo is cleared, not scanned.
-_MEMO_BOUND = 1 << 14
-_memo: dict[tuple[int, int, int, int, int, str], int] = {}
-
-
+# The memo bound: one `hexatile verify all` pass plus the identity registry at
+# the CLI default ranges needs 9.8k distinct points (BENCH_pr5.json), so they
+# all fit.
+@lru_cache(maxsize=1 << 14)
 def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     """det of path_matrix(a, b, c, d, p, parity), memoized on the literal arguments.
 
@@ -59,14 +57,7 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     canonicalized (no mirror images), so the symmetry and condensation
     checks still compare values computed at distinct points.
     """
-    key = (a, b, c, d, p, parity)
-    value = _memo.get(key)
-    if value is None:
-        value = det_bareiss(path_matrix(a, b, c, d, p, parity))
-        if len(_memo) >= _MEMO_BOUND:
-            _memo.clear()
-        _memo[key] = value
-    return value
+    return det_bareiss(path_matrix(a, b, c, d, p, parity))
 
 
 def _signed(a: int, b: int, c: int, d: int, p: int, parity: str) -> SignedCount:

@@ -7,9 +7,10 @@ binomials, and costs polynomial time for a fixed number of paths.
 `count_families` runs the same sweep unsigned and for the identity
 assignment alone.  `region_count` shares not even the endpoints: it counts
 the tilings of the free unit triangles as the determinant of their
-adjacency matrix, with `detkernel.det_bareiss` its one shared piece.  `first_tiling` takes a witness family from the unsigned
-sweep by walking back through its states, and `reconstruct_tiling` and
-`render_svg` turn it into a lozenge tiling.
+adjacency matrix, with `detkernel.det_bareiss` its one shared piece.
+`first_tiling` takes a witness family from the unsigned sweep by walking
+back through its states, and `reconstruct_tiling` and `render_svg` turn it
+into a lozenge tiling.
 """
 
 from __future__ import annotations

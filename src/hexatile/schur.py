@@ -15,8 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .detkernel import RatMatrix, det_bareiss, identity, mat_mul, solve_exact
-from .exactmath import as_int, binom, factorial, pochhammer
-from .formulas import OutOfValidityError
+from .exactmath import OutOfValidityError, as_int, binom, factorial, pochhammer
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,50 @@ def test_count_formula_out_of_window_usage_error(capsys):
     assert err
 
 
+# For every count method, one spec inside its window.
+INSIDE = {
+    "det": (2, 2, 2, 1, 0, "even"),
+    "modular": (4, 5, 3, 3, 3, "odd"),
+    "condense": (3, 2, 3, 1, 1, "even"),
+    "oracle": (3, 2, 3, 2, 1, "odd"),
+    "formula:macmahon": (3, 2, 4, 0, 0, "even"),
+    "formula:byun_even": (4, 3, 2, 2, 2, "even"),
+    "formula:byun_odd": (3, 2, 2, 0, 1, "odd"),  # intact: the printed product holds
+    "formula:byun_odd_corrected": (5, 3, 2, 2, 2, "odd"),
+    "formula:p1md": (3, 4, 4, 2, -1, "even"),
+    "formula:d1": (3, 3, 4, 1, 0, "even"),
+    "formula:reflection": (1, 3, 4, 2, -1, "even"),
+}
+# Odd, d = 1 and a = 2 = 2p: outside every window but those of det, modular, oracle.
+OUTSIDE = (2, 2, 2, 1, 1, "odd")
+
+
+@pytest.mark.parametrize("method", list(cli._METHODS))
+def test_every_method_agrees_with_det_inside_its_window(capsys, method):
+    code, out, err = run(capsys, *count_flags(*INSIDE[method]),
+                         "--method", "det", "--method", method)
+    assert (code, err) == (PASS, "")
+    det, rec = [json.loads(line) for line in out.strip().splitlines()]
+    assert rec["method"] == method
+    assert rec["value"] == det["value"]
+    code, out, err = run(capsys, *count_flags(*OUTSIDE), "--method", method)
+    if method in ("det", "modular", "oracle"):
+        assert code == PASS and json.loads(out)["value"] == "-8"
+    else:
+        assert (code, out) == (USAGE, "")
+        assert err.count("\n") == 1 and err.startswith("count: ")
+
+
+def test_count_past_the_int_string_limit(capsys):
+    # 7199 digits: Python >= 3.10.7 refuses str(int) past 4300 unless the cap is lifted
+    code, out, err = run(capsys, *count_flags(4, 3000, 3000, 0, 0, "even"),
+                         "--method", "det", "--method", "modular")
+    assert (code, err) == (PASS, "")
+    values = [json.loads(line)["value"] for line in out.strip().splitlines()]
+    assert len(values) == 2
+    assert all(int(value) == macmahon(4, 3000, 3000) for value in values)
+
+
 def test_bad_flag_usage_error(capsys):
     code, _, _ = run(capsys, "count", "--a", "2", "--b", "2", "--c", "2",
                      "--d", "0", "--p", "0", "--parity", "diagonal")

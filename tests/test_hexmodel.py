@@ -48,6 +48,15 @@ def test_intrusive_points_empty_for_d0():
         assert ends == [(2, 2), (1, 3), (0, 4)]
 
 
+@pytest.mark.parametrize("parity", ["Even", "ODD", "", "sideways"])
+def test_endpoints_reject_unknown_parity(parity):
+    # "Even" used to build the odd matrix (det -8 where the even count is 6)
+    with pytest.raises(ValueError, match="parity"):
+        endpoints(2, 2, 2, 1, 0, parity)
+    with pytest.raises(ValueError, match="parity"):
+        path_matrix(2, 2, 2, 1, 0, parity)
+
+
 def test_all_points_order_lateral_first():
     starts, ends = endpoints(2, 3, 3, 2, 1, EVEN)
     assert len(starts) == len(ends) == HexSpec(2, 3, 3, 2, 1, EVEN).dim == 4

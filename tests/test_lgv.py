@@ -208,14 +208,21 @@ def test_memoized_counts_match_modular(a, b, c, d, data, parity):
     assert warm.value == det_modular(lateral_first(a, b, c, d, p, parity))
 
 
+def _memoized(*key):
+    """True iff lgv's memo already holds key: calling it again is a cache hit."""
+    hits = lgv._det.cache_info().hits
+    lgv._det(*key)
+    return lgv._det.cache_info().hits == hits + 1
+
+
 def test_warm_memo_still_rejects_negative_sides():
     # condensation stores formal points with b or c = -1 in the memo
     assert verify_dodgson_even(2, 0, 2, 1, 1)
-    assert (1, -1, 3, 1, 1, EVEN) in lgv._memo
+    assert _memoized(1, -1, 3, 1, 1, EVEN)
     with pytest.raises(ValueError):
         even_count(1, -1, 3, 1, 1)
     assert verify_dodgson_odd(2, 2, 0, 1, 1)
-    assert (1, 3, -1, 1, 0, ODD) in lgv._memo
+    assert _memoized(1, 3, -1, 1, 0, ODD)
     with pytest.raises(ValueError):
         odd_count(1, 3, -1, 1, 0)
     for bad in ((-1, 2, 2, 1, 0), (2, 2, 2, -1, 0)):
@@ -226,13 +233,13 @@ def test_warm_memo_still_rejects_negative_sides():
 
 
 def test_memo_stays_within_its_bound():
-    bound = lgv._MEMO_BOUND
+    bound = lgv._det.cache_info().maxsize
     # a = 0, d = 0 gives an empty matrix: cheap distinct points, more than the bound
     side = 2 + int(bound ** 0.5)
     assert side * side > bound
     for b in range(side):
         for c in range(side):
             assert even_count(0, b, c, 0, 0).value == 1
-            assert len(lgv._memo) <= bound
+            assert lgv._det.cache_info().currsize <= bound
     assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
     assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
