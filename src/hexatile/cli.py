@@ -156,13 +156,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.degree is None:
-        degree, poly = qfit.fit_auto(args.d)
-    else:
-        degree, poly = args.degree, qfit.fit(args.d, args.degree)
+    poly = qfit.fit_auto(args.d)[1] if args.degree is None else qfit.fit(args.d, args.degree)
     out = args.out or f"q_d{args.d}.json"
     _write(out, qfit.poly_to_json(poly, args.d) + "\n")
-    print(f"Q(d={args.d}), total degree {degree}: {poly}")
+    print(f"Q(d={args.d}), total degree {poly.total_degree()}: {poly}")
     print(f"wrote {out}")
     return 0
 
@@ -183,7 +180,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    dims = [int(tok) for tok in args.dims.split(",") if tok]
+    dims = [int(tok) if tok.strip().isdecimal() else 0 for tok in args.dims.split(",")]
+    if min(dims) < 1:
+        raise ValueError(f"--dims takes integers >= 1 separated by commas, not {args.dims!r}")
     kernels = ["bareiss", "modular"] if args.kernel == "both" else [args.kernel]
     rows = ["dim,shape,kernel,elapsed_ms,result_digits"]
     for n in dims:

@@ -10,17 +10,23 @@ expanded exactly into monomials in (a, b, c, p).  The candidate is
 re-checked exactly against every sample point: anything returned is the
 unique interpolant, and anything else raises.
 
+MultiPoly.evaluate, the one exact evaluator, serves the recheck and both
+holdout checks: integer numerators over one denominator, grouped by (a, b)
+exponents, with each group's (c, p) part computed once per distinct (c, p).
+
 Newton interpolation on principal lattices: Chung & Yao, SIAM J. Numer.
 Anal. 14 (1977); Sauer & Xu, Math. Comp. 64 (1995).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .formulas import prefactor_P
 from .lgv import even_count
@@ -32,19 +38,35 @@ class FitInconsistentError(ValueError):
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Polynomial in (a, b, c, p) as exponent-vector -> coefficient."""
+    """Polynomial in (a, b, c, p) as exponent-vector -> coefficient; coeffs is
+    read-only, so the integer form evaluate() uses can never go stale."""
 
-    coeffs: dict = field(default_factory=dict)
+    coeffs: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {tuple(k): Fraction(v) for k, v in self.coeffs.items() if v != 0}
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        # integer numerators over one common denominator, grouped by (a, b)
+        scale = math.lcm(*(coef.denominator for coef in clean.values()))
+        groups: dict = {}
+        for (ea, eb, ec, ep), coef in clean.items():
+            groups.setdefault((ea, eb), []).append((ec, ep, int(coef * scale)))
+
+        @functools.lru_cache(maxsize=1 << 12)  # one part per (c, p), bounded
+        def inner(c: int, p: int) -> tuple:
+            return tuple((ea, eb, sum(k * c**ec * p**ep for ec, ep, k in terms))
+                         for (ea, eb), terms in groups.items())
+
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_inner", inner)
 
     def evaluate(self, a: int, b: int, c: int, p: int) -> Fraction:
-        out = Fraction(0)
-        for (ea, eb, ec, ep), coef in self.coeffs.items():
-            out += coef * a**ea * b**eb * c**ec * p**ep
-        return out
+        """Exact value at (a, b, c, p)."""
+        return Fraction(sum(v * a**ea * b**eb for ea, eb, v in self._inner(c, p)),
+                        self._scale)
+
+    def __reduce__(self):  # copy and pickle rebuild the form from coeffs
+        return MultiPoly, (dict(self.coeffs),)
 
     def total_degree(self) -> int:
         return max((sum(k) for k in self.coeffs), default=0)
@@ -180,30 +202,6 @@ def _newton_to_poly(coeffs: dict, degree: int, d: int, scale: int) -> MultiPoly:
     return MultiPoly({key: Fraction(v, den) for key, v in terms.items()})
 
 
-def _first_mismatch(poly: MultiPoly, grid: list, ys: list):
-    """First grid point where poly misses its sample, or None (exact, integer path).
-
-    Terms are grouped by their (a, b) exponents, and each group's (c, p)
-    part is evaluated once per distinct (c, p) of the grid.
-    """
-    scale = math.lcm(*(coef.denominator for coef in poly.coeffs.values())) if poly.coeffs else 1
-    groups: dict = {}
-    for (ea, eb, ec, ep), coef in poly.coeffs.items():
-        groups.setdefault((ea, eb), []).append((ec, ep, int(coef * scale)))
-    inner: dict = {}
-    for (a, b, c, p), y in zip(grid, ys):
-        parts = inner.get((c, p))
-        if parts is None:
-            parts = inner[(c, p)] = [
-                (ea, eb, sum(k * c**ec * p**ep for ec, ep, k in terms))
-                for (ea, eb), terms in groups.items()
-            ]
-        acc = sum(v * a**ea * b**eb for ea, eb, v in parts)
-        if acc * y.denominator != y.numerator * scale:
-            return (a, b, c, p)
-    return None
-
-
 def _fit_simplex(d: int, degree_bound: int, samples: dict) -> MultiPoly:
     """Newton fit on the (degree_bound + 1)-simplex.
 
@@ -228,11 +226,11 @@ def _fit_simplex(d: int, degree_bound: int, samples: dict) -> MultiPoly:
         )
     newton = {k: v for k, v in table.items() if v and sum(k) < n}
     poly = _newton_to_poly(newton, degree_bound, d, scale)
-    bad = _first_mismatch(poly, [_point(d, x) for x in xs], ys)
-    if bad is not None:
-        raise FitInconsistentError(
-            f"degree {degree_bound} cannot interpolate sample at {bad}"
-        )
+    for point, y in zip(simplex_grid(d, n), ys):
+        if poly.evaluate(*point) != y:
+            raise FitInconsistentError(
+                f"degree {degree_bound} cannot interpolate sample at {point}"
+            )
     return poly
 
 

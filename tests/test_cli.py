@@ -272,6 +272,13 @@ def test_fit_d2_prints_polynomial(tmp_path, capsys):
     assert len(payload["terms"]) == 8
 
 
+def test_fit_prints_the_degree_of_the_polynomial_not_the_bound(tmp_path, capsys):
+    code, out, _ = run(capsys, "fit", "--d", "2", "--degree", "4",
+                       "--out", str(tmp_path / "q2.json"))
+    assert code == PASS
+    assert out.startswith("Q(d=2), total degree 2: ")
+
+
 def test_render_writes_svg(tmp_path, capsys):
     out_file = tmp_path / "hex.svg"
     code, _, _ = run(capsys, "render", "--a", "3", "--b", "4", "--c", "5",
@@ -320,6 +327,18 @@ def test_bench_rows_and_agreement(capsys):
     digits = {(r[0], r[1]): r[4] for r in rows}
     assert digits[("6", "boxed")] == str(len(str(macmahon(6, 6, 6))))
     assert digits[("6", "thin")] == str(len(str(macmahon(6, 5, 6))))
+
+
+@pytest.mark.parametrize("dims", ["-1", "x", "4,0", "4,x", "4,,6"])
+def test_bench_rejects_bad_dims_before_any_work(capsys, monkeypatch, dims):
+    def no_work(*args):
+        raise AssertionError("bench built a matrix before checking --dims")
+
+    monkeypatch.setattr(cli.lgv, "path_matrix", no_work)
+    code, out, err = run(capsys, "bench", "--dims", dims)
+    assert code == USAGE
+    assert out == ""
+    assert err == f"bench: --dims takes integers >= 1 separated by commas, not {dims!r}\n"
 
 
 @pytest.mark.parametrize("flag", ["--amax", "--bmax", "--cmax", "--dmax"])

@@ -164,9 +164,40 @@ def test_solve_round_trip(n, data):
     assert mat_mul(m, y) == [[delta * v for v in row] for row in rhs]
 
 
-def test_prime_pools_are_prime_and_deterministic():
-    from sympy import isprime
+def _isprime(n: int) -> bool:
+    """Miller-Rabin with Sinclair's bases, deterministic below 2^64; a base set
+    apart from the one prime_pool uses, so the check does not share it."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 325, 9375, 28178, 450775, 9780504, 1795265022):
+        x = pow(base % n, d, n)
+        if x in (0, 1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
+
+def test_miller_rabin_reference_matches_trial_division():
+    small = [n for n in range(2, 5000) if all(n % q for q in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(5000) if _isprime(n)] == small
+    # strong pseudoprimes to several small bases, and a Carmichael number
+    for n in (561, 3215031751, 2152302898747, 3474749660383, 341550071728321):
+        assert not _isprime(n)
+    assert _isprime(2**61 - 1) and not _isprime(2**62 - 1)
+
+
+def test_prime_pools_are_prime_and_deterministic():
     pool = prime_pool(6)
     assert pool == prime_pool(6)
-    assert all(isprime(q) for q in pool)
+    assert all(_isprime(q) for q in pool)

@@ -1,10 +1,17 @@
 """Exact interpolation of the residual factor Q = E / P."""
 
+import copy
+import pickle
+import re
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hexatile import qfit
 from hexatile.formulas import byun_even, prefactor_P, q_known
 from hexatile.qfit import (
     FitInconsistentError,
@@ -106,6 +113,53 @@ def test_fit_auto_d2():
 def test_poly_evaluate():
     poly = MultiPoly({(1, 0, 0, 0): Fraction(3), (0, 0, 0, 2): Fraction(1, 2)})
     assert poly.evaluate(4, 9, 9, 2) == 12 + 2
+    # evaluate works from a form derived from coeffs, so coeffs cannot change
+    with pytest.raises(TypeError):
+        poly.coeffs[(0, 0, 0, 0)] = Fraction(1)
+    assert poly.coeffs == {(1, 0, 0, 0): Fraction(3), (0, 0, 0, 2): Fraction(1, 2)}
+
+
+def naive_value(coeffs: dict, a: int, b: int, c: int, p: int) -> Fraction:
+    """Reference evaluator: the term-by-term Fraction sum."""
+    return sum((coef * a**ea * b**eb * c**ec * p**ep
+                for (ea, eb, ec, ep), coef in coeffs.items()), Fraction(0))
+
+
+EXPONENTS = [k for k in product(range(7), repeat=4) if sum(k) <= 6]
+polys = st.dictionaries(
+    st.sampled_from(EXPONENTS),
+    st.builds(Fraction, st.integers(-3000, 3000), st.integers(1, 60)),
+    max_size=15,
+)
+coords = st.integers(min_value=-4, max_value=6)
+
+
+@given(polys, polys, st.lists(st.tuples(coords, coords), min_size=1, max_size=4),
+       st.lists(st.tuples(coords, coords), min_size=2, max_size=3, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_matches_term_by_term_sum(first, second, cps, abs_):
+    # points that share (c, p) but differ in (a, b), and two polynomials
+    # asked in turn at the same (c, p), so a wrongly reused part shows
+    one, two = MultiPoly(first), MultiPoly(second)
+    for c, p in cps:
+        for a, b in abs_:
+            assert one.evaluate(a, b, c, p) == naive_value(first, a, b, c, p)
+            assert two.evaluate(a, b, c, p) == naive_value(second, a, b, c, p)
+
+
+def test_recheck_rejects_a_fit_with_one_coefficient_changed(monkeypatch):
+    newton_to_poly = qfit._newton_to_poly
+
+    def perturbed(*args):
+        poly = newton_to_poly(*args)
+        return MultiPoly({**poly.coeffs, (1, 0, 0, 1): poly.coeffs[(1, 0, 0, 1)] + Fraction(1, 3)})
+
+    monkeypatch.setattr(qfit, "_newton_to_poly", perturbed)
+    # the change adds a*p/3, so the first sample it misses has a*p != 0
+    first_miss = next(pt for pt in simplex_grid(2, 3) if pt[0] * pt[3])
+    with pytest.raises(FitInconsistentError,
+                       match=re.escape(f"cannot interpolate sample at {first_miss}")):
+        fit(2)
 
 
 def test_poly_json_round_trip():
@@ -113,6 +167,8 @@ def test_poly_json_round_trip():
     d, back = poly_from_json(poly_to_json(poly, 2))
     assert d == 2
     assert back.coeffs == poly.coeffs
+    for copied in (copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert copied == poly and copied.evaluate(5, 6, 7, 2) == poly.evaluate(5, 6, 7, 2)
 
 
 def test_cross_validate_passes_for_true_poly():
