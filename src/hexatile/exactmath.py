@@ -43,6 +43,18 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
+def rising(x: int, n: int) -> int:
+    """Rising factorial (x)_n = x(x+1)...(x+n-1) of an integer, as an int.
+
+    Only for n >= 0 (empty product = 1).  A negative n raises ValueError
+    rather than returning the empty product: (x)_n is then 1/(x+n)_{-n},
+    which pochhammer evaluates.
+    """
+    if n < 0:
+        raise ValueError(f"rising({x}, {n}) needs a nonnegative index; use pochhammer")
+    return math.prod(range(x, x + n))
+
+
 def pochhammer(x: Rat, n: int) -> Fraction:
     """Rising factorial (x)_n, extended to negative n.
 
@@ -54,7 +66,7 @@ def pochhammer(x: Rat, n: int) -> Fraction:
     if isinstance(x, int):
         # one integer product instead of n Fraction multiplications
         if n >= 0:
-            return Fraction(math.prod(range(x, x + n)))
+            return Fraction(rising(x, n))
         den = math.prod(range(x + n, x))
         if den == 0:
             raise PoleError(f"({x})_{n} has a zero factor in its denominator")

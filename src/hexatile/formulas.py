@@ -8,18 +8,22 @@ asserted, never assumed.  The registry is one ordered table of named checks
 sweeps the supporting recursions and summation identities on small grids,
 and the `hexatile verify` suites run the closed forms, the block and
 condensation structure, and seven of those identities from the same table.
+The general recursion compares E/M quotients cross-multiplied by their
+MacMahon products, and f_sum adds integer terms, so neither builds a
+Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional
 
 from . import lgv, schur
 from .exactmath import (NotIntegerError, OutOfValidityError, PoleError, as_int, binom,
-                        factorial, pochhammer)
+                        factorial, pochhammer, rising)
 from .lgv import even_count
 
 
@@ -31,6 +35,13 @@ def macmahon(a: int, b: int, c: int) -> int:
     """Number of lozenge tilings of the intact (a,b,c)-hexagon."""
     if min(a, b, c) < 0:
         raise ValueError("a, b, c must be nonnegative")
+    return _macmahon(a, b, c)
+
+
+# The memo bound: the identity registry at (8, 8, 8, 4) asks for 876 distinct
+# (a, b, c) in 155k calls, a `verify` pass at the CLI defaults for 248 in 18k.
+@lru_cache(maxsize=1 << 12)
+def _macmahon(a: int, b: int, c: int) -> int:
     num = den = 1
     for i in range(a):
         num *= factorial(i) * factorial(b + c + i)
@@ -142,11 +153,13 @@ def p_one_minus_d_simple(a: int, b: int, c: int, d: int) -> int:
 
 
 def f_sum(a: int, b: int, c: int, d: int) -> int:
-    """f(a,b,c,d) = sum_{k=1}^a (b+c+k)_{a-k} (k)_{2d-2} (c)_{k-1}."""
-    out = Fraction(0)
-    for k in range(1, a + 1):
-        out += pochhammer(b + c + k, a - k) * pochhammer(k, 2 * d - 2) * pochhammer(c, k - 1)
-    return as_int(out, "f_sum")
+    """f(a,b,c,d) = sum_{k=1}^a (b+c+k)_{a-k} (k)_{2d-2} (c)_{k-1}, summed in integers."""
+    if a >= 1 and d < 1:
+        # the k = 1 term's (1)_{2d-2} = 1/(2d-1)_{2-2d}: its denominator has the factor 0
+        raise PoleError(f"f_sum: (1)_{2 * d - 2} has a zero factor in its denominator")
+    return sum(
+        rising(b + c + k, a - k) * rising(k, 2 * d - 2) * rising(c, k - 1) for k in range(1, a + 1)
+    )
 
 
 def _alt_term(a: int, b: int, c: int, d: int, k: int) -> Fraction:
@@ -423,10 +436,18 @@ def _cancel3(a, b, c):
     for p in range(-d, a + d + 1)
 ))
 def _general_recursion(a, b, c, d, p):
-    lhs = (a - 1) * (a + b + c - 1) * _G(a - 2, b, c, d, p - 1) * _G(a, b, c, d, p)
-    return lhs == (a + b - 1) * (a + c - 1) * _G(a - 1, b, c, d, p - 1) * _G(
-        a - 1, b, c, d, p
-    ) - b * c * _G(a - 1, b - 1, c + 1, d, p) * _G(a - 1, b + 1, c - 1, d, p - 1)
+    # G = E/M cross-multiplied: lhs/M1 == r1/M2 - r2/M3, where Mk > 0 is the
+    # product of the two MacMahon numbers under term k
+    def e(a, b, c, p):
+        return even_count(a, b, c, d, p).value
+
+    lhs = (a - 1) * (a + b + c - 1) * e(a - 2, b, c, p - 1) * e(a, b, c, p)
+    r1 = (a + b - 1) * (a + c - 1) * e(a - 1, b, c, p - 1) * e(a - 1, b, c, p)
+    r2 = b * c * e(a - 1, b - 1, c + 1, p) * e(a - 1, b + 1, c - 1, p - 1)
+    m1 = macmahon(a - 2, b, c) * macmahon(a, b, c)
+    m2 = macmahon(a - 1, b, c) ** 2
+    m3 = macmahon(a - 1, b - 1, c + 1) * macmahon(a - 1, b + 1, c - 1)
+    return lhs * m2 * m3 == (r1 * m3 - r2 * m2) * m1
 
 
 @_check("g_is_one_d0", _box(0, 0, 0))
@@ -581,7 +602,7 @@ def _f_d_recursion(a, b, c, d):
     lhs = (b - 2 * d + 2) * (b - 2 * d + 3) * f_sum(a, b, c, d)
     rhs = 2 * (d - 1) * (2 * d - 3) * (b + c - 2 * d + 2) * (b + c - 2 * d + 3) * f_sum(
         a, b, c, d - 1
-    ) + (a + c - 1) * (a + 2 * d - 4) * pochhammer(c, a - 1) * pochhammer(a, 2 * d - 4) * lin
+    ) + (a + c - 1) * (a + 2 * d - 4) * rising(c, a - 1) * rising(a, 2 * d - 4) * lin
     return lhs == rhs
 
 
@@ -661,6 +682,8 @@ def _p1md_alt(variant):
             return p_one_minus_d_alt(a, b, c, d, variant=variant) == want
         except OutOfValidityError:
             return True  # outside the display's window: counted as a pass
+        except PoleError:
+            return None  # the display's denominator vanishes: skipped
 
     return check
 

@@ -6,6 +6,9 @@ integer matrices, and the complement is kept scaled to integers by
 delta = det Q2: Y = delta Q2^-1 Q1 and Fp = delta F.  Every check is exact.
 The displayed double sums and their inner sums are memoized (bounded) on
 their arguments, so a sweep of checks evaluates each distinct term once.
+verify_sum_formula is cross-multiplied in integers: its summands are scaled
+by their common factorial denominator and compared with the right side's
+numerator over (b+c)_a.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .detkernel import RatMatrix, det_bareiss, identity, mat_mul, solve_exact
-from .exactmath import OutOfValidityError, as_int, binom, factorial, pochhammer
+from .exactmath import OutOfValidityError, as_int, binom, factorial, pochhammer, rising
 
 
 @dataclass(frozen=True)
@@ -200,56 +203,50 @@ def verify_sum_formula(a: int, b: int, c: int, p: int) -> bool:
     The k = p summand contains (c)_{-1} = 1/(c-1), so the display requires
     c >= 2 when p >= 1 (the c = 1 singularity is removable but the printed
     form is literally 0/0 there); p = 0 requires c >= 1 and the whole
-    identity needs b+p >= 1.
+    identity needs b+p >= 1 and, for its (b+c+k-1)! and (b+c)_a, b+c >= 1.
+
+    Both sides are compared in integers.  Every summand is scaled by
+    (a-1)! (b+c+a-1)!, and by c-1 when p >= 1, where
+    (c-1) (c)_{k-p-1} = (c-1)_{k-p} also at k = p; the second display's
+    coefficient -bk/p + b+c-1 is scaled by p, and the p = 0 variant by
+    (b+c+a-1)!.  The right side is rhs_num / (b+c)_a.
     """
-    if a < 1 or p < 0 or b + p < 1 or (p >= 1 and c < 2) or (p == 0 and c < 1):
+    if (a < 1 or p < 0 or b + p < 1 or (p >= 1 and c < 2) or (p == 0 and c < 1)
+            or b + c < 1):
         raise OutOfValidityError("outside the displayed sum's pole-free window")
 
-    rhs = 1 - binom(a, a - p) * pochhammer(b, p) * pochhammer(c, a - p) / pochhammer(b + c, a)
+    bc_a = rising(b + c, a)
+    # binom(a, a-p) vanishes for p > a, where (c)_{a-p} has a negative index
+    rhs_num = bc_a - (binom(a, a - p) * rising(b, p) * rising(c, a - p) if p <= a else 0)
+    scale = factorial(a - 1) * factorial(b + c + a - 1) * (c - 1 if p else 1)
 
-    def outer(coef_fn):
-        total = Fraction(0)
+    def outer(coef):
+        # coef(k) times (a-1)!/(k-1)! (b+c+a-1)!/(b+c+k-1)! and the scaled
+        # (c)_{k-p-1}; every coef vanishes for k < p, so no index is negative
+        w = {}
+        for k in range(1, a + 1):
+            ck = coef(k)
+            if ck:
+                cpart = rising(c - 1, k - p) if p else rising(c, k - 1)
+                w[k] = ck * rising(k, a - k) * rising(b + c + k, a - k) * cpart
+        total = 0
         for t in range(1, a + 1):
-            inner = Fraction(0)
-            for k in range(t, a + 1):
-                tb = binom(k - 1, t - 1)
-                if tb == 0:
-                    continue
-                coef = coef_fn(k)
-                if coef == 0:
-                    continue
-                inner += (
-                    coef
-                    * pochhammer(b, k - t)
-                    * pochhammer(c, k - p - 1)
-                    * tb
-                    / (factorial(k - 1) * factorial(b + c + k - 1))
-                )
+            inner = sum(wk * rising(b, k - t) * binom(k - 1, t - 1) for k, wk in w.items() if k >= t)
             total += (-1) ** t * binom(b + c - 1, c - p + t - 1) * factorial(c + t - 1) * inner
         return (-1) ** p * factorial(b + p - 1) * total
 
     lhs = outer(lambda k: -(b + p) * binom(k - 1, p) + (c + k - p - 1) * binom(k - 1, p - 1))
-    if lhs != rhs:
+    if lhs * bc_a != rhs_num * scale:
         return False
 
     if p == 0:
-        variant = Fraction(0)
+        variant = 0
         for t in range(0, a):
-            inner = Fraction(0)
-            for k in range(t, a):
-                inner += (
-                    pochhammer(b, k - t)
-                    * binom(k, t)
-                    * binom(c + k - 1, k)
-                    / Fraction(factorial(b + c + k))
-                )
-            variant += (-1) ** t * pochhammer(b - t, c + t) * inner
-        if factorial(b) * variant != 1 - pochhammer(c, a) / pochhammer(b + c, a):
-            return False
-    else:
-        lhs2 = outer(
-            lambda k: (Fraction(-b * k, p) + b + c - 1) * binom(k - 1, p - 1)
-        )
-        if lhs2 != rhs:
-            return False
-    return True
+            inner = sum(
+                rising(b, k - t) * binom(k, t) * binom(c + k - 1, k) * rising(b + c + k + 1, a - 1 - k)
+                for k in range(t, a)
+            )
+            variant += (-1) ** t * rising(b - t, c + t) * inner
+        return factorial(b) * variant * bc_a == (bc_a - rising(c, a)) * factorial(b + c + a - 1)
+    lhs2 = outer(lambda k: (p * (b + c - 1) - b * k) * binom(k - 1, p - 1))
+    return lhs2 * bc_a == rhs_num * scale * p

@@ -416,6 +416,18 @@ def test_verify_f_d_recursion_honours_dmax(capsys):
     assert {ch["name"]: ch["cases"] for ch in json.loads(out)["checks"]}["f_d_recursion"] == 120
 
 
+def test_verify_p1md_skips_the_polynomial_display_poles(capsys):
+    # (a, b, c, d) = (0, 5, 1, 4) is the first zero of (b+c-2d+2)_{a+2d-2}
+    code, out, err = run(capsys, "verify", "p1md", "--dmax", "4")
+    assert code == PASS and err == ""
+    by_name = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+    assert by_name["p1md_polynomial"]["cases"] == 495
+    assert by_name["p1md_sum"]["cases"] == 500
+    assert all(not ch["failures"] for ch in by_name.values())
+    code, out, _ = run(capsys, "verify", "all", "--dmax", "4")
+    assert code == PASS and json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ("--d", "2", "--degree", "-1"),
     ("--d", "0"),

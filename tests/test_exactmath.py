@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hexatile.exactmath import PoleError, as_int, binom, factorial, pochhammer
+from hexatile.exactmath import PoleError, as_int, binom, factorial, pochhammer, rising
 
 
 def test_binom_vanishes_outside_range():
@@ -98,3 +98,9 @@ def test_pochhammer_integer_path_matches_fraction_loop():
             got = pochhammer(x, n)
             assert type(got) is Fraction, (x, n)
             assert got == want, (x, n)
+            if n >= 0:
+                assert type(rising(x, n)) is int and rising(x, n) == want, (x, n)
+            else:
+                # never the empty product: a negative index is refused
+                with pytest.raises(ValueError):
+                    rising(x, n)

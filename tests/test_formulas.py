@@ -154,6 +154,15 @@ def test_f_sum_small_cases():
                 assert f_sum(1, b, c, d) == factorial(2 * d - 2)
 
 
+def test_f_sum_keeps_the_pole_at_d_below_one():
+    # (1)_{2d-2} = 1/(2d-1)_{2-2d} has the factor 0, not the empty product 1
+    assert f_sum(0, 3, 4, 0) == 0
+    for a in range(1, 4):
+        for d in (0, -1):
+            with pytest.raises(PoleError):
+                f_sum(a, 3, 4, d)
+
+
 def test_d1_corollary():
     assert d1_corollary(2, 2, 2) == 6
     assert d1_corollary(4, 3, 1) == 1
@@ -277,6 +286,20 @@ def test_verify_identities_comma_list_keeps_order():
 def test_f_d_recursion_honours_dmax():
     assert [r.cases for r in verify_identities("f_d_recursion", 4, 5, 5, 1)] == [0]
     assert [r.cases for r in verify_identities("f_d_recursion", 4, 5, 5, 2)] == [120]
+
+
+def test_general_recursion_fails_on_one_wrong_count(monkeypatch):
+    from hexatile import formulas, lgv
+
+    point = (3, 2, 2, 1, 1)
+    assert formulas._general_recursion(*point)
+
+    def off_by_one(*q):
+        value = lgv.even_count(*q).value
+        return lgv.SignedCount.of(value + 1 if q == point else value)
+
+    monkeypatch.setattr(formulas, "even_count", off_by_one)
+    assert not formulas._general_recursion(*point)
 
 
 def test_registry_names_unique_and_resolved():

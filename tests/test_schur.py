@@ -1,6 +1,7 @@
 """Triangular decomposition, explicit inverse, and block reduction of the
 binomial matrix behind the intact-hexagon count."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,26 @@ def test_verify_sum_formula():
                     assert ok, (a, b, c, p)
                     checked += 1
     assert checked > 300
+
+
+def test_verify_sum_formula_tally_includes_failing_points():
+    from hexatile.formulas import OutOfValidityError
+
+    def verdict(a, b, c, p):
+        try:
+            return verify_sum_formula(a, b, c, p)
+        except OutOfValidityError:
+            return None
+
+    tally = Counter(
+        verdict(a, b, c, p)
+        for a in range(0, 6)
+        for b in range(-1, 6)
+        for c in range(-1, 6)
+        for p in range(-1, a + 2)
+    )
+    # p = a + 1 is inside the window, and the display fails there
+    assert tally == {True: 525, False: 140, None: 952}
+    assert not verify_sum_formula(1, 1, 2, 2)
+    with pytest.raises(OutOfValidityError):
+        verify_sum_formula(2, -2, 2, 3)  # b + c = 0: (b+c)_a vanishes
