@@ -15,11 +15,9 @@ reproducible.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 IntMatrix = list[list[int]]
-RatMatrix = list[list[Fraction]]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -38,7 +36,7 @@ def identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a, b):
-    """Exact matrix product; works for int and Fraction entries alike."""
+    """Exact product of two integer matrices."""
     if not a or not b:
         return []
     if len(a[0]) != len(b):

@@ -1,36 +1,42 @@
 """MacMahon-matrix structure: LU factorization, explicit inverse, and the
 block reduction of the intrusion determinant to a small d x d matrix F.
 
-The bundle's matrices are dense lists of Fractions.  The blocks Q1-Q4 are
-integer matrices, and the complement is kept scaled to integers by
-delta = det Q2: Y = delta Q2^-1 Q1 and Fp = delta F.  Every check is exact.
-The displayed double sums and their inner sums are memoized (bounded) on
-their arguments, so a sweep of checks evaluates each distinct term once.
-verify_sum_formula is cross-multiplied in integers: its summands are scaled
-by their common factorial denominator and compared with the right side's
-numerator over (b+c)_a.
+Everything is an integer.  Each displayed matrix or sum is kept once, scaled
+by a positive factor.  With r_i = (b+1)_{i-1}, s_j = (c+1)_{j-1} and
+W = (a-1)! (b+c+a-1)!, the bundle holds diag(r) L, diag(r) U = diag(r) L.M,
+T diag(s), and the diagonal of D as the list W D_kk / (r_k s_k), so that
+T diag(s) . diag(that list) . diag(r) L = W M^-1.  The inverse's single sum
+and the double and triple sums return W times their entry.  The blocks Q1-Q4
+are integer matrices, and the complement is scaled by delta = det Q2:
+Y = delta Q2^-1 Q1 and Fp = delta F.  The displayed double sums and their
+inner sums are memoized (bounded) on their arguments, so a sweep of checks
+evaluates each distinct term once.  verify_sum_formula is cross-multiplied:
+its summands are scaled by their common factorial denominator and compared
+with the right side's numerator over (b+c)_a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .detkernel import RatMatrix, det_bareiss, identity, mat_mul, solve_exact
-from .exactmath import OutOfValidityError, as_int, binom, factorial, pochhammer, rising
+from .detkernel import IntMatrix, det_bareiss, mat_mul, solve_exact
+from .exactmath import NotIntegerError, OutOfValidityError, binom, factorial, rising
 
 
 @dataclass(frozen=True)
 class MacMahonBundle:
+    """M_ij = C(b+c, b+i-j) and its factors U = L.M and M^-1 = T.D.L, each
+    scaled to integers as the module docstring says; D is a list."""
+
     a: int
     b: int
     c: int
-    M: RatMatrix
-    L: RatMatrix
-    T: RatMatrix
-    D: RatMatrix
-    U: RatMatrix
+    M: IntMatrix
+    L: IntMatrix
+    T: IntMatrix
+    D: list
+    U: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -49,76 +55,45 @@ class BlockDecomposition:
     Fp: list  # delta F = delta Q4 - Q3.Y
 
 
+def inverse_scale(a: int, b: int, c: int) -> int:
+    """W = (a-1)! (b+c+a-1)!, which makes W M^-1 integral (1 when a = 0)."""
+    return factorial(a - 1) * factorial(b + c + a - 1) if a else 1
+
+
 def build_bundle(a: int, b: int, c: int) -> MacMahonBundle:
-    """The five a x a matrices M, L, T, D, U with U = L.M and M^-1 = T.D.L."""
+    """M and its scaled factors: L_ij = (-1)^(i+j) C(i-1,j-1) (c)_{i-j} (b+1)_{j-1},
+    U_ij = (j-i+1)_{i-1} C(b+c+i-1, c+j-1), T_ij = (-1)^(i+j) C(j-1,i-1)
+    (b)_{j-i} (c+1)_{i-1} and D_k = b! c! (k)_{a-k} (b+c+k)_{a-k}."""
     if a < 0 or b < 0 or c < 0:
         raise ValueError("a, b, c must be nonnegative")
     rng = range(1, a + 1)
-    M = [[Fraction(binom(b + c, b + i - j)) for j in rng] for i in rng]
-    L = [
-        [
-            Fraction(0)
-            if j > i
-            else (-1) ** (i + j) * binom(i - 1, j - 1) * pochhammer(c, i - j) / pochhammer(b + j, i - j)
-            for j in rng
-        ]
-        for i in rng
-    ]
-    T = [
-        [
-            Fraction(0)
-            if i > j
-            else (-1) ** (i + j) * binom(j - 1, i - 1) * pochhammer(b, j - i) / pochhammer(c + i, j - i)
-            for j in rng
-        ]
-        for i in rng
-    ]
-    D = [
-        [
-            Fraction(factorial(b + i - 1) * factorial(c + i - 1), factorial(b + c + i - 1) * factorial(i - 1))
-            if i == j
-            else Fraction(0)
-            for j in rng
-        ]
-        for i in rng
-    ]
-    U = []
-    for i in rng:
-        row = []
-        for j in rng:
-            lead = pochhammer(-i + j + 1, i - 1)
-            if lead == 0 or b + i - j < 0:
-                row.append(Fraction(0))
-            else:
-                row.append(
-                    lead
-                    * Fraction(
-                        factorial(b) * factorial(b + c + i - 1),
-                        factorial(b + i - 1) * factorial(c + j - 1) * factorial(b + i - j),
-                    )
-                )
-        U.append(row)
+    M = [[binom(b + c, b + i - j) for j in rng] for i in rng]
+    L = [[(-1) ** (i + j) * binom(i - 1, j - 1) * rising(c, i - j) * rising(b + 1, j - 1)
+          if j <= i else 0 for j in rng] for i in rng]
+    T = [[(-1) ** (i + j) * binom(j - 1, i - 1) * rising(b, j - i) * rising(c + 1, i - 1)
+          if i <= j else 0 for j in rng] for i in rng]
+    D = [factorial(b) * factorial(c) * rising(k, a - k) * rising(b + c + k, a - k) for k in rng]
+    # C(b+c+i-1, c+j-1) vanishes for j > b+i, where U has its zeros
+    U = [[rising(j - i + 1, i - 1) * binom(b + c + i - 1, c + j - 1) for j in rng] for i in rng]
     return MacMahonBundle(a=a, b=b, c=c, M=M, L=L, T=T, D=D, U=U)
 
 
-def inverse_entry(a: int, b: int, c: int, i: int, j: int) -> Fraction:
-    """(i,j)-entry of M^-1 as the explicit single sum (1-based indices)."""
-    return (-1) ** (i + j) * factorial(b + j - 1) * factorial(c + i - 1) * _inner_sum(a, b, c, i, j)
-
-
 def verify_inverse(bundle: MacMahonBundle) -> bool:
-    """Check U = L.M, M.(T.D.L) = I, and the entrywise inverse formula."""
-    a = bundle.a
+    """Check U = L.M, M.X = W I for X = T.diag(D).L, and X entrywise against
+    (-1)^(i+j) (b+j-1)! (c+i-1)! times the scaled inner sum."""
+    a, b, c = bundle.a, bundle.b, bundle.c
     if mat_mul(bundle.L, bundle.M) != bundle.U:
         return False
-    inv = mat_mul(bundle.T, mat_mul(bundle.D, bundle.L))
-    if mat_mul(bundle.M, inv) != identity(a):
+    x = mat_mul(bundle.T, [[dk * v for v in row] for dk, row in zip(bundle.D, bundle.L)])
+    w = inverse_scale(a, b, c)
+    if mat_mul(bundle.M, x) != [[w if i == j else 0 for j in range(a)] for i in range(a)]:
         return False
-    for i in range(1, a + 1):
-        for j in range(1, a + 1):
-            if inv[i - 1][j - 1] != inverse_entry(a, bundle.b, bundle.c, i, j):
-                return False
-    return True
+    rng = range(1, a + 1)
+    return all(
+        x[i - 1][j - 1]
+        == (-1) ** (i + j) * factorial(b + j - 1) * factorial(c + i - 1) * _inner_sum(a, b, c, i, j)
+        for i in rng for j in rng
+    )
 
 
 def build_blocks(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
@@ -140,61 +115,55 @@ def count_via_F(a: int, b: int, c: int, d: int, p: int) -> int:
     """E(a,b,c,d,p) = det(F) det(Q2) = det(Fp) / delta^(d-1) (det of empty Fp is 1)."""
     blocks = build_blocks(a, b, c, d, p)
     delta = blocks.delta
-    return as_int(Fraction(det_bareiss(blocks.Fp) * delta, delta**d), "count_via_F")
+    count, rest = divmod(det_bareiss(blocks.Fp) * delta, delta**d)
+    if rest:
+        raise NotIntegerError(f"count_via_F is not an integer at {(a, b, c, d, p)}")
+    return count
 
 
 @lru_cache(maxsize=4096)
-def _inner_sum(a: int, b: int, c: int, i: int, l: int) -> Fraction:
-    # sum over k of the M^-1-shaped kernel; zero-binomial terms skipped so no
-    # negative-length Pochhammer is ever formed
-    s = Fraction(0)
-    for k in range(max(i, l), a + 1):
-        coef = binom(k - 1, i - 1) * binom(k - 1, l - 1)
-        if coef == 0:
-            continue
-        s += coef * pochhammer(b, k - i) * pochhammer(c, k - l) / (
-            factorial(k - 1) * factorial(b + c + k - 1)
-        )
-    return s
+def _inner_sum(a: int, b: int, c: int, i: int, l: int) -> int:
+    # W times the sum over k of the M^-1-shaped kernel: W / ((k-1)! (b+c+k-1)!)
+    # is (k)_{a-k} (b+c+k)_{a-k}, and k starts where both binomials do
+    return sum(
+        binom(k - 1, i - 1) * binom(k - 1, l - 1) * rising(b, k - i) * rising(c, k - l)
+        * rising(k, a - k) * rising(b + c + k, a - k)
+        for k in range(max(i, l), a + 1)
+    )
 
 
 @lru_cache(maxsize=4096)
-def double_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> Fraction:
-    """(i,j)-entry of Q2^-1.Q1 as the displayed double sum (1-based)."""
-    out = Fraction(0)
+def double_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> int:
+    """W times the (i,j)-entry of Q2^-1.Q1, as the displayed double sum (1-based)."""
+    out = 0
     for l in range(1, a + 1):
         outer = binom(2 * j - 1, l + j - p - 1)
-        if outer == 0:
-            continue
-        out += (
-            (-1) ** (i + l)
-            * factorial(b + l - 1)
-            * factorial(c + i - 1)
-            * outer
-            * _inner_sum(a, b, c, i, l)
-        )
+        if outer:
+            out += ((-1) ** (i + l) * factorial(b + l - 1) * factorial(c + i - 1) * outer
+                    * _inner_sum(a, b, c, i, l))
     return out
 
 
-def triple_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> Fraction:
-    """(i,j)-entry of Q3.Q2^-1.Q1 as the displayed triple sum (1-based)."""
-    out = Fraction(0)
+def triple_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> int:
+    """W times the (i,j)-entry of Q3.Q2^-1.Q1, as the displayed triple sum (1-based)."""
+    out = 0
     for t in range(1, a + 1):
         outer = binom(b + c - 2 * i + 1, c - i + t - p)
-        if outer == 0:
-            continue
-        out += outer * double_sum_entry(a, b, c, p, t, j)
+        if outer:
+            out += outer * double_sum_entry(a, b, c, p, t, j)
     return out
 
 
 def verify_triple_sum(a: int, b: int, c: int, p: int, i: int, j: int) -> bool:
-    """Check the double- and triple-sum displays against direct linear algebra."""
+    """Check the double- and triple-sum displays against direct linear algebra:
+    delta times a display is W times the matching entry of Y or Q3.Y."""
     blocks = build_blocks(a, b, c, max(i, j), p)
     delta, y = blocks.delta, blocks.Y
-    if i <= a and delta * double_sum_entry(a, b, c, p, i, j) != y[i - 1][j - 1]:
+    w = inverse_scale(a, b, c)
+    if i <= a and delta * double_sum_entry(a, b, c, p, i, j) != w * y[i - 1][j - 1]:
         return False
     q3y = sum(q * row[j - 1] for q, row in zip(blocks.Q3[i - 1], y))
-    return delta * triple_sum_entry(a, b, c, p, i, j) == q3y
+    return delta * triple_sum_entry(a, b, c, p, i, j) == w * q3y
 
 
 def verify_sum_formula(a: int, b: int, c: int, p: int) -> bool:

@@ -1,13 +1,15 @@
 """Triangular decomposition, explicit inverse, and block reduction of the
 binomial matrix behind the intact-hexagon count."""
 
+import math
 from collections import Counter
-from fractions import Fraction
+from dataclasses import replace
 
 import pytest
 
+from hexatile import schur
 from hexatile.detkernel import det_bareiss, identity, mat_mul
-from hexatile.exactmath import binom, factorial
+from hexatile.exactmath import NotIntegerError, binom, factorial, rising
 from hexatile.formulas import detF_factorized, macmahon
 from hexatile.hexmodel import EVEN, endpoints
 from hexatile.lgv import even_count
@@ -15,6 +17,7 @@ from hexatile.schur import (
     build_blocks,
     build_bundle,
     count_via_F,
+    inverse_scale,
     triple_sum_entry,
     verify_inverse,
     verify_sum_formula,
@@ -22,29 +25,40 @@ from hexatile.schur import (
 )
 
 
+def _w(a, b, c):
+    # the scale of the inverse: W M^-1 is integral
+    return factorial(a - 1) * factorial(b + c + a - 1)
+
+
+def _scaled_inverse(bundle):
+    # X = T.diag(D).L = W M^-1
+    return mat_mul(bundle.T, [[dk * v for v in row] for dk, row in zip(bundle.D, bundle.L)])
+
+
 def test_bundle_a1():
     bundle = build_bundle(1, 3, 4)
-    assert bundle.M == [[Fraction(binom(7, 3))]]
-    assert bundle.L == [[Fraction(1)]]
-    assert bundle.T == [[Fraction(1)]]
-    assert bundle.U == [[Fraction(binom(7, 3))]]
-    assert bundle.D == [[Fraction(factorial(3) * factorial(4), factorial(7))]]
+    assert bundle.M == [[binom(7, 3)]]
+    assert bundle.L == [[1]]
+    assert bundle.T == [[1]]
+    assert bundle.U == [[binom(7, 3)]]
+    assert bundle.D == [factorial(3) * factorial(4)]
+    assert _scaled_inverse(bundle) == [[144]] == [[factorial(7) // 35]]
+    assert inverse_scale(1, 3, 4) == factorial(7)
 
 
 def test_bundle_shapes_and_triangularity():
-    bundle = build_bundle(4, 3, 2)
-    for mat in (bundle.M, bundle.L, bundle.T, bundle.D, bundle.U):
-        assert len(mat) == 4 and all(len(row) == 4 for row in mat)
-    for i in range(4):
-        assert bundle.L[i][i] == 1
-        assert bundle.T[i][i] == 1
-        for j in range(i + 1, 4):
+    a, b, c = 4, 3, 2
+    bundle = build_bundle(a, b, c)
+    for mat in (bundle.M, bundle.L, bundle.T, bundle.U):
+        assert len(mat) == a and all(len(row) == a for row in mat)
+    assert len(bundle.D) == a
+    for i in range(a):
+        assert bundle.L[i][i] == rising(b + 1, i)  # r_i, the row scale of L and U
+        assert bundle.T[i][i] == rising(c + 1, i)  # s_i, the column scale of T
+        for j in range(i + 1, a):
             assert bundle.L[i][j] == 0  # lower triangular
             assert bundle.U[j][i] == 0  # upper triangular
             assert bundle.T[j][i] == 0
-        for j in range(4):
-            if j != i:
-                assert bundle.D[i][j] == 0
 
 
 def test_bundle_products():
@@ -53,9 +67,10 @@ def test_bundle_products():
             for c in range(0, 6):
                 bundle = build_bundle(a, b, c)
                 assert bundle.U == mat_mul(bundle.L, bundle.M)
-                inv = mat_mul(bundle.T, mat_mul(bundle.D, bundle.L))
-                assert mat_mul(bundle.M, inv) == [
-                    [Fraction(v) for v in row] for row in identity(a)
+                w = _w(a, b, c)
+                assert inverse_scale(a, b, c) == w
+                assert mat_mul(bundle.M, _scaled_inverse(bundle)) == [
+                    [w * v for v in row] for row in identity(a)
                 ]
 
 
@@ -63,16 +78,14 @@ def test_det_u_is_macmahon():
     for a in range(1, 6):
         for b, c in [(2, 3), (4, 4), (5, 1)]:
             bundle = build_bundle(a, b, c)
-            diag = Fraction(1)
-            for i in range(a):
-                diag *= bundle.U[i][i]
-            assert diag == macmahon(a, b, c)
-            assert det_bareiss([[int(x) for x in row] for row in bundle.M]) == macmahon(a, b, c)
+            diag = math.prod(bundle.U[i][i] for i in range(a))
+            assert diag == macmahon(a, b, c) * math.prod(rising(b + 1, i) for i in range(a))
+            assert det_bareiss(bundle.M) == macmahon(a, b, c)
 
 
 def test_verify_inverse():
     assert verify_inverse(build_bundle(4, 3, 2))
-    for a in range(1, 6):
+    for a in range(0, 6):  # a = 0: the empty matrix
         for b in range(0, 6):
             for c in range(0, 6):
                 assert verify_inverse(build_bundle(a, b, c)), (a, b, c)
@@ -150,6 +163,13 @@ def test_blocks_delta_is_macmahon_and_solves_q2():
     assert points == 1400
 
 
+def test_count_via_F_refuses_a_remainder(monkeypatch):
+    # det(Fp) = E delta^(d-1), so one more leaves delta over delta^d
+    monkeypatch.setattr(schur, "det_bareiss", lambda m: det_bareiss(m) + 1)
+    with pytest.raises(NotIntegerError):
+        count_via_F(4, 5, 3, 2, 4)
+
+
 def test_count_via_F_d0_degenerates_to_macmahon():
     assert count_via_F(3, 4, 5, 0, 1) == macmahon(3, 4, 5)
 
@@ -178,15 +198,47 @@ def test_triple_sum_entries():
 
 
 def test_triple_sum_entry_value():
-    from hexatile.detkernel import solve_exact
-
     blocks = build_blocks(3, 3, 3, 2, 1)
-    delta, y = solve_exact(blocks.Q2, blocks.Q1)
-    product = mat_mul(blocks.Q3, y)  # delta Q3.Q2^{-1}.Q1
-    # triple_sum_entry uses 1-based indices into Q3.Q2^{-1}.Q1
+    q3y = mat_mul(blocks.Q3, blocks.Y)  # delta Q3.Q2^{-1}.Q1
+    # triple_sum_entry is W times the entry of Q3.Q2^{-1}.Q1 (1-based)
     for i in range(1, 3):
         for j in range(1, 3):
-            assert delta * triple_sum_entry(3, 3, 3, 1, i, j) == product[i - 1][j - 1]
+            assert blocks.delta * triple_sum_entry(3, 3, 3, 1, i, j) == _w(3, 3, 3) * q3y[i - 1][j - 1]
+
+
+def test_inverse_checks_fail_on_one_wrong_inner_sum(monkeypatch):
+    inner = schur._inner_sum
+
+    def clear_memos():
+        inner.cache_clear()
+        schur.double_sum_entry.cache_clear()
+
+    clear_memos()
+    monkeypatch.setattr(schur, "_inner_sum", lambda a, b, c, i, l: inner(a, b, c, i, l) + ((i, l) == (2, 1)))
+    try:
+        assert not verify_inverse(build_bundle(3, 2, 2))
+        assert not verify_triple_sum(3, 3, 3, 1, 2, 1)
+    finally:
+        monkeypatch.undo()
+        clear_memos()
+    assert verify_inverse(build_bundle(3, 2, 2))
+    assert verify_triple_sum(3, 3, 3, 1, 2, 1)
+
+
+def test_verify_inverse_fails_on_one_wrong_factor_entry():
+    bundle = build_bundle(4, 3, 2)
+    assert verify_inverse(bundle)
+
+    def bump(m, i, j):
+        return [[v + ((r, k) == (i, j)) for k, v in enumerate(row)] for r, row in enumerate(m)]
+
+    for field, wrong in [
+        ("U", bump(bundle.U, 1, 2)),
+        ("L", bump(bundle.L, 2, 1)),
+        ("T", bump(bundle.T, 1, 3)),
+        ("D", [v + (k == 2) for k, v in enumerate(bundle.D)]),
+    ]:
+        assert not verify_inverse(replace(bundle, **{field: wrong})), field
 
 
 def test_verify_sum_formula():
