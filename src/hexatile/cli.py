@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    poly = qfit.fit_auto(args.d)[1] if args.degree is None else qfit.fit(args.d, args.degree)
+    poly = qfit.fit(args.d, args.degree)
     out = args.out or f"q_d{args.d}.json"
     _write(out, qfit.poly_to_json(poly, args.d) + "\n")
     print(f"Q(d={args.d}), total degree {poly.total_degree()}: {poly}")

@@ -48,42 +48,33 @@ def rising(x: int, n: int) -> int:
 
     Only for n >= 0 (empty product = 1).  A negative n raises ValueError
     rather than returning the empty product: (x)_n is then 1/(x+n)_{-n},
-    which pochhammer evaluates.
+    which pochhammer_parts evaluates.
     """
     if n < 0:
         raise ValueError(f"rising({x}, {n}) needs a nonnegative index; use pochhammer")
     return math.prod(range(x, x + n))
 
 
-def pochhammer(x: Rat, n: int) -> Fraction:
-    """Rising factorial (x)_n, extended to negative n.
+def pochhammer_parts(x: Rat, n: int) -> tuple[int, int]:
+    """Rising factorial (x)_n of a rational x = u/v as an unreduced pair (num, den).
 
-    For n >= 0: x(x+1)...(x+n-1), empty product = 1.
-    For n < 0:  (x)_{-m} = 1/(x-m)_m, the unique extension satisfying
-    (x)_{m+n} = (x)_m (x+m)_n.  Raises PoleError when a denominator
-    factor vanishes.
+    For n >= 0: (u (u+v) ... (u+(n-1)v), v^n), empty product = 1.  For n < 0:
+    (x)_{-m} = 1/(x-m)_m, the unique extension satisfying (x)_{m+n} =
+    (x)_m (x+m)_n; raises PoleError when a factor of (x-m)_m vanishes.
     """
-    if isinstance(x, int):
-        # one integer product instead of n Fraction multiplications
-        if n >= 0:
-            return Fraction(rising(x, n))
-        den = math.prod(range(x + n, x))
-        if den == 0:
-            raise PoleError(f"({x})_{n} has a zero factor in its denominator")
-        return Fraction(1, den)
-    x = Fraction(x)
+    u, v = (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
     if n >= 0:
-        out = Fraction(1)
-        for t in range(n):
-            out *= x + t
-        return out
-    m = -n
-    den = Fraction(1)
-    for t in range(m):
-        den *= x - m + t
+        return math.prod(range(u, u + n * v, v)), v**n
+    den = math.prod(range(u + n * v, u, v))
     if den == 0:
         raise PoleError(f"({x})_{n} has a zero factor in its denominator")
-    return 1 / den
+    return v**-n, den
+
+
+def pochhammer(x: Rat, n: int) -> Fraction:
+    """(x)_n as a Fraction, for every integer n: see pochhammer_parts."""
+    num, den = pochhammer_parts(x, n)
+    return Fraction(num) if den == 1 else Fraction(num, den)  # Fraction(num) skips a gcd
 
 
 def as_int(q: Rat, what: str = "value") -> int:

@@ -8,13 +8,18 @@ asserted, never assumed.  The registry is one ordered table of named checks
 sweeps the supporting recursions and summation identities on small grids,
 and the `hexatile verify` suites run the closed forms, the block and
 condensation structure, and seven of those identities from the same table.
-The general recursion compares E/M quotients cross-multiplied by their
-MacMahon products, and f_sum adds integer terms, so neither builds a
-Fraction.
+The closed-form products are lists of Pochhammer factors for one routine
+that multiplies their integer parts and raises PoleError where the
+denominator vanishes; the halved products at a = 2p and 2p+1 and det F
+share one list.  The general and special recursions and the x1 and r1
+displays hold G = E/M and R = G/special_prefactor as integer pairs and
+test one cross-multiplied sum, and f_sum adds integer terms: none of them
+builds a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +28,7 @@ from typing import Callable, Optional
 
 from . import lgv, schur
 from .exactmath import (NotIntegerError, OutOfValidityError, PoleError, as_int, binom,
-                        factorial, pochhammer, rising)
+                        factorial, pochhammer, pochhammer_parts, rising)
 from .lgv import even_count
 
 
@@ -52,44 +57,52 @@ def _macmahon(a: int, b: int, c: int) -> int:
     return q
 
 
+def _product(what: str, num: list, den: list) -> tuple[int, int]:
+    """(N, D) with N/D = the product of (x)_n over num divided by the product
+    over den, both lists of (x, n); PoleError where a den factor vanishes."""
+    parts = [pochhammer_parts(x, n) for x, n in num]
+    parts += [pochhammer_parts(x, n)[::-1] for x, n in den]
+    bottom = math.prod(v for _, v in parts)
+    if bottom == 0:
+        raise PoleError(f"{what} denominator vanishes")
+    return math.prod(u for u, _ in parts), bottom
+
+
+def _halved(what: str, p: int, b: int, c: int, d: int, e: int) -> tuple[int, int]:
+    """(N, D) of prod_{k=1}^d 4^p (k-1/2+e)_p (b-k+1)_{p+e} (c-k+1)_{p+e} /
+    ((k)_p (b+c-2k+2-e)_{2p+2e}), e = 0 at a = 2p and 1 at a = 2p+1.  By
+    duplication 4^p (k-1/2+e)_p = (2k-1+e)_{2p} / (k)_p, with the same poles."""
+    ks = range(1, d + 1)
+    return _product(
+        what,
+        [f for k in ks for f in ((2 * k - 1 + e, 2 * p), (b - k + 1, p + e), (c - k + 1, p + e))],
+        [f for k in ks for f in ((k, p), (k, p), (b + c - 2 * k + 2 - e, 2 * p + 2 * e))],
+    )
+
+
 def byun_even(p: int, b: int, c: int, d: int) -> int:
-    """E(2p, b, c, d, p) by the hypergeometric product formula."""
-    out = Fraction(macmahon(2 * p, b, c))
-    for k in range(1, d + 1):
-        den = pochhammer(2 + b + c - 2 * k, 2 * p) * pochhammer(k, p)
-        if den == 0:
-            raise PoleError(f"byun_even denominator vanishes at k={k}")
-        num = (
-            pochhammer(1 + b - k, p)
-            * pochhammer(1 + c - k, p)
-            * pochhammer(Fraction(2 * k - 1, 2), p)
-        )
-        out *= 4**p * num / den
-    return as_int(out, "byun_even")
+    """E(2p, b, c, d, p) = M(2p, b, c) times the halved product (det F)."""
+    m = macmahon(2 * p, b, c)
+    num, den = _halved("byun_even", p, b, c, d, 0)
+    return as_int(Fraction(m * num, den), "byun_even")
 
 
 def byun_odd(p: int, b: int, c: int, d: int) -> int:
     """|O(2p+1, b, c, d, p)| by the product formula with a = 2p+1."""
     a = 2 * p + 1
     fl = (c - b) // 2
-    out = Fraction(macmahon(a, b, c), 4**d)
-    for k in range(d):
-        num = (
-            pochhammer(a + k + 1, c - 2 * k)
-            * pochhammer(Fraction(2 * k + 3, 2), c - 2 * k - 2)
-            * pochhammer(b - k, fl)
-            * pochhammer(Fraction(2 * (c - k) - 1, 2), -fl)
-        )
-        den = (
-            pochhammer(k + 1, c - 2 * k - 1)
-            * pochhammer(Fraction(2 * (a + k) + 3, 2), c - 2 * k - 1)
-            * pochhammer(a + b - k + 1, fl)
-            * pochhammer(Fraction(2 * (a + c - k) + 1, 2), -fl)
-        )
-        if den == 0:
-            raise PoleError(f"byun_odd denominator vanishes at k={k}")
-        out *= num / den
-    return as_int(out, "byun_odd")
+    m = macmahon(a, b, c)
+    ks = range(d)
+    num, den = _product(
+        "byun_odd",
+        [f for k in ks for f in (
+            (a + k + 1, c - 2 * k), (Fraction(2 * k + 3, 2), c - 2 * k - 2),
+            (b - k, fl), (Fraction(2 * (c - k) - 1, 2), -fl))],
+        [f for k in ks for f in (
+            (k + 1, c - 2 * k - 1), (Fraction(2 * (a + k) + 3, 2), c - 2 * k - 1),
+            (a + b - k + 1, fl), (Fraction(2 * (a + c - k) + 1, 2), -fl))],
+    )
+    return as_int(Fraction(m * num, 4**d * den), "byun_odd")
 
 
 def byun_odd_corrected(p: int, b: int, c: int, d: int) -> int:
@@ -101,18 +114,9 @@ def byun_odd_corrected(p: int, b: int, c: int, d: int) -> int:
     determinant on all tested grids.  The signed count is (-1)^d times
     this value.
     """
-    out = Fraction(macmahon(2 * p + 1, b, c))
-    for k in range(1, d + 1):
-        den = pochhammer(k, p) * pochhammer(b + c - 2 * k + 1, 2 * p + 2)
-        if den == 0:
-            raise PoleError(f"byun_odd_corrected denominator vanishes at k={k}")
-        num = (
-            pochhammer(Fraction(2 * k + 1, 2), p)
-            * pochhammer(b - k + 1, p + 1)
-            * pochhammer(c - k + 1, p + 1)
-        )
-        out *= 4**p * num / den
-    return as_int(out, "byun_odd_corrected")
+    m = macmahon(2 * p + 1, b, c)
+    num, den = _halved("byun_odd_corrected", p, b, c, d, 1)
+    return as_int(Fraction(m * num, den), "byun_odd_corrected")
 
 
 def count_a1_reflection(b: int, c: int, d: int, p: int) -> int:
@@ -235,15 +239,19 @@ def prefactor_P(a: int, b: int, c: int, d: int, p: int) -> Fraction:
 
 def special_prefactor(a: int, b: int, c: int, d: int, p: int) -> Fraction:
     """Product of the specialized ansatz for p <= 0, d > 0."""
+    return Fraction(*_special(a, b, c, d, p))
+
+
+def _special(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
+    """(N, D) of special_prefactor."""
     if p > 0 or d <= 0:
         raise OutOfValidityError("special_prefactor needs p <= 0 and d > 0")
-    out = Fraction(1)
-    for k in range(d + p):
-        den = pochhammer(b + c - 2 * d + 2 * k + 2, a + 2 * d - 2 - 3 * k)
-        if den == 0:
-            raise PoleError("special_prefactor pole")
-        out *= pochhammer(c - k, a - d - p + 1 + 2 * k) / den
-    return out
+    ks = range(d + p)
+    return _product(
+        "special_prefactor",
+        [(c - k, a - d - p + 1 + 2 * k) for k in ks],
+        [(b + c - 2 * d + 2 * k + 2, a + 2 * d - 2 - 3 * k) for k in ks],
+    )
 
 
 def q_known(a: int, b: int, c: int, d: int, p: int) -> Fraction:
@@ -256,19 +264,8 @@ def q_known(a: int, b: int, c: int, d: int, p: int) -> Fraction:
 
 
 def detF_factorized(p: int, b: int, c: int, d: int) -> Fraction:
-    """det F at a = 2p: the nicely factored product."""
-    out = Fraction(4) ** (d * p)
-    for k in range(1, d + 1):
-        den = pochhammer(k, p) * pochhammer(b + c - 2 * k + 2, 2 * p)
-        if den == 0:
-            raise PoleError(f"detF_factorized denominator vanishes at k={k}")
-        out *= (
-            pochhammer(Fraction(2 * k - 1, 2), p)
-            * pochhammer(b - k + 1, p)
-            * pochhammer(c - k + 1, p)
-            / den
-        )
-    return out
+    """det F at a = 2p: the nicely factored (halved) product."""
+    return Fraction(*_halved("detF_factorized", p, b, c, d, 0))
 
 
 @dataclass(frozen=True)
@@ -286,16 +283,34 @@ class AnsatzFactors:
     Q: Optional[Fraction]
 
 
-def _G(a: int, b: int, c: int, d: int, p: int) -> Fraction:
-    return Fraction(even_count(a, b, c, d, p).value, macmahon(a, b, c))
+def _G(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
+    """G = E/M as the pair (E, M)."""
+    return even_count(a, b, c, d, p).value, macmahon(a, b, c)
 
 
-def _R(a: int, b: int, c: int, d: int, p: int) -> Fraction:
-    return _G(a, b, c, d, p) / special_prefactor(a, b, c, d, p)
+def _R(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
+    """R = G/special_prefactor as the pair (E den, M num)."""
+    e, m = _G(a, b, c, d, p)
+    num, den = _special(a, b, c, d, p)
+    if num == 0:
+        raise ZeroDivisionError("special_prefactor vanishes")
+    return e * den, m * num
+
+
+def _vanishes(terms) -> bool:
+    """Does sum(coef * prod(n/d for n, d in pairs)) over (coef, pairs) vanish?
+    Cross-multiplied over a running common denominator; no Fraction is built."""
+    total, common = 0, 1
+    for coef, pairs in terms:
+        num, den = coef, 1
+        for n, d in pairs:
+            num, den = num * n, den * d
+        total, common = total * den + num * common, common * den
+    return total == 0
 
 
 def ansatz_factors(a: int, b: int, c: int, d: int, p: int) -> AnsatzFactors:
-    g = _G(a, b, c, d, p)
+    g = Fraction(*_G(a, b, c, d, p))
     spf = r = pf = q = None
     if p <= 0 and d > 0:
         try:
@@ -436,23 +451,17 @@ def _cancel3(a, b, c):
     for p in range(-d, a + d + 1)
 ))
 def _general_recursion(a, b, c, d, p):
-    # G = E/M cross-multiplied: lhs/M1 == r1/M2 - r2/M3, where Mk > 0 is the
-    # product of the two MacMahon numbers under term k
-    def e(a, b, c, p):
-        return even_count(a, b, c, d, p).value
-
-    lhs = (a - 1) * (a + b + c - 1) * e(a - 2, b, c, p - 1) * e(a, b, c, p)
-    r1 = (a + b - 1) * (a + c - 1) * e(a - 1, b, c, p - 1) * e(a - 1, b, c, p)
-    r2 = b * c * e(a - 1, b - 1, c + 1, p) * e(a - 1, b + 1, c - 1, p - 1)
-    m1 = macmahon(a - 2, b, c) * macmahon(a, b, c)
-    m2 = macmahon(a - 1, b, c) ** 2
-    m3 = macmahon(a - 1, b - 1, c + 1) * macmahon(a - 1, b + 1, c - 1)
-    return lhs * m2 * m3 == (r1 * m3 - r2 * m2) * m1
+    return _vanishes([
+        ((a - 1) * (a + b + c - 1), (_G(a - 2, b, c, d, p - 1), _G(a, b, c, d, p))),
+        (-(a + b - 1) * (a + c - 1), (_G(a - 1, b, c, d, p - 1), _G(a - 1, b, c, d, p))),
+        (b * c, (_G(a - 1, b - 1, c + 1, d, p), _G(a - 1, b + 1, c - 1, d, p - 1))),
+    ])
 
 
 @_check("g_is_one_d0", _box(0, 0, 0))
 def _g_is_one_d0(a, b, c):
-    return _G(a, b, c, 0, 0) == 1
+    e, m = _G(a, b, c, 0, 0)
+    return e == m
 
 
 @_check("special_recursion", lambda A, B, C, D: (
@@ -462,13 +471,14 @@ def _g_is_one_d0(a, b, c):
 ))
 def _special_recursion(a, b, c, d, p):
     try:
-        lhs = (a - 1) * _R(a, b, c, d, p) * _R(a - 2, b, c, d, p - 1)
-        rhs = (a + b - 1) * _R(a - 1, b, c, d, p - 1) * _R(a - 1, b, c, d, p) - b * _R(
-            a - 1, b - 1, c + 1, d, p
-        ) * _R(a - 1, b + 1, c - 1, d, p - 1)
+        terms = [
+            (a - 1, (_R(a, b, c, d, p), _R(a - 2, b, c, d, p - 1))),
+            (-(a + b - 1), (_R(a - 1, b, c, d, p - 1), _R(a - 1, b, c, d, p))),
+            (b, (_R(a - 1, b - 1, c + 1, d, p), _R(a - 1, b + 1, c - 1, d, p - 1))),
+        ]
     except (PoleError, ZeroDivisionError):
         return None  # isolated prefactor degeneracies; the identity is rational
-    return lhs == rhs
+    return _vanishes(terms)
 
 
 @_check("r_is_one_far", lambda A, B, C, D: (
@@ -478,29 +488,25 @@ def _special_recursion(a, b, c, d, p):
 ))
 def _r_is_one_far(a, b, c, d, p):
     # R = G = 1 for p <= -d
-    return _G(a, b, c, d, p) == 1 and _R(a, b, c, d, p) == 1
+    e, m = _G(a, b, c, d, p)
+    num, den = _R(a, b, c, d, p)
+    return e == m and num == den
 
 
 @_check("x1", _dabc(1, max, lambda a, d: d))
 def _x1(a, b, c, d):
-    rhs = sum(
-        (
-            (-1) ** (a + k - 1)
-            * pochhammer(-a + b + k + 2, a - 1)
-            * binom(a - 1, k)
-            * _R(1, b - a + k + 1, c + a - k - 1, d, 1 - d)
-            for k in range(a)
-        ),
-        Fraction(0),
-    )
-    return _R(a, b, c, d, 1 - d) * factorial(a - 1) == rhs
+    rhs = [((-1) ** (a + k - 1) * rising(-a + b + k + 2, a - 1) * binom(a - 1, k),
+            (_R(1, b - a + k + 1, c + a - k - 1, d, 1 - d),)) for k in range(a)]
+    return _vanishes([(-factorial(a - 1), (_R(a, b, c, d, 1 - d),))] + rhs)
 
 
 @_check("special_x1", _dabc(2, lambda a, d: max(1, d), lambda a, d: d))
 def _special_x1(a, b, c, d):
-    return (a - 1) * _R(a, b, c, d, -d + 1) == (a + b - 1) * _R(a - 1, b, c, d, -d + 1) - b * _R(
-        a - 1, b - 1, c + 1, d, -d + 1
-    )
+    return _vanishes([
+        (a - 1, (_R(a, b, c, d, 1 - d),)),
+        (-(a + b - 1), (_R(a - 1, b, c, d, 1 - d),)),
+        (b, (_R(a - 1, b - 1, c + 1, d, 1 - d),)),
+    ])
 
 
 @_check("r1_reflection", lambda A, B, C, D: (
@@ -515,11 +521,8 @@ def _r1_reflection(b, c, d, i):
     # at i = 0 (its binomials drop the i-shift), so the shifted version is
     # checked here.
     top = binom(b + c, b + i)
-    return _R(1, b + i, c - i, d, 1 - d) == (
-        Fraction(top - binom(b + c - 2 * d + 1, c - i))
-        * pochhammer(b + c - 2 * d + 2, 2 * d - 1)
-        / (top * (c - i))
-    )
+    closed = (top - binom(b + c - 2 * d + 1, c - i)) * rising(b + c - 2 * d + 2, 2 * d - 1)
+    return _vanishes([(1, (_R(1, b + i, c - i, d, 1 - d),)), (-closed, ((1, top * (c - i)),))])
 
 
 @_check("p1d_aux", lambda A, B, C, D: (

@@ -243,10 +243,11 @@ def _check_fit_args(d: int, degree: Optional[int]) -> None:
 
 
 def fit(d: int, degree_bound: Optional[int] = None) -> MultiPoly:
-    """The unique total-degree <= bound polynomial through the simplex samples."""
-    _check_fit_args(d, degree_bound)
+    """The unique total-degree <= bound polynomial through the simplex samples;
+    with no bound, the one of least degree that fit_auto finds."""
     if degree_bound is None:
-        degree_bound = 2 * (d - 1)
+        return fit_auto(d)[1]
+    _check_fit_args(d, degree_bound)
     return _fit_simplex(d, degree_bound, {})
 
 

@@ -1,12 +1,14 @@
 """Combinatorial primitives: binomials, factorials, Pochhammer symbols."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hexatile.exactmath import PoleError, as_int, binom, factorial, pochhammer, rising
+from hexatile.exactmath import (PoleError, as_int, binom, factorial, pochhammer,
+                                pochhammer_parts, rising)
 
 
 def test_binom_vanishes_outside_range():
@@ -86,7 +88,8 @@ def test_as_int_rejects_proper_fractions():
 
 
 def test_pochhammer_integer_path_matches_fraction_loop():
-    # a Fraction argument takes the factor-by-factor loop, an int the integer path
+    # a Fraction argument goes through its numerator and denominator, an int
+    # through the integer fast path
     for x in range(-8, 9):
         for n in range(-8, 9):
             try:
@@ -104,3 +107,23 @@ def test_pochhammer_integer_path_matches_fraction_loop():
                 # never the empty product: a negative index is refused
                 with pytest.raises(ValueError):
                     rising(x, n)
+
+
+@given(
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-8, max_value=8),
+)
+def test_pochhammer_parts_is_the_fraction_product(u, v, n):
+    x = Fraction(u, v)
+    arg = x.numerator if x.denominator == 1 else x  # an int takes the fast path
+    # (x)_n = x (x+1) ... (x+n-1); (x)_{-m} = 1 / ((x-m) ... (x-1))
+    factors = [x + t for t in range(n)] if n >= 0 else [x + t for t in range(n, 0)]
+    if n < 0 and 0 in factors:
+        with pytest.raises(PoleError):
+            pochhammer_parts(arg, n)
+        return
+    num, den = pochhammer_parts(arg, n)
+    assert type(num) is int and type(den) is int
+    product = math.prod(factors, start=Fraction(1))
+    assert Fraction(num, den) == (product if n >= 0 else 1 / product)

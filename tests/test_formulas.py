@@ -1,6 +1,7 @@
 """Closed-form evaluators checked against the determinant engine."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +244,53 @@ def test_detF_factorized():
                 for d in range(1, min(b, c) + 1):
                     expect = Fraction(even_count(2 * p, b, c, d, p).value, macmahon(2 * p, b, c))
                     assert detF_factorized(p, b, c, d) == expect
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def test_byun_even_is_macmahon_times_detF():
+    # one halved product behind both, poles included: same value or same error
+    poles = 0
+    for p, b, c, d in product(range(5), range(8), range(8), range(6)):
+        want = _outcome(lambda: macmahon(2 * p, b, c) * detF_factorized(p, b, c, d))
+        assert _outcome(byun_even, p, b, c, d) == want, (p, b, c, d)
+        poles += want is PoleError
+    assert poles > 0
+
+
+@pytest.mark.parametrize("name, point, count", [
+    ("special_recursion", (3, 2, 2, 1, 0), (3, 2, 2, 1, 0)),
+    ("special_x1", (3, 2, 2, 1), (3, 2, 2, 1, 0)),
+    ("x1", (3, 3, 2, 2), (3, 3, 2, 2, -1)),
+    ("r1_reflection", (2, 3, 1, 1), (1, 3, 2, 1, 0)),
+])
+def test_special_ansatz_checks_fail_on_one_wrong_count(monkeypatch, name, point, count):
+    from hexatile import formulas, lgv
+
+    check = formulas._REGISTRY[name].predicate
+    assert check(*point) is True
+
+    def off_by_one(*q):
+        value = lgv.even_count(*q).value
+        return lgv.SignedCount.of(value + 1 if q == count else value)
+
+    monkeypatch.setattr(formulas, "even_count", off_by_one)
+    assert check(*point) is False
+    [result] = formulas._run_checks([name], 4, 5, 5, 3)
+    assert point in result.failures
+
+
+def test_special_recursion_skips_a_vanishing_special_prefactor():
+    from hexatile import formulas
+
+    # (c)_{a-d-p+1} = (0)_2 = 0: R = G/special_prefactor has no value here
+    assert special_prefactor(2, 2, 0, 1, 0) == 0
+    assert formulas._special_recursion(2, 2, 0, 1, 0) is None
 
 
 def test_verify_identities_all_pass():

@@ -83,6 +83,8 @@ def test_fit_d3_bound_8_matches_fit_auto():
     assert degree == 6
     assert poly.total_degree() == 6
     assert fit(3, 8).coeffs == poly.coeffs
+    # with no bound, fit is fit_auto: degree 6, not 2(d-1) = 4, which fails
+    assert fit(3).coeffs == poly.coeffs
 
 
 def test_fit_d3_rejects_bound_5():
@@ -159,7 +161,7 @@ def test_recheck_rejects_a_fit_with_one_coefficient_changed(monkeypatch):
     first_miss = next(pt for pt in simplex_grid(2, 3) if pt[0] * pt[3])
     with pytest.raises(FitInconsistentError,
                        match=re.escape(f"cannot interpolate sample at {first_miss}")):
-        fit(2)
+        fit(2, 2)
 
 
 def test_poly_json_round_trip():

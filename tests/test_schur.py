@@ -225,6 +225,24 @@ def test_inverse_checks_fail_on_one_wrong_inner_sum(monkeypatch):
     assert verify_triple_sum(3, 3, 3, 1, 2, 1)
 
 
+def test_only_the_double_sum_comparison_catches_a_wrong_double_sum(monkeypatch):
+    # at (a, b, c, p, i) = (2, 1, c, 0, 2) the triple sum's outer binomial
+    # C(b+c-2i+1, c-i+t-p) is 0 at t = i, so the triple sum never reads the
+    # double-sum entry of row i, and only the double-sum comparison sees it
+    point = (2, 1, 3, 0, 2, 1)
+    assert verify_triple_sum(*point)
+    triple = triple_sum_entry(*point)
+    double, reads = schur.double_sum_entry, []
+
+    def off_by_one(*q):
+        reads.append(q)
+        return double(*q) + (q == point)
+
+    monkeypatch.setattr(schur, "double_sum_entry", off_by_one)
+    assert triple_sum_entry(*point) == triple and point not in reads
+    assert not verify_triple_sum(*point)
+
+
 def test_verify_inverse_fails_on_one_wrong_factor_entry():
     bundle = build_bundle(4, 3, 2)
     assert verify_inverse(bundle)
