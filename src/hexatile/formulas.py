@@ -72,6 +72,8 @@ def _halved(what: str, p: int, b: int, c: int, d: int, e: int) -> tuple[int, int
     """(N, D) of prod_{k=1}^d 4^p (k-1/2+e)_p (b-k+1)_{p+e} (c-k+1)_{p+e} /
     ((k)_p (b+c-2k+2-e)_{2p+2e}), e = 0 at a = 2p and 1 at a = 2p+1.  By
     duplication 4^p (k-1/2+e)_p = (2k-1+e)_{2p} / (k)_p, with the same poles."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     ks = range(1, d + 1)
     return _product(
         what,
@@ -89,6 +91,8 @@ def byun_even(p: int, b: int, c: int, d: int) -> int:
 
 def byun_odd(p: int, b: int, c: int, d: int) -> int:
     """|O(2p+1, b, c, d, p)| by the product formula with a = 2p+1."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     a = 2 * p + 1
     fl = (c - b) // 2
     m = macmahon(a, b, c)

@@ -1,14 +1,16 @@
 """Exact multivariate interpolation of the residual factor Q = E/P.
 
-The default fit samples Q on the lattice simplex {x in N^4 : |x| <= D+1} in
-shifted coordinates a = t+alpha, b = d+1+beta, c = d+t+1+gamma, p = t.
-Every such point is admissible (0 <= p <= a, b > d, c > d+p), and the set
-is unisolvent for total degree <= D+1.  The Newton coefficients of the
-interpolant are the iterated forward differences along each axis; layer
-D+1 of that table must vanish for Q to have degree <= D, and the rest is
-expanded exactly into monomials in (a, b, c, p).  The candidate is
-re-checked exactly against every sample point: anything returned is the
-unique interpolant, and anything else raises.
+A fit samples Q on the lattice simplex {x in N^4 : |x| <= D+1} in shifted
+coordinates a = t+alpha, b = d+1+beta, c = d+t+1+gamma, p = t.  Every such
+point is admissible (0 <= p <= a, b > d, c > d+p), and the set is unisolvent
+for total degree <= D+1.  The interpolant's Newton coefficients are the
+iterated forward differences along each axis, and layer n of them depends
+only on the samples in layers <= n.  So every fit, to a bound D or to
+fit_auto's least bound from 2(d-1) up, is one loop that samples a layer and
+grows one Newton table by it.  Layer D+1 must vanish for Q to have degree
+<= D; the layers below are expanded exactly into monomials in (a, b, c, p),
+and the candidate is re-checked exactly against every sample point:
+anything returned is the unique interpolant, and anything else raises.
 
 MultiPoly.evaluate, the one exact evaluator, serves the recheck and both
 holdout checks: integer numerators over one denominator, grouped by (a, b)
@@ -20,6 +22,7 @@ Anal. 14 (1977); Sauer & Xu, Math. Comp. 64 (1995).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -109,17 +112,14 @@ def sample_ratio(a: int, b: int, c: int, d: int, p: int) -> Fraction:
     return Fraction(even_count(a, b, c, d, p).value) / pf
 
 
-def _simplex(n: int) -> list:
-    """Lattice points x = (alpha, beta, gamma, t) with |x| <= n, layer by layer.
-
-    The list for n is a prefix of the list for n + 1.
-    """
+def _layer(n: int) -> list:
+    """Lattice points x = (alpha, beta, gamma, t) with |x| = n.  Layers 0..n
+    in turn are the n-simplex, in the order fit() samples and rechecks it."""
     return [
-        (total - beta - gamma - t, beta, gamma, t)
-        for total in range(n + 1)
-        for t in range(total + 1)
-        for gamma in range(total - t + 1)
-        for beta in range(total - t - gamma + 1)
+        (n - beta - gamma - t, beta, gamma, t)
+        for t in range(n + 1)
+        for gamma in range(n - t + 1)
+        for beta in range(n - t - gamma + 1)
     ]
 
 
@@ -131,26 +131,7 @@ def _point(d: int, x: tuple) -> tuple:
 
 def simplex_grid(d: int, n: int) -> list:
     """The (a, b, c, p) points fit() samples for degree bound n - 1."""
-    return [_point(d, x) for x in _simplex(n)]
-
-
-def _newton_table(values: dict, n: int) -> dict:
-    """Forward differences Delta^k f(0), |k| <= n, of f given on the n-simplex.
-
-    Differencing one axis at a time keeps every line inside the simplex:
-    the line through (0, x') along an axis has n - |x'| + 1 points.
-    """
-    table = dict(values)
-    for axis in range(4):
-        for start in [x for x in table if x[axis] == 0]:
-            keys = [start[:axis] + (j,) + start[axis + 1:]
-                    for j in range(n - sum(start) + 1)]
-            line = [table[k] for k in keys]
-            for j in range(1, len(line)):
-                for i in range(len(line) - 1, j - 1, -1):
-                    line[i] -= line[i - 1]
-            table.update(zip(keys, line))
-    return table
+    return [_point(d, x) for m in range(n + 1) for x in _layer(m)]
 
 
 def _along(terms: dict, axis: int, rows: list, into: Optional[int] = None) -> dict:
@@ -202,36 +183,53 @@ def _newton_to_poly(coeffs: dict, degree: int, d: int, scale: int) -> MultiPoly:
     return MultiPoly({key: Fraction(v, den) for key, v in terms.items()})
 
 
-def _fit_simplex(d: int, degree_bound: int, samples: dict) -> MultiPoly:
-    """Newton fit on the (degree_bound + 1)-simplex.
+def _fit(d: int, lo: int, hi: int) -> tuple:
+    """(bound, poly) for the least bound in [lo, hi] whose Newton layer
+    bound + 1 vanishes and whose expansion reproduces every sample.
 
-    samples maps shifted lattice points to sampled ratios; missing points
-    are sampled and added, so a caller raising the bound reuses them.
+    One table grows a layer at a time: the coefficient at k is Delta^k f(0),
+    differenced one axis after another.  Each line along an axis keeps its
+    backward-difference diagonal, and a new layer brings each line its next
+    point, so extending the diagonal gives the next axis its value there.
+    Values are integers over the samples' common denominator `scale`; a
+    layer that raises it rescales what is stored.
     """
-    n = degree_bound + 1
-    xs = _simplex(n)
-    for x in xs:
-        if x not in samples:
-            a, b, c, p = _point(d, x)
-            samples[x] = sample_ratio(a, b, c, d, p)
-    ys = [samples[x] for x in xs]
-    scale = math.lcm(*(y.denominator for y in ys))
-    table = _newton_table(
-        {x: y.numerator * (scale // y.denominator) for x, y in zip(xs, ys)}, n
-    )
-    if any(table[k] for k in xs if sum(k) == n):
-        raise FitInconsistentError(
-            f"degree {degree_bound} cannot interpolate the samples: "
-            f"Newton layer {n} does not vanish"
-        )
-    newton = {k: v for k, v in table.items() if v and sum(k) < n}
-    poly = _newton_to_poly(newton, degree_bound, d, scale)
-    for point, y in zip(simplex_grid(d, n), ys):
-        if poly.evaluate(*point) != y:
-            raise FitInconsistentError(
-                f"degree {degree_bound} cannot interpolate sample at {point}"
-            )
-    return poly
+    diagonals: list = [{}, {}, {}, {}]  # per axis: x less that axis -> diagonal
+    newton: dict = {}
+    samples: list = []  # ((a, b, c, p), ratio) in simplex order
+    scale, failure = 1, ""
+    for n in range(hi + 2):
+        layer = _layer(n)
+        at = [_point(d, x) for x in layer]
+        new = [sample_ratio(a, b, c, d, p) for a, b, c, p in at]
+        grow = math.lcm(scale, *(y.denominator for y in new)) // scale
+        if grow > 1:
+            scale *= grow
+            newton = {k: v * grow for k, v in newton.items()}
+            for lines in diagonals:
+                for diag in lines.values():
+                    diag[:] = [v * grow for v in diag]
+        for x, y in zip(layer, new):
+            v = y.numerator * (scale // y.denominator)
+            for axis, lines in enumerate(diagonals):
+                diag = lines.setdefault(x[:axis] + x[axis + 1:], [])
+                for m, old in enumerate(diag):
+                    diag[m], v = v, v - old
+                diag.append(v)
+            newton[x] = v
+        samples += zip(at, new)
+        if n - 1 < lo:
+            continue
+        if any(newton[x] for x in layer):
+            failure = (f"degree {n - 1} cannot interpolate the samples: "
+                       f"Newton layer {n} does not vanish")
+            continue
+        poly = _newton_to_poly({k: v for k, v in newton.items() if v}, n - 1, d, scale)
+        miss = next((pt for pt, y in samples if poly.evaluate(*pt) != y), None)
+        if miss is None:
+            return n - 1, poly
+        failure = f"degree {n - 1} cannot interpolate sample at {miss}"
+    raise FitInconsistentError(failure)
 
 
 def _check_fit_args(d: int, degree: Optional[int]) -> None:
@@ -248,7 +246,7 @@ def fit(d: int, degree_bound: Optional[int] = None) -> MultiPoly:
     if degree_bound is None:
         return fit_auto(d)[1]
     _check_fit_args(d, degree_bound)
-    return _fit_simplex(d, degree_bound, {})
+    return _fit(d, degree_bound, degree_bound)[1]
 
 
 def _diff_degree(vals: list) -> Optional[int]:
@@ -279,17 +277,16 @@ def probe_degree(d: int, max_degree: int = 24) -> int:
 
 
 def fit_auto(d: int, max_degree: int = 24):
-    """(degree, poly) for the smallest degree bound from 2(d-1) up whose
-    Newton layer above it vanishes; each bound reuses the samples of the last.
-    """
+    """(degree, poly) for the least degree bound from 2(d-1) up to max_degree
+    whose Newton layer above it vanishes and whose fit passes the recheck."""
     _check_fit_args(d, max_degree)
-    samples: dict = {}
-    for degree in range(max(2 * (d - 1), 0), max_degree + 1):
-        try:
-            return degree, _fit_simplex(d, degree, samples)
-        except FitInconsistentError:
-            continue
-    raise FitInconsistentError(f"no interpolant up to total degree {max_degree}")
+    lo = max(2 * (d - 1), 0)
+    if lo <= max_degree:
+        with contextlib.suppress(FitInconsistentError):
+            return _fit(d, lo, max_degree)
+    raise FitInconsistentError(
+        f"fit_auto reached its cap max_degree = {max_degree} with no interpolant; "
+        f"an explicit bound (hexatile fit --degree) can go higher")
 
 
 def substitution_check(poly: MultiPoly, d: int, points: list) -> dict:

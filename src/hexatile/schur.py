@@ -8,11 +8,12 @@ T diag(s), and the diagonal of D as the list W D_kk / (r_k s_k), so that
 T diag(s) . diag(that list) . diag(r) L = W M^-1.  The inverse's single sum
 and the double and triple sums return W times their entry.  The blocks Q1-Q4
 are integer matrices, and the complement is scaled by delta = det Q2:
-Y = delta Q2^-1 Q1 and Fp = delta F.  The displayed double sums and their
-inner sums are memoized (bounded) on their arguments, so a sweep of checks
-evaluates each distinct term once.  verify_sum_formula is cross-multiplied:
-its summands are scaled by their common factorial denominator and compared
-with the right side's numerator over (b+c)_a.
+Y = delta Q2^-1 Q1 and Fp = delta F.  The displayed double sums, their
+inner sums and the blocks verify_triple_sum reads are memoized (bounded) on
+their arguments, so a sweep of checks evaluates each distinct term once.
+verify_sum_formula is cross-multiplied: its summands are scaled by their
+common factorial denominator and compared with the right side's numerator
+over (b+c)_a.
 """
 
 from __future__ import annotations
@@ -154,15 +155,21 @@ def triple_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> int:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _triple_sum_blocks(a: int, b: int, c: int, d: int, p: int) -> tuple:
+    """delta, Y and Q3 of build_blocks, as tuples so no caller can change the memo."""
+    blocks = build_blocks(a, b, c, d, p)
+    return blocks.delta, tuple(map(tuple, blocks.Y)), tuple(map(tuple, blocks.Q3))
+
+
 def verify_triple_sum(a: int, b: int, c: int, p: int, i: int, j: int) -> bool:
     """Check the double- and triple-sum displays against direct linear algebra:
     delta times a display is W times the matching entry of Y or Q3.Y."""
-    blocks = build_blocks(a, b, c, max(i, j), p)
-    delta, y = blocks.delta, blocks.Y
+    delta, y, q3 = _triple_sum_blocks(a, b, c, max(i, j), p)
     w = inverse_scale(a, b, c)
     if i <= a and delta * double_sum_entry(a, b, c, p, i, j) != w * y[i - 1][j - 1]:
         return False
-    q3y = sum(q * row[j - 1] for q, row in zip(blocks.Q3[i - 1], y))
+    q3y = sum(q * row[j - 1] for q, row in zip(q3[i - 1], y))
     return delta * triple_sum_entry(a, b, c, p, i, j) == w * q3y
 
 

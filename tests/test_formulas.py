@@ -95,6 +95,12 @@ def test_byun_odd_corrected_spot_value():
     assert odd_count(7, 5, 3, 3, 3).value == -2642640
 
 
+@pytest.mark.parametrize("product", [byun_even, byun_odd, byun_odd_corrected, detF_factorized])
+def test_halved_products_reject_a_negative_depth(product):
+    with pytest.raises(ValueError, match="d must be nonnegative"):
+        product(1, 3, 3, -1)
+
+
 def test_count_a1_reflection_examples():
     assert count_a1_reflection(2, 2, 1, 0) == 3
     assert count_a1_reflection(6, 4, 3, -2) == binom(10, 4) - binom(5, 4) == 205

@@ -5,7 +5,7 @@ import pickle
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -88,8 +88,63 @@ def test_fit_d3_bound_8_matches_fit_auto():
 
 
 def test_fit_d3_rejects_bound_5():
-    with pytest.raises(FitInconsistentError):
+    with pytest.raises(FitInconsistentError,
+                       match="^degree 5 cannot interpolate the samples: Newton layer 6 does not vanish$"):
         fit(3, 5)
+
+
+def test_fit_auto_cap_error_names_the_cap():
+    # Q at d = 3 has degree 6, one past the cap
+    with pytest.raises(FitInconsistentError, match=r"cap max_degree = 5 .*hexatile fit --degree"):
+        fit_auto(3, max_degree=5)
+
+
+def fractional_q(a, b, c, d, p):
+    """A degree-3 stand-in for Q whose samples' common denominator grows
+    from layer to layer of the d = 2 simplex: 2, then 14, then 70."""
+    return Fraction(b, 2) + Fraction(a * c * p, 7) + Fraction(a * p * (p - 1), 10)
+
+
+FRACTIONAL_Q = {
+    (0, 1, 0, 0): Fraction(1, 2),
+    (1, 0, 1, 1): Fraction(1, 7),
+    (1, 0, 0, 2): Fraction(1, 10),
+    (1, 0, 0, 1): Fraction(-1, 10),
+}
+
+
+def test_fit_is_exact_when_the_common_denominator_grows(monkeypatch):
+    dens = [lcm(*(fractional_q(a, b, c, 2, p).denominator for a, b, c, p in simplex_grid(2, n)))
+            for n in range(4)]
+    assert dens == [2, 14, 70, 70]
+    monkeypatch.setattr(qfit, "sample_ratio", fractional_q)
+    assert fit(2, 5).coeffs == FRACTIONAL_Q
+    degree, poly = fit_auto(2)
+    assert degree == 3 and poly.coeffs == FRACTIONAL_Q
+
+
+def test_each_simplex_point_is_sampled_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_ratio(*args)
+
+    monkeypatch.setattr(qfit, "sample_ratio", counted)
+    for run, points in ((lambda: fit_auto(3), comb(11, 4)), (lambda: fit(3, 8), comb(13, 4))):
+        calls.clear()
+        run()
+        assert len(calls) == len(set(calls)) == points
+
+
+def test_fit_auto_starts_at_twice_d_minus_one(monkeypatch):
+    # linear data at d = 3: layers 2, 3 and 4 vanish, but the least bound
+    # fit_auto may accept is 2(d - 1) = 4
+    monkeypatch.setattr(qfit, "sample_ratio", lambda a, b, c, d, p: Fraction(a + 2 * b - c + 3 * p + 1))
+    degree, poly = fit_auto(3)
+    assert degree == 4
+    assert poly.coeffs == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2, (0, 0, 1, 0): -1,
+                           (0, 0, 0, 1): 3, (0, 0, 0, 0): 1}
 
 
 def test_fit_degree_stability():
@@ -97,7 +152,7 @@ def test_fit_degree_stability():
 
 
 def test_fit_inconsistent_when_degree_too_small():
-    with pytest.raises(FitInconsistentError):
+    with pytest.raises(FitInconsistentError, match="^degree 1 cannot interpolate the samples"):
         fit(2, 1)
 
 

@@ -298,3 +298,25 @@ def test_verify_sum_formula_tally_includes_failing_points():
     assert not verify_sum_formula(1, 1, 2, 2)
     with pytest.raises(OutOfValidityError):
         verify_sum_formula(2, -2, 2, 3)  # b + c = 0: (b+c)_a vanishes
+
+
+def test_inverse_entry_sums_builds_each_distinct_block_once(monkeypatch):
+    from hexatile import formulas
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return build_blocks(*args)
+
+    schur._triple_sum_blocks.cache_clear()
+    monkeypatch.setattr(schur, "build_blocks", counted)
+    try:
+        [result] = formulas._run_checks(["inverse_entry_sums"], 5, 5, 5, 3)
+    finally:
+        schur._triple_sum_blocks.cache_clear()
+    assert (result.cases, result.failures) == (704, [])
+    # 704 (a, b, c, p, i, j) ask for 352 distinct (a, b, c, max(i, j), p)
+    assert len(built) == len(set(built)) == 352
+    delta, y, q3 = schur._triple_sum_blocks(3, 3, 3, 2, 1)
+    assert isinstance(y, tuple) and all(isinstance(row, tuple) for row in y + q3)
