@@ -2,7 +2,9 @@
 
 All arithmetic is exact. Python's built-in int serves as the
 arbitrary-precision integer type and fractions.Fraction as the rational
-type; no floating point is used anywhere in the library core.
+type; no floating point is used anywhere in the library core.  A rational
+that must be an integer reaches as_int as an unreduced integer pair and is
+settled by one divmod; a Fraction is built only for its error message.
 """
 
 from __future__ import annotations
@@ -77,9 +79,10 @@ def pochhammer(x: Rat, n: int) -> Fraction:
     return Fraction(num) if den == 1 else Fraction(num, den)  # Fraction(num) skips a gcd
 
 
-def as_int(q: Rat, what: str = "value") -> int:
-    """Assert that an exact rational reduces to an integer and return it."""
-    q = Fraction(q)
-    if q.denominator != 1:
-        raise NotIntegerError(f"{what} is not an integer: {q}")
-    return q.numerator
+def as_int(what: str, num: int, den: int) -> int:
+    """num/den as an int, by one divmod; NotIntegerError names `what` and the
+    reduced fraction when it is not one."""
+    q, r = divmod(num, den)
+    if r:
+        raise NotIntegerError(f"{what} is not an integer: {Fraction(num, den)}")
+    return q

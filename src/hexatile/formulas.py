@@ -11,10 +11,11 @@ condensation structure, and seven of those identities from the same table.
 The closed-form products are lists of Pochhammer factors for one routine
 that multiplies their integer parts and raises PoleError where the
 denominator vanishes; the halved products at a = 2p and 2p+1 and det F
-share one list.  The general and special recursions and the x1 and r1
-displays hold G = E/M and R = G/special_prefactor as integer pairs and
-test one cross-multiplied sum, and f_sum adds integer terms: none of them
-builds a Fraction.
+share one list.  Every other display and check compares integers: one
+cross-multiplied sum of integer-pair terms (_sum), with G = E/M and
+R = G/special_prefactor held as pairs, and as_int for integrality.  Fractions
+remain only in byun_odd's half-integer arguments and the rational returns of
+prefactor_P, special_prefactor, detF_factorized, q_known and ansatz_factors.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from itertools import product
 from typing import Callable, Optional
 
 from . import lgv, schur
-from .exactmath import (NotIntegerError, OutOfValidityError, PoleError, as_int, binom,
-                        factorial, pochhammer, pochhammer_parts, rising)
+from .exactmath import (OutOfValidityError, PoleError, as_int, binom, factorial,
+                        pochhammer_parts, rising)
 from .lgv import even_count
 
 
@@ -51,10 +52,7 @@ def _macmahon(a: int, b: int, c: int) -> int:
     for i in range(a):
         num *= factorial(i) * factorial(b + c + i)
         den *= factorial(b + i) * factorial(c + i)
-    q, r = divmod(num, den)
-    if r:
-        raise NotIntegerError(f"macmahon product is not an integer: {Fraction(num, den)}")
-    return q
+    return as_int("macmahon product", num, den)
 
 
 def _product(what: str, num: list, den: list) -> tuple[int, int]:
@@ -86,7 +84,7 @@ def byun_even(p: int, b: int, c: int, d: int) -> int:
     """E(2p, b, c, d, p) = M(2p, b, c) times the halved product (det F)."""
     m = macmahon(2 * p, b, c)
     num, den = _halved("byun_even", p, b, c, d, 0)
-    return as_int(Fraction(m * num, den), "byun_even")
+    return as_int("byun_even", m * num, den)
 
 
 def byun_odd(p: int, b: int, c: int, d: int) -> int:
@@ -106,7 +104,7 @@ def byun_odd(p: int, b: int, c: int, d: int) -> int:
             (k + 1, c - 2 * k - 1), (Fraction(2 * (a + k) + 3, 2), c - 2 * k - 1),
             (a + b - k + 1, fl), (Fraction(2 * (a + c - k) + 1, 2), -fl))],
     )
-    return as_int(Fraction(m * num, 4**d * den), "byun_odd")
+    return as_int("byun_odd", m * num, 4**d * den)
 
 
 def byun_odd_corrected(p: int, b: int, c: int, d: int) -> int:
@@ -120,7 +118,7 @@ def byun_odd_corrected(p: int, b: int, c: int, d: int) -> int:
     """
     m = macmahon(2 * p + 1, b, c)
     num, den = _halved("byun_odd_corrected", p, b, c, d, 1)
-    return as_int(Fraction(m * num, den), "byun_odd_corrected")
+    return as_int("byun_odd_corrected", m * num, den)
 
 
 def count_a1_reflection(b: int, c: int, d: int, p: int) -> int:
@@ -146,18 +144,15 @@ def p_one_minus_d_simple(a: int, b: int, c: int, d: int) -> int:
     if c < 1:
         # k = a-1 would divide by a+c-k-1 = 0
         raise OutOfValidityError("the displayed sum needs c >= 1")
-    s = Fraction(0)
-    for k in range(a):
-        s += (
-            Fraction((-1) ** (a + k - 1) * binom(a - 1, k))
-            * pochhammer(-a + b - 2 * d + k + 3, a + 2 * d - 2)
-            / (a + c - k - 1)
-        )
-    den = factorial(a - 1) * pochhammer(b + c - 2 * d + 2, a + 2 * d - 2)
+    s, s_den = _sum(
+        ((-1) ** (a + k - 1) * binom(a - 1, k) * rising(-a + b - 2 * d + k + 3, a + 2 * d - 2),
+         ((1, a + c - k - 1),))
+        for k in range(a)
+    )
+    den = factorial(a - 1) * rising(b + c - 2 * d + 2, a + 2 * d - 2) * s_den
     if den == 0:
         raise PoleError("p_one_minus_d_simple prefactor pole")
-    val = macmahon(a, b, c) * (1 - pochhammer(c, a) / den * s)
-    return as_int(val, "p_one_minus_d_simple")
+    return as_int("p_one_minus_d_simple", macmahon(a, b, c) * (den - rising(c, a) * s), den)
 
 
 def f_sum(a: int, b: int, c: int, d: int) -> int:
@@ -170,14 +165,15 @@ def f_sum(a: int, b: int, c: int, d: int) -> int:
     )
 
 
-def _alt_term(a: int, b: int, c: int, d: int, k: int) -> Fraction:
-    """k-th summand of the iterated d-recursion for f (and the polynomial display)."""
+def _alt_term(a: int, b: int, c: int, d: int, k: int) -> tuple[int, tuple]:
+    """k-th summand of the iterated d-recursion for f (and the polynomial display),
+    as a (coef, pairs) term of _sum; at k = 1 two Pochhammer indices are -1."""
     lin = -a * (b - 2 * k + 3) + b * (5 - 4 * k) - 2 * c * k + 2 * c + 8 * k * k - 20 * k + 13
-    return (
-        pochhammer(b + c - 2 * d + 2, 2 * d - 2 * k)
-        * pochhammer(b - 2 * k + 4, 2 * k - 3)
-        * pochhammer(a, 2 * k - 3)
-        * Fraction(lin, factorial(2 * k - 2))
+    return lin, (
+        pochhammer_parts(b + c - 2 * d + 2, 2 * d - 2 * k),
+        pochhammer_parts(b - 2 * k + 4, 2 * k - 3),
+        pochhammer_parts(a, 2 * k - 3),
+        (1, factorial(2 * k - 2)),
     )
 
 
@@ -189,28 +185,26 @@ def p_one_minus_d_alt(a: int, b: int, c: int, d: int, variant: str = "sum") -> i
     irreconcilable with the d-recursion it is derived from (and with the
     determinant) and is corrected here.
     """
+    if variant not in ("sum", "polynomial"):
+        raise ValueError(f"unknown variant {variant!r}")
     if d <= 0:
         raise OutOfValidityError("needs an intrusion of length d > 0")
     if variant == "sum":
         if 2 * d > b + 1:
             raise OutOfValidityError("sum display needs d <= ceil(b/2)")
-        corr = Fraction(pochhammer(b - 2 * d + 2, c), factorial(2 * d - 2)) / pochhammer(
-            b + 1, a + c - 1
+        corr, den = _product(
+            "p_one_minus_d_alt sum", [(b - 2 * d + 2, c)], [(1, 2 * d - 2), (b + 1, a + c - 1)]
         )
-        val = macmahon(a, b, c) * (1 - corr * f_sum(a, b, c, d))
-        return as_int(val, "p_one_minus_d_alt sum")
-    if variant == "polynomial":
-        if b <= d:
-            raise OutOfValidityError("polynomial display needs b > d")
-        den = pochhammer(b + c - 2 * d + 2, a + 2 * d - 2)
-        if den == 0:
-            raise PoleError("p_one_minus_d_alt polynomial display pole")
-        poly = pochhammer(b + c - 2 * d + 2, 2 * d - 2) - sum(
-            (_alt_term(a, b, c, d, k) for k in range(2, d + 1)), Fraction(0)
-        )
-        val = pochhammer(c, a) * macmahon(a, b, c) / den * poly
-        return as_int(val, "p_one_minus_d_alt polynomial")
-    raise ValueError(f"unknown variant {variant!r}")
+        return as_int("p_one_minus_d_alt sum",
+                      macmahon(a, b, c) * (den - corr * f_sum(a, b, c, d)), den)
+    if b <= d:
+        raise OutOfValidityError("polynomial display needs b > d")
+    top, den = _product(
+        "p_one_minus_d_alt polynomial display", [(c, a)], [(b + c - 2 * d + 2, a + 2 * d - 2)]
+    )
+    s, s_den = _sum(_alt_term(a, b, c, d, k) for k in range(2, d + 1))
+    poly = rising(b + c - 2 * d + 2, 2 * d - 2) * s_den - s
+    return as_int("p_one_minus_d_alt polynomial", top * macmahon(a, b, c) * poly, den * s_den)
 
 
 def d1_corollary(a: int, b: int, c: int) -> int:
@@ -218,7 +212,7 @@ def d1_corollary(a: int, b: int, c: int) -> int:
     if c < 1:
         raise OutOfValidityError("needs c >= 1")
     val = macmahon(a, b, c - 1)
-    assert val == macmahon(a, b, c) * pochhammer(c, a) / pochhammer(b + c, a)
+    assert val * rising(b + c, a) == macmahon(a, b, c) * rising(c, a)
     return val
 
 
@@ -301,16 +295,21 @@ def _R(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
     return e * den, m * num
 
 
-def _vanishes(terms) -> bool:
-    """Does sum(coef * prod(n/d for n, d in pairs)) over (coef, pairs) vanish?
-    Cross-multiplied over a running common denominator; no Fraction is built."""
+def _sum(terms) -> tuple[int, int]:
+    """(N, D) with N/D = sum(coef * prod(n/d for n, d in pairs)) over (coef, pairs),
+    cross-multiplied over a running common denominator D that is never reduced."""
     total, common = 0, 1
     for coef, pairs in terms:
         num, den = coef, 1
         for n, d in pairs:
             num, den = num * n, den * d
         total, common = total * den + num * common, common * den
-    return total == 0
+    return total, common
+
+
+def _vanishes(terms) -> bool:
+    """Does the _sum of terms vanish?"""
+    return _sum(terms)[0] == 0
 
 
 def ansatz_factors(a: int, b: int, c: int, d: int, p: int) -> AnsatzFactors:
@@ -426,24 +425,23 @@ def _elementary(a, b, c):
 
 @_check("cancel1", _box(1, 1, 0))
 def _cancel1(a, b, c):
-    return Fraction(macmahon(a, b, c), macmahon(a - 1, b, c)) == Fraction(
-        factorial(a - 1) * factorial(a + b + c - 1), factorial(a + b - 1) * factorial(a + c - 1)
-    )
+    # M(a,b,c)/M(a-1,b,c) = (a-1)! (a+b+c-1)! / ((a+b-1)! (a+c-1)!), cross-multiplied
+    lhs = macmahon(a, b, c) * factorial(a + b - 1) * factorial(a + c - 1)
+    return lhs == macmahon(a - 1, b, c) * factorial(a - 1) * factorial(a + b + c - 1)
 
 
 @_check("cancel2", _box(1, 1, 0))
 def _cancel2(a, b, c):
-    return Fraction(macmahon(a, b - 1, c + 1), macmahon(a, b, c)) == Fraction(
-        factorial(c) * factorial(a + b - 1), factorial(a + c) * factorial(b - 1)
-    )
+    # M(a,b-1,c+1)/M(a,b,c) = c! (a+b-1)! / ((a+c)! (b-1)!)
+    lhs = macmahon(a, b - 1, c + 1) * factorial(a + c) * factorial(b - 1)
+    return lhs == macmahon(a, b, c) * factorial(c) * factorial(a + b - 1)
 
 
 @_check("cancel3", _box(1, 1, 0))
 def _cancel3(a, b, c):
-    return Fraction(macmahon(a, b - 1, c + 1), macmahon(a - 1, b, c)) == Fraction(
-        factorial(a - 1) * factorial(c) * factorial(a + b + c - 1),
-        factorial(a + c) * factorial(a + c - 1) * factorial(b - 1),
-    )
+    # M(a,b-1,c+1)/M(a-1,b,c) = (a-1)! c! (a+b+c-1)! / ((a+c)! (a+c-1)! (b-1)!)
+    lhs = macmahon(a, b - 1, c + 1) * factorial(a + c) * factorial(a + c - 1) * factorial(b - 1)
+    return lhs == macmahon(a - 1, b, c) * factorial(a - 1) * factorial(c) * factorial(a + b + c - 1)
 
 
 @_check("general_recursion", lambda A, B, C, D: (
@@ -537,45 +535,42 @@ def _r1_reflection(b, c, d, i):
 def _p1d_aux(a, b, c, d):
     # eq p=1-d_aux with prefactor denominator (b+c+1)_{a-1}; the printed
     # (b+c-1)_{a-1} fails already at (a,b,c,d) = (2,1,1,1).
-    s = Fraction(0)
+    terms = []
     for k in range(a):
         top = binom(b + c, a + c - k - 1)
-        s += (
-            (-1) ** (a + k - 1)
-            * binom(a - 1, k)
-            * pochhammer(-a + b + k + 2, a - 1)
-            * Fraction(top - binom(b + c - 2 * d + 1, a + c - k - 1))
-            / (top * (a + c - k - 1))
-        )
-    val = (
-        macmahon(a, b, c) * pochhammer(c, a) / (factorial(a - 1) * pochhammer(b + c + 1, a - 1)) * s
-    )
-    return val == even_count(a, b, c, d, 1 - d).value
+        terms.append(((-1) ** (a + k - 1) * binom(a - 1, k) * rising(-a + b + k + 2, a - 1),
+                      ((top - binom(b + c - 2 * d + 1, a + c - k - 1), top * (a + c - k - 1)),)))
+    s, s_den = _sum(terms)
+    rhs = even_count(a, b, c, d, 1 - d).value * factorial(a - 1) * rising(b + c + 1, a - 1)
+    return macmahon(a, b, c) * rising(c, a) * s == rhs * s_den
 
 
 def _s_sum(a, b, c):
-    return sum(
-        Fraction((-1) ** (a + k - 1) * binom(a - 1, k))
-        * pochhammer(-a + b + k + 2, a - 1)
-        / (a + c - k - 1)
+    """(N, D) of S_a = sum_k (-1)^(a+k-1) binom(a-1, k) (-a+b+k+2)_{a-1} / (a+c-k-1)."""
+    return _sum(
+        ((-1) ** (a + k - 1) * binom(a - 1, k) * rising(-a + b + k + 2, a - 1),
+         ((1, a + c - k - 1),))
         for k in range(a)
     )
 
 
 @_check("sa", _box(1, 0, 1))
 def _sa(a, b, c):
-    sa = _s_sum(a, b, c)
-    closed = Fraction(
-        factorial(a - 1) * factorial(c - 1) * factorial(a + b + c - 1),
-        factorial(a + c - 1) * factorial(b + c),
+    # S_a = (a-1)! (c-1)! (a+b+c-1)! / ((a+c-1)! (b+c)!) and
+    # S_{a+1} = a (a+b+c) / (a+c) S_a, cross-multiplied
+    s, s_den = _s_sum(a, b, c)
+    s1, s1_den = _s_sum(a + 1, b, c)
+    return (
+        s * factorial(a + c - 1) * factorial(b + c)
+        == s_den * factorial(a - 1) * factorial(c - 1) * factorial(a + b + c - 1)
+        and s1 * (a + c) * s_den == a * (a + b + c) * s * s1_den
     )
-    return sa == closed and _s_sum(a + 1, b, c) == Fraction(a * (a + b + c), a + c) * sa
 
 
 @_check("factorial_sum", lambda A, B, C, D: product(range(1, A + 1), range(B + 1)))
 def _factorial_sum(a, b):
     return factorial(a - 1) == sum(
-        (-1) ** (a + k - 1) * pochhammer(-a + b + k + 2, a - 1) * binom(a - 1, k) for k in range(a)
+        (-1) ** (a + k - 1) * rising(-a + b + k + 2, a - 1) * binom(a - 1, k) for k in range(a)
     )
 
 
@@ -592,15 +587,13 @@ def _f_recursion(a, b, c, d):
 
 @_check("p1d_zb", _dabc(1, lambda a, d: 0, lambda a, d: 1))
 def _p1d_zb(a, b, c, d):
-    s = Fraction(0)
-    for k in range(1, a):
-        s += (
-            pochhammer(b + c + k, a - k - 1)
-            * pochhammer(c, k - 1)
-            * pochhammer(k, 2 * d - 2)
-            * (b * c * (1 - Fraction(c + k - 1, c)) + (2 * d - 1) * (c + k - 1))
-        )
-    return s == (a - 1) * pochhammer(c, a - 1) * pochhammer(a, 2 * d - 2)
+    # the display's b c (1 - (c+k-1)/c) + (2d-1)(c+k-1), times c on both sides
+    s = sum(
+        rising(b + c + k, a - k - 1) * rising(c, k - 1) * rising(k, 2 * d - 2)
+        * (b * c * (c - (c + k - 1)) + c * (2 * d - 1) * (c + k - 1))
+        for k in range(1, a)
+    )
+    return s == c * (a - 1) * rising(c, a - 1) * rising(a, 2 * d - 2)
 
 
 @_check("f_d_recursion", _dabc(1, lambda a, d: 0, lambda a, d: 1, d0=2))
@@ -615,13 +608,14 @@ def _f_d_recursion(a, b, c, d):
 
 @_check("f_alternative", _dabc(2, lambda a, d: 2 * d - 1, lambda a, d: 0))
 def _f_alternative(a, b, c, d):
-    if _alt_term(a, b, c, d, 1) != -pochhammer(b + c - 2 * d + 2, 2 * d - 2):
+    # the k = 1 term is -(b+c-2d+2)_{2d-2}, and
+    # f = (2d-2)! / (b-2d+2)_{2d-1} ((b+c-2d+2)_{a+2d-2} + (c)_a sum_k term_k)
+    if not _vanishes([_alt_term(a, b, c, d, 1), (rising(b + c - 2 * d + 2, 2 * d - 2), ())]):
         return False
-    total = pochhammer(b + c - 2 * d + 2, a + 2 * d - 2) + pochhammer(c, a) * sum(
-        (_alt_term(a, b, c, d, k) for k in range(1, d + 1)), Fraction(0)
-    )
-    val = Fraction(factorial(2 * d - 2)) / pochhammer(b - 2 * d + 2, 2 * d - 1) * total
-    return val == f_sum(a, b, c, d)
+    s, s_den = _sum(_alt_term(a, b, c, d, k) for k in range(1, d + 1))
+    total = rising(b + c - 2 * d + 2, a + 2 * d - 2) * s_den + rising(c, a) * s
+    want = f_sum(a, b, c, d) * rising(b - 2 * d + 2, 2 * d - 1)
+    return factorial(2 * d - 2) * total == want * s_den
 
 
 @_check("sum_formula", lambda A, B, C, D: (

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hexatile.exactmath import (PoleError, as_int, binom, factorial, pochhammer,
-                                pochhammer_parts, rising)
+from hexatile.exactmath import (NotIntegerError, PoleError, as_int, binom, factorial,
+                                pochhammer, pochhammer_parts, rising)
 
 
 def test_binom_vanishes_outside_range():
@@ -78,13 +78,22 @@ def test_pochhammer_of_one_is_factorial(n):
 
 
 def test_as_int_accepts_exact_integers():
-    assert as_int(Fraction(14, 2)) == 7
-    assert as_int(5) == 5
+    assert as_int("x", 14, 2) == 7
+    assert as_int("x", 5, 1) == 5
+    assert as_int("x", 0, -3) == 0
+    # an exact quotient with a negative denominator keeps its sign
+    assert as_int("x", 21, -7) == -3
+    assert as_int("x", -21, -7) == 3
 
 
 def test_as_int_rejects_proper_fractions():
-    with pytest.raises(ValueError, match="not an integer"):
-        as_int(Fraction(1, 3), "test quantity")
+    with pytest.raises(NotIntegerError, match=r"^test quantity is not an integer: 1/3$"):
+        as_int("test quantity", 1, 3)
+    # the message names the fraction in lowest terms, sign on the numerator
+    with pytest.raises(NotIntegerError, match=r"^x is not an integer: 250/3$"):
+        as_int("x", 500, 6)
+    with pytest.raises(NotIntegerError, match=r"^x is not an integer: -250/3$"):
+        as_int("x", 500, -6)
 
 
 def test_pochhammer_integer_path_matches_fraction_loop():

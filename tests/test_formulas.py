@@ -149,6 +149,9 @@ def test_p_one_minus_d_alt_variants():
         p_one_minus_d_alt(2, 2, 4, 3, "polynomial")
     with pytest.raises(ValueError):
         p_one_minus_d_alt(2, 4, 4, 1, "horner")
+    # an unknown variant is named before the depth is checked
+    with pytest.raises(ValueError, match="^unknown variant 'bogus'$"):
+        p_one_minus_d_alt(2, 3, 3, 0, variant="bogus")
 
 
 def test_f_sum_small_cases():
@@ -289,6 +292,49 @@ def test_special_ansatz_checks_fail_on_one_wrong_count(monkeypatch, name, point,
     assert check(*point) is False
     [result] = formulas._run_checks([name], 4, 5, 5, 3)
     assert point in result.failures
+
+
+@pytest.mark.parametrize("name, target, wrong, point", [
+    ("p1md_simple", "even_count", (3, 3, 2, 2, -1), (3, 3, 2, 2)),
+    ("p1md_sum", "even_count", (3, 3, 2, 2, -1), (3, 3, 2, 2)),
+    ("p1md_polynomial", "even_count", (3, 3, 2, 2, -1), (3, 3, 2, 2)),
+    ("p1d_aux", "even_count", (3, 3, 2, 2, -1), (3, 3, 2, 2)),
+    ("cancel1", "macmahon", (4, 2, 3), (4, 2, 3)),
+    ("cancel2", "macmahon", (2, 3, 0), (2, 3, 0)),
+    ("cancel3", "macmahon", (2, 3, 0), (3, 3, 0)),
+    # a = 5 is past amax = 4: only the recursion clause at a = 4 reads it
+    ("sa", "_s_sum", (5, 2, 3), (4, 2, 3)),
+    ("f_alternative", "f_sum", (3, 3, 2, 2), (3, 3, 2, 2)),
+])
+def test_integer_checks_report_exactly_one_wrong_value(monkeypatch, name, target, wrong, point):
+    from hexatile import formulas, lgv
+
+    assert formulas._REGISTRY[name].predicate(*point) is True
+    real = getattr(formulas, target)
+
+    def off_by_one(*q):
+        value = real(*q)
+        if q != wrong:
+            return value
+        if isinstance(value, lgv.SignedCount):
+            return lgv.SignedCount.of(value.value + 1)
+        if isinstance(value, tuple):  # an (N, D) pair
+            return value[0] + value[1], value[1]
+        return value + 1
+
+    monkeypatch.setattr(formulas, target, off_by_one)
+    [result] = formulas._run_checks([name], 4, 5, 5, 3)
+    assert result.failures == [point]
+
+
+def test_f_alternative_checks_its_first_term(monkeypatch):
+    from hexatile import formulas
+
+    # at (2, 3, 2, 2) only the k = 1 clause reads (b+c-2d+2)_{2d-2} = (3)_2
+    assert formulas._f_alternative(2, 3, 2, 2)
+    real = formulas.rising
+    monkeypatch.setattr(formulas, "rising", lambda x, n: real(x, n) + ((x, n) == (3, 2)))
+    assert not formulas._f_alternative(2, 3, 2, 2)
 
 
 def test_special_recursion_skips_a_vanishing_special_prefactor():
