@@ -8,16 +8,16 @@ binomials, and costs polynomial time for a fixed number of paths.
 assignment alone.  `region_count` shares not even the endpoints: it counts
 the tilings of the free unit triangles as the determinant of their
 adjacency matrix, with `detkernel.det_bareiss` its one shared piece.
-`first_tiling` takes a witness family from the unsigned sweep by walking
-back through its states, and `reconstruct_tiling` and `render_svg` turn it
-into a lozenge tiling.
+`first_tiling` finds one witness family without counting, as a maximum
+flow through the same endpoints by augmenting paths, and
+`reconstruct_tiling` and `render_svg` turn it into a lozenge tiling.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -130,7 +130,7 @@ def _settle(xs, labels, w, sources, sinks, joined, ended, mode):
     return tuple(xs), tuple(labels), w
 
 
-def _sweep(spec: HexSpec, cap: int, mode: str, history: Optional[list] = None) -> int:
+def _sweep(spec: HexSpec, cap: int, mode: str) -> int:
     """Sum over vertex-disjoint path families, swept over antidiagonals x + y = t.
 
     Disjoint unit-step paths keep their order on every antidiagonal, so a
@@ -140,8 +140,6 @@ def _sweep(spec: HexSpec, cap: int, mode: str, history: Optional[list] = None) -
     ends the path on each sink at t.  SIGNED weighs a family by the sign of
     its source-to-sink permutation, built up as paths end; UNSIGNED weighs
     every family 1; IDENTITY counts the families that end source j at sink j.
-    A history list receives (t, sources, sinks, states before the move) for
-    every antidiagonal swept.
     """
     starts, ends = endpoints(spec.a, spec.b, spec.c, spec.d, spec.p, spec.parity)
     n = len(starts)
@@ -161,8 +159,6 @@ def _sweep(spec: HexSpec, cap: int, mode: str, history: Optional[list] = None) -
     joined = ended = live = 0  # joined, ended: bit masks over labels, sinks
     for t in range(min(sources), max(sinks) + 1):
         here, ending = sources.get(t, ()), sinks.get(t, ())
-        if history is not None:
-            history.append((t, here, ending, states))
         states = _move(states, _reach(ends, t, mode == IDENTITY), live, cap)
         if not (here or ending):
             continue
@@ -198,49 +194,64 @@ def count_families(spec: HexSpec, cap: int = PATH_CAP):
     return _sweep(spec, cap, UNSIGNED), _sweep(spec, cap, IDENTITY)
 
 
-def _step_back(before: dict, moved: list, here, ending, key: tuple) -> tuple:
-    """A state of before whose paths move by 0 or +1 onto moved and settle into key.
-
-    Every state on one antidiagonal has the same number of live paths, so
-    each state of before pairs its paths with those of moved one to one.
-    """
-    for xs, labels in before:
-        if all(0 <= m - x <= 1 for m, x in zip(moved, xs)):
-            got = _settle(moved, labels, 1, here, ending, 0, 0, UNSIGNED)
-            if got is not None and got[:2] == key:
-                return xs, labels
-    raise AssertionError("a swept state has no swept predecessor")
-
-
-def first_tiling(spec: HexSpec, cap: int = PATH_CAP) -> Optional[PathFamily]:
+def first_tiling(spec: HexSpec) -> Optional[PathFamily]:
     """One vertex-disjoint family, or None when none exists.
 
-    The UNSIGNED sweep keeps every antidiagonal's states, and the walk back
-    from the final empty state picks on each antidiagonal a kept state that
-    steps into the current one.  Every kept state was reached from the
-    sources, so the walk never stalls.  UNSIGNED, not IDENTITY: some odd
-    specs have families but none with the identity assignment.
+    By Menger's theorem a family is a flow of value n from the starts to the
+    ends that passes each vertex at most once (Ford and Fulkerson, "Flows in
+    Networks", 1962).  The unit edges join (vertex, side) states: side 0
+    enters a vertex and side 1 leaves it, side -1 feeds a start and side 2
+    drains an end.  Each round, a breadth-first search of the residual graph
+    joins a free start to a free end, and flipping the edges along that path
+    adds one path to the family; a round that finds none proves there is no
+    family.  Steps go right or up, so the search goes no further right or up
+    than the ends.  Any assignment will do: some odd specs have families but
+    none with the identity assignment.
     """
-    history: list = []
-    if _sweep(spec, cap, UNSIGNED, history) == 0:
-        return None
-    n = spec.dim
-    points: list = [[] for _ in range(n)]
-    sigma = [0] * n
-    key = ((), ())
-    for t, here, ending, before in reversed(history):
-        # the paths on t after the move: the ones kept past t and the ones
-        # ending on t, less the ones starting on t
-        moved = sorted(set(key[0]).union(x for x, _ in ending).difference(x for x, _ in here))
-        key = _step_back(before, moved, here, ending, key)
-        on_t = dict(zip(moved, key[1]))
-        on_t.update(here)
-        for x, i in on_t.items():
-            points[i].append(Point(x, t - x))
-        for x, j in ending:
-            sigma[on_t[x]] = j
-    paths = tuple(MonotonePath(points=tuple(reversed(pts))) for pts in points)
-    return PathFamily(sigma=tuple(sigma), paths=paths)
+    starts, ends = endpoints(spec.a, spec.b, spec.c, spec.d, spec.p, spec.parity)
+    n = len(starts)
+    if len(set(starts)) < n or len(set(ends)) < n:
+        return None  # two paths would share an endpoint
+    sink = {e: j for j, e in enumerate(ends)}
+    xmax, ymax = max((x for x, _ in ends), default=0), max((y for _, y in ends), default=0)
+    flow: set = set()  # the edges (state, state) that carry a path
+    for _ in range(n):
+        parent = {(x, y, -1): None for x, y in starts}
+        queue = deque(parent)
+        while queue:
+            state = queue.popleft()
+            x, y, side = state
+            if side == 2:
+                break
+            if side == 1:
+                ahead = [(x + 1, y, 0)] if x < xmax else []
+                ahead += [(x, y + 1, 0)] if y < ymax else []
+                ahead += [(x, y, 2)] if (x, y) in sink else []
+                behind = [(x, y, 0)]
+            else:  # every side -1 is a root, so none is a step back
+                ahead = [(x, y, side + 1)]
+                behind = [(x - 1, y, 1), (x, y - 1, 1)] if side == 0 else []
+            steps = [w for w in ahead if (state, w) not in flow]
+            steps += [w for w in behind if (w, state) in flow]
+            for step in steps:
+                if step not in parent:
+                    parent[step] = state
+                    queue.append(step)
+        else:
+            return None
+        while parent[state] is not None:  # a step against the flow cancels it
+            edge = (parent[state], state)
+            flow ^= {edge[::-1] if edge[::-1] in flow else edge}
+            state = edge[0]
+    nxt = {u[:2]: v[:2] for u, v in flow if (u[2], v[2]) == (1, 0)}
+    points = [[s] for s in starts]
+    for pts in points:
+        while pts[-1] in nxt:
+            pts.append(nxt[pts[-1]])
+    return PathFamily(
+        sigma=tuple(sink[pts[-1]] for pts in points),
+        paths=tuple(MonotonePath(points=tuple(Point(*v) for v in pts)) for pts in points),
+    )
 
 
 # --- geometry on the triangular lattice --------------------------------------
@@ -275,19 +286,11 @@ def intrusion_triangles(spec: HexSpec) -> list:
     return out
 
 
-def _up_inside(spec, m, n):
-    a, b, c = spec.a, spec.b, spec.c
-    return -c <= m and m + 1 <= a and 0 <= n and n + 1 <= b + c and m + n >= 0 and m + n + 1 <= a + b
-
-
-def _down_inside(spec, m, n):
-    a, b, c = spec.a, spec.b, spec.c
-    return -c <= m and m + 1 <= a and 0 <= n and n + 1 <= b + c and m + n + 1 >= 0 and m + n + 2 <= a + b
-
-
 def _inside(spec, tri):
     kind, (m, n) = tri
-    return _up_inside(spec, m, n) if kind == "U" else _down_inside(spec, m, n)
+    k = m + n + (kind == "D")  # its corners lie on the diagonals m + n = k, k + 1
+    a, b, c = spec.a, spec.b, spec.c
+    return -c <= m and m + 1 <= a and 0 <= n and n + 1 <= b + c and k >= 0 and k + 1 <= a + b
 
 
 def _tri_corners(tri):
@@ -403,15 +406,11 @@ def render_svg(spec: HexSpec, family: Optional[PathFamily] = None) -> str:
     fills = {"right": "#b3cde3", "up": "#ccebc5", "vertical": "#fbb4ae"}
     if family is not None:
         for t1, t2, kind in reconstruct_tiling(spec, family):
-            corners = []
-            for v in _tri_corners(t1) + _tri_corners(t2):
-                if v not in corners:
-                    corners.append(v)
-            # order the 4 rhombus corners around their centroid
-            cx = sum(m + n / 2 for m, n in corners) / 4
-            cy = sum(n for _, n in corners) / 4 * _SQ3 / 2
-            corners.sort(key=lambda v: math.atan2(v[1] * _SQ3 / 2 - cy, v[0] + v[1] / 2 - cx))
-            out.append(poly(corners, fills[kind]))
+            c1, c2 = _tri_corners(t1), _tri_corners(t2)
+            # the two triangles share the edge s1 s2; u1 and u2 are their far corners
+            s1, s2 = (v for v in c1 if v in c2)
+            (u1,), (u2,) = [v for v in c1 if v not in c2], [v for v in c2 if v not in c1]
+            out.append(poly([u1, s1, u2, s2], fills[kind]))
     for t in marks:
         out.append(poly(_tri_corners(t), "#de2d26", stroke="#a50f15"))
     out.append(poly(_hex_outline(spec), "none", stroke="#000", width=3.0))

@@ -106,9 +106,7 @@ def poly_from_json(text: str):
 
 def sample_ratio(a: int, b: int, c: int, d: int, p: int) -> Fraction:
     """E(a,b,c,d,p)/P(a,b,c,d,p); the conjectured polynomial factor at a point."""
-    pf = prefactor_P(a, b, c, d, p)
-    if pf == 0:
-        raise ValueError("prefactor vanishes; point cannot be sampled")
+    pf = prefactor_P(a, b, c, d, p)  # raises outside its window, is positive inside
     return Fraction(even_count(a, b, c, d, p).value) / pf
 
 

@@ -329,6 +329,20 @@ def test_bench_rows_and_agreement(capsys):
     assert digits[("6", "thin")] == str(len(str(macmahon(6, 5, 6))))
 
 
+@pytest.mark.parametrize("target, name, message", [
+    (cli, "det_modular", "kernels disagree on the boxed hexagon at dim 4"),
+    (cli.formulas, "macmahon",
+     "determinant disagrees with the product formula on the boxed hexagon at dim 4"),
+])
+def test_bench_disagreement_exits_2(capsys, monkeypatch, target, name, message):
+    right = getattr(target, name)
+    monkeypatch.setattr(target, name, lambda *args: right(*args) + 1)
+    code, out, err = run(capsys, "bench", "--dims", "4")
+    assert code == DISAGREE
+    assert out == ""
+    assert err == f"bench: {message}\n"
+
+
 @pytest.mark.parametrize("dims", ["-1", "x", "4,0", "4,x", "4,,6"])
 def test_bench_rejects_bad_dims_before_any_work(capsys, monkeypatch, dims):
     def no_work(*args):

@@ -1,6 +1,11 @@
-"""The swept signed family count, sweep witnesses, and SVG output."""
+"""The swept signed family count, the flow witnesses, and SVG output."""
 
 import itertools
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -243,9 +248,27 @@ def test_first_tiling_odd_witness_is_not_identity():
     _assert_witness(spec, family)
 
 
-def test_first_tiling_state_cap():
-    with pytest.raises(CapExceededError):
-        first_tiling(HexSpec(6, 3, 3, 2, 3, EVEN), cap=5)
+def test_first_tiling_has_no_size_cap():
+    # the counting sweep keeps over 10**6 states on one antidiagonal here
+    spec = HexSpec(12, 12, 12, 3, 5, EVEN)
+    t0 = time.perf_counter()
+    family = first_tiling(spec)
+    elapsed = time.perf_counter() - t0
+    assert family is not None
+    _assert_witness(spec, family)
+    assert elapsed < 0.5
+    assert first_tiling(spec) == family
+
+
+def test_first_tiling_is_the_same_in_another_process():
+    spec = HexSpec(8, 8, 8, 3, 3, ODD)
+    code = ("from hexatile.hexmodel import HexSpec; from hexatile.oracle import first_tiling; "
+            f"print(repr(first_tiling({spec!r})))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == repr(first_tiling(spec)) + "\n"
 
 
 INTRUSION_FILL = "#de2d26"
