@@ -111,6 +111,15 @@ def test_count_non_integer_formula_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def test_count_d1_display_that_is_not_an_integer_exits_2(capsys, monkeypatch):
+    right = cli.formulas.macmahon
+    monkeypatch.setattr(cli.formulas, "macmahon", lambda *args: right(*args) + 1)
+    # M(2, 2, 2) + 1 = 21, and 21 (2)_2 / (4)_2 = 63/10
+    code, out, err = run(capsys, *count_flags(2, 2, 2, 1, 0, "even"), "--method", "formula:d1")
+    assert (code, out) == (DISAGREE, "")
+    assert err == "count: d1_corollary is not an integer: 63/10\n"
+
+
 def test_count_formula_pole_usage_error(capsys):
     code, out, err = run(
         capsys, *count_flags(2, 1, 1, 2, 1, "even"), "--method", "formula:byun_even"

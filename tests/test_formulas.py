@@ -1,11 +1,10 @@
 """Closed-form evaluators checked against the determinant engine."""
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hexatile.exactmath import PoleError, binom
 from hexatile.formulas import (
@@ -37,14 +36,41 @@ def test_macmahon_values():
     assert macmahon(0, 6, 6) == 1
 
 
-@given(
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=0, max_value=6),
-)
-@settings(max_examples=50, deadline=None)
-def test_macmahon_symmetric_in_b_c(a, b, c):
-    assert macmahon(a, b, c) == macmahon(a, c, b)
+def test_macmahon_is_the_box_product_in_every_argument_order():
+    # MacMahon's box product prod_{i<=a, j<=b, k<=c} (i+j+k-1)/(i+j+k-2), as an integer pair
+    for a, b, c in product(range(7), repeat=3):
+        sums = [i + j + k for i, j, k in product(range(1, a + 1), range(1, b + 1), range(1, c + 1))]
+        num, den = math.prod(s - 1 for s in sums), math.prod(s - 2 for s in sums)
+        assert num % den == 0
+        for order in permutations((a, b, c)):
+            assert macmahon(*order) == num // den
+
+
+@pytest.mark.parametrize("closed_form, count", [
+    (lambda: macmahon(600, 3, 4), lambda: even_count(600, 3, 4, 0, 0)),
+    (lambda: d1_corollary(600, 3, 4), lambda: even_count(600, 3, 4, 1, 0)),
+    (lambda: byun_even(300, 3, 4, 2), lambda: even_count(600, 3, 4, 2, 300)),
+    (lambda: -byun_odd_corrected(300, 3, 4, 1), lambda: odd_count(601, 3, 4, 1, 300)),
+], ids=["macmahon", "d1_corollary", "byun_even", "byun_odd_corrected"])
+def test_closed_forms_on_a_long_side_match_the_determinant(closed_form, count):
+    assert closed_form() == count().value
+
+
+def test_macmahon_loops_over_the_shortest_side(monkeypatch):
+    from hexatile import formulas
+
+    real, calls = formulas.factorial, []
+
+    def counted(n):
+        calls.append(n)
+        if len(calls) > 100:  # a loop over the long side stops here, not after 40,000 calls
+            raise AssertionError("macmahon made more than 100 factorial calls")
+        return real(n)
+
+    formulas._macmahon.cache_clear()
+    monkeypatch.setattr(formulas, "factorial", counted)
+    macmahon(10**4, 2, 3)
+    assert len(calls) == 8  # four per step of the side of length 2
 
 
 def test_byun_even_examples():

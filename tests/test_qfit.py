@@ -147,6 +147,21 @@ def test_fit_auto_starts_at_twice_d_minus_one(monkeypatch):
                            (0, 0, 0, 1): 3, (0, 0, 0, 0): 1}
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fit_auto_degree_law_and_mirror_identity(d):
+    degree, poly = fit_auto(d)
+    assert degree == poly.total_degree() == d * (d - 1)
+    degrees = [max(k[axis] for k in poly.coeffs) for axis in range(4)]
+    assert degrees == [comb(d, 2)] * 3 + [d * (d - 1)]  # in a, b and c, and in p
+    # Q(a, c, b, a - p) expanded by (a - p)^e = sum_k C(e, k) a^(e-k) (-p)^k is Q itself
+    mirrored = {}
+    for (ea, eb, ec, ep), coef in poly.coeffs.items():
+        for k in range(ep + 1):
+            key = (ea + ep - k, ec, eb, k)
+            mirrored[key] = mirrored.get(key, 0) + (-1) ** k * comb(ep, k) * coef
+    assert {key: v for key, v in mirrored.items() if v} == dict(poly.coeffs)
+
+
 def test_fit_degree_stability():
     assert fit(2, 3).coeffs == fit(2, 2).coeffs
 
