@@ -154,14 +154,19 @@ def _is_prime(n: int) -> bool:
 _PRIME_CACHE: list[int] = []
 
 
-def prime_pool(count: int) -> list[int]:
-    """First `count` primes of the fixed pool: largest primes below 2^62, descending."""
+def _pool_prime(k: int) -> int:
+    """Prime k (from 0) of the fixed pool, found on first use."""
     candidate = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 62) - 1
-    while len(_PRIME_CACHE) < count:
+    while len(_PRIME_CACHE) <= k:
         if _is_prime(candidate):
             _PRIME_CACHE.append(candidate)
         candidate -= 2
-    return _PRIME_CACHE[:count]
+    return _PRIME_CACHE[k]
+
+
+def prime_pool(count: int) -> list[int]:
+    """First `count` primes of the fixed pool: largest primes below 2^62, descending."""
+    return [_pool_prime(k) for k in range(count)]
 
 
 def _det_mod(m: IntMatrix, p: int) -> int:
@@ -217,22 +222,12 @@ def det_modular(m: IntMatrix) -> int:
     if bound == 0:
         return 0
     target = 2 * bound + 1
-    primes = []
-    prod = 1
-    k = 0
-    while prod < target:
-        k += 16
-        primes = prime_pool(k)
-        prod = math.prod(primes)
-    residue, modulus = 0, 1
-    for p in primes:
-        r = _det_mod(m, p)
-        # CRT merge
-        inv = pow(modulus % p, p - 2, p)
-        residue += modulus * ((r - residue) * inv % p)
+    residue, modulus, k = 0, 1, 0
+    while modulus < target:  # CRT merge, one pool prime at a time
+        p = _pool_prime(k)
+        residue += modulus * ((_det_mod(m, p) - residue) * pow(modulus, -1, p) % p)
         modulus *= p
-        if modulus >= target:
-            break
+        k += 1
     residue %= modulus
     if residue > modulus // 2:
         residue -= modulus

@@ -3,7 +3,9 @@ registry behind every exact sweep.
 
 Every evaluator is exact and contracted to agree with the determinant
 engine on its validity window; integrality of rational products is
-asserted, never assumed.  The registry is one ordered table of named checks
+asserted, never assumed.  MacMahon's M and the ansatz prefactor P are
+quotients of one box product (_plane) that steps over its shorter side.
+The registry is one ordered table of named checks
 (points, predicate, informational flag) and one runner: verify_identities
 sweeps the supporting recursions and summation identities on small grids,
 and the `hexatile verify` suites run the closed forms, the block and
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import perm
 from typing import Callable, Optional
 
 from . import lgv, schur
@@ -50,13 +53,16 @@ def macmahon(a: int, b: int, c: int) -> int:
 # defaults for 75 (248 ordered) in 20k.
 @lru_cache(maxsize=1 << 12)
 def _macmahon(a: int, b: int, c: int) -> int:
-    """M(a, b, c) for a <= b <= c: M is symmetric in its sides, and the
-    product runs over the shortest one."""
-    num = den = 1
-    for i in range(a):
-        num *= factorial(i) * factorial(b + c + i)
-        den *= factorial(b + i) * factorial(c + i)
-    return as_int("macmahon product", num, den)
+    """M(a, b, c) = prod_{i<a, j<b} (c+i+j+1)/(i+j+1) for a <= b <= c: M is
+    symmetric in its sides, and the box products run over the shortest one."""
+    return as_int("macmahon product", _plane(c, a, b), _plane(0, a, b))
+
+
+def _plane(x: int, m: int, n: int) -> int:
+    """The box product prod_{i<m, j<n} (x+i+j+1) for x >= 0, one falling
+    factorial (x+i+n)!/(x+i)! per step of the shorter of m and n."""
+    m, n = sorted((m, n))
+    return math.prod(perm(x + i + n, n) for i in range(m))
 
 
 def _product(what: str, num: list, den: list) -> tuple[int, int]:
@@ -222,19 +228,12 @@ def prefactor_P(a: int, b: int, c: int, d: int, p: int) -> Fraction:
     """Product P = B_p B_a B_d of the modified ansatz (0 <= p <= a, b > d > 0, c > d+p)."""
     if not (0 <= p <= a and b > d > 0 and c > d + p):
         raise OutOfValidityError("prefactor_P needs 0 <= p <= a, b > d > 0, c > d+p")
-    # One exact fraction of integer products; every Pochhammer argument is
-    # positive here, so (x)_k = (x+k-1)!/(x-1)!.
-    num = den = 1
-    for i in range(p):  # B_p
-        num *= factorial(i) * factorial(b + c - d + i)
-        den *= factorial(b - d + i) * factorial(a + c - p + i)
-    for i in range(p, a):  # B_a
-        num *= factorial(i) * factorial(b + c - d + i)
-        den *= factorial(b + i) * factorial(c - d - p + i)
-    for i in range(d):  # B_d: (a-p+1+i)_p / ((p+i)! (b+c-2d+1+i)_i)
-        num *= factorial(a + i) * factorial(b + c - 2 * d + i)
-        den *= factorial(a - p + i) * factorial(p + i) * factorial(b + c - 2 * d + 2 * i)
-    return Fraction(num, den)
+    # B_p = M(p, b-d, c) / plane(c, p, a-p), B_a = M(a-p, b+p, c-d) plane(0, a-p, p)
+    # and B_d = plane(a-p, d, p) / prod_{i<d} (p+i)! (b+c-2d+i+1)_i.
+    num = macmahon(p, b - d, c) * macmahon(a - p, b + p, c - d) * _plane(0, a - p, p)
+    den = _plane(c, p, a - p) * math.prod(
+        factorial(p + i) * rising(b + c - 2 * d + i + 1, i) for i in range(d))
+    return Fraction(num * _plane(a - p, d, p), den)
 
 
 def special_prefactor(a: int, b: int, c: int, d: int, p: int) -> Fraction:

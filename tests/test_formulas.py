@@ -27,6 +27,7 @@ from hexatile.formulas import (
     verify_identities,
 )
 from hexatile.lgv import even_count, odd_count
+from hexatile.qfit import simplex_grid
 
 
 def test_macmahon_values():
@@ -56,21 +57,40 @@ def test_closed_forms_on_a_long_side_match_the_determinant(closed_form, count):
     assert closed_form() == count().value
 
 
-def test_macmahon_loops_over_the_shortest_side(monkeypatch):
+def _count_steps(monkeypatch):
+    """Record the box products' steps (`perm` calls) and the `factorial` calls
+    in `formulas`; a loop over a long side stops at the 101st call."""
     from hexatile import formulas
 
-    real, calls = formulas.factorial, []
+    calls = {"perm": [], "factorial": []}
 
-    def counted(n):
-        calls.append(n)
-        if len(calls) > 100:  # a loop over the long side stops here, not after 40,000 calls
-            raise AssertionError("macmahon made more than 100 factorial calls")
-        return real(n)
+    def counted(name, real):
+        def step(*args):
+            calls[name].append(args)
+            if len(calls["perm"]) + len(calls["factorial"]) > 100:
+                raise AssertionError("more than 100 perm and factorial calls")
+            return real(*args)
+        return step
 
     formulas._macmahon.cache_clear()
-    monkeypatch.setattr(formulas, "factorial", counted)
+    monkeypatch.setattr(formulas, "perm", counted("perm", math.perm))
+    monkeypatch.setattr(formulas, "factorial", counted("factorial", math.factorial))
+    return calls
+
+
+def test_macmahon_loops_over_the_shortest_side(monkeypatch):
+    calls = _count_steps(monkeypatch)
     macmahon(10**4, 2, 3)
-    assert len(calls) == 8  # four per step of the side of length 2
+    # two steps of the side of length 2 in each of the two box products
+    assert len(calls["perm"]) == 4 and not calls["factorial"]
+
+
+def test_prefactor_P_loops_over_the_shorter_sides(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    assert prefactor_P(10**4, 3, 4, 1, 0) == macmahon(10**4, 3, 3)
+    # at p = 0, P = M(10^4, 3, 3): two box products of 3 steps each, and one
+    # (p+i)! for d = 1; the check's macmahon(10^4, 3, 3) is then a memo hit
+    assert len(calls["perm"]) == 6 and len(calls["factorial"]) == 1
 
 
 def test_byun_even_examples():
@@ -210,12 +230,38 @@ def test_d1_corollary():
         d1_corollary(2, 2, 0)
 
 
+def _factorial_P(a, b, c, d, p):
+    """The paper's B_p B_a B_d as factorial loops: (x)_k = (x+k-1)!/(x-1)! for x > 0."""
+    f = math.factorial
+    num = den = 1
+    for i in range(p):  # B_p
+        num *= f(i) * f(b + c - d + i)
+        den *= f(b - d + i) * f(a + c - p + i)
+    for i in range(p, a):  # B_a
+        num *= f(i) * f(b + c - d + i)
+        den *= f(b + i) * f(c - d - p + i)
+    for i in range(d):  # B_d: (a-p+1+i)_p / ((p+i)! (b+c-2d+1+i)_i)
+        num *= f(a + i) * f(b + c - 2 * d + i)
+        den *= f(a - p + i) * f(p + i) * f(b + c - 2 * d + 2 * i)
+    return Fraction(num, den)
+
+
 def test_prefactor_P():
     # d=1, p=0 collapses to the intact hexagon with c shortened by one
     for a in range(1, 6):
         for b in range(2, 7):
             for c in range(2, 7):
                 assert prefactor_P(a, b, c, 1, 0) == macmahon(a, b, c - 1)
+    # the factorial loops on the fit simplices d = 1..5 through layer 8
+    for d in range(1, 6):
+        for a, b, c, p in simplex_grid(d, 8):
+            assert prefactor_P(a, b, c, d, p) == _factorial_P(a, b, c, d, p)
+    # M against its factorial loop on the 0..8 cube
+    f = math.factorial
+    for a, b, c in product(range(9), repeat=3):
+        num = math.prod(f(i) * f(b + c + i) for i in range(a))
+        den = math.prod(f(b + i) * f(c + i) for i in range(a))
+        assert macmahon(a, b, c) == Fraction(num, den)
     with pytest.raises(OutOfValidityError):
         prefactor_P(2, 2, 2, 2, 0)  # needs b > d
     with pytest.raises(OutOfValidityError):
