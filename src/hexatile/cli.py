@@ -159,7 +159,7 @@ def cmd_fit(args) -> int:
     poly = qfit.fit(args.d, args.degree)
     out = args.out or f"q_d{args.d}.json"
     _write(out, qfit.poly_to_json(poly, args.d) + "\n")
-    print(f"Q(d={args.d}), total degree {poly.total_degree()}: {poly}")
+    print(f"Q(d={args.d}), total degree {poly.total_degree()}: {len(poly.coeffs)} terms")
     print(f"wrote {out}")
     return 0
 

@@ -17,7 +17,7 @@ share one list.  Every other display and check compares integers: one
 cross-multiplied sum of integer-pair terms (_sum), with G = E/M and
 R = G/special_prefactor held as pairs, and as_int for integrality.  Fractions
 remain only in byun_odd's half-integer arguments and the rational returns of
-prefactor_P, special_prefactor, detF_factorized, q_known and ansatz_factors.
+prefactor_P, special_prefactor, detF_factorized and q_known.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import perm
-from typing import Callable, Optional
+from typing import Callable
 
 from . import lgv, schur
 from .exactmath import (OutOfValidityError, PoleError, as_int, binom, factorial,
@@ -218,10 +218,14 @@ def p_one_minus_d_alt(a: int, b: int, c: int, d: int, variant: str = "sum") -> i
 
 
 def d1_corollary(a: int, b: int, c: int) -> int:
-    """E(a,b,c,1,0) = M(a,b,c) (c)_a / (b+c)_a = M(a,b,c-1)."""
+    """E(a,b,c,1,0) = M(a,b,c) (c)_a / (b+c)_a = M(a,b,c-1).  The quotient is
+    (c)_m / (n+c)_m with m, n the shorter and longer of a and b, so the
+    products step over the shorter side."""
     if c < 1:
         raise OutOfValidityError("needs c >= 1")
-    return as_int("d1_corollary", macmahon(a, b, c) * rising(c, a), rising(b + c, a))
+    top = macmahon(a, b, c)
+    m, n = sorted((a, b))
+    return as_int("d1_corollary", top * rising(c, m), rising(n + c, m))
 
 
 def prefactor_P(a: int, b: int, c: int, d: int, p: int) -> Fraction:
@@ -267,21 +271,6 @@ def detF_factorized(p: int, b: int, c: int, d: int) -> Fraction:
     return Fraction(*_halved("detF_factorized", p, b, c, d, 0))
 
 
-@dataclass(frozen=True)
-class AnsatzFactors:
-    """The exact ansatz quotients at one parameter point.
-
-    G = E/M always; R = G/special_prefactor when p <= 0; Q = E/P when the
-    modified-ansatz window applies.  Out-of-regime factors are None.
-    """
-
-    G: Fraction
-    special_prefactor: Optional[Fraction]
-    R: Optional[Fraction]
-    prefactor_P: Optional[Fraction]
-    Q: Optional[Fraction]
-
-
 def _G(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
     """G = E/M as the pair (E, M)."""
     return even_count(a, b, c, d, p).value, macmahon(a, b, c)
@@ -311,24 +300,6 @@ def _sum(terms) -> tuple[int, int]:
 def _vanishes(terms) -> bool:
     """Does the _sum of terms vanish?"""
     return _sum(terms)[0] == 0
-
-
-def ansatz_factors(a: int, b: int, c: int, d: int, p: int) -> AnsatzFactors:
-    g = Fraction(*_G(a, b, c, d, p))
-    spf = r = pf = q = None
-    if p <= 0 and d > 0:
-        try:
-            spf = special_prefactor(a, b, c, d, p)
-            if spf != 0:
-                r = g / spf
-        except PoleError:
-            spf = None
-    try:
-        pf = prefactor_P(a, b, c, d, p)
-        q = Fraction(even_count(a, b, c, d, p).value) / pf
-    except OutOfValidityError:
-        pass
-    return AnsatzFactors(G=g, special_prefactor=spf, R=r, prefactor_P=pf, Q=q)
 
 
 # --- check registry ----------------------------------------------------------
@@ -496,10 +467,15 @@ def _r_is_one_far(a, b, c, d, p):
     return e == m and num == den
 
 
+def _s_coef(a, b, k):
+    """The S_a summand's coefficient (-1)^(a+k-1) binom(a-1, k) (-a+b+k+2)_{a-1}."""
+    return (-1) ** (a + k - 1) * binom(a - 1, k) * rising(-a + b + k + 2, a - 1)
+
+
 @_check("x1", _dabc(1, max, lambda a, d: d))
 def _x1(a, b, c, d):
-    rhs = [((-1) ** (a + k - 1) * rising(-a + b + k + 2, a - 1) * binom(a - 1, k),
-            (_R(1, b - a + k + 1, c + a - k - 1, d, 1 - d),)) for k in range(a)]
+    rhs = [(_s_coef(a, b, k), (_R(1, b - a + k + 1, c + a - k - 1, d, 1 - d),))
+           for k in range(a)]
     return _vanishes([(-factorial(a - 1), (_R(a, b, c, d, 1 - d),))] + rhs)
 
 
@@ -539,7 +515,7 @@ def _p1d_aux(a, b, c, d):
     terms = []
     for k in range(a):
         top = binom(b + c, a + c - k - 1)
-        terms.append(((-1) ** (a + k - 1) * binom(a - 1, k) * rising(-a + b + k + 2, a - 1),
+        terms.append((_s_coef(a, b, k),
                       ((top - binom(b + c - 2 * d + 1, a + c - k - 1), top * (a + c - k - 1)),)))
     s, s_den = _sum(terms)
     rhs = even_count(a, b, c, d, 1 - d).value * factorial(a - 1) * rising(b + c + 1, a - 1)
@@ -548,11 +524,7 @@ def _p1d_aux(a, b, c, d):
 
 def _s_sum(a, b, c):
     """(N, D) of S_a = sum_k (-1)^(a+k-1) binom(a-1, k) (-a+b+k+2)_{a-1} / (a+c-k-1)."""
-    return _sum(
-        ((-1) ** (a + k - 1) * binom(a - 1, k) * rising(-a + b + k + 2, a - 1),
-         ((1, a + c - k - 1),))
-        for k in range(a)
-    )
+    return _sum((_s_coef(a, b, k), ((1, a + c - k - 1),)) for k in range(a))
 
 
 @_check("sa", _box(1, 0, 1))
@@ -570,9 +542,7 @@ def _sa(a, b, c):
 
 @_check("factorial_sum", lambda A, B, C, D: product(range(1, A + 1), range(B + 1)))
 def _factorial_sum(a, b):
-    return factorial(a - 1) == sum(
-        (-1) ** (a + k - 1) * rising(-a + b + k + 2, a - 1) * binom(a - 1, k) for k in range(a)
-    )
+    return factorial(a - 1) == sum(_s_coef(a, b, k) for k in range(a))
 
 
 @_check("f_recursion", _dabc(1, lambda a, d: 1, lambda a, d: 0))

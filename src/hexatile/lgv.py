@@ -74,6 +74,14 @@ def odd_count(a: int, b: int, c: int, d: int, p: int) -> SignedCount:
     return _signed(a, b, c, d, p, ODD)
 
 
+def _dodgson(x, a: int, b: int, c: int, p: int) -> int:
+    """The right side of Dodgson's condensation on x(a, b, c, p), which it
+    equates with x(a, b, c, p) * x(a-2, b, c, p-1)."""
+    return x(a - 1, b, c, p - 1) * x(a - 1, b, c, p) - x(a - 1, b + 1, c - 1, p - 1) * x(
+        a - 1, b - 1, c + 1, p
+    )
+
+
 def even_count_by_condensation(a: int, b: int, c: int, d: int, p: int) -> int:
     """E(a,b,c,d,p) via the condensation recursion in a, memoized per call.
 
@@ -99,10 +107,7 @@ def even_count_by_condensation(a: int, b: int, c: int, d: int, p: int) -> int:
             if lower == 0:
                 v = _det(a, b, c, d, p, EVEN)
             else:
-                num = rec(a - 1, b, c, p - 1) * rec(a - 1, b, c, p) - rec(
-                    a - 1, b + 1, c - 1, p - 1
-                ) * rec(a - 1, b - 1, c + 1, p)
-                q, r = divmod(num, lower)
+                q, r = divmod(_dodgson(rec, a, b, c, p), lower)
                 if r:
                     v = _det(a, b, c, d, p, EVEN)
                 else:
@@ -131,11 +136,7 @@ def _condensation_holds(a: int, b: int, c: int, d: int, p: int, parity: str) -> 
         # and 0 for the odd family once d > 0, where the diagonal vanishes).
         return _det(a_, b_, c_, d, p_, parity)
 
-    lhs = x(a, b, c, p) * x(a - 2, b, c, p - 1)
-    rhs = x(a - 1, b, c, p - 1) * x(a - 1, b, c, p) - x(a - 1, b + 1, c - 1, p - 1) * x(
-        a - 1, b - 1, c + 1, p
-    )
-    return lhs == rhs
+    return x(a, b, c, p) * x(a - 2, b, c, p - 1) == _dodgson(x, a, b, c, p)
 
 
 def verify_dodgson_even(a: int, b: int, c: int, d: int, p: int) -> bool:

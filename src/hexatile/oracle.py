@@ -31,7 +31,7 @@ _SQ3 = 3**0.5
 
 
 class CapExceededError(RuntimeError):
-    """A sweep would exceed the configured cap."""
+    """A sweep would hold more than PATH_CAP states on one antidiagonal."""
 
 
 class Point(NamedTuple):
@@ -75,7 +75,7 @@ def _reach(ends: list, t: int, identity: bool) -> list:
     return [ok] * len(ends)
 
 
-def _move(states: dict, allowed: list, live: int, cap: int) -> dict:
+def _move(states: dict, allowed: list, live: int) -> dict:
     """Advance every live path to x or x + 1, one path per pass.
 
     Before pass k, the paths left of k have moved and the rest have not, so
@@ -92,8 +92,8 @@ def _move(states: dict, allowed: list, live: int, cap: int) -> dict:
             if x + 1 in ok:
                 key = (xs[:k] + (x + 1,) + xs[k + 1:], labels)
                 step[key] = step.get(key, 0) + w
-        if len(step) > cap:
-            raise CapExceededError(f"more than {cap} sweep states on one antidiagonal")
+        if len(step) > PATH_CAP:
+            raise CapExceededError(f"more than {PATH_CAP} sweep states on one antidiagonal")
         states = step
     return states
 
@@ -130,7 +130,7 @@ def _settle(xs, labels, w, sources, sinks, joined, ended, mode):
     return tuple(xs), tuple(labels), w
 
 
-def _sweep(spec: HexSpec, cap: int, mode: str) -> int:
+def _sweep(spec: HexSpec, mode: str) -> int:
     """Sum over vertex-disjoint path families, swept over antidiagonals x + y = t.
 
     Disjoint unit-step paths keep their order on every antidiagonal, so a
@@ -159,7 +159,7 @@ def _sweep(spec: HexSpec, cap: int, mode: str) -> int:
     joined = ended = live = 0  # joined, ended: bit masks over labels, sinks
     for t in range(min(sources), max(sinks) + 1):
         here, ending = sources.get(t, ()), sinks.get(t, ())
-        states = _move(states, _reach(ends, t, mode == IDENTITY), live, cap)
+        states = _move(states, _reach(ends, t, mode == IDENTITY), live)
         if not (here or ending):
             continue
         joined |= sum(1 << i for _, i in here)
@@ -177,21 +177,21 @@ def _sweep(spec: HexSpec, cap: int, mode: str) -> int:
     return states[(), ()]
 
 
-def signed_count(spec: HexSpec, cap: int = PATH_CAP) -> int:
+def signed_count(spec: HexSpec) -> int:
     """LGV sum over vertex-disjoint path families; equals the determinant.
 
     Computed by a transfer-matrix sweep that reads only the path endpoints
-    (`hexmodel.endpoints`), never the determinant code.  cap bounds the
-    live states on one antidiagonal; past it, CapExceededError.  An odd
+    (`hexmodel.endpoints`), never the determinant code.  PATH_CAP bounds
+    the live states on one antidiagonal; past it, CapExceededError.  An odd
     needle that leaves the hexagon gives 0 here and in the determinant; that
     0 is the library's count, not the tiling count of the clipped region.
     """
-    return _sweep(spec, cap, SIGNED)
+    return _sweep(spec, SIGNED)
 
 
-def count_families(spec: HexSpec, cap: int = PATH_CAP):
+def count_families(spec: HexSpec):
     """(total disjoint families, families realizing the identity assignment)."""
-    return _sweep(spec, cap, UNSIGNED), _sweep(spec, cap, IDENTITY)
+    return _sweep(spec, UNSIGNED), _sweep(spec, IDENTITY)
 
 
 def first_tiling(spec: HexSpec) -> Optional[PathFamily]:

@@ -74,19 +74,6 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((sum(k) for k in self.coeffs), default=0)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        names = "abcp"
-        parts = []
-        for key in sorted(self.coeffs, key=lambda k: (sum(k), k)):
-            coef = self.coeffs[key]
-            mono = "*".join(
-                f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(key) if e
-            )
-            parts.append(f"{coef}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
-
 
 def poly_to_json(poly: MultiPoly, d: int) -> str:
     terms = [

@@ -61,6 +61,12 @@ def inverse_scale(a: int, b: int, c: int) -> int:
     return factorial(a - 1) * factorial(b + c + a - 1) if a else 1
 
 
+def _macmahon_matrix(a: int, b: int, c: int) -> IntMatrix:
+    """M_ij = C(b+c, b+i-j) for i, j = 1..a: the bundle's M and the blocks' Q2."""
+    rng = range(1, a + 1)
+    return [[binom(b + c, b + i - j) for j in rng] for i in rng]
+
+
 def build_bundle(a: int, b: int, c: int) -> MacMahonBundle:
     """M and its scaled factors: L_ij = (-1)^(i+j) C(i-1,j-1) (c)_{i-j} (b+1)_{j-1},
     U_ij = (j-i+1)_{i-1} C(b+c+i-1, c+j-1), T_ij = (-1)^(i+j) C(j-1,i-1)
@@ -68,7 +74,7 @@ def build_bundle(a: int, b: int, c: int) -> MacMahonBundle:
     if a < 0 or b < 0 or c < 0:
         raise ValueError("a, b, c must be nonnegative")
     rng = range(1, a + 1)
-    M = [[binom(b + c, b + i - j) for j in rng] for i in rng]
+    M = _macmahon_matrix(a, b, c)
     L = [[(-1) ** (i + j) * binom(i - 1, j - 1) * rising(c, i - j) * rising(b + 1, j - 1)
           if j <= i else 0 for j in rng] for i in rng]
     T = [[(-1) ** (i + j) * binom(j - 1, i - 1) * rising(b, j - i) * rising(c + 1, i - 1)
@@ -103,7 +109,7 @@ def build_blocks(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
     if a < 1 or d < 0:
         raise ValueError("block decomposition needs a >= 1 and d >= 0")
     q1 = [[binom(2 * j - 1, -i + j + p) for j in range(1, d + 1)] for i in range(1, a + 1)]
-    q2 = [[binom(b + c, c - i + j) for j in range(1, a + 1)] for i in range(1, a + 1)]
+    q2 = _macmahon_matrix(a, b, c)
     q3 = [[binom(b + c - 2 * i + 1, c - i + j - p) for j in range(1, a + 1)] for i in range(1, d + 1)]
     q4 = [[binom(2 * (j - i), j - i) for j in range(1, d + 1)] for i in range(1, d + 1)]
     delta, y = solve_exact(q2, q1)

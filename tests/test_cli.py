@@ -1,6 +1,5 @@
 """Command-line interface: flags, JSON output, and the exit-code contract."""
 
-import functools
 import json
 
 import pytest
@@ -68,7 +67,7 @@ def test_count_oracle_past_dimension_seven(capsys):
 
 
 def test_count_oracle_cap_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "signed_count", functools.partial(oracle.signed_count, cap=5))
+    monkeypatch.setattr(oracle, "PATH_CAP", 5)
     code, out, err = run(capsys, *count_flags(6, 3, 3, 2, 3, "even"), "--method", "oracle")
     assert code == USAGE
     assert out == ""
@@ -282,10 +281,11 @@ def test_fit_d2_prints_polynomial(tmp_path, capsys):
 
 
 def test_fit_prints_the_degree_of_the_polynomial_not_the_bound(tmp_path, capsys):
-    code, out, _ = run(capsys, "fit", "--d", "2", "--degree", "4",
-                       "--out", str(tmp_path / "q2.json"))
+    out_file = tmp_path / "q2.json"
+    code, out, _ = run(capsys, "fit", "--d", "2", "--degree", "4", "--out", str(out_file))
     assert code == PASS
-    assert out.startswith("Q(d=2), total degree 2: ")
+    # the degree and the term count; the polynomial itself is only in the file
+    assert out == f"Q(d=2), total degree 2: 8 terms\nwrote {out_file}\n"
 
 
 def test_render_writes_svg(tmp_path, capsys):

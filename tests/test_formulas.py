@@ -6,11 +6,10 @@ from itertools import permutations, product
 
 import pytest
 
-from hexatile.exactmath import PoleError, binom
+from hexatile.exactmath import PoleError, binom, rising
 from hexatile.formulas import (
     OutOfValidityError,
     UnknownQError,
-    ansatz_factors,
     byun_even,
     byun_odd,
     byun_odd_corrected,
@@ -91,6 +90,21 @@ def test_prefactor_P_loops_over_the_shorter_sides(monkeypatch):
     # at p = 0, P = M(10^4, 3, 3): two box products of 3 steps each, and one
     # (p+i)! for d = 1; the check's macmahon(10^4, 3, 3) is then a memo hit
     assert len(calls["perm"]) == 6 and len(calls["factorial"]) == 1
+
+
+def test_d1_corollary_loops_over_the_shorter_of_a_and_b(monkeypatch):
+    from hexatile import formulas
+
+    indices = []
+
+    def counted(x, n):
+        indices.append(n)
+        return rising(x, n)
+
+    monkeypatch.setattr(formulas, "rising", counted)
+    assert d1_corollary(10**4, 3, 4) == macmahon(10**4, 3, 3)
+    # (4)_3 / (10^4 + 4)_3 in place of (4)_{10^4} / (7)_{10^4}
+    assert indices and max(indices) <= 3
 
 
 def test_byun_even_examples():
@@ -262,6 +276,10 @@ def test_prefactor_P():
         num = math.prod(f(i) * f(b + c + i) for i in range(a))
         den = math.prod(f(b + i) * f(c + i) for i in range(a))
         assert macmahon(a, b, c) == Fraction(num, den)
+    # positive on a box past the simplices, so Q = E/P is defined there
+    for a, b, c, d, p in product(range(1, 5), range(3, 6), range(4, 7), (1, 2), (0, 1)):
+        if p <= a and b > d and c > d + p:
+            assert prefactor_P(a, b, c, d, p) > 0, (a, b, c, d, p)
     with pytest.raises(OutOfValidityError):
         prefactor_P(2, 2, 2, 2, 0)  # needs b > d
     with pytest.raises(OutOfValidityError):
@@ -290,30 +308,10 @@ def test_special_prefactor():
     assert special_prefactor(3, 4, 4, 2, -5) == 1
     with pytest.raises(OutOfValidityError):
         special_prefactor(3, 4, 4, 2, 1)
-
-
-def test_ansatz_factor_relations():
-    for a in range(1, 5):
-        for b in range(3, 6):
-            for c in range(4, 7):
-                for d, p in [(1, 0), (1, 1), (2, 0), (2, 1)]:
-                    if not (0 <= p <= a and b > d and c > d + p):
-                        continue
-                    f = ansatz_factors(a, b, c, d, p)
-                    e = even_count(a, b, c, d, p).value
-                    assert macmahon(a, b, c) * f.G == e
-                    assert f.prefactor_P * f.Q == e
-
-
-def test_ansatz_special_relation_nonpositive_p():
-    for a in range(1, 5):
-        for b in range(3, 6):
-            for c in range(4, 7):
-                for d in (1, 2):
-                    for p in range(-d - 1, 1):
-                        f = ansatz_factors(a, b, c, d, p)
-                        e = even_count(a, b, c, d, p).value
-                        assert macmahon(a, b, c) * f.special_prefactor * f.R == e
+    # no pole and no zero on a box with p <= 0, so R = G/special is defined there
+    for a, b, c, d in product(range(1, 5), range(3, 6), range(4, 7), (1, 2)):
+        for p in range(-d - 1, 1):
+            assert special_prefactor(a, b, c, d, p) != 0, (a, b, c, d, p)
 
 
 def test_detF_factorized():

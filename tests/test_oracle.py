@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexatile import oracle
 from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints
 from hexatile.lgv import even_count, odd_count, path_matrix
 from hexatile.oracle import (
@@ -181,12 +182,13 @@ def test_region_count_matches_determinant():
     assert region_count(HexSpec(12, 10, 10, 4, 6, EVEN)) == even_count(12, 10, 10, 4, 6).value
 
 
-def test_sweep_state_cap():
+def test_sweep_state_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "PATH_CAP", 5)
     spec = HexSpec(6, 3, 3, 2, 3, EVEN)
     with pytest.raises(CapExceededError):
-        signed_count(spec, cap=5)
+        signed_count(spec)
     with pytest.raises(CapExceededError):
-        count_families(spec, cap=5)
+        count_families(spec)
 
 
 def test_first_tiling_exists_for_damage_free():
