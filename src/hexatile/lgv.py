@@ -1,7 +1,9 @@
 """LGV determinants for damaged hexagons: E(a,b,c,d,p) and O(a,b,c,d,p).
 
-E and O denote the determinants of the path-count matrix with lateral
-points first and intrusive points last.  For even intrusions the
+E and O denote the determinants of the path-count matrix on `endpoints`.
+`path_matrix` lists the intrusive points first, in rows and columns alike,
+which leaves the determinant as it is and lets the elimination clear the
+intrusion before the dense lateral block.  For even intrusions the
 determinant is the tiling count; for odd intrusions it may be the
 negative of the count (the admissible permutation can be odd).
 """
@@ -31,17 +33,19 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
     """Path-count matrix on `endpoints`, for any integer b, c (formal extension).
 
     Entry (i, j) counts the monotone paths from start i to end j: C(dx+dy, dx)
-    for their offset (dx, dy), and 0 when dx or dy is negative.  The
-    intrusive points sit after the first min(max(p, 0), a) lateral points,
-    among both starts and ends: this simultaneous permutation leaves the
-    determinant as it is and keeps the matrix near its lateral band, which
-    det_bareiss exploits.
+    for their offset (dx, dy), and 0 when dx or dy is negative.  The d
+    intrusive points come first, among both starts and ends, then the a
+    lateral ones: this simultaneous permutation leaves the determinant as it
+    is.  The intrusive block is unitriangular for even intrusions (entries
+    C(2(j-i), j-i)), so det_bareiss's first d steps pivot on 1 and touch only
+    the lateral rows that reach the intrusion; what is left is the a x a
+    Schur complement, the lateral paths that avoid it.  And since the
+    lateral points do not depend on a, path_matrix(a', ...) is the leading
+    (d + a') block of path_matrix(a, ...) for every a' <= a.
     """
     starts, ends = endpoints(a, b, c, d, p, parity)
-    q = min(max(p, 0), a)
-    if d and q < a:
-        starts[q:] = starts[a:] + starts[q:a]
-        ends[q:] = ends[a:] + ends[q:a]
+    starts = starts[a:] + starts[:a]
+    ends = ends[a:] + ends[:a]
     return [[comb(u - x + v - y, u - x) if u >= x and v >= y else 0 for (u, v) in ends]
             for (x, y) in starts]
 

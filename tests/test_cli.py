@@ -271,7 +271,7 @@ def test_fit_writes_json(tmp_path, capsys):
     assert "Q(d=1" in out
 
 
-def test_fit_d2_prints_polynomial(tmp_path, capsys):
+def test_fit_d2_writes_eight_terms(tmp_path, capsys):
     out_file = tmp_path / "q2.json"
     code, out, _ = run(capsys, "fit", "--d", "2", "--out", str(out_file))
     assert code == PASS

@@ -1,5 +1,7 @@
 """Lattice coordinates of path endpoints and the path counts between them."""
 
+from itertools import product
+
 import pytest
 
 from hexatile.exactmath import binom
@@ -74,13 +76,35 @@ def test_path_count_values():
 
 
 def test_even_intrusive_self_paths_match_closed_form():
-    # start i to end j inside the intrusion counts binom(2(j-i), j-i); the
-    # matrix puts the intrusive block after the first p lateral points
-    for p in range(0, 4):
+    # start i to end j inside the intrusion counts binom(2(j-i), j-i): an
+    # upper unitriangular block, which the matrix puts first
+    for p in range(-1, 6):
         m = path_matrix(4, 6, 6, 4, p, EVEN)
         for i in range(4):
             for j in range(4):
-                assert m[p + i][p + j] == binom(2 * (j - i), j - i)
+                assert m[i][j] == binom(2 * (j - i), j - i)
+
+
+def test_odd_intrusive_self_paths_match_closed_form():
+    # odd start i equals end i+1: zero on and below the diagonal, and
+    # binom(2(j-1-i), j-1-i) above it
+    for p in range(-1, 6):
+        m = path_matrix(4, 6, 6, 4, p, ODD)
+        for i in range(4):
+            for j in range(4):
+                assert m[i][j] == (binom(2 * (j - 1 - i), j - 1 - i) if j > i else 0)
+
+
+def test_path_matrix_leading_blocks():
+    # the lateral points do not depend on a, so the matrix for a' <= a is
+    # the leading (d + a') block of the one for a, whatever p is
+    for parity, a, b, c, d in product((EVEN, ODD), range(8), range(-1, 5), range(-1, 5), range(4)):
+        for p in range(-2, a + 3):
+            m = path_matrix(a, b, c, d, p, parity)
+            for a2 in range(a + 1):
+                n = d + a2
+                lead = [row[:n] for row in m[:n]]
+                assert path_matrix(a2, b, c, d, p, parity) == lead, (a2, a, b, c, d, p, parity)
 
 
 def test_is_damage_free_examples():

@@ -54,8 +54,9 @@ def test_count_matrix_bareiss_matches_modular(a, b, c, d, data, parity):
     m = path_matrix(a, b, c, d, p, parity)
     det = det_bareiss(m)
     assert det == det_modular(m)
-    # path_matrix moves the intrusive points among the lateral ones, in rows
-    # and columns alike, which leaves the determinant as it is
+    # path_matrix puts the intrusive points before the lateral ones, in rows
+    # and columns alike, which leaves the determinant as it is; the
+    # endpoints' own order, built without path_matrix, checks that
     assert det == det_modular(lateral_first(a, b, c, d, p, parity))
 
 
