@@ -4,7 +4,10 @@ Matrices are dense row-major lists of lists.  One fraction-free (Bareiss)
 elimination that skips the structural zeros of the banded LGV matrices
 computes every count, so its cost follows the band, not the dimension.  The
 same elimination, run on [m | rhs], is the linear solve: it returns
-det m and det(m) m^-1 rhs, both integral, so no Fraction is ever formed.  A
+det m and det(m) m^-1 rhs, both integral, so no Fraction is ever formed.
+Its pivots are the leading principal minors, which `leading_minors` reads
+off up to the first zero pivot, so one elimination also gives the
+determinant of every leading block.  A
 multi-modular/CRT kernel with the determinant's contract is the independent
 cross-check (`hexatile count --method modular`, `hexatile bench`, the
 acceptance suite).  Its prime pool is a fixed, deterministic sequence (the
@@ -48,11 +51,32 @@ def mat_mul(a, b):
 def det_bareiss(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination that skips zeros."""
     n = len(m)
-    return _eliminate([list(row) for row in m], n, n)
+    return _eliminate([list(row) for row in m], n, n)[0]
 
 
-def _eliminate(a: IntMatrix, n: int, width: int) -> int:
-    """det of the leading n x n block of the n rows `a`, eliminated in place.
+def leading_minors(m: IntMatrix) -> list[int]:
+    """Leading principal minors of m, from the 1 x 1 one up, by one elimination.
+
+    Bareiss's pivot at step k is the leading (k+1)-minor (Bareiss, Math.
+    Comp. 22, 1968), and `_eliminate` leaves it on the diagonal; the last
+    minor is the determinant.  That holds only up to the first zero pivot,
+    where a row swap begins to permute the rows, so the list stops before
+    it: len(result) = r means the minors of orders 1..r, and r < len(m)
+    means the minor of order r + 1 vanishes and the rest are not known here.
+    """
+    n = len(m)
+    a = [list(row) for row in m]
+    det, clean = _eliminate(a, n, n)
+    minors = [a[k][k] for k in range(min(clean, n - 1))]
+    if clean == n and n:
+        minors.append(det)
+    return minors
+
+
+def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, int]:
+    """(det, clean) for the leading n x n block of the n rows `a`, eliminated
+    in place; clean is the step of the first zero pivot, n if none before
+    the last step.
 
     Every row must have `width` >= n entries; columns past n (an augmented
     right-hand side) are carried along.  Step k eliminates only the rows with a
@@ -65,7 +89,9 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> int:
     brought up to date by `x * prev // at[i]`.  On a banded LGV matrix the
     work is about n * band^2 instead of n^3 / 3.  Afterwards every row k is
     upper triangular from column k on, each row at one scale of its own.
-    Returns 0, leaving `a` part-eliminated, when the block is singular.
+    Each pivot is brought up to scale before it is used, so up to step
+    clean the diagonal a[k][k] is the leading (k+1)-minor.  Returns det 0,
+    leaving `a` part-eliminated, when the block is singular.
     """
     end = []
     for row in a:
@@ -76,13 +102,15 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> int:
             e -= 1
         end.append(e)
     if n < 2:
-        return a[0][0] if n else 1
+        return (a[0][0] if n else 1), n
     at = [1] * n
     sign = 1
     prev = 1
+    clean = n
     for k in range(n - 1):
         row_k = a[k]
         if not row_k[k]:
+            clean = min(clean, k)
             for r in range(k + 1, n):
                 if a[r][k]:
                     a[k], a[r] = a[r], row_k
@@ -91,7 +119,7 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, clean
             row_k = a[k]
         ek = end[k]
         s = at[k]
@@ -120,7 +148,7 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> int:
     s = at[-1]
     if s != prev:
         last = last * prev // s
-    return sign * last
+    return sign * last, clean
 
 
 # --- multi-modular kernel ---------------------------------------------------
@@ -249,7 +277,7 @@ def solve_exact(m: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix]:
         raise ValueError("rhs has incompatible dimensions")
     r = len(rhs[0]) if rhs else 0
     aug = [list(m[i]) + list(rhs[i]) for i in range(n)]
-    delta = _eliminate(aug, n, n + r)
+    delta = _eliminate(aug, n, n + r)[0]
     if not delta:
         raise SingularMatrixError("matrix is singular")
     y: IntMatrix = [[]] * n

@@ -12,6 +12,13 @@ grows one Newton table by it.  Layer D+1 must vanish for Q to have degree
 and the candidate is re-checked exactly against every sample point:
 anything returned is the unique interpolant, and anything else raises.
 
+Fixing (beta, gamma, t) fixes (b, c, p) and leaves a = t + alpha free, and
+path_matrix at a smaller a is a leading block of the one at a larger a.  So
+the samples come a line at a time: lgv.even_line eliminates one matrix per
+alpha-line and reads every E on it from the pivots, and sample_ratio reads
+its E there.  The holdout check (cross_validate) counts with lgv.even_count,
+one determinant per point, so it does not share the line route.
+
 MultiPoly.evaluate, the one exact evaluator, serves the recheck and both
 holdout checks: integer numerators over one denominator, grouped by (a, b)
 exponents, with each group's (c, p) part computed once per distinct (c, p).
@@ -32,7 +39,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .formulas import prefactor_P
-from .lgv import even_count
+from .lgv import even_count, even_line
 
 
 class FitInconsistentError(ValueError):
@@ -92,9 +99,12 @@ def poly_from_json(text: str):
 
 
 def sample_ratio(a: int, b: int, c: int, d: int, p: int) -> Fraction:
-    """E(a,b,c,d,p)/P(a,b,c,d,p); the conjectured polynomial factor at a point."""
+    """E(a,b,c,d,p)/P(a,b,c,d,p); the conjectured polynomial factor at a point.
+
+    E is read from lgv.even_line, so a line the fit has eliminated is read,
+    not recomputed."""
     pf = prefactor_P(a, b, c, d, p)  # raises outside its window, is positive inside
-    return Fraction(even_count(a, b, c, d, p).value) / pf
+    return Fraction(even_line(a, b, c, d, p)[a]) / pf
 
 
 def _layer(n: int) -> list:
@@ -178,14 +188,31 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
     point, so extending the diagonal gives the next axis its value there.
     Values are integers over the samples' common denominator `scale`; a
     layer that raises it rescales what is stored.
+
+    The samples come from lgv.even_line, one elimination per line along
+    alpha (beta, gamma and t fixed: b, c and p fixed, a free).  A line is
+    eliminated up to the window's top layer when first reached; a layer
+    past the top grows the window by a third (capped at hi + 1) and each
+    line is eliminated anew up to it.  An elimination costs about N^3, so a
+    window grown by a factor r wastes up to 1/(1 - r^-3) on re-elimination
+    and r^3 on overshoot.  Doubling would take fit_auto(5)'s lines to layer
+    31 for the 21 it needs: 2.8 times the sum of N^3 of growing by a third.
+    fit(d, D) knows its last layer: one window, one elimination per line.
     """
     diagonals: list = [{}, {}, {}, {}]  # per axis: x less that axis -> diagonal
     newton: dict = {}
     samples: list = []  # ((a, b, c, p), ratio) in simplex order
     scale, failure = 1, ""
+    top = lo + 1  # the window: each line is eliminated up to layer top
     for n in range(hi + 2):
         layer = _layer(n)
         at = [_point(d, x) for x in layer]
+        grown = n > top
+        if grown:
+            top = min(top + (top + 2) // 3, hi + 1)
+        for (alpha, beta, gamma, t), (a, b, c, p) in zip(layer, at):
+            if grown or not alpha:  # a new window, or the line's first point
+                even_line(top - beta - gamma, b, c, d, p)
         new = [sample_ratio(a, b, c, d, p) for a, b, c, p in at]
         grow = math.lcm(scale, *(y.denominator for y in new)) // scale
         if grow > 1:
@@ -261,9 +288,12 @@ def probe_degree(d: int, max_degree: int = 24) -> int:
     raise ValueError(f"no polynomial behaviour up to degree {max_degree}")
 
 
-def fit_auto(d: int, max_degree: int = 24):
+def fit_auto(d: int, max_degree: int = 30):
     """(degree, poly) for the least degree bound from 2(d-1) up to max_degree
-    whose Newton layer above it vanishes and whose fit passes the recheck."""
+    whose Newton layer above it vanishes and whose fit passes the recheck.
+
+    The default cap, 30, is the degree d(d-1) of Q at d = 6, so `hexatile
+    fit --d 6` needs no --degree."""
     _check_fit_args(d, max_degree)
     lo = max(2 * (d - 1), 0)
     if lo <= max_degree:

@@ -11,6 +11,7 @@ from hexatile.detkernel import (
     det_bareiss,
     det_modular,
     identity,
+    leading_minors,
     mat_mul,
     prime_pool,
     solve_exact,
@@ -85,6 +86,34 @@ def test_bareiss_lazy_rows_and_swaps():
     assert det_bareiss([[0, 0], [0, 0]]) == 0
     assert det_bareiss([[0, 1], [1, 0]]) == -1
     assert det_bareiss([[7]]) == 7
+
+
+@given(sparse_square(7))
+@settings(max_examples=100, deadline=None)
+def test_leading_minors_are_the_leading_blocks_determinants(m):
+    # det_bareiss of each block is a separate elimination, checked against
+    # det_modular and the Leibniz sum above
+    minors = leading_minors(m)
+    n = len(m)
+    assert minors == [det_bareiss([row[:k] for row in m[:k]]) for k in range(1, len(minors) + 1)]
+    if len(minors) < n:  # stopped at a zero pivot: the next minor vanishes
+        k = len(minors) + 1
+        assert k < n and det_bareiss([row[:k] for row in m[:k]]) == 0
+    else:
+        assert minors[-1] == det_bareiss(m)
+
+
+def test_leading_minors_stop_at_the_first_row_swap():
+    assert leading_minors([]) == []
+    assert leading_minors([[0]]) == [0]
+    assert leading_minors([[0, 1], [1, 0]]) == []  # a swap at step 0
+    # row 1 is skipped at step 0 and is the pivot at step 1 (catch-up)
+    assert leading_minors([[2, 1, 1], [0, 3, 1], [1, 1, 5]]) == [2, 6, 26]
+    # the 2 x 2 minor vanishes: the swap at step 1 ends the list there
+    m = [[2, 1, 0, 0], [4, 2, 1, 0], [0, 3, 1, 1], [1, 0, 0, 3]]
+    assert leading_minors(m) == [2] and det_bareiss(m) != 0
+    # singular with no row to swap in: the same stop
+    assert leading_minors([[1, 1, 5], [1, 1, 7], [0, 0, 2]]) == [1]
 
 
 def test_det_modular_small_cases():

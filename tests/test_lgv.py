@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexatile import lgv
-from hexatile.detkernel import det_bareiss, det_modular
+from hexatile.detkernel import det_bareiss, det_modular, leading_minors
 from hexatile.exactmath import binom
 from hexatile.formulas import byun_even, macmahon
 from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints, is_damage_free
 from hexatile.lgv import (
     even_count,
     even_count_by_condensation,
+    even_line,
     odd_count,
     path_matrix,
     verify_dodgson_even,
@@ -244,3 +245,64 @@ def test_memo_stays_within_its_bound():
             assert lgv._det.cache_info().currsize <= bound
     assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
     assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
+
+
+def test_even_line_matches_even_count(monkeypatch):
+    # one elimination of path_matrix(8, ...) gives E(a', ...) for every
+    # a' <= 8; the grid takes in p = 0, p = a, the formal edges b or c = 0,
+    # and lines with a zero count, where the leading minors stop and the
+    # values past it are per-point determinants
+    monkeypatch.setattr(lgv, "_LINES", {})
+    prefixes = []
+
+    def recorded(m):
+        minors = leading_minors(m)
+        prefixes.append(len(minors) < len(m))
+        return minors
+
+    monkeypatch.setattr(lgv, "leading_minors", recorded)
+    for b in range(7):
+        for c in range(7):
+            for d in range(5):
+                for p in range(-2, 11):
+                    want = tuple(even_count(a, b, c, d, p).value for a in range(9))
+                    assert even_line(8, b, c, d, p) == want, (b, c, d, p)
+                    assert even_line(3, b, c, d, p)[:4] == want[:4]  # read from the memo
+    assert len(prefixes) == 7 * 7 * 5 * 13
+    assert 0 < sum(prefixes) < len(prefixes)  # both routes ran
+
+
+def test_even_line_falls_back_past_a_zero_pivot(monkeypatch):
+    # leading minors 0, -1 and det 7: the 1 x 1 pivot vanishes, so the
+    # elimination swaps at step 0 and reports no minor at all
+    m = [[0, 1, 2], [1, 0, 3], [2, 1, 1]]
+    assert leading_minors(m) == [] and det_bareiss(m) == 7
+    per_point = []
+
+    def det(a, b, c, d, p, parity):
+        per_point.append(a)
+        return det_bareiss([row[:d + a] for row in m[:d + a]])
+
+    monkeypatch.setattr(lgv, "path_matrix", lambda a, b, c, d, p, parity:
+                        [row[:d + a] for row in m[:d + a]])
+    monkeypatch.setattr(lgv, "_det", det)
+    monkeypatch.setattr(lgv, "_LINES", {})
+    assert even_line(3, 5, 5, 0, 0) == (1, 0, -1, 7)
+    assert per_point == [1, 2, 3]  # every a' whose minor the elimination could not give
+    # a minor that vanishes without a swap, at the last step, is read as it is
+    per_point.clear()
+    m = [[1, 2], [2, 4]]
+    monkeypatch.setattr(lgv, "_LINES", {})
+    assert even_line(2, 5, 5, 0, 0) == (1, 1, 0) and per_point == []
+
+
+def test_line_memo_keeps_the_longest_line_within_its_bound(monkeypatch):
+    monkeypatch.setattr(lgv, "_LINES", {})
+    monkeypatch.setattr(lgv, "_LINES_MAX", 4)
+    assert even_line(5, 3, 4, 1, 2) == tuple(even_count(a, 3, 4, 1, 2).value for a in range(6))
+    assert len(even_line(2, 3, 4, 1, 2)) == 6  # the longer line stays
+    for b in range(4, 12):
+        even_line(1, b, 4, 1, 0)
+        assert len(lgv._LINES) <= 4
+    with pytest.raises(ValueError):
+        even_line(2, -1, 4, 1, 0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexatile import qfit
+from hexatile import lgv, qfit
 from hexatile.formulas import byun_even, prefactor_P, q_known
 from hexatile.qfit import (
     FitInconsistentError,
@@ -135,6 +135,34 @@ def test_each_simplex_point_is_sampled_once(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == len(set(calls)) == points
+
+
+def test_lines_are_eliminated_once_per_window_and_shared_across_fits(monkeypatch):
+    eliminated = []
+    leading_minors = lgv.leading_minors
+
+    def counted(m):
+        eliminated.append(len(m))
+        return leading_minors(m)
+
+    monkeypatch.setattr(lgv, "leading_minors", counted)
+    monkeypatch.setattr(lgv, "_LINES", {})
+    lines = [comb(n + 3, 3) for n in range(11)]  # lines with beta + gamma + t <= n
+    # fit_auto(3): the window is layer 5 (lo + 1) for the 56 lines of layers
+    # 0..5; layer 6 grows it to 7 and re-eliminates all 84 lines there, and
+    # layer 7 brings 36 new lines
+    fit_auto(3)
+    assert len(eliminated) == lines[5] + lines[6] + (lines[7] - lines[6]) == 176
+    # fit(3, 8) needs layer 9: every line is new or too short
+    fit(3, 8)
+    assert len(eliminated) == 176 + lines[9]
+    # the other way round, fit_auto(3) reads every value from fit(3, 8)'s lines
+    eliminated.clear()
+    monkeypatch.setattr(lgv, "_LINES", {})
+    fit(3, 8)
+    assert len(eliminated) == lines[9]
+    fit_auto(3)
+    assert len(eliminated) == lines[9]
 
 
 def test_fit_auto_starts_at_twice_d_minus_one(monkeypatch):
