@@ -5,9 +5,9 @@ elimination that skips the structural zeros of the banded LGV matrices
 computes every count, so its cost follows the band, not the dimension.  The
 same elimination, run on [m | rhs], is the linear solve: it returns
 det m and det(m) m^-1 rhs, both integral, so no Fraction is ever formed.
-Its pivots are the leading principal minors, which `leading_minors` reads
+Its pivots are the leading principal minors: `leading_minors` reads them
 off up to the first zero pivot, so one elimination also gives the
-determinant of every leading block.  A
+determinant of every leading block up to there, and of the whole matrix.  A
 multi-modular/CRT kernel with the determinant's contract is the independent
 cross-check (`hexatile count --method modular`, `hexatile bench`, the
 acceptance suite).  Its prime pool is a fixed, deterministic sequence (the
@@ -54,23 +54,22 @@ def det_bareiss(m: IntMatrix) -> int:
     return _eliminate([list(row) for row in m], n, n)[0]
 
 
-def leading_minors(m: IntMatrix) -> list[int]:
-    """Leading principal minors of m, from the 1 x 1 one up, by one elimination.
+def leading_minors(m: IntMatrix) -> list:
+    """The n leading principal minors of m, from the 1 x 1 one up, by one
+    elimination; None where the elimination does not give one.
 
     Bareiss's pivot at step k is the leading (k+1)-minor (Bareiss, Math.
-    Comp. 22, 1968), and `_eliminate` leaves it on the diagonal; the last
-    minor is the determinant.  That holds only up to the first zero pivot,
-    where a row swap begins to permute the rows, so the list stops before
-    it: len(result) = r means the minors of orders 1..r, and r < len(m)
-    means the minor of order r + 1 vanishes and the rest are not known here.
+    Comp. 22, 1968), and `_eliminate` leaves it on the diagonal.  That holds
+    up to the first zero pivot, a vanishing minor, whose entry is 0.  Past
+    it a row swap permutes the rows, so those minors are None, except the
+    last, which is always the determinant.
     """
     n = len(m)
     a = [list(row) for row in m]
     det, clean = _eliminate(a, n, n)
-    minors = [a[k][k] for k in range(min(clean, n - 1))]
-    if clean == n and n:
-        minors.append(det)
-    return minors
+    if clean < n:
+        return [a[k][k] for k in range(clean)] + [0] + [None] * (n - 2 - clean) + [det]
+    return [a[k][k] for k in range(n - 1)] + [det] if n else []
 
 
 def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, int]:

@@ -7,20 +7,21 @@ intrusion before the dense lateral block.  For even intrusions the
 determinant is the tiling count; for odd intrusions it may be the
 negative of the count (the admissible permutation can be odd).
 
-Counts come per point (`even_count`, `odd_count`, memoized in `_det`) or,
-for the even family, a line at a time: `even_line` reads E(a', b, c, d, p)
-for every a' <= a from the leading minors of one elimination, which is how
-qfit samples.  The odd family has no line route: its intrusive block has a
-zero diagonal, so its elimination swaps rows at step 0.
+Every count goes through `_det` and its one memo, kept by line (b, c, d, p
+and the parity fixed, a free): path_matrix(a', ...) is a leading block of
+path_matrix(a, ...), so one elimination gives the count at every a' <= a
+up to the first zero count, and qfit samples a line by asking for its top.
+An odd intrusive block (d > 0) has a zero diagonal, so its elimination
+swaps rows at step 0 and records little more than the point asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import zip_longest
 from math import comb
 
-from .detkernel import IntMatrix, det_bareiss, leading_minors
+from .detkernel import IntMatrix, leading_minors
 from .hexmodel import EVEN, ODD, endpoints
 
 
@@ -56,55 +57,37 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
             for (x, y) in starts]
 
 
-# The memo bound: one `hexatile verify all` pass plus the identity registry at
-# the CLI default ranges computes 8,731 distinct determinants
-# (`_det.cache_info().misses` after both), so they all fit.
-@lru_cache(maxsize=1 << 14)
-def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
-    """det of path_matrix(a, b, c, d, p, parity), memoized on the literal arguments.
-
-    Every determinant in this module goes through here.  Keys are not
-    canonicalized (no mirror images), so the symmetry and condensation
-    checks still compare values computed at distinct points.
-    """
-    return det_bareiss(path_matrix(a, b, c, d, p, parity))
-
-
-# The line memo, (b, c, d, p) -> (E(0), E(1), ...), and its bound in lines.
-# A fit up to layer n samples C(n + 3, 3) lines: 2,024 for fit_auto(5),
-# 5,984 for fit_auto(6) and 15,180 at d = 7, so one fit's lines all fit.
+# The count memo, (b, c, d, p, parity) -> [count at a' = 0, 1, ...] with None
+# where a count is not known yet, and its bound in lines.  One `hexatile
+# verify all` pass plus the identity registry at the CLI default ranges
+# touches 2,463 lines; a fit up to layer n samples C(n + 3, 3): 2,024 for
+# fit_auto(5), 5,984 for fit_auto(6) and 15,180 at d = 7, so each of these
+# runs' lines all fit.  When full, the memo drops the line stored first.
 _LINES: dict = {}
 _LINES_MAX = 1 << 14
 
 
-def even_line(a_top: int, b: int, c: int, d: int, p: int) -> tuple:
-    """E(a', b, c, d, p) for a' = 0..a_top (or further), from one elimination.
+def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
+    """det of path_matrix(a, b, c, d, p, parity), from the line memo.
 
-    path_matrix(a', b, c, d, p) is the leading (d + a') block of
-    path_matrix(a_top, b, c, d, p), so the leading minors of the one matrix
-    (detkernel.leading_minors) are the whole line.  A zero count E(a') is a
-    zero pivot, where the elimination swaps rows and its diagonal stops
-    being minors; from there on each value is a per-point determinant
-    (`_det`).  The fit's samples are tiling counts of admissible regions,
-    and no line of fit_auto(d) for d <= 5 has one.  The memo keeps, per
-    (b, c, d, p), the longest line computed so far, and a longer request
-    eliminates anew.  It is shared by every caller in the process, so a
-    later fit reads what an earlier one computed; when full, it drops the
-    line stored first.
+    Every determinant in this module goes through here.  A miss eliminates
+    path_matrix(a, ...) once and records what its leading minors give on
+    the line (each a' <= a up to the first zero count) and the count at a.
+    Keys are not canonicalized (no mirror images), so the symmetry and
+    condensation checks still compare values computed at distinct points.
     """
-    if min(a_top, b, c, d) < 0:
-        raise ValueError("a, b, c, d must be nonnegative")
-    key = (b, c, d, p)
+    key = (b, c, d, p, parity)
     line = _LINES.get(key)
-    if line is None or len(line) <= a_top:
-        minors = [1] + leading_minors(path_matrix(a_top, b, c, d, p, EVEN))
-        line = tuple(minors[d + a] if d + a < len(minors) else _det(a, b, c, d, p, EVEN)
-                     for a in range(a_top + 1))
-        _LINES.pop(key, None)
-        if len(_LINES) >= _LINES_MAX:
-            del _LINES[next(iter(_LINES))]  # the line stored first
-        _LINES[key] = line
-    return line
+    if line is not None and a < len(line) and line[a] is not None:
+        return line[a]
+    known = ([1] + leading_minors(path_matrix(a, b, c, d, p, parity)))[d:]  # [1]: no rows
+    if line is not None:  # keep what the line knew, fill its holes, extend it
+        del _LINES[key]
+        known = [w if v is None else v for v, w in zip_longest(known, line)]
+    elif len(_LINES) >= _LINES_MAX:
+        del _LINES[next(iter(_LINES))]  # the line stored first
+    _LINES[key] = known
+    return known[a]
 
 
 def _signed(a: int, b: int, c: int, d: int, p: int, parity: str) -> SignedCount:

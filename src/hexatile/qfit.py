@@ -14,10 +14,10 @@ anything returned is the unique interpolant, and anything else raises.
 
 Fixing (beta, gamma, t) fixes (b, c, p) and leaves a = t + alpha free, and
 path_matrix at a smaller a is a leading block of the one at a larger a.  So
-the samples come a line at a time: lgv.even_line eliminates one matrix per
-alpha-line and reads every E on it from the pivots, and sample_ratio reads
-its E there.  The holdout check (cross_validate) counts with lgv.even_count,
-one determinant per point, so it does not share the line route.
+the samples come a line at a time: a count at a line's top records every E
+below it in lgv's memo, and sample_ratio reads its E there.  The holdout
+check (cross_validate) takes each E from a determinant of its own and reads
+no memo, so it does not share the line route.
 
 MultiPoly.evaluate, the one exact evaluator, serves the recheck and both
 holdout checks: integer numerators over one denominator, grouped by (a, b)
@@ -38,8 +38,10 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+from .detkernel import det_bareiss
 from .formulas import prefactor_P
-from .lgv import even_count, even_line
+from .hexmodel import EVEN
+from .lgv import even_count, path_matrix
 
 
 class FitInconsistentError(ValueError):
@@ -101,10 +103,10 @@ def poly_from_json(text: str):
 def sample_ratio(a: int, b: int, c: int, d: int, p: int) -> Fraction:
     """E(a,b,c,d,p)/P(a,b,c,d,p); the conjectured polynomial factor at a point.
 
-    E is read from lgv.even_line, so a line the fit has eliminated is read,
+    E comes from lgv.even_count, so a line the fit has eliminated is read,
     not recomputed."""
     pf = prefactor_P(a, b, c, d, p)  # raises outside its window, is positive inside
-    return Fraction(even_line(a, b, c, d, p)[a]) / pf
+    return Fraction(even_count(a, b, c, d, p).value) / pf
 
 
 def _layer(n: int) -> list:
@@ -189,14 +191,15 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
     Values are integers over the samples' common denominator `scale`; a
     layer that raises it rescales what is stored.
 
-    The samples come from lgv.even_line, one elimination per line along
-    alpha (beta, gamma and t fixed: b, c and p fixed, a free).  A line is
-    eliminated up to the window's top layer when first reached; a layer
-    past the top grows the window by a third (capped at hi + 1) and each
-    line is eliminated anew up to it.  An elimination costs about N^3, so a
-    window grown by a factor r wastes up to 1/(1 - r^-3) on re-elimination
-    and r^3 on overshoot.  Doubling would take fit_auto(5)'s lines to layer
-    31 for the 21 it needs: 2.8 times the sum of N^3 of growing by a third.
+    The samples come one elimination per line along alpha (beta, gamma and
+    t fixed: b, c and p fixed, a free): a count at a line's top records the
+    line below it in lgv's memo.  Each line is primed up to the window's top
+    layer when first reached; a layer past the top grows the window by a
+    third (capped at hi + 1) and each line is primed anew up to it.  An
+    elimination costs about N^3, so a window grown by a factor r wastes up
+    to 1/(1 - r^-3) on re-elimination and r^3 on overshoot.  Doubling would
+    take fit_auto(5)'s lines to layer 31 for the 21 it needs: 2.8 times the
+    sum of N^3 of growing by a third.
     fit(d, D) knows its last layer: one window, one elimination per line.
     """
     diagonals: list = [{}, {}, {}, {}]  # per axis: x less that axis -> diagonal
@@ -212,7 +215,7 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
             top = min(top + (top + 2) // 3, hi + 1)
         for (alpha, beta, gamma, t), (a, b, c, p) in zip(layer, at):
             if grown or not alpha:  # a new window, or the line's first point
-                even_line(top - beta - gamma, b, c, d, p)
+                even_count(top - beta - gamma, b, c, d, p)
         new = [sample_ratio(a, b, c, d, p) for a, b, c, p in at]
         grow = math.lcm(scale, *(y.denominator for y in new)) // scale
         if grow > 1:
@@ -316,11 +319,14 @@ def substitution_check(poly: MultiPoly, d: int, points: list) -> dict:
 
 
 def cross_validate(poly: MultiPoly, d: int, holdout: list) -> dict:
-    """Exact holdout check: P*poly must reproduce the determinant count."""
+    """Exact holdout check: P*poly must reproduce the determinant count.
+
+    Each count is a determinant of its own, not read from lgv's memo, so a
+    defect in the memo cannot agree with itself here."""
     failures = []
     for (a, b, c, p) in holdout:
-        want = even_count(a, b, c, d, p).value
-        got = prefactor_P(a, b, c, d, p) * poly.evaluate(a, b, c, p)
+        got = prefactor_P(a, b, c, d, p) * poly.evaluate(a, b, c, p)  # checks the point
+        want = det_bareiss(path_matrix(a, b, c, d, p, EVEN))
         if got != want:
             failures.append({"point": (a, b, c, p), "expected": want, "got": got})
     return {"points": len(holdout), "failures": failures, "passed": not failures}

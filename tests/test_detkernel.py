@@ -92,28 +92,35 @@ def test_bareiss_lazy_rows_and_swaps():
 @settings(max_examples=100, deadline=None)
 def test_leading_minors_are_the_leading_blocks_determinants(m):
     # det_bareiss of each block is a separate elimination, checked against
-    # det_modular and the Leibniz sum above
+    # det_modular and the Leibniz sum above.  Before the last step, the
+    # first vanishing minor is the first zero pivot, where the elimination
+    # swaps rows: that entry is 0 and the ones after it, but the last, None
     minors = leading_minors(m)
     n = len(m)
-    assert minors == [det_bareiss([row[:k] for row in m[:k]]) for k in range(1, len(minors) + 1)]
-    if len(minors) < n:  # stopped at a zero pivot: the next minor vanishes
-        k = len(minors) + 1
-        assert k < n and det_bareiss([row[:k] for row in m[:k]]) == 0
-    else:
-        assert minors[-1] == det_bareiss(m)
+    blocks = [det_bareiss([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+    assert len(minors) == n
+    assert minors[-1] == blocks[-1] == det_bareiss(m)
+    assert all(v is None or v == w for v, w in zip(minors, blocks))
+    swap = next((k for k in range(n - 1) if not blocks[k]), n - 1)
+    assert minors[:swap] == blocks[:swap]
+    if swap < n - 1:
+        assert minors[swap] == 0
+        assert minors[swap + 1:n - 1] == [None] * (n - 2 - swap)
 
 
 def test_leading_minors_stop_at_the_first_row_swap():
     assert leading_minors([]) == []
     assert leading_minors([[0]]) == [0]
-    assert leading_minors([[0, 1], [1, 0]]) == []  # a swap at step 0
+    assert leading_minors([[0, 1], [1, 0]]) == [0, -1]  # a swap at step 0
     # row 1 is skipped at step 0 and is the pivot at step 1 (catch-up)
     assert leading_minors([[2, 1, 1], [0, 3, 1], [1, 1, 5]]) == [2, 6, 26]
-    # the 2 x 2 minor vanishes: the swap at step 1 ends the list there
+    # the 2 x 2 minor vanishes: the swap at step 1 leaves the 3 x 3 one unknown
     m = [[2, 1, 0, 0], [4, 2, 1, 0], [0, 3, 1, 1], [1, 0, 0, 3]]
-    assert leading_minors(m) == [2] and det_bareiss(m) != 0
-    # singular with no row to swap in: the same stop
-    assert leading_minors([[1, 1, 5], [1, 1, 7], [0, 0, 2]]) == [1]
+    assert leading_minors(m) == [2, 0, None, det_bareiss(m)] and det_bareiss(m) != 0
+    # singular with no row to swap in: the same stop, and the determinant 0
+    assert leading_minors([[1, 1, 5], [1, 1, 7], [0, 0, 2]]) == [1, 0, 0]
+    # a minor that vanishes at the last step needs no swap
+    assert leading_minors([[1, 2], [2, 4]]) == [1, 0]
 
 
 def test_det_modular_small_cases():

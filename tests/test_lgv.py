@@ -12,7 +12,6 @@ from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints, is_damage_free
 from hexatile.lgv import (
     even_count,
     even_count_by_condensation,
-    even_line,
     odd_count,
     path_matrix,
     verify_dodgson_even,
@@ -210,11 +209,10 @@ def test_memoized_counts_match_modular(a, b, c, d, data, parity):
     assert warm.value == det_modular(lateral_first(a, b, c, d, p, parity))
 
 
-def _memoized(*key):
-    """True iff lgv's memo already holds key: calling it again is a cache hit."""
-    hits = lgv._det.cache_info().hits
-    lgv._det(*key)
-    return lgv._det.cache_info().hits == hits + 1
+def _memoized(a, b, c, d, p, parity):
+    """True iff lgv's memo already holds the count at this point."""
+    line = lgv._LINES.get((b, c, d, p, parity), [])
+    return a < len(line) and line[a] is not None
 
 
 def test_warm_memo_still_rejects_negative_sides():
@@ -234,75 +232,65 @@ def test_warm_memo_still_rejects_negative_sides():
             odd_count(*bad)
 
 
-def test_memo_stays_within_its_bound():
-    bound = lgv._det.cache_info().maxsize
-    # a = 0, d = 0 gives an empty matrix: cheap distinct points, more than the bound
-    side = 2 + int(bound ** 0.5)
-    assert side * side > bound
-    for b in range(side):
-        for c in range(side):
-            assert even_count(0, b, c, 0, 0).value == 1
-            assert lgv._det.cache_info().currsize <= bound
-    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
-    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
-
-
-def test_even_line_matches_even_count(monkeypatch):
-    # one elimination of path_matrix(8, ...) gives E(a', ...) for every
-    # a' <= 8; the grid takes in p = 0, p = a, the formal edges b or c = 0,
-    # and lines with a zero count, where the leading minors stop and the
-    # values past it are per-point determinants
-    monkeypatch.setattr(lgv, "_LINES", {})
-    prefixes = []
-
-    def recorded(m):
-        minors = leading_minors(m)
-        prefixes.append(len(minors) < len(m))
-        return minors
-
-    monkeypatch.setattr(lgv, "leading_minors", recorded)
-    for b in range(7):
-        for c in range(7):
-            for d in range(5):
-                for p in range(-2, 11):
-                    want = tuple(even_count(a, b, c, d, p).value for a in range(9))
-                    assert even_line(8, b, c, d, p) == want, (b, c, d, p)
-                    assert even_line(3, b, c, d, p)[:4] == want[:4]  # read from the memo
-    assert len(prefixes) == 7 * 7 * 5 * 13
-    assert 0 < sum(prefixes) < len(prefixes)  # both routes ran
-
-
-def test_even_line_falls_back_past_a_zero_pivot(monkeypatch):
-    # leading minors 0, -1 and det 7: the 1 x 1 pivot vanishes, so the
-    # elimination swaps at step 0 and reports no minor at all
-    m = [[0, 1, 2], [1, 0, 3], [2, 1, 1]]
-    assert leading_minors(m) == [] and det_bareiss(m) == 7
-    per_point = []
-
-    def det(a, b, c, d, p, parity):
-        per_point.append(a)
-        return det_bareiss([row[:d + a] for row in m[:d + a]])
-
-    monkeypatch.setattr(lgv, "path_matrix", lambda a, b, c, d, p, parity:
-                        [row[:d + a] for row in m[:d + a]])
-    monkeypatch.setattr(lgv, "_det", det)
-    monkeypatch.setattr(lgv, "_LINES", {})
-    assert even_line(3, 5, 5, 0, 0) == (1, 0, -1, 7)
-    assert per_point == [1, 2, 3]  # every a' whose minor the elimination could not give
-    # a minor that vanishes without a swap, at the last step, is read as it is
-    per_point.clear()
-    m = [[1, 2], [2, 4]]
-    monkeypatch.setattr(lgv, "_LINES", {})
-    assert even_line(2, 5, 5, 0, 0) == (1, 1, 0) and per_point == []
-
-
-def test_line_memo_keeps_the_longest_line_within_its_bound(monkeypatch):
+def test_memo_stays_within_its_bound(monkeypatch):
+    # the bound counts lines, not points: a line keeps every value it has
     monkeypatch.setattr(lgv, "_LINES", {})
     monkeypatch.setattr(lgv, "_LINES_MAX", 4)
-    assert even_line(5, 3, 4, 1, 2) == tuple(even_count(a, 3, 4, 1, 2).value for a in range(6))
-    assert len(even_line(2, 3, 4, 1, 2)) == 6  # the longer line stays
+    assert even_count(5, 3, 4, 1, 2).value
+    want = [det_bareiss(path_matrix(a, 3, 4, 1, 2, EVEN)) for a in range(6)]
+    assert lgv._LINES == {(3, 4, 1, 2, EVEN): want}  # a count at a = 5 records its line
+    assert even_count(2, 3, 4, 1, 2).value == want[2]
+    assert len(lgv._LINES[3, 4, 1, 2, EVEN]) == 6  # the longer line stays
     for b in range(4, 12):
-        even_line(1, b, 4, 1, 0)
+        odd_count(1, b, 4, 1, 0)
         assert len(lgv._LINES) <= 4
+    # the line stored first went first
+    assert list(lgv._LINES) == [(b, 4, 1, 0, ODD) for b in range(8, 12)]
+    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
+    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
     with pytest.raises(ValueError):
-        even_line(2, -1, 4, 1, 0)
+        even_count(2, -1, 4, 1, 0)
+
+
+def test_memo_values_match_uncached_determinants(monkeypatch):
+    # a count at a = 8 records the leading minors of one elimination; each
+    # value recorded is checked against its own elimination, which reads no
+    # memo.  The grid takes in p = 0, p = a, the formal edges b or c = 0,
+    # lines with a zero count (where the minors stop) and odd lines, whose
+    # elimination swaps at step 0 once d > 0
+    monkeypatch.setattr(lgv, "_LINES", {})
+    holed = 0
+    for parity, count in ((EVEN, even_count), (ODD, odd_count)):
+        for b in range(7):
+            for c in range(7):
+                for d in range(5):
+                    for p in range(-2, 11):
+                        top = count(8, b, c, d, p).value
+                        line = lgv._LINES[b, c, d, p, parity]
+                        assert len(line) == 9 and line[8] == top
+                        for a, v in enumerate(line):
+                            if v is not None:
+                                m = path_matrix(a, b, c, d, p, parity)
+                                assert v == det_bareiss(m), (a, b, c, d, p, parity)
+                        holed += None in line
+    assert 0 < holed < 2 * 7 * 7 * 5 * 13  # some lines have holes, not all
+
+
+def test_zero_count_leaves_a_hole_a_point_request_fills(monkeypatch):
+    # E(2, 0, 1, 1, 2) = 0: the elimination swaps rows there, so the line
+    # below a = 8 is known up to that zero and past it only at a = 8
+    monkeypatch.setattr(lgv, "_LINES", {})
+    assert even_count(8, 0, 1, 1, 2).value == 0
+    assert lgv._LINES[0, 1, 1, 2, EVEN] == [1, 1, 0] + [None] * 5 + [0]
+    assert even_count(5, 0, 1, 1, 2).value == det_bareiss(path_matrix(5, 0, 1, 1, 2, EVEN)) == 0
+    assert lgv._LINES[0, 1, 1, 2, EVEN][5] == 0
+    # the hole filled with a nonzero value: leading minors 0, -1 and det 7,
+    # where the 1 x 1 pivot vanishes and the elimination swaps at step 0
+    m = [[0, 1, 2], [1, 0, 3], [2, 1, 1]]
+    assert leading_minors(m) == [0, None, 7]
+    monkeypatch.setattr(lgv, "path_matrix", lambda a, b, c, d, p, parity:
+                        [row[:d + a] for row in m[:d + a]])
+    assert even_count(3, 5, 5, 0, 0).value == 7
+    assert lgv._LINES[5, 5, 0, 0, EVEN] == [1, 0, None, 7]
+    assert even_count(2, 5, 5, 0, 0).value == -1  # one more elimination, of the 2 x 2 block
+    assert lgv._LINES[5, 5, 0, 0, EVEN] == [1, 0, -1, 7]

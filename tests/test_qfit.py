@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hexatile import lgv, qfit
 from hexatile.formulas import byun_even, prefactor_P, q_known
+from hexatile.hexmodel import EVEN
 from hexatile.qfit import (
     FitInconsistentError,
     MultiPoly,
@@ -285,6 +286,18 @@ def test_cross_validate_flags_perturbed_poly():
     report = cross_validate(bad, 2, [(4, 5, 6, 1), (5, 7, 9, 2)])
     assert not report["passed"]
     assert len(report["failures"]) == 2
+
+
+def test_cross_validate_reads_no_memo(monkeypatch):
+    # a wrong value planted in the memo, on the line of a holdout point,
+    # is what the counts read; the holdout still checks the true count
+    poly = fit(2)
+    true = prefactor_P(4, 5, 6, 2, 1) * poly.evaluate(4, 5, 6, 1)
+    monkeypatch.setattr(lgv, "_LINES", {(5, 6, 2, 1, EVEN): [None] * 4 + [true + 1]})
+    assert lgv.even_count(4, 5, 6, 2, 1).value == true + 1
+    assert cross_validate(poly, 2, [(4, 5, 6, 1)])["passed"]
+    bad = MultiPoly({**poly.coeffs, (0, 0, 0, 0): Fraction(5)})
+    assert cross_validate(bad, 2, [(4, 5, 6, 1)])["failures"][0]["expected"] == true
 
 
 def test_substitution_pattern_does_not_reproduce_samples():
