@@ -233,7 +233,21 @@ def test_warm_memo_still_rejects_negative_sides():
 
 
 def test_memo_stays_within_its_bound(monkeypatch):
-    # the bound counts lines, not points: a line keeps every value it has
+    # the bound counts lines, not points
+    monkeypatch.setattr(lgv, "_LINES", {})
+    monkeypatch.setattr(lgv, "_LINES_MAX", 4)
+    for b in range(4, 12):
+        odd_count(1, b, 4, 1, 0)
+        assert len(lgv._LINES) <= 4
+    # the line stored first went first
+    assert list(lgv._LINES) == [(b, 4, 1, 0, ODD) for b in range(8, 12)]
+    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
+    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
+    assert len(lgv._LINES) <= 4
+
+
+def test_line_memo_keeps_the_longest_line_within_its_bound(monkeypatch):
+    # a line keeps every value it has, and a shorter request does not cut it
     monkeypatch.setattr(lgv, "_LINES", {})
     monkeypatch.setattr(lgv, "_LINES_MAX", 4)
     assert even_count(5, 3, 4, 1, 2).value
@@ -242,12 +256,8 @@ def test_memo_stays_within_its_bound(monkeypatch):
     assert even_count(2, 3, 4, 1, 2).value == want[2]
     assert len(lgv._LINES[3, 4, 1, 2, EVEN]) == 6  # the longer line stays
     for b in range(4, 12):
-        odd_count(1, b, 4, 1, 0)
+        even_count(1, b, 4, 1, 0)
         assert len(lgv._LINES) <= 4
-    # the line stored first went first
-    assert list(lgv._LINES) == [(b, 4, 1, 0, ODD) for b in range(8, 12)]
-    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
-    assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
     with pytest.raises(ValueError):
         even_count(2, -1, 4, 1, 0)
 
