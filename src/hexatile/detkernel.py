@@ -2,17 +2,22 @@
 
 Matrices are dense row-major lists of lists.  One fraction-free (Bareiss)
 elimination that skips the structural zeros of the banded LGV matrices
-computes every count, so its cost follows the band, not the dimension.  The
-same elimination, run on [m | rhs], is the linear solve: it returns
-det m and det(m) m^-1 rhs, both integral, so no Fraction is ever formed.
-Its pivots are the leading principal minors: `leading_minors` reads them
-off up to the first zero pivot, so one elimination also gives the
-determinant of every leading block up to there, and of the whole matrix.  A
-multi-modular/CRT kernel with the determinant's contract is the independent
-cross-check (`hexatile count --method modular`, `hexatile bench`, the
-acceptance suite).  Its prime pool is a fixed, deterministic sequence (the
-largest primes below 2^62, in descending order), so every run is
-reproducible.
+computes every count, so its cost follows the band, not the dimension.  It
+takes steps two at a time by Bareiss's two-step method (Math. Comp. 22,
+1968): per entry and pair of steps, three multiplications and one exact
+division where two single steps take four and two.  Once a pair's second
+pivot has more than `_PAIR_BITS` bits it takes single steps, whose
+narrower products then cost less.  The same elimination, run on
+[m | rhs], is the linear solve: it returns det m and det(m) m^-1 rhs, both
+integral, so no Fraction is ever formed.  Its pivots are the leading
+principal minors, and a zero pivot swaps in the first row below that can
+replace it, which leaves every other minor readable: `leading_minors`
+returns all n of them, so one elimination gives the determinant of every
+leading block.  A multi-modular/CRT kernel with the determinant's contract
+is the independent cross-check (`hexatile count --method modular`,
+`hexatile bench`, the acceptance suite).  Its prime pool is a fixed,
+deterministic sequence (the largest primes below 2^62, in descending
+order), so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -54,43 +59,75 @@ def det_bareiss(m: IntMatrix) -> int:
     return _eliminate([list(row) for row in m], n, n)[0]
 
 
-def leading_minors(m: IntMatrix) -> list:
+def leading_minors(m: IntMatrix) -> list[int]:
     """The n leading principal minors of m, from the 1 x 1 one up, by one
-    elimination; None where the elimination does not give one.
+    elimination.
 
     Bareiss's pivot at step k is the leading (k+1)-minor (Bareiss, Math.
-    Comp. 22, 1968), and `_eliminate` leaves it on the diagonal.  That holds
-    up to the first zero pivot, a vanishing minor, whose entry is 0.  Past
-    it a row swap permutes the rows, so those minors are None, except the
-    last, which is always the determinant.
+    Comp. 22, 1968), and `_eliminate` leaves it on the diagonal.  A row swap
+    at step s brings in row r, the first row with a nonzero in column s:
+    rows s..r-1 are zero there, so every leading minor of size s+1..r is 0.
+    Past r the swap stays inside the leading block and only flips the
+    minor's sign.  After a singular stop every larger minor is 0 too.  So
+    every minor is known, and the last is the determinant.
     """
     n = len(m)
     a = [list(row) for row in m]
-    det, clean = _eliminate(a, n, n)
-    if clean < n:
-        return [a[k][k] for k in range(clean)] + [0] + [None] * (n - 2 - clean) + [det]
-    return [a[k][k] for k in range(n - 1)] + [det] if n else []
+    det, swaps = _eliminate(a, n, n)
+    if not n:
+        return []
+    minors = [a[k][k] for k in range(n - 1)] + [det]
+    if 0 in minors:  # from a singular stop's zero pivot on, every minor is 0
+        k = minors.index(0)
+        minors[k:] = [0] * (n - k)
+    for s, r in swaps:  # the minors of size s+1..r are 0; larger ones but det flip sign
+        minors[s:r] = [0] * (r - s)
+        minors[r:-1] = [-v for v in minors[r:-1]]
+    return minors
 
 
-def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, int]:
-    """(det, clean) for the leading n x n block of the n rows `a`, eliminated
-    in place; clean is the step of the first zero pivot, n if none before
-    the last step.
+# Steps k and k+1 are taken as one while the second pivot has at most this
+# many bits (see `_eliminate`).  Past it a pair's products of 2m- by m-bit
+# numbers cost more than two steps' m- by m-bit ones: in three sweeps with
+# no bound, the boxed (40, 40, 40) and (60, 60, 60) matrices of `hexatile
+# bench`, whose pivots pass 1,800 bits, took 7-12% and 16-21% longer than
+# single steps alone.  Of 256, 512 and 1024 bits, 512 was the fastest in
+# five of those six comparisons.  On the benchmark workloads' matrices the
+# bound declines 12 of 12,776 pairs, and every bound measured level there.
+_PAIR_BITS = 512
+
+
+def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, list[tuple[int, int]]]:
+    """(det, swaps) for the leading n x n block of the n rows `a`, eliminated
+    in place; swaps lists each row swap as (step, row brought up).
 
     Every row must have `width` >= n entries; columns past n (an augmented
-    right-hand side) are carried along.  Step k eliminates only the rows with a
-    nonzero in column k, and updates each of them only up to one past the
-    last nonzero column of it or of the pivot row (`end`).  A row skipped at
-    some steps is scaled lazily: `at[i]` is the divisor its entries are
-    currently scaled to.  Sylvester's identity makes every division exact,
-    also when a stale row catches up: its next update divides by `at[i]`
-    instead of the current `prev`, and a stale pivot row (or last entry) is
-    brought up to date by `x * prev // at[i]`.  On a banded LGV matrix the
-    work is about n * band^2 instead of n^3 / 3.  Afterwards every row k is
-    upper triangular from column k on, each row at one scale of its own.
-    Each pivot is brought up to scale before it is used, so up to step
-    clean the diagonal a[k][k] is the leading (k+1)-minor.  Returns det 0,
-    leaving `a` part-eliminated, when the block is singular.
+    right-hand side) are carried along.  Bareiss's two-step method (Math.
+    Comp. 22, 1968) takes steps k and k+1 together: row k+1 is brought to
+    step k+1 first, and with its pivot p1 != 0 every lower row i with a
+    nonzero a_ik is updated once,
+        a_ij <- (p1 p0 a_ij - p1 a_ik a_kj - at[i] g a_{k+1,j}) // (at[i] p0),
+        g = (p0 a_{i,k+1} - a_ik a_{k,k+1}) // at[i],
+    three multiplications and one exact division per entry where two single
+    steps take four and two.  A row with a_ik = 0 takes step k+1 alone.  One
+    step is taken instead when p1 = 0 (step k+1 swaps rows), when k+1 is the
+    last row, or when p1 has more than `_PAIR_BITS` bits.
+
+    A step eliminates only the rows with a nonzero in its column, and
+    updates each of them only up to one past the last nonzero column of it
+    or of the pivot rows (`end`).  A row skipped at some steps is scaled
+    lazily: `at[i]` is the divisor its entries are currently scaled to.
+    Sylvester's identity makes every division exact, also when a stale row
+    catches up: its next update divides by `at[i]` instead of the current
+    `prev`, and a stale pivot row (or last entry) is brought up to date by
+    `x * prev // at[i]`.  On a banded LGV matrix the work is about
+    n * band^2 instead of n^3 / 3.  Afterwards every row k is upper
+    triangular from column k on, each row at one scale of its own.  A zero
+    pivot swaps in the first row below with a nonzero in its column; each
+    pivot is brought up to scale before it is used, so the diagonal a[k][k]
+    is the leading (k+1)-minor of the rows as swapped.  Returns det 0,
+    leaving `a` part-eliminated with a[k][k] = 0 at the step k where it
+    stopped, when the block is singular.
     """
     end = []
     for row in a:
@@ -100,25 +137,26 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, int]:
         while e and not row[e - 1]:
             e -= 1
         end.append(e)
+    swaps: list[tuple[int, int]] = []
     if n < 2:
-        return (a[0][0] if n else 1), n
+        return (a[0][0] if n else 1), swaps
     at = [1] * n
     sign = 1
     prev = 1
-    clean = n
-    for k in range(n - 1):
+    k = 0
+    while k < n - 1:
         row_k = a[k]
         if not row_k[k]:
-            clean = min(clean, k)
             for r in range(k + 1, n):
                 if a[r][k]:
                     a[k], a[r] = a[r], row_k
                     end[k], end[r] = end[r], end[k]
                     at[k], at[r] = at[r], at[k]
+                    swaps.append((k, r))
                     sign = -sign
                     break
             else:
-                return 0, clean
+                return 0, swaps
             row_k = a[k]
         ek = end[k]
         s = at[k]
@@ -127,7 +165,67 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, int]:
                 row_k[j] = row_k[j] * prev // s
         pivot = row_k[k]
         k1 = k + 1
-        for i in range(k1, n):
+        first = k1  # the first row a single step k eliminates
+        # Each row update below is written out where it is used: a call per
+        # row made the small matrices of `verify` and `oracle` about 4% slower.
+        if k1 < n - 1:
+            # bring row k+1 to step k+1: the pivot row of step k+1
+            row_1 = a[k1]
+            a1k = row_1[k]
+            e1 = end[k1]
+            s = at[k1]
+            if a1k:
+                if e1 < ek:
+                    e1 = end[k1] = ek
+                if s == 1:
+                    for j in range(k1, e1):
+                        row_1[j] = row_1[j] * pivot - a1k * row_k[j]
+                else:
+                    for j in range(k1, e1):
+                        row_1[j] = (row_1[j] * pivot - a1k * row_k[j]) // s
+            elif s != pivot:
+                for j in range(k1, e1):
+                    row_1[j] = row_1[j] * pivot // s
+            at[k1] = pivot
+            first = k1 + 1
+            p1 = row_1[k1]
+            if p1 and p1.bit_length() <= _PAIR_BITS:
+                k2 = k1 + 1
+                alpha = p1 * pivot
+                akk1 = row_k[k1]
+                e2 = e1 if e1 > ek else ek
+                for i in range(k2, n):
+                    row_i = a[i]
+                    aik = row_i[k]
+                    if aik:
+                        e = end[i]
+                        if e < e2:
+                            e = end[i] = e2
+                        s = at[i]
+                        beta = p1 * aik
+                        gamma = (pivot * row_i[k1] - aik * akk1) // s * s  # at[i] g
+                        q = s * pivot
+                        for j in range(k2, e):
+                            row_i[j] = (alpha * row_i[j] - beta * row_k[j] - gamma * row_1[j]) // q
+                        at[i] = p1
+                    else:
+                        ai1 = row_i[k1]
+                        if ai1:  # step k+1 alone
+                            e = end[i]
+                            if e < e1:
+                                e = end[i] = e1
+                            s = at[i]
+                            if s == 1:
+                                for j in range(k2, e):
+                                    row_i[j] = row_i[j] * p1 - ai1 * row_1[j]
+                            else:
+                                for j in range(k2, e):
+                                    row_i[j] = (row_i[j] * p1 - ai1 * row_1[j]) // s
+                            at[i] = p1
+                prev = p1
+                k = k2
+                continue
+        for i in range(first, n):
             row_i = a[i]
             aik = row_i[k]
             if aik:
@@ -143,11 +241,12 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, int]:
                         row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // s
                 at[i] = pivot
         prev = pivot
+        k = k1
     last = a[-1][n - 1]
     s = at[-1]
     if s != prev:
         last = last * prev // s
-    return sign * last, clean
+    return sign * last, swaps
 
 
 # --- multi-modular kernel ---------------------------------------------------

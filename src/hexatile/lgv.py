@@ -10,30 +10,26 @@ negative of the count (the admissible permutation can be odd).
 Every count goes through `_det` and its one memo, kept by line (b, c, d, p
 and the parity fixed, a free): path_matrix(a', ...) is a leading block of
 path_matrix(a, ...), so one elimination gives the count at every a' <= a
-up to the first zero count, and qfit samples a line by asking for its top.
-An odd intrusive block (d > 0) has a zero diagonal, so its elimination
-swaps rows at step 0 and records little more than the point asked for.
+from its leading minors, and qfit samples a line by asking for its top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import zip_longest
 from math import comb
+from typing import NamedTuple
 
 from .detkernel import IntMatrix, leading_minors
 from .hexmodel import EVEN, ODD, endpoints
 
 
-@dataclass(frozen=True)
-class SignedCount:
+class SignedCount(NamedTuple):
     value: int
     tilings: int
     sign: int
 
     @staticmethod
     def of(value: int) -> "SignedCount":
-        return SignedCount(value, abs(value), 0 if value == 0 else (1 if value > 0 else -1))
+        return SignedCount(value, abs(value), 1 if value > 0 else -1 if value else 0)
 
 
 def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatrix:
@@ -57,12 +53,12 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
             for (x, y) in starts]
 
 
-# The count memo, (b, c, d, p, parity) -> [count at a' = 0, 1, ...] with None
-# where a count is not known yet, and its bound in lines.  One `hexatile
-# verify all` pass plus the identity registry at the CLI default ranges
-# touches 2,463 lines; a fit up to layer n samples C(n + 3, 3): 2,024 for
-# fit_auto(5), 5,984 for fit_auto(6) and 15,180 at d = 7, so each of these
-# runs' lines all fit.  When full, the memo drops the line stored first.
+# The count memo, (b, c, d, p, parity) -> [count at a' = 0, 1, ...], and its
+# bound in lines.  One `hexatile verify all` pass plus the identity registry
+# at the CLI default ranges touches 2,463 lines; a fit up to layer n samples
+# C(n + 3, 3): 2,024 for fit_auto(5), 5,984 for fit_auto(6) and 15,180 at
+# d = 7, so each of these runs' lines all fit.  When full, the memo drops the
+# line stored first.
 _LINES: dict = {}
 _LINES_MAX = 1 << 14
 
@@ -71,27 +67,26 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     """det of path_matrix(a, b, c, d, p, parity), from the line memo.
 
     Every determinant in this module goes through here.  A miss eliminates
-    path_matrix(a, ...) once and records what its leading minors give on
-    the line (each a' <= a up to the first zero count) and the count at a.
-    Keys are not canonicalized (no mirror images), so the symmetry and
-    condensation checks still compare values computed at distinct points.
+    path_matrix(a, ...) once and records the count at every a' <= a, read
+    off its leading minors, in place of the shorter line.  Keys are not
+    canonicalized (no mirror images), so the symmetry and condensation
+    checks still compare values computed at distinct points.
     """
     key = (b, c, d, p, parity)
     line = _LINES.get(key)
-    if line is not None and a < len(line) and line[a] is not None:
-        return line[a]
-    known = ([1] + leading_minors(path_matrix(a, b, c, d, p, parity)))[d:]  # [1]: no rows
-    if line is not None:  # keep what the line knew, fill its holes, extend it
-        del _LINES[key]
-        known = [w if v is None else v for v, w in zip_longest(known, line)]
+    if line is not None:
+        if a < len(line):
+            return line[a]
+        del _LINES[key]  # stored again below, as the newest line
     elif len(_LINES) >= _LINES_MAX:
         del _LINES[next(iter(_LINES))]  # the line stored first
-    _LINES[key] = known
-    return known[a]
+    line = ([1] + leading_minors(path_matrix(a, b, c, d, p, parity)))[d:]  # [1]: no rows
+    _LINES[key] = line
+    return line[a]
 
 
 def _signed(a: int, b: int, c: int, d: int, p: int, parity: str) -> SignedCount:
-    if min(a, b, c, d) < 0:
+    if a < 0 or b < 0 or c < 0 or d < 0:
         raise ValueError("a, b, c, d must be nonnegative")
     return SignedCount.of(_det(a, b, c, d, p, parity))
 

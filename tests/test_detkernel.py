@@ -60,7 +60,7 @@ def sparse_square(max_n):
                            min_size=n, max_size=n))
 
 
-@given(sparse_square(7))
+@given(sparse_square(9))
 @settings(max_examples=200, deadline=None)
 def test_bareiss_on_mostly_zero_matrices(m):
     det = det_bareiss(m)
@@ -88,39 +88,92 @@ def test_bareiss_lazy_rows_and_swaps():
     assert det_bareiss([[7]]) == 7
 
 
-@given(sparse_square(7))
+@given(sparse_square(9))
 @settings(max_examples=100, deadline=None)
 def test_leading_minors_are_the_leading_blocks_determinants(m):
     # det_bareiss of each block is a separate elimination, checked against
-    # det_modular and the Leibniz sum above.  Before the last step, the
-    # first vanishing minor is the first zero pivot, where the elimination
-    # swaps rows: that entry is 0 and the ones after it, but the last, None
+    # det_modular and the Leibniz sum above.  Every minor is known: past a
+    # row swap too, and past a singular stop, where the larger ones are 0
     minors = leading_minors(m)
-    n = len(m)
-    blocks = [det_bareiss([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
-    assert len(minors) == n
-    assert minors[-1] == blocks[-1] == det_bareiss(m)
-    assert all(v is None or v == w for v, w in zip(minors, blocks))
-    swap = next((k for k in range(n - 1) if not blocks[k]), n - 1)
-    assert minors[:swap] == blocks[:swap]
-    if swap < n - 1:
-        assert minors[swap] == 0
-        assert minors[swap + 1:n - 1] == [None] * (n - 2 - swap)
+    blocks = [det_bareiss([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+    assert minors == blocks
 
 
-def test_leading_minors_stop_at_the_first_row_swap():
+def test_leading_minors_past_row_swaps():
     assert leading_minors([]) == []
     assert leading_minors([[0]]) == [0]
     assert leading_minors([[0, 1], [1, 0]]) == [0, -1]  # a swap at step 0
     # row 1 is skipped at step 0 and is the pivot at step 1 (catch-up)
     assert leading_minors([[2, 1, 1], [0, 3, 1], [1, 1, 5]]) == [2, 6, 26]
-    # the 2 x 2 minor vanishes: the swap at step 1 leaves the 3 x 3 one unknown
+    # the 2 x 2 minor vanishes, and the swap at step 1 brings up row 2: it
+    # stays inside the 3 x 3 block, whose minor is the pivot with its sign flipped
     m = [[2, 1, 0, 0], [4, 2, 1, 0], [0, 3, 1, 1], [1, 0, 0, 3]]
-    assert leading_minors(m) == [2, 0, None, det_bareiss(m)] and det_bareiss(m) != 0
-    # singular with no row to swap in: the same stop, and the determinant 0
+    assert leading_minors(m) == [2, 0, -6, det_bareiss(m)] and det_bareiss(m) != 0
+    # a swap at step 0 brings up row 2 past a zero row 1: the 2 x 2 minor is 0
+    assert leading_minors([[0, 1, 2], [0, 3, 1], [1, 0, 4]]) == [0, 0, -5]
+    # singular with no row to swap in: every larger minor vanishes
     assert leading_minors([[1, 1, 5], [1, 1, 7], [0, 0, 2]]) == [1, 0, 0]
+    assert leading_minors([[1, 1, 5, 0], [1, 1, 7, 0], [0, 0, 2, 1], [0, 0, 1, 3]]) == [1, 0, 0, 0]
     # a minor that vanishes at the last step needs no swap
     assert leading_minors([[1, 2], [2, 4]]) == [1, 0]
+
+
+def _checked(m):
+    """det_bareiss(m) after checking it, and every leading minor, against
+    the Leibniz sum."""
+    minors = [leibniz([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+    assert leading_minors(m) == minors
+    assert det_bareiss(m) == minors[-1]
+    return minors[-1]
+
+
+def test_two_step_branches():
+    # steps 0 and 1 pair only while the second pivot (the 2 x 2 minor) is
+    # nonzero; here it is 0, so step 0 is taken alone and step 1 swaps rows
+    assert _checked([[1, 2, 0, 1], [1, 2, 1, 0], [1, 0, 1, 1], [2, 1, 0, 1]]) == -5
+    # row 2 is zero in column 0 and nonzero in column 1: it takes step 1 alone
+    assert _checked([[2, 1, 3, 0], [1, 3, 0, 1], [0, 3, 1, 2], [1, 0, 2, 5]]) == 72
+    # step 0 alone clears row 3's column 1 (g = 0): its pair update takes no
+    # multiple of row 1
+    assert _checked([[2, 1, 3, 1], [4, 3, 1, 0], [1, 2, 1, 1], [2, 1, 0, 1]]) == 21
+    # row 6 is updated by the pair (0, 1), skipped by the pair (2, 3) and
+    # enters the pair (4, 5) stale, scaled to the pivot of step 1
+    m = [[2, 1, 0, 0, 1, 0, 1],
+         [1, 3, 0, 0, 0, 1, 2],
+         [0, 1, 2, 1, 3, 0, 0],
+         [1, 0, 1, 3, 0, 2, 1],
+         [0, 0, 1, 0, 2, 1, 3],
+         [0, 2, 0, 1, 1, 3, 0],
+         [3, 1, 0, 0, 1, 2, 2]]
+    assert _checked(m) == det_modular(m) != 0
+    # even n ends on a single step (k + 1 is the last row), odd n on a pair
+    for n in (4, 5, 6, 7):
+        m = [[(3 * i + 5 * j) % 7 - 2 + (i == j) * 4 for j in range(n)] for i in range(n)]
+        assert _checked(m) == det_modular(m) != 0
+
+
+def test_solve_exact_through_pairs():
+    m = [[(2 * i + 3 * j) % 5 + (i == j) * 3 for j in range(5)] for i in range(5)]
+    rhs = [[i - 2, 3 * i + 1] for i in range(5)]
+    delta, y = solve_exact(m, rhs)
+    assert delta == det_bareiss(m) == det_modular(m) != 0
+    assert mat_mul(m, y) == [[delta * v for v in row] for row in rhs]
+
+
+def test_large_entries_cross_the_pair_bound():
+    # the leading minors of 2^s m are 2^(s k) times m's: at s = 60 every
+    # pair is taken, at s = 300 none (a 2 x 2 minor has 600 bits), and at
+    # s = 200 the bound falls between the pairs of steps (0, 1) and (2, 3)
+    m = [[(4 * i + 7 * j) % 9 - 4 + (i == j) * 7 for j in range(7)] for i in range(7)]
+    minors = [leibniz([row[:k] for row in m[:k]]) for k in range(1, 8)]
+    assert all(minors)
+    for s in (60, 200, 300):
+        big = [[x << s for x in row] for row in m]
+        assert leading_minors(big) == [v << s * k for k, v in enumerate(minors, 1)]
+        assert det_bareiss(big) == det_modular(big) == minors[-1] << 7 * s
+        delta, y = solve_exact(big, identity(7))
+        assert delta == minors[-1] << 7 * s
+        assert mat_mul(big, y) == [[delta * v for v in row] for row in identity(7)]
 
 
 def test_det_modular_small_cases():
@@ -172,7 +225,7 @@ def test_solve_exact_row_swap_signs():
     assert y == [[-1, -2], [-6, 0], [-10, 2]]
 
 
-@given(sparse_square(7), st.data())
+@given(sparse_square(9), st.data())
 @settings(max_examples=200, deadline=None)
 def test_solve_exact_on_mostly_zero_matrices(m, data):
     n = len(m)

@@ -266,10 +266,10 @@ def test_memo_values_match_uncached_determinants(monkeypatch):
     # a count at a = 8 records the leading minors of one elimination; each
     # value recorded is checked against its own elimination, which reads no
     # memo.  The grid takes in p = 0, p = a, the formal edges b or c = 0,
-    # lines with a zero count (where the minors stop) and odd lines, whose
-    # elimination swaps at step 0 once d > 0
+    # lines with a zero count (where the elimination swaps rows) and odd
+    # lines, whose elimination swaps at step 0 once d > 0: every line is
+    # known in full all the same
     monkeypatch.setattr(lgv, "_LINES", {})
-    holed = 0
     for parity, count in ((EVEN, even_count), (ODD, odd_count)):
         for b in range(7):
             for c in range(7):
@@ -279,28 +279,25 @@ def test_memo_values_match_uncached_determinants(monkeypatch):
                         line = lgv._LINES[b, c, d, p, parity]
                         assert len(line) == 9 and line[8] == top
                         for a, v in enumerate(line):
-                            if v is not None:
-                                m = path_matrix(a, b, c, d, p, parity)
-                                assert v == det_bareiss(m), (a, b, c, d, p, parity)
-                        holed += None in line
-    assert 0 < holed < 2 * 7 * 7 * 5 * 13  # some lines have holes, not all
+                            m = path_matrix(a, b, c, d, p, parity)
+                            assert v == det_bareiss(m), (a, b, c, d, p, parity)
 
 
-def test_zero_count_leaves_a_hole_a_point_request_fills(monkeypatch):
-    # E(2, 0, 1, 1, 2) = 0: the elimination swaps rows there, so the line
-    # below a = 8 is known up to that zero and past it only at a = 8
+def test_zero_count_line_is_known_past_its_zero(monkeypatch):
+    # E(2, 0, 1, 1, 2) = 0: the elimination swaps rows there, and the counts
+    # past that zero come from the same elimination
     monkeypatch.setattr(lgv, "_LINES", {})
     assert even_count(8, 0, 1, 1, 2).value == 0
-    assert lgv._LINES[0, 1, 1, 2, EVEN] == [1, 1, 0] + [None] * 5 + [0]
-    assert even_count(5, 0, 1, 1, 2).value == det_bareiss(path_matrix(5, 0, 1, 1, 2, EVEN)) == 0
-    assert lgv._LINES[0, 1, 1, 2, EVEN][5] == 0
-    # the hole filled with a nonzero value: leading minors 0, -1 and det 7,
-    # where the 1 x 1 pivot vanishes and the elimination swaps at step 0
+    assert lgv._LINES[0, 1, 1, 2, EVEN] == [1, 1] + [0] * 7
+    assert all(det_bareiss(path_matrix(a, 0, 1, 1, 2, EVEN)) == 0 for a in range(2, 9))
+    # a nonzero count past a zero one: leading minors 0, -1 and det 7, where
+    # the 1 x 1 pivot vanishes and the elimination swaps at step 0
     m = [[0, 1, 2], [1, 0, 3], [2, 1, 1]]
-    assert leading_minors(m) == [0, None, 7]
+    assert leading_minors(m) == [0, -1, 7]
+    eliminated = []
     monkeypatch.setattr(lgv, "path_matrix", lambda a, b, c, d, p, parity:
-                        [row[:d + a] for row in m[:d + a]])
+                        eliminated.append(a) or [row[:d + a] for row in m[:d + a]])
     assert even_count(3, 5, 5, 0, 0).value == 7
-    assert lgv._LINES[5, 5, 0, 0, EVEN] == [1, 0, None, 7]
-    assert even_count(2, 5, 5, 0, 0).value == -1  # one more elimination, of the 2 x 2 block
     assert lgv._LINES[5, 5, 0, 0, EVEN] == [1, 0, -1, 7]
+    assert even_count(2, 5, 5, 0, 0).value == -1  # from the memo
+    assert eliminated == [3]
