@@ -179,6 +179,13 @@ def cmd_render(args) -> int:
     return 0
 
 
+# Each kernel runs this many times per row, and the row reports the fastest.
+# One timing per matrix could not resolve a 10-20% kernel change: the same
+# boxed 40 Bareiss row read 68-113 ms on a shared host, and a best of 5 runs
+# turned on one fast run (BENCH_pr25.json, hexatile_bench_bareiss_best_of_5).
+_BENCH_REPEATS = 5
+
+
 def cmd_bench(args) -> int:
     dims = [int(tok) if tok.strip().isdecimal() else 0 for tok in args.dims.split(",")]
     if min(dims) < 1:
@@ -192,10 +199,17 @@ def cmd_bench(args) -> int:
             values = {}
             for kernel in kernels:
                 fn = det_bareiss if kernel == "bareiss" else det_modular
-                t0 = time.perf_counter()
-                values[kernel] = fn(matrix)
-                elapsed = (time.perf_counter() - t0) * 1000.0
-                rows.append(f"{n},{shape},{kernel},{elapsed:.3f},"
+                times, results = [], set()
+                for _ in range(_BENCH_REPEATS):
+                    t0 = time.perf_counter()
+                    results.add(fn(matrix))
+                    times.append(time.perf_counter() - t0)
+                if len(results) > 1:
+                    print(f"bench: repeats of {kernel} disagree on the {shape} hexagon "
+                          f"at dim {n}", file=sys.stderr)
+                    return DISAGREEMENT
+                values[kernel] = results.pop()
+                rows.append(f"{n},{shape},{kernel},{min(times) * 1000.0:.3f},"
                             f"{len(str(abs(values[kernel])))}")
             if len(set(values.values())) > 1:
                 print(f"bench: kernels disagree on the {shape} hexagon at dim {n}",

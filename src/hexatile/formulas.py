@@ -309,6 +309,13 @@ def _vanishes(terms) -> bool:
 # generator and a predicate on one point: True passes, False fails (the
 # point is the failure entry), None skips (not counted).  Predicates look up
 # the functions they check when called, never when the table is built.
+# The runner evaluates a check's points in descending order of their first
+# coordinate (a, or p for the halved products at a = 2p and 2p + 1), equal
+# ones in the generator's order, and lists failures in the generator's order.
+# So a count line (b, c, d, p, parity) is eliminated at its largest a and the
+# smaller ones are read from lgv's line memo: `verify all` and the identity
+# registry at the CLI defaults make 3,229 eliminations for 2,463 lines, where
+# counting a upward made 6,486.
 
 
 @dataclass(frozen=True)
@@ -345,18 +352,22 @@ class IdentityResult:
 
 
 def _run_checks(names, amax: int, bmax: int, cmax: int, dmax: int) -> list[IdentityResult]:
-    """Run the registered checks in the order named."""
+    """Run the registered checks in the order named, each one's points from
+    the largest first coordinate down, and report failures in the order the
+    points generator gives them."""
     out = []
     for name in names:
         chk = _REGISTRY[name]
-        cases, failures = 0, []
-        for q in chk.points(amax, bmax, cmax, dmax):
-            ok = chk.predicate(*q)
+        points = list(chk.points(amax, bmax, cmax, dmax))
+        cases, failed = 0, []
+        for i in sorted(range(len(points)), key=lambda i: -points[i][0]):  # stable
+            ok = chk.predicate(*points[i])
             if ok is not None:
                 cases += 1
                 if not ok:
-                    failures.append(q)
-        out.append(IdentityResult(name, cases, failures, chk.informational))
+                    failed.append(i)
+        failed.sort()
+        out.append(IdentityResult(name, cases, [points[i] for i in failed], chk.informational))
     return out
 
 

@@ -55,7 +55,9 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
 
 # The count memo, (b, c, d, p, parity) -> [count at a' = 0, 1, ...], and its
 # bound in lines.  One `hexatile verify all` pass plus the identity registry
-# at the CLI default ranges touches 2,463 lines; a fit up to layer n samples
+# at the CLI default ranges touches 2,463 lines and, as formulas' runner asks
+# for each check's points from the largest a down, eliminates 3,229 times
+# (6,486 when it counted a upward); a fit up to layer n samples
 # C(n + 3, 3): 2,024 for fit_auto(5), 5,984 for fit_auto(6) and 15,180 at
 # d = 7, so each of these runs' lines all fit.  When full, the memo drops the
 # line stored first.

@@ -352,6 +352,42 @@ def test_bench_disagreement_exits_2(capsys, monkeypatch, target, name, message):
     assert err == f"bench: {message}\n"
 
 
+def test_bench_reports_the_best_of_five_runs_per_row(capsys, monkeypatch):
+    runs = {"bareiss": 0, "modular": 0}
+
+    def counted(kernel, right):
+        def fn(matrix):
+            runs[kernel] += 1
+            return right(matrix)
+        return fn
+
+    monkeypatch.setattr(cli, "det_bareiss", counted("bareiss", cli.det_bareiss))
+    monkeypatch.setattr(cli, "det_modular", counted("modular", cli.det_modular))
+    # the clock reads 0, 1, 2, ..., one step a call, so each run takes 1 s;
+    # a row is ten reads, and its third run ends 0.75 s early
+    reads = []
+
+    def perf_counter():
+        reads.append(len(reads))
+        return reads[-1] - 0.75 * (len(reads) % 10 == 6)
+
+    monkeypatch.setattr(cli.time, "perf_counter", perf_counter)
+    code, out, _ = run(capsys, "bench", "--dims", "4,6")
+    assert code == PASS
+    assert runs == {"bareiss": 20, "modular": 20}  # four rows each, five runs a row
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["250.000"] * 8
+
+
+def test_bench_repeats_that_disagree_exit_2(capsys, monkeypatch):
+    calls = iter(range(10**6))
+    monkeypatch.setattr(cli, "det_modular", lambda matrix: next(calls))
+    code, out, err = run(capsys, "bench", "--dims", "4", "--kernel", "modular")
+    assert code == DISAGREE
+    assert out == ""
+    assert err == "bench: repeats of modular disagree on the boxed hexagon at dim 4\n"
+
+
 @pytest.mark.parametrize("dims", ["-1", "x", "4,0", "4,x", "4,,6"])
 def test_bench_rejects_bad_dims_before_any_work(capsys, monkeypatch, dims):
     def no_work(*args):

@@ -453,6 +453,41 @@ def test_verify_identities_comma_list_keeps_order():
         verify_identities("sa,macmahon_product")
 
 
+def test_checks_run_from_the_largest_first_coordinate_down(monkeypatch):
+    from hexatile import formulas
+
+    points = [(0, "a"), (2, "b"), (1, "c"), (2, "d"), (0, "e"), (1, "f"), (2, "g")]
+    outcome = {"a": False, "b": True, "c": None, "d": False, "e": None, "f": True, "g": False}
+    seen = []
+
+    def predicate(first, tag):
+        seen.append(tag)
+        return outcome[tag]
+
+    check = formulas._Check(lambda A, B, C, D: iter(points), predicate)
+    monkeypatch.setattr(formulas, "_REGISTRY", {"synthetic": check})
+    [result] = formulas._run_checks(["synthetic"], 4, 5, 5, 3)
+    assert seen == ["b", "d", "g", "c", "f", "a", "e"]  # ties keep the generator's order
+    assert result.failures == [(0, "a"), (2, "d"), (2, "g")]  # in the generator's order
+    assert result.cases == 5  # c and e are skips
+
+
+def test_a_verify_pass_eliminates_each_line_from_its_top(monkeypatch, capsys):
+    # `verify all` and the identity registry at the CLI defaults read 2,463
+    # lines; run with a upward, each line was eliminated again for every
+    # larger a asked of it, 6,486 eliminations in all
+    from hexatile import cli, formulas, lgv
+
+    eliminations = []
+    real = lgv.leading_minors
+    monkeypatch.setattr(lgv, "_LINES", {})
+    monkeypatch.setattr(lgv, "leading_minors", lambda m: eliminations.append(len(m)) or real(m))
+    assert cli.main(["verify", "all"]) == 0
+    formulas.verify_identities("all", 4, 5, 5, 3)
+    assert len(eliminations) <= 3229
+    assert len(lgv._LINES) == 2463
+
+
 def test_f_d_recursion_honours_dmax():
     assert [r.cases for r in verify_identities("f_d_recursion", 4, 5, 5, 1)] == [0]
     assert [r.cases for r in verify_identities("f_d_recursion", 4, 5, 5, 2)] == [120]
