@@ -183,6 +183,9 @@ def cmd_render(args) -> int:
 # One timing per matrix could not resolve a 10-20% kernel change: the same
 # boxed 40 Bareiss row read 68-113 ms on a shared host, and a best of 5 runs
 # turned on one fast run (BENCH_pr25.json, hexatile_bench_bareiss_best_of_5).
+# Each repeat is one pass over every row, so a slow stretch of the host falls
+# on one repeat of several rows, not on all of one row's: with a row's repeats
+# back to back, three runs read boxed 40 at 77-93 ms (BENCH_pr26.json).
 _BENCH_REPEATS = 5
 
 
@@ -191,34 +194,36 @@ def cmd_bench(args) -> int:
     if min(dims) < 1:
         raise ValueError(f"--dims takes integers >= 1 separated by commas, not {args.dims!r}")
     kernels = ["bareiss", "modular"] if args.kernel == "both" else [args.kernel]
+    # boxed (n, n, n) fills the matrix; thin (n, 5, 6) keeps it banded
+    cases = [(n, shape, b, c, lgv.path_matrix(n, b, c, 0, 0, EVEN))
+             for n in dims for shape, (b, c) in (("boxed", (n, n)), ("thin", (5, 6)))]
+    runs = {(i, kernel): ([], set()) for i in range(len(cases)) for kernel in kernels}
+    for _ in range(_BENCH_REPEATS):
+        for (i, kernel), (times, results) in runs.items():
+            fn = det_bareiss if kernel == "bareiss" else det_modular
+            t0 = time.perf_counter()
+            results.add(fn(cases[i][4]))
+            times.append(time.perf_counter() - t0)
     rows = ["dim,shape,kernel,elapsed_ms,result_digits"]
-    for n in dims:
-        # boxed (n, n, n) fills the matrix; thin (n, 5, 6) keeps it banded
-        for shape, (b, c) in (("boxed", (n, n)), ("thin", (5, 6))):
-            matrix = lgv.path_matrix(n, b, c, 0, 0, EVEN)
-            values = {}
-            for kernel in kernels:
-                fn = det_bareiss if kernel == "bareiss" else det_modular
-                times, results = [], set()
-                for _ in range(_BENCH_REPEATS):
-                    t0 = time.perf_counter()
-                    results.add(fn(matrix))
-                    times.append(time.perf_counter() - t0)
-                if len(results) > 1:
-                    print(f"bench: repeats of {kernel} disagree on the {shape} hexagon "
-                          f"at dim {n}", file=sys.stderr)
-                    return DISAGREEMENT
-                values[kernel] = results.pop()
-                rows.append(f"{n},{shape},{kernel},{min(times) * 1000.0:.3f},"
-                            f"{len(str(abs(values[kernel])))}")
-            if len(set(values.values())) > 1:
-                print(f"bench: kernels disagree on the {shape} hexagon at dim {n}",
-                      file=sys.stderr)
+    for i, (n, shape, b, c, _) in enumerate(cases):
+        values = {}
+        for kernel in kernels:
+            times, results = runs[i, kernel]
+            if len(results) > 1:
+                print(f"bench: repeats of {kernel} disagree on the {shape} hexagon "
+                      f"at dim {n}", file=sys.stderr)
                 return DISAGREEMENT
-            if next(iter(values.values())) != formulas.macmahon(n, b, c):
-                print(f"bench: determinant disagrees with the product formula on the "
-                      f"{shape} hexagon at dim {n}", file=sys.stderr)
-                return DISAGREEMENT
+            values[kernel] = results.pop()
+            rows.append(f"{n},{shape},{kernel},{min(times) * 1000.0:.3f},"
+                        f"{len(str(abs(values[kernel])))}")
+        if len(set(values.values())) > 1:
+            print(f"bench: kernels disagree on the {shape} hexagon at dim {n}",
+                  file=sys.stderr)
+            return DISAGREEMENT
+        if next(iter(values.values())) != formulas.macmahon(n, b, c):
+            print(f"bench: determinant disagrees with the product formula on the "
+                  f"{shape} hexagon at dim {n}", file=sys.stderr)
+            return DISAGREEMENT
     text = "\n".join(rows) + "\n"
     if args.csv:
         _write(args.csv, text)

@@ -6,18 +6,20 @@ computes every count, so its cost follows the band, not the dimension.  It
 takes steps two at a time by Bareiss's two-step method (Math. Comp. 22,
 1968): per entry and pair of steps, three multiplications and one exact
 division where two single steps take four and two.  Once a pair's second
-pivot has more than `_PAIR_BITS` bits it takes single steps, whose
-narrower products then cost less.  The same elimination, run on
-[m | rhs], is the linear solve: it returns det m and det(m) m^-1 rhs, both
-integral, so no Fraction is ever formed.  Its pivots are the leading
-principal minors, and a zero pivot swaps in the first row below that can
-replace it, which leaves every other minor readable: `leading_minors`
-returns all n of them, so one elimination gives the determinant of every
-leading block.  A multi-modular/CRT kernel with the determinant's contract
-is the independent cross-check (`hexatile count --method modular`,
-`hexatile bench`, the acceptance suite).  Its prime pool is a fixed,
-deterministic sequence (the largest primes below 2^62, in descending
-order), so every run is reproducible.
+pivot has more than `_PAIR_BITS` bits it takes single steps, whose narrower
+products then cost less.  Every step first brings the next pivot row to
+date, and every row update divides by its row's own scale (1 for a row no
+step has touched), so each kind of step has one row update.  The same
+elimination, run on [m | rhs], is the linear solve: it returns det m and
+det(m) m^-1 rhs, both integral, so no Fraction is ever formed.  Its pivots
+are the leading principal minors, and a zero pivot swaps in the first row
+below that can replace it, which leaves every other minor readable:
+`leading_minors` returns all n of them, so one elimination gives the
+determinant of every leading block.  A multi-modular/CRT kernel with the
+determinant's contract is the independent cross-check (`hexatile count
+--method modular`, `hexatile bench`, the acceptance suite).  Its prime pool
+is a fixed, deterministic sequence (the largest primes below 2^62, in
+descending order), so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -103,9 +105,10 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, list[tuple[int, i
 
     Every row must have `width` >= n entries; columns past n (an augmented
     right-hand side) are carried along.  Bareiss's two-step method (Math.
-    Comp. 22, 1968) takes steps k and k+1 together: row k+1 is brought to
-    step k+1 first, and with its pivot p1 != 0 every lower row i with a
-    nonzero a_ik is updated once,
+    Comp. 22, 1968) takes steps k and k+1 together.  Every step k first
+    brings row k+1, the pivot row of step k+1, to step k+1 at scale p0: the
+    last row too, and a row with a_{k+1,k} = 0 is only rescaled.  With its
+    pivot p1 != 0 every lower row i with a nonzero a_ik is then updated once,
         a_ij <- (p1 p0 a_ij - p1 a_ik a_kj - at[i] g a_{k+1,j}) // (at[i] p0),
         g = (p0 a_{i,k+1} - a_ik a_{k,k+1}) // at[i],
     three multiplications and one exact division per entry where two single
@@ -120,9 +123,11 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, list[tuple[int, i
     Sylvester's identity makes every division exact, also when a stale row
     catches up: its next update divides by `at[i]` instead of the current
     `prev`, and a stale pivot row (or last entry) is brought up to date by
-    `x * prev // at[i]`.  On a banded LGV matrix the work is about
-    n * band^2 instead of n^3 / 3.  Afterwards every row k is upper
-    triangular from column k on, each row at one scale of its own.  A zero
+    `x * prev // at[i]`.  Every update divides by `at[i]`, which is 1 for a
+    row no step has updated, so there is no divide-by-one case.  On a
+    banded LGV matrix the work is about n * band^2 instead of n^3 / 3.
+    Afterwards every row k is upper triangular from column k on, each row at
+    one scale of its own.  A zero
     pivot swaps in the first row below with a nonzero in its column; each
     pivot is brought up to scale before it is used, so the diagonal a[k][k]
     is the leading (k+1)-minor of the rows as swapped.  Returns det 0,
@@ -165,67 +170,54 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, list[tuple[int, i
                 row_k[j] = row_k[j] * prev // s
         pivot = row_k[k]
         k1 = k + 1
-        first = k1  # the first row a single step k eliminates
         # Each row update below is written out where it is used: a call per
         # row made the small matrices of `verify` and `oracle` about 4% slower.
-        if k1 < n - 1:
-            # bring row k+1 to step k+1: the pivot row of step k+1
-            row_1 = a[k1]
-            a1k = row_1[k]
-            e1 = end[k1]
-            s = at[k1]
-            if a1k:
-                if e1 < ek:
-                    e1 = end[k1] = ek
-                if s == 1:
-                    for j in range(k1, e1):
-                        row_1[j] = row_1[j] * pivot - a1k * row_k[j]
-                else:
-                    for j in range(k1, e1):
-                        row_1[j] = (row_1[j] * pivot - a1k * row_k[j]) // s
-            elif s != pivot:
-                for j in range(k1, e1):
-                    row_1[j] = row_1[j] * pivot // s
+        # Row k+1, the pivot row of step k+1, goes to step k+1 at scale pivot;
+        # with a1k = 0 that is the lazy catch-up x * pivot // at[k1]
+        row_1 = a[k1]
+        a1k = row_1[k]
+        if a1k and end[k1] < ek:
+            end[k1] = ek
+        e1 = end[k1]
+        s = at[k1]
+        if a1k or s != pivot:
+            for j in range(k1, e1):
+                row_1[j] = (row_1[j] * pivot - a1k * row_k[j]) // s
             at[k1] = pivot
-            first = k1 + 1
-            p1 = row_1[k1]
-            if p1 and p1.bit_length() <= _PAIR_BITS:
-                k2 = k1 + 1
-                alpha = p1 * pivot
-                akk1 = row_k[k1]
-                e2 = e1 if e1 > ek else ek
-                for i in range(k2, n):
-                    row_i = a[i]
-                    aik = row_i[k]
-                    if aik:
+        p1 = row_1[k1]
+        if k1 < n - 1 and p1 and p1.bit_length() <= _PAIR_BITS:
+            k2 = k1 + 1
+            alpha = p1 * pivot
+            akk1 = row_k[k1]
+            e2 = e1 if e1 > ek else ek
+            for i in range(k2, n):
+                row_i = a[i]
+                aik = row_i[k]
+                if aik:
+                    e = end[i]
+                    if e < e2:
+                        e = end[i] = e2
+                    s = at[i]
+                    beta = p1 * aik
+                    gamma = (pivot * row_i[k1] - aik * akk1) // s * s  # at[i] g
+                    q = s * pivot
+                    for j in range(k2, e):
+                        row_i[j] = (alpha * row_i[j] - beta * row_k[j] - gamma * row_1[j]) // q
+                    at[i] = p1
+                else:
+                    ai1 = row_i[k1]
+                    if ai1:  # step k+1 alone
                         e = end[i]
-                        if e < e2:
-                            e = end[i] = e2
+                        if e < e1:
+                            e = end[i] = e1
                         s = at[i]
-                        beta = p1 * aik
-                        gamma = (pivot * row_i[k1] - aik * akk1) // s * s  # at[i] g
-                        q = s * pivot
                         for j in range(k2, e):
-                            row_i[j] = (alpha * row_i[j] - beta * row_k[j] - gamma * row_1[j]) // q
+                            row_i[j] = (row_i[j] * p1 - ai1 * row_1[j]) // s
                         at[i] = p1
-                    else:
-                        ai1 = row_i[k1]
-                        if ai1:  # step k+1 alone
-                            e = end[i]
-                            if e < e1:
-                                e = end[i] = e1
-                            s = at[i]
-                            if s == 1:
-                                for j in range(k2, e):
-                                    row_i[j] = row_i[j] * p1 - ai1 * row_1[j]
-                            else:
-                                for j in range(k2, e):
-                                    row_i[j] = (row_i[j] * p1 - ai1 * row_1[j]) // s
-                            at[i] = p1
-                prev = p1
-                k = k2
-                continue
-        for i in range(first, n):
+            prev = p1
+            k = k2
+            continue
+        for i in range(k1 + 1, n):
             row_i = a[i]
             aik = row_i[k]
             if aik:
@@ -233,12 +225,8 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, list[tuple[int, i
                 if e < ek:
                     e = end[i] = ek
                 s = at[i]
-                if s == 1:  # dividing by 1 changes nothing (a row's first update)
-                    for j in range(k1, e):
-                        row_i[j] = row_i[j] * pivot - aik * row_k[j]
-                else:
-                    for j in range(k1, e):
-                        row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // s
+                for j in range(k1, e):
+                    row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // s
                 at[i] = pivot
         prev = pivot
         k = k1

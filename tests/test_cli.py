@@ -379,6 +379,22 @@ def test_bench_reports_the_best_of_five_runs_per_row(capsys, monkeypatch):
     assert [r[3] for r in rows] == ["250.000"] * 8
 
 
+def test_bench_runs_every_row_once_per_repeat(capsys, monkeypatch):
+    calls = []
+    right = cli.det_bareiss
+
+    def recorded(matrix):
+        calls.append(tuple(map(tuple, matrix)))
+        return right(matrix)
+
+    monkeypatch.setattr(cli, "det_bareiss", recorded)
+    code, _, _ = run(capsys, "bench", "--dims", "4,6", "--kernel", "bareiss")
+    assert code == PASS
+    # four rows (two dims, two shapes), each run once before any runs again
+    assert len(set(calls[:4])) == 4
+    assert calls == calls[:4] * 5
+
+
 def test_bench_repeats_that_disagree_exit_2(capsys, monkeypatch):
     calls = iter(range(10**6))
     monkeypatch.setattr(cli, "det_modular", lambda matrix: next(calls))

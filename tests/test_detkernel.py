@@ -1,11 +1,14 @@
 """Exact determinant kernels and the fraction-free linear solver."""
 
+import dis
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexatile import detkernel
 from hexatile.detkernel import (
     SingularMatrixError,
     det_bareiss,
@@ -70,7 +73,7 @@ def test_bareiss_on_mostly_zero_matrices(m):
 
 
 def test_bareiss_lazy_rows_and_swaps():
-    # row 1 is skipped at step 0 and then becomes the pivot (catch-up)
+    # row 1 is zero in column 0: step 0 only rescales it, to be the pivot of step 1
     assert det_bareiss([[2, 1, 1], [0, 3, 1], [1, 1, 5]]) == 26
     # row 2 is skipped at steps 0 and 1: only its last entry catches up
     assert det_bareiss([[2, 1, 1], [1, 3, 1], [0, 0, 5]]) == 25
@@ -103,7 +106,7 @@ def test_leading_minors_past_row_swaps():
     assert leading_minors([]) == []
     assert leading_minors([[0]]) == [0]
     assert leading_minors([[0, 1], [1, 0]]) == [0, -1]  # a swap at step 0
-    # row 1 is skipped at step 0 and is the pivot at step 1 (catch-up)
+    # row 1 is zero in column 0: step 0 only rescales it, to be the pivot of step 1
     assert leading_minors([[2, 1, 1], [0, 3, 1], [1, 1, 5]]) == [2, 6, 26]
     # the 2 x 2 minor vanishes, and the swap at step 1 brings up row 2: it
     # stays inside the 3 x 3 block, whose minor is the pivot with its sign flipped
@@ -146,6 +149,22 @@ def test_two_step_branches():
          [0, 2, 0, 1, 1, 3, 0],
          [3, 1, 0, 0, 1, 2, 2]]
     assert _checked(m) == det_modular(m) != 0
+    # after the pair (0, 1) row 3 is zero in column 2 and at step 1's scale:
+    # step 2 rescales it, and its pivot p1 (the 4 x 4 minor) is 0, so the
+    # pair (2, 3) is declined and step 3 swaps rows
+    assert _checked([[3, 1, 2, 1, 2],
+                     [1, 3, 1, 3, 0],
+                     [2, 3, 0, 1, 2],
+                     [3, 1, 2, 1, 3],
+                     [1, 0, 2, 0, 1]]) == -22
+    # the last row, skipped by the pair (2, 3) and zero in column 4, is
+    # rescaled from step 1's scale by the same update at step 4
+    assert _checked([[2, 1, 0, 0, 0, 2],
+                     [1, 2, 2, 0, 3, 2],
+                     [2, 0, 0, 3, 3, 2],
+                     [1, 1, 0, 1, 2, 2],
+                     [2, 2, 0, 2, 3, 2],
+                     [2, 1, 0, 0, 0, 0]]) == 20
     # even n ends on a single step (k + 1 is the last row), odd n on a pair
     for n in (4, 5, 6, 7):
         m = [[(3 * i + 5 * j) % 7 - 2 + (i == j) * 4 for j in range(n)] for i in range(n)]
@@ -174,6 +193,33 @@ def test_large_entries_cross_the_pair_bound():
         delta, y = solve_exact(big, identity(7))
         assert delta == minors[-1] << 7 * s
         assert mat_mul(big, y) == [[delta * v for v in row] for row in identity(7)]
+
+
+def test_every_line_of_the_elimination_runs_on_the_cases_above():
+    # the hand-written cases between them reach every branch of `_eliminate`
+    code = detkernel._eliminate.__code__
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        test_det_bareiss_rejects_ragged()
+        test_bareiss_lazy_rows_and_swaps()
+        test_leading_minors_past_row_swaps()
+        test_two_step_branches()
+        test_solve_exact_through_pairs()
+        test_large_entries_cross_the_pair_bound()
+    finally:
+        sys.settrace(before)
+    lines = {line for _, line in dis.findlinestarts(code) if line is not None}
+    assert sorted(lines - {code.co_firstlineno} - ran) == []
 
 
 def test_det_modular_small_cases():
