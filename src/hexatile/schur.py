@@ -8,20 +8,28 @@ T diag(s), and the diagonal of D as the list W D_kk / (r_k s_k), so that
 T diag(s) . diag(that list) . diag(r) L = W M^-1.  The inverse's single sum
 and the double and triple sums return W times their entry.  The blocks Q1-Q4
 are integer matrices, and the complement is scaled by delta = det Q2:
-Y = delta Q2^-1 Q1 and Fp = delta F.  The displayed double sums, their
-inner sums and the blocks verify_triple_sum reads are memoized (bounded) on
-their arguments, so a sweep of checks evaluates each distinct term once.
+Y = delta Q2^-1 Q1 and Fp = delta F.  The displayed double sums and their
+inner sums are memoized (bounded) on their arguments, so a sweep of checks
+evaluates each distinct term once.
 verify_sum_formula is cross-multiplied: its summands are scaled by their
 common factorial denominator and compared with the right side's numerator
 over (b+c)_a.
+
+The blocks have one memo, kept by (a, b, c, p) with the depth d free: Q2
+depends on (a, b, c) alone, and row i of Q3 and column j of Q1 on their own
+index and p, so the blocks at every depth e <= d are leading parts of those
+at d, and so is Fp.  One build at d, with the leading minors of its Fp,
+gives the count at every e <= d, and count_via_F and verify_triple_sum read
+theirs from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .detkernel import IntMatrix, det_bareiss, mat_mul, solve_exact
+from .detkernel import IntMatrix, leading_minors, mat_mul, solve_exact
 from .exactmath import NotIntegerError, OutOfValidityError, binom, factorial, rising
 
 
@@ -118,12 +126,57 @@ def build_blocks(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
                               delta=delta, Y=y, Fp=fp)
 
 
-def count_via_F(a: int, b: int, c: int, d: int, p: int) -> int:
-    """E(a,b,c,d,p) = det(F) det(Q2) = det(Fp) / delta^(d-1) (det of empty Fp is 1)."""
+class _Complement(NamedTuple):
+    """One block memo entry, built at depth d = len(counts) - 1."""
+
+    delta: int
+    Y: tuple  # delta Q2^-1.Q1, a rows of d
+    Q3: tuple  # d rows of a
+    counts: tuple  # E at depth 0..d, None where det(Fp) leaves a remainder
+
+
+# The block memo, (a, b, c, p) -> _Complement, and its bound in entries.  One
+# `hexatile verify all` pass builds 350 entries: complement_block_count asks
+# for each (a, b, c) from its largest d down, and inverse_entry_sums reads
+# the entries it left.  When full, the memo drops the entry stored first.
+_BLOCKS: dict = {}
+_BLOCKS_MAX = 4096
+
+
+def _complement(a: int, b: int, c: int, d: int, p: int) -> _Complement:
+    """The memo entry of (a, b, c, p), built at depth d or deeper.
+
+    A miss, or an entry built at a smaller depth, builds the blocks at d
+    once and records the count at every e <= d, det(Fp_e) delta / delta^e
+    with Fp_e the leading e x e block of Fp, in place of the shallower entry.
+    """
+    if a < 1 or d < 0:
+        raise ValueError("block decomposition needs a >= 1 and d >= 0")
+    key = (a, b, c, p)
+    entry = _BLOCKS.get(key)
+    if entry is not None:
+        if d < len(entry.counts):
+            return entry
+        del _BLOCKS[key]  # stored again below, as the newest entry
+    elif len(_BLOCKS) >= _BLOCKS_MAX:
+        del _BLOCKS[next(iter(_BLOCKS))]  # the entry stored first
     blocks = build_blocks(a, b, c, d, p)
     delta = blocks.delta
-    count, rest = divmod(det_bareiss(blocks.Fp) * delta, delta**d)
-    if rest:
+    counts = []
+    for e, minor in enumerate([1] + leading_minors(blocks.Fp)):  # [1]: the empty Fp
+        count, rest = divmod(minor * delta, delta**e)
+        counts.append(None if rest else count)
+    entry = _Complement(delta, tuple(map(tuple, blocks.Y)), tuple(map(tuple, blocks.Q3)),
+                        tuple(counts))
+    _BLOCKS[key] = entry
+    return entry
+
+
+def count_via_F(a: int, b: int, c: int, d: int, p: int) -> int:
+    """E(a,b,c,d,p) = det(F) det(Q2) = det(Fp) / delta^(d-1) (det of empty Fp
+    is 1), read from the block memo."""
+    count = _complement(a, b, c, d, p).counts[d]
+    if count is None:
         raise NotIntegerError(f"count_via_F is not an integer at {(a, b, c, d, p)}")
     return count
 
@@ -161,17 +214,11 @@ def triple_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> int:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _triple_sum_blocks(a: int, b: int, c: int, d: int, p: int) -> tuple:
-    """delta, Y and Q3 of build_blocks, as tuples so no caller can change the memo."""
-    blocks = build_blocks(a, b, c, d, p)
-    return blocks.delta, tuple(map(tuple, blocks.Y)), tuple(map(tuple, blocks.Q3))
-
-
 def verify_triple_sum(a: int, b: int, c: int, p: int, i: int, j: int) -> bool:
     """Check the double- and triple-sum displays against direct linear algebra:
-    delta times a display is W times the matching entry of Y or Q3.Y."""
-    delta, y, q3 = _triple_sum_blocks(a, b, c, max(i, j), p)
+    delta times a display is W times the matching entry of Y or Q3.Y, read
+    from the block memo's leading parts."""
+    delta, y, q3, _ = _complement(a, b, c, max(i, j), p)
     w = inverse_scale(a, b, c)
     if i <= a and delta * double_sum_entry(a, b, c, p, i, j) != w * y[i - 1][j - 1]:
         return False

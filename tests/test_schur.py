@@ -164,10 +164,18 @@ def test_blocks_delta_is_macmahon_and_solves_q2():
 
 
 def test_count_via_F_refuses_a_remainder(monkeypatch):
-    # det(Fp) = E delta^(d-1), so one more leaves delta over delta^d
-    monkeypatch.setattr(schur, "det_bareiss", lambda m: det_bareiss(m) + 1)
-    with pytest.raises(NotIntegerError):
-        count_via_F(4, 5, 3, 2, 4)
+    # det(Fp) = E delta^(d-1), so one more on the last minor leaves delta over delta^d
+    minors = schur.leading_minors
+    monkeypatch.setattr(schur, "leading_minors", lambda m: minors(m)[:-1] + [minors(m)[-1] + 1])
+    schur._BLOCKS.clear()
+    try:
+        with pytest.raises(NotIntegerError):
+            count_via_F(4, 5, 3, 2, 4)
+        # the smaller depths of the same entry are read from their own minors
+        assert count_via_F(4, 5, 3, 1, 4) == even_count(4, 5, 3, 1, 4).value
+        assert count_via_F(4, 5, 3, 0, 4) == macmahon(4, 5, 3)
+    finally:
+        schur._BLOCKS.clear()
 
 
 def test_count_via_F_d0_degenerates_to_macmahon():
@@ -300,23 +308,122 @@ def test_verify_sum_formula_tally_includes_failing_points():
         verify_sum_formula(2, -2, 2, 3)  # b + c = 0: (b+c)_a vanishes
 
 
-def test_inverse_entry_sums_builds_each_distinct_block_once(monkeypatch):
-    from hexatile import formulas
-
+def _counting_builds(monkeypatch):
     built = []
 
     def counted(*args):
         built.append(args)
         return build_blocks(*args)
 
-    schur._triple_sum_blocks.cache_clear()
     monkeypatch.setattr(schur, "build_blocks", counted)
+    return built
+
+
+def test_inverse_entry_sums_builds_each_distinct_block_once(monkeypatch):
+    from hexatile import cli, formulas
+
+    built = _counting_builds(monkeypatch)
+    schur._BLOCKS.clear()
     try:
         [result] = formulas._run_checks(["inverse_entry_sums"], 5, 5, 5, 3)
+        assert (result.cases, result.failures) == (704, [])
+        # 704 (a, b, c, p, i, j) ask for 176 distinct (a, b, c, p), each built
+        # once at its largest depth max(i, j) = 2, which is asked for first
+        assert len(built) == len({args[:3] + args[4:] for args in built}) == 176
+        assert {args[3] for args in built} == {2}
+        delta, y, q3, counts = schur._complement(3, 3, 3, 2, 1)
+        assert all(isinstance(v, tuple) for v in (y, q3, counts) + y + q3)
+
+        # as the `schur` suite runs them, complement_block_count leaves every
+        # block inverse_entry_sums reads, one per (a, b, c, p) at d = dmax
+        schur._BLOCKS.clear()
+        built.clear()
+        first, second = cli._SUITES["schur"]
+        [result] = formulas._run_checks([first], 4, 5, 5, 3)
+        assert (result.cases, result.failures) == (1400, [])
+        assert len(built) == len(set(built)) == 350 and {args[3] for args in built} == {3}
+        built.clear()
+        [result] = formulas._run_checks([second], 4, 5, 5, 3)
+        assert (result.cases, result.failures, built) == (704, [], [])
     finally:
-        schur._triple_sum_blocks.cache_clear()
-    assert (result.cases, result.failures) == (704, [])
-    # 704 (a, b, c, p, i, j) ask for 352 distinct (a, b, c, max(i, j), p)
-    assert len(built) == len(set(built)) == 352
-    delta, y, q3 = schur._triple_sum_blocks(3, 3, 3, 2, 1)
-    assert isinstance(y, tuple) and all(isinstance(row, tuple) for row in y + q3)
+        schur._BLOCKS.clear()
+
+
+def _fresh_count(a, b, c, d, p):
+    # det(Fp) delta / delta^d from a build that reads no memo
+    blocks = build_blocks(a, b, c, d, p)
+    count, rest = divmod(det_bareiss(blocks.Fp) * blocks.delta, blocks.delta**d)
+    assert not rest
+    return count
+
+
+def test_block_memo_counts_match_a_fresh_build_in_either_order(monkeypatch):
+    keys = [(a, b, c, p) for a in range(1, 5) for b in range(6) for c in range(6)
+            for p in range(-2, a + 3)]
+    want = {(a, b, c, d, p): _fresh_count(a, b, c, d, p)
+            for a, b, c, p in keys for d in range(5)}
+    built = _counting_builds(monkeypatch)
+    try:
+        for depths, builds in [(range(5), 5), (range(4, -1, -1), 1)]:
+            schur._BLOCKS.clear()
+            built.clear()
+            for a, b, c, p in keys:
+                for d in depths:
+                    assert count_via_F(a, b, c, d, p) == want[a, b, c, d, p], (a, b, c, d, p)
+            # ascending rebuilds at every depth; descending builds once, at the top
+            assert len(built) == builds * len(keys)
+    finally:
+        schur._BLOCKS.clear()
+
+
+def test_block_memo_drops_the_entry_stored_first(monkeypatch):
+    monkeypatch.setattr(schur, "_BLOCKS_MAX", 4)
+    keys = [(2, 3, 3, 1), (3, 2, 4, 0), (1, 5, 1, 1), (4, 4, 4, 2), (3, 3, 2, 3)]
+    schur._BLOCKS.clear()
+    try:
+        for a, b, c, p in keys:
+            assert count_via_F(a, b, c, 2, p) == _fresh_count(a, b, c, 2, p)
+        assert list(schur._BLOCKS) == keys[1:]
+        # a deeper ask rebuilds its entry and stores it as the newest
+        a, b, c, p = keys[1]
+        assert count_via_F(a, b, c, 3, p) == _fresh_count(a, b, c, 3, p)
+        assert list(schur._BLOCKS) == keys[2:] + keys[1:2]
+        a, b, c, p = keys[0]
+        assert count_via_F(a, b, c, 1, p) == _fresh_count(a, b, c, 1, p)
+        assert list(schur._BLOCKS) == keys[3:] + keys[1:2] + keys[:1]
+        stored = {key: len(entry.counts) for key, entry in schur._BLOCKS.items()}
+        assert list(stored.values()) == [3, 3, 4, 2]
+        for (a, b, c, p), depths in stored.items():
+            for d in range(depths):
+                assert count_via_F(a, b, c, d, p) == _fresh_count(a, b, c, d, p)
+        assert list(schur._BLOCKS) == list(stored)  # reads move nothing
+    finally:
+        schur._BLOCKS.clear()
+
+
+def test_a_planted_count_fails_its_complement_block_check():
+    from hexatile import formulas
+
+    schur._BLOCKS.clear()
+    try:
+        entry = schur._complement(2, 3, 3, 2, 1)
+        counts = list(entry.counts)
+        counts[1] += 1
+        schur._BLOCKS[2, 3, 3, 1] = entry._replace(counts=tuple(counts))
+        [result] = formulas._run_checks(["complement_block_count"], 2, 3, 3, 2)
+        assert result.failures == [(2, 3, 3, 1, 1)]
+    finally:
+        schur._BLOCKS.clear()
+
+
+def test_count_via_F_checks_its_arguments_before_the_memo():
+    schur._BLOCKS.clear()
+    try:
+        assert count_via_F(2, 3, 3, 2, 1) == even_count(2, 3, 3, 2, 1).value
+        with pytest.raises(ValueError):
+            count_via_F(2, 3, 3, -1, 1)  # not counts[-1]
+        schur._BLOCKS[0, 3, 3, 1] = schur._BLOCKS[2, 3, 3, 1]
+        with pytest.raises(ValueError):
+            count_via_F(0, 3, 3, 1, 1)
+    finally:
+        schur._BLOCKS.clear()
