@@ -33,7 +33,8 @@ from typing import Callable
 from . import lgv, schur
 from .exactmath import (OutOfValidityError, PoleError, as_int, binom, factorial,
                         pochhammer_parts, rising)
-from .lgv import even_count
+from .hexmodel import EVEN, ODD
+from .lgv import count
 
 
 class UnknownQError(ValueError):
@@ -42,19 +43,21 @@ class UnknownQError(ValueError):
 
 def macmahon(a: int, b: int, c: int) -> int:
     """Number of lozenge tilings of the intact (a,b,c)-hexagon."""
-    a, b, c = sorted((a, b, c))
-    if a < 0:
-        raise ValueError("a, b, c must be nonnegative")
     return _macmahon(a, b, c)
 
 
-# The memo bound: the identity registry at (8, 8, 8, 4) asks for 229 distinct
-# sorted triples (876 ordered) in 177k calls, a `verify` pass at the CLI
-# defaults for 75 (248 ordered) in 20k.
+# The memo, keyed by the sides as given, so a hit costs one lookup; each of
+# the six orders of a triple is one entry.  The bound: the identity registry
+# at (8, 8, 8, 4) asks for 876 ordered triples (229 sorted) in 177k calls, a
+# `verify` pass at the CLI defaults for 248 (75 sorted) in 20k.
 @lru_cache(maxsize=1 << 12)
 def _macmahon(a: int, b: int, c: int) -> int:
     """M(a, b, c) = prod_{i<a, j<b} (c+i+j+1)/(i+j+1) for a <= b <= c: M is
-    symmetric in its sides, and the box products run over the shortest one."""
+    symmetric in its sides, so a miss sorts them and the box products run
+    over the shortest one."""
+    a, b, c = sorted((a, b, c))
+    if a < 0:
+        raise ValueError("a, b, c must be nonnegative")
     return as_int("macmahon product", _plane(c, a, b), _plane(0, a, b))
 
 
@@ -273,7 +276,7 @@ def detF_factorized(p: int, b: int, c: int, d: int) -> Fraction:
 
 def _G(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
     """G = E/M as the pair (E, M)."""
-    return even_count(a, b, c, d, p).value, macmahon(a, b, c)
+    return count(a, b, c, d, p, EVEN), macmahon(a, b, c)
 
 
 def _R(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
@@ -314,12 +317,13 @@ def _vanishes(terms) -> bool:
 # ones in the generator's order, and lists failures in the generator's order.
 # So a count line (b, c, d, p, parity) is eliminated at its largest a and the
 # smaller ones are read from lgv's line memo: `verify all` and the identity
-# registry at the CLI defaults make 3,229 eliminations for 2,463 lines, where
-# counting a upward made 6,486.  schur's block memo keeps (a, b, c, p) with
-# the depth free, so the two checks that read it count their depth down:
-# complement_block_count's d and inverse_entry_sums' i and j (the depth is
-# max(i, j)).  Each (a, b, c, p) is then built once, at its largest depth,
-# 350 builds in a `verify all` pass where each depth's own build made 1,752.
+# registry at the CLI defaults make 2,685 eliminations for 2,026 lines (lgv
+# keeps every d = 0 line by (b, c) alone), where counting a upward made
+# 6,486.  schur's block memo keeps (a, b, c, p) with the depth free, so the
+# two checks that read it count their depth down: complement_block_count's d
+# and inverse_entry_sums' i and j (the depth is max(i, j)).  Each
+# (a, b, c, p) is then built once, at its largest depth, 350 builds in a
+# `verify all` pass where each depth's own build made 1,752.
 
 
 @dataclass(frozen=True)
@@ -533,7 +537,7 @@ def _p1d_aux(a, b, c, d):
         terms.append((_s_coef(a, b, k),
                       ((top - binom(b + c - 2 * d + 1, a + c - k - 1), top * (a + c - k - 1)),)))
     s, s_den = _sum(terms)
-    rhs = even_count(a, b, c, d, 1 - d).value * factorial(a - 1) * rising(b + c + 1, a - 1)
+    rhs = count(a, b, c, d, 1 - d, EVEN) * factorial(a - 1) * rising(b + c + 1, a - 1)
     return macmahon(a, b, c) * rising(c, a) * s == rhs * s_den
 
 
@@ -636,36 +640,36 @@ def _p1md_points(A, B, C, D):
 
 @_check("macmahon_product", _box(0, 1, 1))
 def _macmahon_product(a, b, c):
-    return even_count(a, b, c, 0, 0).value == macmahon(a, b, c)
+    return count(a, b, c, 0, 0, EVEN) == macmahon(a, b, c)
 
 
 @_check("halved_even_product", _byun_points)
 def _halved_even_product(p, b, c, d):
-    return byun_even(p, b, c, d) == even_count(2 * p, b, c, d, p).value
+    return byun_even(p, b, c, d) == count(2 * p, b, c, d, p, EVEN)
 
 
 @_check("halved_odd_product_corrected", _byun_points)
 def _halved_odd_product_corrected(p, b, c, d):
-    return (-1) ** d * byun_odd_corrected(p, b, c, d) == lgv.odd_count(2 * p + 1, b, c, d, p).value
+    return (-1) ** d * byun_odd_corrected(p, b, c, d) == count(2 * p + 1, b, c, d, p, ODD)
 
 
 @_check("halved_odd_product_printed", _byun_points, informational=True)
 def _halved_odd_product_printed(p, b, c, d):
     try:
-        return byun_odd(p, b, c, d) == abs(lgv.odd_count(2 * p + 1, b, c, d, p).value)
+        return byun_odd(p, b, c, d) == abs(count(2 * p + 1, b, c, d, p, ODD))
     except (ValueError, ArithmeticError):
         return False
 
 
 @_check("p1md_simple", _p1md_points)
 def _p1md_simple(a, b, c, d):
-    return p_one_minus_d_simple(a, b, c, d) == even_count(a, b, c, d, 1 - d).value
+    return p_one_minus_d_simple(a, b, c, d) == count(a, b, c, d, 1 - d, EVEN)
 
 
 def _p1md_alt(variant):
     def check(a, b, c, d):
         try:
-            want = even_count(a, b, c, d, 1 - d).value
+            want = count(a, b, c, d, 1 - d, EVEN)
             return p_one_minus_d_alt(a, b, c, d, variant=variant) == want
         except OutOfValidityError:
             return True  # outside the display's window: counted as a pass
@@ -681,7 +685,7 @@ _check("p1md_polynomial", _p1md_points)(_p1md_alt("polynomial"))
 
 @_check("unit_intrusion_corollary", _box(0, 1, 1))
 def _unit_intrusion_corollary(a, b, c):
-    return d1_corollary(a, b, c) == even_count(a, b, c, 1, 0).value
+    return d1_corollary(a, b, c) == count(a, b, c, 1, 0, EVEN)
 
 
 @_check("binomial_lu_inverse", _box(1, 1, 1))
@@ -696,7 +700,7 @@ def _binomial_lu_inverse(a, b, c):
     for p in range(a + 1)
 ))
 def _complement_block_count(a, b, c, d, p):
-    return schur.count_via_F(a, b, c, d, p) == even_count(a, b, c, d, p).value
+    return schur.count_via_F(a, b, c, d, p) == count(a, b, c, d, p, EVEN)
 
 
 @_check("inverse_entry_sums", lambda A, B, C, D: (

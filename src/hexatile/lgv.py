@@ -11,6 +11,8 @@ Every count goes through `_det` and its one memo, kept by line (b, c, d, p
 and the parity fixed, a free): path_matrix(a', ...) is a leading block of
 path_matrix(a, ...), so one elimination gives the count at every a' <= a
 from its leading minors, and qfit samples a line by asking for its top.
+`count` reads the memo as a checked int; `even_count` and `odd_count` wrap
+it in a SignedCount.
 """
 
 from __future__ import annotations
@@ -54,15 +56,17 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
 
 
 # The count memo, (b, c, d, p, parity) -> [count at a' = 0, 1, ...], and its
-# bound in lines.  One `hexatile verify all` pass plus the identity registry
-# at the CLI default ranges touches 2,463 lines and, as formulas' runner asks
-# for each check's points from the largest a down, eliminates 3,229 times
-# (6,486 when it counted a upward); a fit up to layer n samples
-# C(n + 3, 3): 2,024 for fit_auto(5), 5,984 for fit_auto(6) and 15,180 at
-# d = 7, so each of these runs' lines all fit.  When full, the memo drops the
-# line stored first.
+# bound in lines.  At d = 0 neither p nor the parity changes path_matrix, so
+# every d = 0 line is kept as (b, c, 0, 0, EVEN).  One `hexatile verify all`
+# pass plus the identity registry at the CLI default ranges touches 2,026
+# lines and, as formulas' runner asks for each check's points from the
+# largest a down, eliminates 2,685 times (6,486 when it counted a upward); a
+# fit up to layer n samples C(n + 3, 3): 2,024 for fit_auto(5), 5,984 for
+# fit_auto(6) and 15,180 at d = 7, so each of these runs' lines all fit.
+# When full, the memo drops the line stored first.
 _LINES: dict = {}
 _LINES_MAX = 1 << 14
+_PARITIES = (EVEN, ODD)
 
 
 def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
@@ -70,11 +74,12 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
 
     Every determinant in this module goes through here.  A miss eliminates
     path_matrix(a, ...) once and records the count at every a' <= a, read
-    off its leading minors, in place of the shorter line.  Keys are not
-    canonicalized (no mirror images), so the symmetry and condensation
-    checks still compare values computed at distinct points.
+    off its leading minors, in place of the shorter line.  Keys are
+    canonicalized only where the matrix is the same: every d = 0 request is
+    kept as (b, c, 0, 0, EVEN).  Mirror images are not, so the symmetry and
+    condensation checks still compare values computed at distinct points.
     """
-    key = (b, c, d, p, parity)
+    key = (b, c, d, p, parity) if d else (b, c, 0, 0, EVEN)
     line = _LINES.get(key)
     if line is not None:
         if a < len(line):
@@ -87,18 +92,23 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     return line[a]
 
 
-def _signed(a: int, b: int, c: int, d: int, p: int, parity: str) -> SignedCount:
+def count(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
+    """The signed count E(a,b,c,d,p) (parity EVEN) or O(a,b,c,d,p) (ODD) as an
+    int, read from the line memo.  Negative a, b, c or d and any other parity
+    are a ValueError."""
     if a < 0 or b < 0 or c < 0 or d < 0:
         raise ValueError("a, b, c, d must be nonnegative")
-    return SignedCount.of(_det(a, b, c, d, p, parity))
+    if parity not in _PARITIES:
+        raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, not {parity!r}")
+    return _det(a, b, c, d, p, parity)
 
 
 def even_count(a: int, b: int, c: int, d: int, p: int) -> SignedCount:
-    return _signed(a, b, c, d, p, EVEN)
+    return SignedCount.of(count(a, b, c, d, p, EVEN))
 
 
 def odd_count(a: int, b: int, c: int, d: int, p: int) -> SignedCount:
-    return _signed(a, b, c, d, p, ODD)
+    return SignedCount.of(count(a, b, c, d, p, ODD))
 
 
 def _dodgson(x, a: int, b: int, c: int, p: int) -> int:
@@ -152,9 +162,9 @@ def verify_symmetry(a: int, b: int, c: int, d: int, p: int) -> bool:
     Intrusion positions are counted from 0 for both parities, so the p
     positions of the odd family are 0..a-1 and the mirror sends p to a-1-p.
     """
-    if even_count(a, b, c, d, p).value != even_count(a, c, b, d, a - p).value:
+    if count(a, b, c, d, p, EVEN) != count(a, c, b, d, a - p, EVEN):
         return False
-    return odd_count(a, b, c, d, p).value == odd_count(a, c, b, d, a - 1 - p).value
+    return count(a, b, c, d, p, ODD) == count(a, c, b, d, a - 1 - p, ODD)
 
 
 def _condensation_holds(a: int, b: int, c: int, d: int, p: int, parity: str) -> bool:

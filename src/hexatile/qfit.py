@@ -41,7 +41,7 @@ from typing import Mapping, Optional
 from .detkernel import det_bareiss
 from .formulas import prefactor_P
 from .hexmodel import EVEN
-from .lgv import even_count, path_matrix
+from .lgv import count, even_count, path_matrix
 
 
 class FitInconsistentError(ValueError):
@@ -103,10 +103,10 @@ def poly_from_json(text: str):
 def sample_ratio(a: int, b: int, c: int, d: int, p: int) -> Fraction:
     """E(a,b,c,d,p)/P(a,b,c,d,p); the conjectured polynomial factor at a point.
 
-    E comes from lgv.even_count, so a line the fit has eliminated is read,
-    not recomputed."""
+    E is read as an int through lgv.count, so a line the fit has eliminated
+    is read, not recomputed."""
     pf = prefactor_P(a, b, c, d, p)  # raises outside its window, is positive inside
-    return Fraction(even_count(a, b, c, d, p).value) / pf
+    return Fraction(count(a, b, c, d, p, EVEN)) / pf
 
 
 def _layer(n: int) -> list:

@@ -217,7 +217,10 @@ def triple_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> int:
 def verify_triple_sum(a: int, b: int, c: int, p: int, i: int, j: int) -> bool:
     """Check the double- and triple-sum displays against direct linear algebra:
     delta times a display is W times the matching entry of Y or Q3.Y, read
-    from the block memo's leading parts."""
+    from the block memo's leading parts.  The indices are 1-based: i or j
+    below 1 is a ValueError."""
+    if i < 1 or j < 1:
+        raise ValueError(f"the indices are 1-based, not (i, j) = ({i}, {j})")
     delta, y, q3, _ = _complement(a, b, c, max(i, j), p)
     w = inverse_scale(a, b, c)
     if i <= a and delta * double_sum_entry(a, b, c, p, i, j) != w * y[i - 1][j - 1]:

@@ -25,6 +25,7 @@ from hexatile.formulas import (
     special_prefactor,
     verify_identities,
 )
+from hexatile.hexmodel import EVEN
 from hexatile.lgv import even_count, odd_count
 from hexatile.qfit import simplex_grid
 
@@ -44,6 +45,22 @@ def test_macmahon_is_the_box_product_in_every_argument_order():
         assert num % den == 0
         for order in permutations((a, b, c)):
             assert macmahon(*order) == num // den
+
+
+def test_macmahon_memo_is_keyed_by_the_sides_as_given():
+    # a hit costs one lookup: each of the six orders is its own memo entry,
+    # all with the one value, and a negative side raises in every order
+    from hexatile import formulas
+
+    formulas._macmahon.cache_clear()
+    orders = list(permutations((7, 2, 5)))
+    assert {macmahon(*order) for order in orders} == {macmahon(2, 5, 7)}
+    assert formulas._macmahon.cache_info().currsize == 6
+    assert [macmahon(*order) for order in orders] == [macmahon(2, 5, 7)] * 6
+    assert formulas._macmahon.cache_info().currsize == 6
+    for order in permutations((-1, 2, 3)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            macmahon(*order)
 
 
 @pytest.mark.parametrize("closed_form, count", [
@@ -355,10 +372,10 @@ def test_special_ansatz_checks_fail_on_one_wrong_count(monkeypatch, name, point,
     assert check(*point) is True
 
     def off_by_one(*q):
-        value = lgv.even_count(*q).value
-        return lgv.SignedCount.of(value + 1 if q == count else value)
+        value = lgv.count(*q)
+        return value + 1 if q == count + (EVEN,) else value
 
-    monkeypatch.setattr(formulas, "even_count", off_by_one)
+    monkeypatch.setattr(formulas, "count", off_by_one)
     assert check(*point) is False
     [result] = formulas._run_checks([name], 4, 5, 5, 3)
     assert point in result.failures
@@ -377,17 +394,17 @@ def test_special_ansatz_checks_fail_on_one_wrong_count(monkeypatch, name, point,
     ("f_alternative", "f_sum", (3, 3, 2, 2), (3, 3, 2, 2)),
 ])
 def test_integer_checks_report_exactly_one_wrong_value(monkeypatch, name, target, wrong, point):
-    from hexatile import formulas, lgv
+    from hexatile import formulas
 
     assert formulas._REGISTRY[name].predicate(*point) is True
+    if target == "even_count":  # E is read as an int through lgv.count
+        target, wrong = "count", wrong + (EVEN,)
     real = getattr(formulas, target)
 
     def off_by_one(*q):
         value = real(*q)
         if q != wrong:
             return value
-        if isinstance(value, lgv.SignedCount):
-            return lgv.SignedCount.of(value.value + 1)
         if isinstance(value, tuple):  # an (N, D) pair
             return value[0] + value[1], value[1]
         return value + 1
@@ -473,9 +490,10 @@ def test_checks_run_from_the_largest_first_coordinate_down(monkeypatch):
 
 
 def test_a_verify_pass_eliminates_each_line_from_its_top(monkeypatch, capsys):
-    # `verify all` and the identity registry at the CLI defaults read 2,463
-    # lines; run with a upward, each line was eliminated again for every
-    # larger a asked of it, 6,486 eliminations in all
+    # `verify all` and the identity registry at the CLI defaults read 2,026
+    # lines, every d = 0 line kept by (b, c) alone; run with a upward, each
+    # line was eliminated again for every larger a asked of it, 6,486
+    # eliminations in all (for 2,463 lines, d = 0 kept by p and parity too)
     from hexatile import cli, formulas, lgv
 
     eliminations = []
@@ -484,8 +502,8 @@ def test_a_verify_pass_eliminates_each_line_from_its_top(monkeypatch, capsys):
     monkeypatch.setattr(lgv, "leading_minors", lambda m: eliminations.append(len(m)) or real(m))
     assert cli.main(["verify", "all"]) == 0
     formulas.verify_identities("all", 4, 5, 5, 3)
-    assert len(eliminations) <= 3229
-    assert len(lgv._LINES) == 2463
+    assert len(eliminations) <= 2685
+    assert len(lgv._LINES) == 2026
 
 
 def test_f_d_recursion_honours_dmax():
@@ -500,10 +518,10 @@ def test_general_recursion_fails_on_one_wrong_count(monkeypatch):
     assert formulas._general_recursion(*point)
 
     def off_by_one(*q):
-        value = lgv.even_count(*q).value
-        return lgv.SignedCount.of(value + 1 if q == point else value)
+        value = lgv.count(*q)
+        return value + 1 if q == point + (EVEN,) else value
 
-    monkeypatch.setattr(formulas, "even_count", off_by_one)
+    monkeypatch.setattr(formulas, "count", off_by_one)
     assert not formulas._general_recursion(*point)
 
 

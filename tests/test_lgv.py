@@ -1,5 +1,7 @@
 """Signed determinant counts, their symmetries, and the condensation engine."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,6 +234,48 @@ def test_warm_memo_still_rejects_negative_sides():
             odd_count(*bad)
 
 
+def test_count_reads_the_signed_count_as_an_int():
+    # even_count and odd_count wrap count; the grid takes in b or c = 0 and
+    # p on both sides of 0..a
+    for a, b, c, d in product(range(4), range(3), range(3), range(3)):
+        for p in range(-1, a + 2):
+            for parity, signed in ((EVEN, even_count), (ODD, odd_count)):
+                value = lgv.count(a, b, c, d, p, parity)
+                assert value == signed(a, b, c, d, p).value, (a, b, c, d, p, parity)
+                assert value == det_bareiss(path_matrix(a, b, c, d, p, parity))
+    for bad in ((-1, 2, 2, 1), (2, -1, 2, 1), (2, 2, -1, 1), (2, 2, 2, -1)):
+        for parity in (EVEN, ODD):
+            with pytest.raises(ValueError, match="nonnegative"):
+                lgv.count(*bad, 0, parity)
+    # a d = 0 line is kept under EVEN, and a bad parity is still rejected there
+    assert lgv.count(2, 2, 2, 0, 0, EVEN) == macmahon(2, 2, 2)
+    with pytest.raises(ValueError, match="parity"):
+        lgv.count(2, 2, 2, 0, 0, "bogus")
+
+
+def test_d0_requests_eliminate_once_per_b_c(monkeypatch):
+    # at d = 0 neither p nor the parity leaves a mark on path_matrix, also at
+    # the formal b, c < 0 that condensation reaches ...
+    for a, b, c in product(range(6), range(-3, 5), range(-3, 5)):
+        want = path_matrix(a, b, c, 0, 0, EVEN)
+        for p in range(-3, a + 4):
+            assert path_matrix(a, b, c, 0, p, ODD) == want
+            assert path_matrix(a, b, c, 0, p, EVEN) == want
+    # ... so the memo keeps one line per (b, c): one elimination each
+    monkeypatch.setattr(lgv, "_LINES", {})
+    eliminated = []
+    real = lgv.leading_minors
+    monkeypatch.setattr(lgv, "leading_minors", lambda m: eliminated.append(len(m)) or real(m))
+    a = 5
+    for b, c in product(range(4), repeat=2):
+        for parity in (EVEN, ODD):
+            for p in range(-3, a + 4):
+                assert lgv.count(a, b, c, 0, p, parity) == macmahon(a, b, c)
+                assert lgv.count(a - 2, b, c, 0, p, parity) == macmahon(a - 2, b, c)
+    assert eliminated == [a] * 16
+    assert set(lgv._LINES) == {(b, c, 0, 0, EVEN) for b, c in product(range(4), repeat=2)}
+
+
 def test_memo_stays_within_its_bound(monkeypatch):
     # the bound counts lines, not points
     monkeypatch.setattr(lgv, "_LINES", {})
@@ -268,7 +312,8 @@ def test_memo_values_match_uncached_determinants(monkeypatch):
     # memo.  The grid takes in p = 0, p = a, the formal edges b or c = 0,
     # lines with a zero count (where the elimination swaps rows) and odd
     # lines, whose elimination swaps at step 0 once d > 0: every line is
-    # known in full all the same
+    # known in full all the same.  Every d = 0 line is kept under one key,
+    # (b, c, 0, 0, EVEN), whatever the p and parity asked
     monkeypatch.setattr(lgv, "_LINES", {})
     for parity, count in ((EVEN, even_count), (ODD, odd_count)):
         for b in range(7):
@@ -276,7 +321,7 @@ def test_memo_values_match_uncached_determinants(monkeypatch):
                 for d in range(5):
                     for p in range(-2, 11):
                         top = count(8, b, c, d, p).value
-                        line = lgv._LINES[b, c, d, p, parity]
+                        line = lgv._LINES[(b, c, d, p, parity) if d else (b, c, 0, 0, EVEN)]
                         assert len(line) == 9 and line[8] == top
                         for a, v in enumerate(line):
                             m = path_matrix(a, b, c, d, p, parity)

@@ -205,6 +205,16 @@ def test_triple_sum_entries():
                 assert verify_triple_sum(a, b, c, p, i, j), (a, b, c, p, i, j)
 
 
+def test_triple_sum_rejects_indices_below_one(monkeypatch):
+    # row or column 0 would read the last row or column of Y and Q3
+    monkeypatch.setattr(schur, "_BLOCKS", {})
+    for i, j in ((1, 0), (0, 1), (0, 0), (-1, 2)):
+        with pytest.raises(ValueError, match=rf"\(i, j\) = \({i}, {j}\)"):
+            verify_triple_sum(3, 3, 3, 1, i, j)
+    assert schur._BLOCKS == {}  # raised before the block memo is read
+    assert verify_triple_sum(3, 3, 3, 1, 1, 1)
+
+
 def test_triple_sum_entry_value():
     blocks = build_blocks(3, 3, 3, 2, 1)
     q3y = mat_mul(blocks.Q3, blocks.Y)  # delta Q3.Q2^{-1}.Q1
