@@ -15,11 +15,16 @@ det(m) m^-1 rhs, both integral, so no Fraction is ever formed.  Its pivots
 are the leading principal minors, and a zero pivot swaps in the first row
 below that can replace it, which leaves every other minor readable:
 `leading_minors` returns all n of them, so one elimination gives the
-determinant of every leading block.  A multi-modular/CRT kernel with the
-determinant's contract is the independent cross-check (`hexatile count
---method modular`, `hexatile bench`, the acceptance suite).  Its prime pool
-is a fixed, deterministic sequence (the largest primes below 2^62, in
-descending order), so every run is reproducible.
+determinant of every leading block.  The elimination reads each row only
+up to its end, one past its last nonzero: `det_bareiss`, `leading_minors`
+and `solve_exact` copy their matrix and scan for the ends, and
+`leading_minors_in_place` takes rows and ends from a caller that built
+them (`lgv`), so a count's matrix is neither copied nor scanned.  A
+multi-modular/CRT kernel with the determinant's contract is the
+independent cross-check (`hexatile count --method modular`, `hexatile
+bench`, the acceptance suite).  Its prime pool is a fixed, deterministic
+sequence (the largest primes below 2^62, in descending order), so every
+run is reproducible.
 """
 
 from __future__ import annotations
@@ -55,15 +60,42 @@ def mat_mul(a, b):
     return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in cols] for row in a]
 
 
+def _row_ends(a: IntMatrix, width: int) -> list[int]:
+    """One past the last nonzero of each row of `a`, each of which must have
+    `width` entries."""
+    end = []
+    for row in a:
+        e = len(row)
+        if e != width:
+            raise ValueError(f"matrix rows must have {width} entries")
+        while e and not row[e - 1]:
+            e -= 1
+        end.append(e)
+    return end
+
+
 def det_bareiss(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination that skips zeros."""
-    n = len(m)
-    return _eliminate([list(row) for row in m], n, n)[0]
+    a = [list(row) for row in m]
+    return _eliminate(a, _row_ends(a, len(a)))[0]
 
 
 def leading_minors(m: IntMatrix) -> list[int]:
     """The n leading principal minors of m, from the 1 x 1 one up, by one
-    elimination.
+    elimination of a copy of m (see `leading_minors_in_place`)."""
+    a = [list(row) for row in m]
+    return leading_minors_in_place(a, _row_ends(a, len(a)))
+
+
+def leading_minors_in_place(rows: IntMatrix, ends: list[int]) -> list[int]:
+    """The n leading principal minors of the n x n matrix `rows`, from the
+    1 x 1 one up, by one elimination of `rows` itself.
+
+    The rows are consumed: they are left part-eliminated, and `ends` with
+    them.  Each ends[i] must be at least one past the last nonzero of
+    rows[i]: the elimination reads no entry of a row past its end.  A caller
+    that builds the rows knows their ends and so skips the scan that
+    `leading_minors` makes for them.
 
     Bareiss's pivot at step k is the leading (k+1)-minor (Bareiss, Math.
     Comp. 22, 1968), and `_eliminate` leaves it on the diagonal.  A row swap
@@ -73,12 +105,11 @@ def leading_minors(m: IntMatrix) -> list[int]:
     minor's sign.  After a singular stop every larger minor is 0 too.  So
     every minor is known, and the last is the determinant.
     """
-    n = len(m)
-    a = [list(row) for row in m]
-    det, swaps = _eliminate(a, n, n)
+    n = len(rows)
+    det, swaps = _eliminate(rows, ends)
     if not n:
         return []
-    minors = [a[k][k] for k in range(n - 1)] + [det]
+    minors = [rows[k][k] for k in range(n - 1)] + [det]
     if 0 in minors:  # from a singular stop's zero pivot on, every minor is 0
         k = minors.index(0)
         minors[k:] = [0] * (n - k)
@@ -99,13 +130,15 @@ def leading_minors(m: IntMatrix) -> list[int]:
 _PAIR_BITS = 512
 
 
-def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, list[tuple[int, int]]]:
+def _eliminate(a: IntMatrix, end: list[int]) -> tuple[int, list[tuple[int, int]]]:
     """(det, swaps) for the leading n x n block of the n rows `a`, eliminated
     in place; swaps lists each row swap as (step, row brought up).
 
-    Every row must have `width` >= n entries; columns past n (an augmented
-    right-hand side) are carried along.  Bareiss's two-step method (Math.
-    Comp. 22, 1968) takes steps k and k+1 together.  Every step k first
+    Every row has at least n entries; columns past n (an augmented
+    right-hand side) are carried along.  end[i] is at least one past the
+    last nonzero of row i (`_row_ends` finds it), and it is updated in
+    place with the row.  Bareiss's two-step method (Math. Comp. 22, 1968)
+    takes steps k and k+1 together.  Every step k first
     brings row k+1, the pivot row of step k+1, to step k+1 at scale p0: the
     last row too, and a row with a_{k+1,k} = 0 is only rescaled.  With its
     pivot p1 != 0 every lower row i with a nonzero a_ik is then updated once,
@@ -134,14 +167,7 @@ def _eliminate(a: IntMatrix, n: int, width: int) -> tuple[int, list[tuple[int, i
     leaving `a` part-eliminated with a[k][k] = 0 at the step k where it
     stopped, when the block is singular.
     """
-    end = []
-    for row in a:
-        e = len(row)
-        if e != width:
-            raise ValueError(f"matrix rows must have {width} entries")
-        while e and not row[e - 1]:
-            e -= 1
-        end.append(e)
+    n = len(a)
     swaps: list[tuple[int, int]] = []
     if n < 2:
         return (a[0][0] if n else 1), swaps
@@ -363,7 +389,7 @@ def solve_exact(m: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix]:
         raise ValueError("rhs has incompatible dimensions")
     r = len(rhs[0]) if rhs else 0
     aug = [list(m[i]) + list(rhs[i]) for i in range(n)]
-    delta = _eliminate(aug, n, n + r)[0]
+    delta = _eliminate(aug, _row_ends(aug, n + r))[0]
     if not delta:
         raise SingularMatrixError("matrix is singular")
     y: IntMatrix = [[]] * n

@@ -11,8 +11,12 @@ Every count goes through `_det` and its one memo, kept by line (b, c, d, p
 and the parity fixed, a free): path_matrix(a', ...) is a leading block of
 path_matrix(a, ...), so one elimination gives the count at every a' <= a
 from its leading minors, and qfit samples a line by asking for its top.
-`count` reads the memo as a checked int; `even_count` and `odd_count` wrap
-it in a SignedCount.
+A miss builds the matrix's rows with `_path_rows`, the lateral ones as
+windows of one band of binomials and each row's end from the binomials'
+support, and hands rows and ends to `leading_minors_in_place`: a
+dimension-n matrix is built in O(n (d + 1)) Python work and eliminated
+with no copy and no scan for its rows' ends.  `count` reads the memo as a checked int; `even_count`
+and `odd_count` wrap it in a SignedCount.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .detkernel import IntMatrix, leading_minors
+from .detkernel import IntMatrix, leading_minors_in_place
 from .hexmodel import EVEN, ODD, endpoints
 
 
@@ -42,17 +46,58 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
     intrusive points come first, among both starts and ends, then the a
     lateral ones: this simultaneous permutation leaves the determinant as it
     is.  The intrusive block is unitriangular for even intrusions (entries
-    C(2(j-i), j-i)), so det_bareiss's first d steps pivot on 1 and touch only
-    the lateral rows that reach the intrusion; what is left is the a x a
-    Schur complement, the lateral paths that avoid it.  And since the
+    C(2(j-i), j-i)), so the elimination's first d steps pivot on 1 and touch
+    only the lateral rows that reach the intrusion; what is left is the
+    a x a Schur complement, the lateral paths that avoid it.  And since the
     lateral points do not depend on a, path_matrix(a', ...) is the leading
-    (d + a') block of path_matrix(a, ...) for every a' <= a.
+    (d + a') block of path_matrix(a, ...) for every a' <= a.  The rows are
+    `_path_rows`'s, each a list of its own.
+    """
+    return _path_rows(a, b, c, d, p, parity)[0]
+
+
+def _path_rows(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[IntMatrix, list[int]]:
+    """(rows, ends): the rows of path_matrix(a, b, c, d, p, parity), each a
+    list of its own, and one past the last nonzero of each.
+
+    Every lateral start lies on x + y = 0 and every lateral end on
+    x + y = b + c, one unit apart, so lateral row i over the lateral columns
+    j = 1..a is C(b+c, b+i-j): the window b+i-1 down to b+i-a of one band
+    of 2a - 1 binomials, C(b+c, b+a-1) down to C(b+c, b+1-a).  Only the d
+    intrusive rows and the d intrusive columns are evaluated entry by entry.
+    The ends come from the binomials' support: a row from start (x, y)
+    reaches lateral end j iff y+1-c <= j <= b+1-x, so when that range meets
+    1..a the row ends at column d + min(a, b+1-x) (d + min(a, b+i) for
+    lateral row i); otherwise its lateral part is zero, and its intrusive
+    head, d entries, is scanned.  So the Python work is O((a + d)(d + 1)),
+    not the O((a + d)^2) of evaluating every entry.
     """
     starts, ends = endpoints(a, b, c, d, p, parity)
+    n = b + c
+    band = [comb(n, k) if 0 <= k <= n else 0 for k in range(b + a - 1, b - a, -1)]
     starts = starts[a:] + starts[:a]
-    ends = ends[a:] + ends[:a]
-    return [[comb(u - x + v - y, u - x) if u >= x and v >= y else 0 for (u, v) in ends]
-            for (x, y) in starts]
+    if d:
+        mids = ends[a:]
+        cols = mids + ends[:a]
+        rows = [[comb(u - x + v - y, u - x) if u >= x and v >= y else 0 for (u, v) in cols]
+                for (x, y) in starts[:d]]
+        rows += [[comb(u - x + v - y, u - x) if u >= x and v >= y else 0 for (u, v) in mids]
+                 + band[a - i:2 * a - i] for i, (x, y) in enumerate(starts[d:], 1)]
+    else:  # the lateral rows alone, without an empty head to join
+        rows = [band[a - i:2 * a - i] for i in range(1, a + 1)]
+    row_ends = []
+    for (x, y), row in zip(starts, rows):
+        last = b + 1 - x
+        if last > a:
+            last = a
+        if last >= 1 and last >= y + 1 - c:
+            row_ends.append(d + last)
+        else:  # no lateral end in reach: the row ends inside its intrusive head
+            last = d
+            while last and not row[last - 1]:
+                last -= 1
+            row_ends.append(last)
+    return rows, row_ends
 
 
 # The count memo, (b, c, d, p, parity) -> [count at a' = 0, 1, ...], and its
@@ -87,7 +132,7 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
         del _LINES[key]  # stored again below, as the newest line
     elif len(_LINES) >= _LINES_MAX:
         del _LINES[next(iter(_LINES))]  # the line stored first
-    line = ([1] + leading_minors(path_matrix(a, b, c, d, p, parity)))[d:]  # [1]: no rows
+    line = ([1] + leading_minors_in_place(*_path_rows(a, b, c, d, p, parity)))[d:]  # [1]: no rows
     _LINES[key] = line
     return line[a]
 

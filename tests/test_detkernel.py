@@ -15,6 +15,7 @@ from hexatile.detkernel import (
     det_modular,
     identity,
     leading_minors,
+    leading_minors_in_place,
     mat_mul,
     prime_pool,
     solve_exact,
@@ -100,6 +101,9 @@ def test_leading_minors_are_the_leading_blocks_determinants(m):
     minors = leading_minors(m)
     blocks = [det_bareiss([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
     assert minors == blocks
+    # the in-place entry reads each row up to the end it is given, and an
+    # end past the row's last nonzero only adds work
+    assert leading_minors_in_place([list(row) for row in m], [len(m)] * len(m)) == minors
 
 
 def test_leading_minors_past_row_swaps():

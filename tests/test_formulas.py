@@ -497,9 +497,10 @@ def test_a_verify_pass_eliminates_each_line_from_its_top(monkeypatch, capsys):
     from hexatile import cli, formulas, lgv
 
     eliminations = []
-    real = lgv.leading_minors
+    real = lgv.leading_minors_in_place
     monkeypatch.setattr(lgv, "_LINES", {})
-    monkeypatch.setattr(lgv, "leading_minors", lambda m: eliminations.append(len(m)) or real(m))
+    monkeypatch.setattr(lgv, "leading_minors_in_place",
+                        lambda rows, ends: eliminations.append(len(rows)) or real(rows, ends))
     assert cli.main(["verify", "all"]) == 0
     formulas.verify_identities("all", 4, 5, 5, 3)
     assert len(eliminations) <= 2685

@@ -29,6 +29,53 @@ def lateral_first(a, b, c, d, p, parity):
     return [[binom(u - x + v - y, u - x) for (u, v) in ends] for (x, y) in starts]
 
 
+def intrusive_first(a, b, c, d, p, parity):
+    """`lateral_first` with the intrusive points first, in rows and columns alike."""
+    m = lateral_first(a, b, c, d, p, parity)
+    return [row[a:] + row[:a] for row in m[a:] + m[:a]]
+
+
+def scanned_ends(m):
+    """One past the last nonzero of each row, by a scan of its trailing zeros."""
+    ends = []
+    for row in m:
+        e = len(row)
+        while e and not row[e - 1]:
+            e -= 1
+        ends.append(e)
+    return ends
+
+
+def assert_path_rows(spec):
+    rows, ends = lgv._path_rows(*spec)
+    want = intrusive_first(*spec)
+    assert rows == want, spec
+    assert ends == scanned_ends(want), spec
+    assert len({id(row) for row in rows}) == len(rows), spec  # each row a list of its own
+
+
+def test_path_rows_match_the_entrywise_matrix_and_its_scanned_ends():
+    # 54,432 specs: formal b, c < 0, p on both sides of 0..a, and rows whose
+    # lateral part is zero, where the builder scans the intrusive head
+    for a, b, c, d in product(range(7), range(-3, 6), range(-3, 6), range(4)):
+        for p in range(-4, a + 5):
+            for parity in (EVEN, ODD):
+                assert_path_rows((a, b, c, d, p, parity))
+
+
+def test_path_rows_on_long_narrow_bands():
+    # dims 60-80 with b + c = 11 or 12: each row ends well inside the matrix,
+    # and the intrusion sits mid-side (p = a/2) or at p = 1 - d
+    for n in range(60, 81):
+        d = n % 4
+        a = n - d
+        for s in (11, 12):
+            b = 2 + (n + s) % 8
+            for p in (a // 2, 1 - d):
+                for parity in (EVEN, ODD):
+                    assert_path_rows((a, b, s - b, d, p, parity))
+
+
 def test_path_matrix_macmahon_form():
     # d=0 rows are binom(b+c, b-i+j); its determinant is the box count
     m = path_matrix(3, 2, 4, 0, 0, EVEN)
@@ -264,8 +311,9 @@ def test_d0_requests_eliminate_once_per_b_c(monkeypatch):
     # ... so the memo keeps one line per (b, c): one elimination each
     monkeypatch.setattr(lgv, "_LINES", {})
     eliminated = []
-    real = lgv.leading_minors
-    monkeypatch.setattr(lgv, "leading_minors", lambda m: eliminated.append(len(m)) or real(m))
+    real = lgv.leading_minors_in_place
+    monkeypatch.setattr(lgv, "leading_minors_in_place",
+                        lambda rows, ends: eliminated.append(len(rows)) or real(rows, ends))
     a = 5
     for b, c in product(range(4), repeat=2):
         for parity in (EVEN, ODD):
@@ -340,8 +388,8 @@ def test_zero_count_line_is_known_past_its_zero(monkeypatch):
     m = [[0, 1, 2], [1, 0, 3], [2, 1, 1]]
     assert leading_minors(m) == [0, -1, 7]
     eliminated = []
-    monkeypatch.setattr(lgv, "path_matrix", lambda a, b, c, d, p, parity:
-                        eliminated.append(a) or [row[:d + a] for row in m[:d + a]])
+    monkeypatch.setattr(lgv, "_path_rows", lambda a, b, c, d, p, parity: eliminated.append(a)
+                        or ([row[:d + a] for row in m[:d + a]], [d + a] * (d + a)))
     assert even_count(3, 5, 5, 0, 0).value == 7
     assert lgv._LINES[5, 5, 0, 0, EVEN] == [1, 0, -1, 7]
     assert even_count(2, 5, 5, 0, 0).value == -1  # from the memo

@@ -140,13 +140,13 @@ def test_each_simplex_point_is_sampled_once(monkeypatch):
 
 def test_lines_are_eliminated_once_per_window_and_shared_across_fits(monkeypatch):
     eliminated = []
-    leading_minors = lgv.leading_minors
+    leading_minors_in_place = lgv.leading_minors_in_place
 
-    def counted(m):
-        eliminated.append(len(m))
-        return leading_minors(m)
+    def counted(rows, ends):
+        eliminated.append(len(rows))
+        return leading_minors_in_place(rows, ends)
 
-    monkeypatch.setattr(lgv, "leading_minors", counted)
+    monkeypatch.setattr(lgv, "leading_minors_in_place", counted)
     monkeypatch.setattr(lgv, "_LINES", {})
     lines = [comb(n + 3, 3) for n in range(11)]  # lines with beta + gamma + t <= n
     # fit_auto(3): the window is layer 5 (lo + 1) for the 56 lines of layers
