@@ -19,9 +19,14 @@ below it in lgv's memo, and sample_ratio reads its E there.  The holdout
 check (cross_validate) takes each E from a determinant of its own and reads
 no memo, so it does not share the line route.
 
-MultiPoly.evaluate, the one exact evaluator, serves the recheck and both
-holdout checks: integer numerators over one denominator, grouped by (a, b)
-exponents, with each group's (c, p) part computed once per distinct (c, p).
+MultiPoly.values, the one exact evaluator, serves the recheck, the holdout
+check and the substitution check, each with one call over all its points,
+and keeps nothing from one call to the next.  It holds integer numerators
+over one denominator, grouped by (a, b) exponents.  Over a call's points it
+computes each (c, p) part once per distinct (c, p), the polynomial in a once
+per distinct (b, c, p), and each point by Horner's rule in a: a nested
+Horner scheme (Pena & Sauer, SIAM J. Numer. Anal. 37 (2000)) with c and p
+substituted together.
 
 Newton interpolation on principal lattices: Chung & Yao, SIAM J. Numer.
 Anal. 14 (1977); Sauer & Xu, Math. Comp. 64 (1995).
@@ -30,11 +35,12 @@ Anal. 14 (1977); Sauer & Xu, Math. Comp. 64 (1995).
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -51,31 +57,58 @@ class FitInconsistentError(ValueError):
 @dataclass(frozen=True)
 class MultiPoly:
     """Polynomial in (a, b, c, p) as exponent-vector -> coefficient; coeffs is
-    read-only, so the integer form evaluate() uses can never go stale."""
+    read-only, so the integer form values() uses can never go stale.
+
+    values() is the one evaluator, and it keeps nothing between calls: over
+    the points of one call it computes each (c, p) part once per distinct
+    (c, p), the polynomial in a once per distinct (b, c, p), and each point
+    by Horner's rule in a.  evaluate() is values() at one point."""
 
     coeffs: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {tuple(k): Fraction(v) for k, v in self.coeffs.items() if v != 0}
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
-        # integer numerators over one common denominator, grouped by (a, b)
+        # integer numerators over one common denominator, grouped by (a, b):
+        # rows[ea] lists (eb, ((ec, ep, numerator), ...))
         scale = math.lcm(*(coef.denominator for coef in clean.values()))
         groups: dict = {}
         for (ea, eb, ec, ep), coef in clean.items():
             groups.setdefault((ea, eb), []).append((ec, ep, int(coef * scale)))
-
-        @functools.lru_cache(maxsize=1 << 12)  # one part per (c, p), bounded
-        def inner(c: int, p: int) -> tuple:
-            return tuple((ea, eb, sum(k * c**ec * p**ep for ec, ep, k in terms))
-                         for (ea, eb), terms in groups.items())
-
+        tops = [max((k[axis] for k in clean), default=0) for axis in range(4)]
+        rows: list = [[] for _ in range(tops[0] + 1)]
+        for (ea, eb), terms in groups.items():
+            rows[ea].append((eb, tuple(terms)))
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_inner", inner)
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "_tops", tuple(tops[1:]))  # sizes the power tables of b, c, p
+
+    def values(self, points: list) -> list[Fraction]:
+        """Exact value at each (a, b, c, p) of points, in their order."""
+        rows, scale = self._rows, self._scale
+        top_b, top_c, top_p = self._tops
+        at_cp: dict = {}  # (c, p) -> b -> indices of the points there
+        for i, (_, b, c, p) in enumerate(points):
+            at_cp.setdefault((c, p), {}).setdefault(b, []).append(i)
+        out: list = [None] * len(points)
+        for (c, p), at_b in at_cp.items():
+            cs = list(accumulate(repeat(c, top_c), mul, initial=1))
+            ps = list(accumulate(repeat(p, top_p), mul, initial=1))
+            inner = [[(eb, sum(k * cs[ec] * ps[ep] for ec, ep, k in terms))
+                      for eb, terms in row] for row in rows]
+            for b, at in at_b.items():
+                bs = list(accumulate(repeat(b, top_b), mul, initial=1))
+                in_a = [sum(v * bs[eb] for eb, v in row) for row in reversed(inner)]
+                for i in at:
+                    a, value = points[i][0], 0
+                    for v in in_a:
+                        value = value * a + v
+                    out[i] = Fraction(value, scale)
+        return out
 
     def evaluate(self, a: int, b: int, c: int, p: int) -> Fraction:
         """Exact value at (a, b, c, p)."""
-        return Fraction(sum(v * a**ea * b**eb for ea, eb, v in self._inner(c, p)),
-                        self._scale)
+        return self.values([(a, b, c, p)])[0]
 
     def __reduce__(self):  # copy and pickle rebuild the form from coeffs
         return MultiPoly, (dict(self.coeffs),)
@@ -240,7 +273,8 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
                        f"Newton layer {n} does not vanish")
             continue
         poly = _newton_to_poly({k: v for k, v in newton.items() if v}, n - 1, d, scale)
-        miss = next((pt for pt, y in samples if poly.evaluate(*pt) != y), None)
+        got = poly.values([pt for pt, _ in samples])
+        miss = next((pt for (pt, y), v in zip(samples, got) if v != y), None)
         if miss is None:
             return n - 1, poly
         failure = f"degree {n - 1} cannot interpolate sample at {miss}"
@@ -311,10 +345,9 @@ def substitution_check(poly: MultiPoly, d: int, points: list) -> dict:
     """Does evaluating the factor with arguments permuted to (p, c, b, p) still
     reproduce the samples?  One printed form of the conjecture orders the
     arguments that way; callers record the outcome, nothing assumes it."""
-    mismatches = []
-    for (a, b, c, p) in points:
-        if poly.evaluate(p, c, b, p) != sample_ratio(a, b, c, d, p):
-            mismatches.append((a, b, c, p))
+    permuted = poly.values([(p, c, b, p) for a, b, c, p in points])
+    mismatches = [(a, b, c, p) for (a, b, c, p), v in zip(points, permuted)
+                  if v != sample_ratio(a, b, c, d, p)]
     return {"points": len(points), "mismatches": mismatches, "matches": not mismatches}
 
 
@@ -324,8 +357,8 @@ def cross_validate(poly: MultiPoly, d: int, holdout: list) -> dict:
     Each count is a determinant of its own, not read from lgv's memo, so a
     defect in the memo cannot agree with itself here."""
     failures = []
-    for (a, b, c, p) in holdout:
-        got = prefactor_P(a, b, c, d, p) * poly.evaluate(a, b, c, p)  # checks the point
+    for (a, b, c, p), q in zip(holdout, poly.values(holdout)):
+        got = prefactor_P(a, b, c, d, p) * q  # checks the point
         want = det_bareiss(path_matrix(a, b, c, d, p, EVEN))
         if got != want:
             failures.append({"point": (a, b, c, p), "expected": want, "got": got})

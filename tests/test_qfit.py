@@ -236,16 +236,24 @@ coords = st.integers(min_value=-4, max_value=6)
 
 
 @given(polys, polys, st.lists(st.tuples(coords, coords), min_size=1, max_size=4),
-       st.lists(st.tuples(coords, coords), min_size=2, max_size=3, unique=True))
+       st.lists(st.tuples(coords, coords), min_size=2, max_size=3, unique=True),
+       st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
-def test_evaluate_matches_term_by_term_sum(first, second, cps, abs_):
+def test_evaluate_matches_term_by_term_sum(first, second, cps, abs_, rng):
     # points that share (c, p) but differ in (a, b), and two polynomials
     # asked in turn at the same (c, p), so a wrongly reused part shows
     one, two = MultiPoly(first), MultiPoly(second)
-    for c, p in cps:
-        for a, b in abs_:
-            assert one.evaluate(a, b, c, p) == naive_value(first, a, b, c, p)
-            assert two.evaluate(a, b, c, p) == naive_value(second, a, b, c, p)
+    points = [(a, b, c, p) for c, p in cps for a, b in abs_]
+    for a, b, c, p in points:
+        assert one.evaluate(a, b, c, p) == naive_value(first, a, b, c, p)
+        assert two.evaluate(a, b, c, p) == naive_value(second, a, b, c, p)
+    # the same points in one call, shuffled and with one of them twice:
+    # values answers each in input order
+    points.append(rng.choice(points))
+    rng.shuffle(points)
+    for poly, coeffs in ((one, first), (two, second)):
+        assert poly.values(points) == [naive_value(coeffs, *pt) for pt in points]
+        assert poly.values([]) == []
 
 
 def test_recheck_rejects_a_fit_with_one_coefficient_changed(monkeypatch):
