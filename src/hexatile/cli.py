@@ -61,8 +61,7 @@ def _inside(window, reason: str, value):
 # The entries look library functions up when they run, so a wrapped or patched
 # function is the one called.
 _METHODS = {
-    "det": lambda s: (lgv.even_count if s.parity == EVEN else lgv.odd_count)(
-        s.a, s.b, s.c, s.d, s.p).value,
+    "det": lambda s: lgv.count(s.a, s.b, s.c, s.d, s.p, s.parity),
     "modular": lambda s: det_modular(lgv.path_matrix(s.a, s.b, s.c, s.d, s.p, s.parity)),
     "condense": _inside(lambda s: s.parity == EVEN, "condense counts even intrusions only",
                         lambda s: lgv.even_count_by_condensation(s.a, s.b, s.c, s.d, s.p)),

@@ -162,9 +162,8 @@ def p_one_minus_d_simple(a: int, b: int, c: int, d: int) -> int:
          ((1, a + c - k - 1),))
         for k in range(a)
     )
+    # d >= 1, b >= 2d - 1 and c >= 1 here, so every factor of den is positive
     den = factorial(a - 1) * rising(b + c - 2 * d + 2, a + 2 * d - 2) * s_den
-    if den == 0:
-        raise PoleError("p_one_minus_d_simple prefactor pole")
     return as_int("p_one_minus_d_simple", macmahon(a, b, c) * (den - rising(c, a) * s), den)
 
 

@@ -15,8 +15,8 @@ A miss builds the matrix's rows with `_path_rows`, the lateral ones as
 windows of one band of binomials and each row's end from the binomials'
 support, and hands rows and ends to `leading_minors_in_place`: a
 dimension-n matrix is built in O(n (d + 1)) Python work and eliminated
-with no copy and no scan for its rows' ends.  `count` reads the memo as a checked int; `even_count`
-and `odd_count` wrap it in a SignedCount.
+with no copy and no scan for its rows' ends.  `count` reads the memo as a
+checked int; `even_count` and `odd_count` wrap it in a SignedCount.
 """
 
 from __future__ import annotations
@@ -68,9 +68,11 @@ def _path_rows(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[Int
     The ends come from the binomials' support: a row from start (x, y)
     reaches lateral end j iff y+1-c <= j <= b+1-x, so when that range meets
     1..a the row ends at column d + min(a, b+1-x) (d + min(a, b+i) for
-    lateral row i); otherwise its lateral part is zero, and its intrusive
-    head, d entries, is scanned.  So the Python work is O((a + d)(d + 1)),
-    not the O((a + d)^2) of evaluating every entry.
+    lateral row i).  Otherwise it ends inside its intrusive head: every
+    intrusive end rises in both coordinates with j, for either parity, so
+    the ones a start reaches are a suffix, and the row ends at d if its
+    head's last entry is nonzero, else at 0.  So the Python work is
+    O((a + d)(d + 1)), not the O((a + d)^2) of evaluating every entry.
     """
     starts, ends = endpoints(a, b, c, d, p, parity)
     n = b + c
@@ -87,16 +89,11 @@ def _path_rows(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[Int
         rows = [band[a - i:2 * a - i] for i in range(1, a + 1)]
     row_ends = []
     for (x, y), row in zip(starts, rows):
-        last = b + 1 - x
-        if last > a:
-            last = a
+        last = b + 1 - x if b + 1 - x < a else a
         if last >= 1 and last >= y + 1 - c:
             row_ends.append(d + last)
-        else:  # no lateral end in reach: the row ends inside its intrusive head
-            last = d
-            while last and not row[last - 1]:
-                last -= 1
-            row_ends.append(last)
+        else:  # no lateral end in reach: the head's nonzeros are a suffix
+            row_ends.append(d if d and row[d - 1] else 0)
     return rows, row_ends
 
 
@@ -105,9 +102,9 @@ def _path_rows(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[Int
 # every d = 0 line is kept as (b, c, 0, 0, EVEN).  One `hexatile verify all`
 # pass plus the identity registry at the CLI default ranges touches 2,026
 # lines and, as formulas' runner asks for each check's points from the
-# largest a down, eliminates 2,685 times (6,486 when it counted a upward); a
-# fit up to layer n samples C(n + 3, 3): 2,024 for fit_auto(5), 5,984 for
-# fit_auto(6) and 15,180 at d = 7, so each of these runs' lines all fit.
+# largest a down, eliminates 2,685 times; a fit up to layer n samples
+# C(n + 3, 3): 2,024 for fit_auto(5), 5,984 for fit_auto(6) and 15,180 at
+# d = 7, so each of these runs' lines all fit.
 # When full, the memo drops the line stored first.
 _LINES: dict = {}
 _LINES_MAX = 1 << 14
@@ -167,10 +164,10 @@ def _dodgson(x, a: int, b: int, c: int, p: int) -> int:
 def even_count_by_condensation(a: int, b: int, c: int, d: int, p: int) -> int:
     """E(a,b,c,d,p) via the condensation recursion in a, memoized per call.
 
-    Recurses through E(a-1, b+-1, c-+1, d, p or p-1) down to the base cases
-    E(0,...) = 1 and a direct (1+d)-dimensional determinant at a = 1.  A zero
-    divisor is a condensation breakdown; those nodes fall back to the direct
-    determinant.
+    Recurses through E(a-1, b+-1, c-+1, d, p or p-1) down to the base case
+    E(0,...) = 1.  A node takes the direct determinant where the recursion
+    gives no exact quotient: at a = 1, at a zero divisor (a condensation
+    breakdown) and at a division that leaves a remainder.
     """
     if min(a, b, c, d) < 0:
         raise ValueError("a, b, c, d must be nonnegative")
@@ -182,19 +179,10 @@ def even_count_by_condensation(a: int, b: int, c: int, d: int, p: int) -> int:
         key = (a, b, c, p)
         if key in memo:
             return memo[key]
-        if a == 1:
-            v = _det(1, b, c, d, p, EVEN)
-        else:
-            lower = rec(a - 2, b, c, p - 1)
-            if lower == 0:
-                v = _det(a, b, c, d, p, EVEN)
-            else:
-                q, r = divmod(_dodgson(rec, a, b, c, p), lower)
-                if r:
-                    v = _det(a, b, c, d, p, EVEN)
-                else:
-                    v = q
-        memo[key] = v
+        q, r = 0, 1  # a = 1 or a zero divisor: no quotient
+        if a > 1 and (lower := rec(a - 2, b, c, p - 1)):
+            q, r = divmod(_dodgson(rec, a, b, c, p), lower)
+        memo[key] = v = _det(a, b, c, d, p, EVEN) if r else q
         return v
 
     return rec(a, b, c, p)
@@ -213,6 +201,9 @@ def verify_symmetry(a: int, b: int, c: int, d: int, p: int) -> bool:
 
 
 def _condensation_holds(a: int, b: int, c: int, d: int, p: int, parity: str) -> bool:
+    if a < 2:
+        raise ValueError("condensation needs a >= 2")
+
     def x(a_, b_, c_, p_):
         # a_ = 0 stays meaningful: the intrusive-only determinant (1 when d = 0,
         # and 0 for the odd family once d > 0, where the diagonal vanishes).
@@ -223,13 +214,9 @@ def _condensation_holds(a: int, b: int, c: int, d: int, p: int, parity: str) -> 
 
 def verify_dodgson_even(a: int, b: int, c: int, d: int, p: int) -> bool:
     """Condensation identity on E-values (a >= 2); b, c shifts taken formally."""
-    if a < 2:
-        raise ValueError("condensation needs a >= 2")
     return _condensation_holds(a, b, c, d, p, EVEN)
 
 
 def verify_dodgson_odd(a: int, b: int, c: int, d: int, p: int) -> bool:
     """Condensation identity on O-values (a >= 2)."""
-    if a < 2:
-        raise ValueError("condensation needs a >= 2")
     return _condensation_holds(a, b, c, d, p, ODD)

@@ -17,7 +17,8 @@ path_matrix at a smaller a is a leading block of the one at a larger a.  So
 the samples come a line at a time: a count at a line's top records every E
 below it in lgv's memo, and sample_ratio reads its E there.  The holdout
 check (cross_validate) takes each E from a determinant of its own and reads
-no memo, so it does not share the line route.
+no memo, but shares lgv._path_rows and detkernel._eliminate with the
+samples; ROADMAP item 3 names a route that shares neither.
 
 MultiPoly.values, the one exact evaluator, serves the recheck, the holdout
 check and the substitution check, each with one call over all its points,
@@ -47,7 +48,7 @@ from typing import Mapping, Optional
 from .detkernel import det_bareiss
 from .formulas import prefactor_P
 from .hexmodel import EVEN
-from .lgv import count, even_count, path_matrix
+from .lgv import count, path_matrix
 
 
 class FitInconsistentError(ValueError):
@@ -248,7 +249,7 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
             top = min(top + (top + 2) // 3, hi + 1)
         for (alpha, beta, gamma, t), (a, b, c, p) in zip(layer, at):
             if grown or not alpha:  # a new window, or the line's first point
-                even_count(top - beta - gamma, b, c, d, p)
+                count(top - beta - gamma, b, c, d, p, EVEN)
         new = [sample_ratio(a, b, c, d, p) for a, b, c, p in at]
         grow = math.lcm(scale, *(y.denominator for y in new)) // scale
         if grow > 1:
@@ -355,7 +356,8 @@ def cross_validate(poly: MultiPoly, d: int, holdout: list) -> dict:
     """Exact holdout check: P*poly must reproduce the determinant count.
 
     Each count is a determinant of its own, not read from lgv's memo, so a
-    defect in the memo cannot agree with itself here."""
+    defect in the memo cannot agree with itself here; one in lgv._path_rows
+    or detkernel._eliminate, which the samples share, could."""
     failures = []
     for (a, b, c, p), q in zip(holdout, poly.values(holdout)):
         got = prefactor_P(a, b, c, d, p) * q  # checks the point

@@ -297,6 +297,17 @@ def test_render_writes_svg(tmp_path, capsys):
     assert text.startswith("<svg") and "</svg>" in text
 
 
+def test_render_without_out_writes_its_default_file_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "render", "--a", "2", "--b", "3", "--c", "4",
+                       "--d", "1", "--p", "0", "--parity", "odd")
+    assert code == PASS
+    name = "hexagon_a2b3c4d1p0_odd.svg"
+    assert out == f"wrote {name}\n"
+    assert [f.name for f in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_text().startswith("<svg")
+
+
 def test_render_with_tiling(tmp_path, capsys):
     out_file = tmp_path / "tiled.svg"
     code, _, _ = run(capsys, "render", "--a", "2", "--b", "2", "--c", "2",
@@ -336,6 +347,17 @@ def test_bench_rows_and_agreement(capsys):
     digits = {(r[0], r[1]): r[4] for r in rows}
     assert digits[("6", "boxed")] == str(len(str(macmahon(6, 6, 6))))
     assert digits[("6", "thin")] == str(len(str(macmahon(6, 5, 6))))
+
+
+def test_bench_csv_writes_the_rows_to_its_file(tmp_path, capsys):
+    csv = tmp_path / "bench.csv"
+    code, out, _ = run(capsys, "bench", "--dims", "3", "--kernel", "bareiss", "--csv", str(csv))
+    assert code == PASS
+    assert out == f"wrote {csv}\n"
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "dim,shape,kernel,elapsed_ms,result_digits"
+    assert [line.split(",")[:3] for line in lines[1:]] == [["3", "boxed", "bareiss"],
+                                                           ["3", "thin", "bareiss"]]
 
 
 @pytest.mark.parametrize("target, name, message", [

@@ -182,6 +182,31 @@ def test_condensation_base_case():
     assert even_count_by_condensation(2, 3, 3, 1, 1) == even_count(2, 3, 3, 1, 1).value
 
 
+def test_condensation_falls_back_where_a_division_leaves_a_remainder(monkeypatch):
+    a, b, c, d, p = 4, 3, 3, 1, 2
+    assert abs(lgv.count(a - 2, b, c, d, p - 1, EVEN)) > 1  # the top node's divisor
+    real = lgv._dodgson
+    nodes = []
+
+    def off_by_one_at_the_top(x, a_, b_, c_, p_):
+        # one less, so that the floor quotient is one less too
+        nodes.append((a_, b_, c_, p_))
+        return real(x, a_, b_, c_, p_) - ((a_, b_, c_, p_) == (a, b, c, p))
+
+    monkeypatch.setattr(lgv, "_dodgson", off_by_one_at_the_top)
+    assert even_count_by_condensation(a, b, c, d, p) == lgv.count(a, b, c, d, p, EVEN)
+    assert (a, b, c, p) in nodes
+
+
+def test_symmetry_fails_when_only_the_even_pair_disagrees(monkeypatch):
+    a, b, c, d, p = 3, 4, 5, 2, 1
+    monkeypatch.setattr(lgv, "_LINES", {})
+    assert verify_symmetry(a, b, c, d, p)
+    lgv._LINES[b, c, d, p, EVEN][a] += 1  # one wrong even count
+    assert lgv.count(a, b, c, d, p, ODD) == lgv.count(a, c, b, d, a - 1 - p, ODD)
+    assert not verify_symmetry(a, b, c, d, p)
+
+
 def test_symmetry_examples():
     assert verify_symmetry(3, 4, 5, 2, 1)
     assert verify_symmetry(4, 3, 3, 2, 2)  # self-symmetric: b=c, p=a/2

@@ -205,6 +205,15 @@ def test_probe_degree():
     assert probe_degree(2) == 2
 
 
+def test_probe_degree_doubles_its_sample_until_the_degree_settles(monkeypatch):
+    # 8 points cannot settle degree 9, 16 can; 2^p settles at no sample size
+    monkeypatch.setattr(qfit, "sample_ratio", lambda a, b, c, d, p: Fraction(p) ** 9)
+    assert probe_degree(3) == 9
+    monkeypatch.setattr(qfit, "sample_ratio", lambda a, b, c, d, p: Fraction(2) ** p)
+    with pytest.raises(ValueError, match="no polynomial behaviour up to degree 24"):
+        probe_degree(3)
+
+
 def test_fit_auto_d2():
     degree, poly = fit_auto(2)
     assert degree == 2
