@@ -16,9 +16,12 @@ Fixing (beta, gamma, t) fixes (b, c, p) and leaves a = t + alpha free, and
 path_matrix at a smaller a is a leading block of the one at a larger a.  So
 the samples come a line at a time: a count at a line's top records every E
 below it in lgv's memo, and sample_ratio reads its E there.  The holdout
-check (cross_validate) takes each E from a determinant of its own and reads
-no memo, but shares lgv._path_rows and detkernel._eliminate with the
-samples; ROADMAP item 3 names a route that shares neither.
+check (cross_validate) takes each E from schur.count_via_inverse: MacMahon's
+product times the determinant of the d x d complement F, built from the
+explicit inverse of MacMahon's matrix.  With the samples it shares exactmath,
+formulas.macmahon and det_bareiss, on the d x d complement only; it uses no
+endpoints, no lgv._path_rows, no line memo and no elimination of the path
+matrix.
 
 MultiPoly.values, the one exact evaluator, serves the recheck, the holdout
 check and the substitution check, each with one call over all its points,
@@ -45,10 +48,10 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .detkernel import det_bareiss
 from .formulas import prefactor_P
 from .hexmodel import EVEN
-from .lgv import count, path_matrix
+from .lgv import count
+from .schur import count_via_inverse
 
 
 class FitInconsistentError(ValueError):
@@ -355,13 +358,16 @@ def substitution_check(poly: MultiPoly, d: int, points: list) -> dict:
 def cross_validate(poly: MultiPoly, d: int, holdout: list) -> dict:
     """Exact holdout check: P*poly must reproduce the determinant count.
 
-    Each count is a determinant of its own, not read from lgv's memo, so a
-    defect in the memo cannot agree with itself here; one in lgv._path_rows
-    or detkernel._eliminate, which the samples share, could."""
+    Each count is schur.count_via_inverse's M(a, b, c) det(S F) / S^d, from
+    MacMahon's product and the explicit inverse of his matrix, not from the
+    path matrix the samples eliminate: a defect in lgv's builder, its line
+    memo or the elimination of a whole path matrix cannot agree with itself
+    here.  Both routes share exactmath, formulas.macmahon and det_bareiss,
+    which here sees only the d x d complement."""
     failures = []
     for (a, b, c, p), q in zip(holdout, poly.values(holdout)):
         got = prefactor_P(a, b, c, d, p) * q  # checks the point
-        want = det_bareiss(path_matrix(a, b, c, d, p, EVEN))
+        want = count_via_inverse(a, b, c, d, p)
         if got != want:
             failures.append({"point": (a, b, c, p), "expected": want, "got": got})
     return {"points": len(holdout), "failures": failures, "passed": not failures}

@@ -21,16 +21,26 @@ index and p, so the blocks at every depth e <= d are leading parts of those
 at d, and so is Fp.  One build at d, with the leading minors of its Fp,
 gives the count at every e <= d, and count_via_F and verify_triple_sum read
 theirs from it.
+
+count_via_inverse is the memo-free route to E inside prefactor_P's window,
+and qfit.cross_validate's source of truth: MacMahon's product
+(formulas.macmahon) times det(S F) / S^d, with S = (b+c+a-1)! / (b! c!),
+a divisor of W.  S F = S Q4 - Q3 (S M^-1) Q1 is built as a d x d integer
+matrix straight from the explicit inverse's Toeplitz factors, with no
+solve, no Y, no path matrix and no endpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
+from operator import mul
 from typing import NamedTuple
 
-from .detkernel import IntMatrix, leading_minors, mat_mul, solve_exact
-from .exactmath import NotIntegerError, OutOfValidityError, binom, factorial, rising
+from .detkernel import IntMatrix, det_bareiss, leading_minors, mat_mul, solve_exact
+from .exactmath import (NotIntegerError, OutOfValidityError, as_int, binom, factorial,
+                        rising)
 
 
 @dataclass(frozen=True)
@@ -179,6 +189,67 @@ def count_via_F(a: int, b: int, c: int, d: int, p: int) -> int:
     if count is None:
         raise NotIntegerError(f"count_via_F is not an integer at {(a, b, c, d, p)}")
     return count
+
+
+def _series_inverse(x: int, n: int) -> list:
+    """The first n coefficients of (1+z)^-x: (-1)^m C(x+m-1, m) for m < n."""
+    out = [1]
+    for m in range(1, n):
+        out.append(-out[-1] * (x + m - 1) // m)
+    return out
+
+
+def _times_series(u: list, h: list, n: int) -> list:
+    """The first n coefficients of u(z) h(z), for a list h of at least n."""
+    h_rev = h[n - 1::-1]  # h_rev[n-1-k+m] = h[k-m]
+    return [sum(map(mul, u[:k + 1], h_rev[n - 1 - k:])) for k in range(n)]
+
+
+def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
+    """E(a,b,c,d,p) = M(a,b,c) det(S F) / S^d inside prefactor_P's window
+    (0 <= p <= a, b > d >= 1, c > d+p), with no solve and no memo.
+
+    build_bundle's T.diag(D).L = W M^-1 is, with its factorials (k-1)!
+    moved to the middle, M^-1 = T' diag(1/m_k) L' for the integer matrices
+    T' = diag(C(c+t-1, t-1)) H_b and L' = H_c^T diag(C(b+l-1, l-1)), where
+    H_x is the upper triangular Toeplitz matrix of (1+z)^-x and m_k is the
+    multinomial (b+c+k-1)! / (b! c! (k-1)!).  S = (b+c+a-1)! / (b! c!), a
+    divisor of W, clears every 1/m_k to the weight (k-1)! (b+c+k)_{a-k}.  So
+    S F = S Q4 - Q3 (S M^-1) Q1 is a d x d integer matrix whose entry (i, j)
+    is one sum over k of row i of Q3 T', the weights, and column j of L' Q1.
+    At a = 0, E = det Q4 = 1.  A remainder raises NotIntegerError.
+    """
+    from .formulas import macmahon  # formulas imports schur
+
+    if not (0 <= p <= a and b > d >= 1 and c > d + p):
+        raise ValueError(f"count_via_inverse needs 0 <= p <= a, b > d >= 1, c > d+p, "
+                         f"not {(a, b, c, d, p)}")
+    if a == 0:
+        return 1
+    scale = comb(b + c, b) * rising(b + c + 1, a - 1)
+    h_b, h_c = _series_inverse(b, a), _series_inverse(c, a)
+    # (k-1)! (b+c+k)_{a-k} for k = a down to 1, each from the one above it
+    weights = [factorial(a - 1)]
+    for k in range(a, 1, -1):
+        weights.append(weights[-1] * (b + c + k - 1) // (k - 1))
+    weights.reverse()
+    # inside the window every binomial index below is in range, so math.comb
+    # serves; row i of Q3 ends at column b+p+1-i, and column j of Q1 has its
+    # nonzeros at rows max(1, p+1-j)..min(a, p+j)
+    left = []  # row i of Q3 T' diag(weights)
+    for i in range(1, d + 1):
+        u = [comb(b + c - 2 * i + 1, c - i + t - p) * comb(c + t - 1, t - 1)
+             for t in range(1, min(a, b + p + 1 - i) + 1)]
+        left.append(list(map(mul, weights, _times_series(u, h_b, a))))
+    sf = []  # S F transposed, which has the same determinant
+    for j in range(1, d + 1):
+        lo, hi = max(1, p + 1 - j), min(a, p + j)
+        v = [comb(b + l - 1, l - 1) * comb(2 * j - 1, j - l + p) for l in range(lo, hi + 1)]
+        right = _times_series(v, h_c, a - lo + 1)  # rows lo..a of column j of L' Q1
+        sf.append([scale * binom(2 * (j - i), j - i) - sum(map(mul, row[lo - 1:], right))
+                   for i, row in enumerate(left, 1)])
+    return as_int(f"count_via_inverse at {(a, b, c, d, p)}",
+                  macmahon(a, b, c) * det_bareiss(sf), scale**d)
 
 
 @lru_cache(maxsize=4096)

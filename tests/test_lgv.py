@@ -56,7 +56,7 @@ def assert_path_rows(spec):
 
 def test_path_rows_match_the_entrywise_matrix_and_its_scanned_ends():
     # 54,432 specs: formal b, c < 0, p on both sides of 0..a, and rows whose
-    # lateral part is zero, where the builder scans the intrusive head
+    # lateral part is zero, where the builder reads the intrusive head's last entry
     for a, b, c, d in product(range(7), range(-3, 6), range(-3, 6), range(4)):
         for p in range(-4, a + 5):
             for parity in (EVEN, ODD):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexatile import lgv, qfit
+from hexatile.detkernel import det_bareiss
 from hexatile.formulas import byun_even, prefactor_P, q_known
 from hexatile.hexmodel import EVEN
 from hexatile.qfit import (
@@ -315,6 +316,25 @@ def test_cross_validate_reads_no_memo(monkeypatch):
     assert cross_validate(poly, 2, [(4, 5, 6, 1)])["passed"]
     bad = MultiPoly({**poly.coeffs, (0, 0, 0, 0): Fraction(5)})
     assert cross_validate(bad, 2, [(4, 5, 6, 1)])["failures"][0]["expected"] == true
+
+
+def test_cross_validate_builds_no_path_matrix(monkeypatch):
+    # every holdout count comes from MacMahon's product and the explicit
+    # inverse, so a builder that raises is never reached
+    poly = fit(2)
+    holdout = [(4, 5, 6, 1), (5, 7, 9, 2), (0, 4, 5, 0), (9, 3, 12, 4)]
+    true = [det_bareiss(lgv.path_matrix(a, b, c, 2, p, EVEN)) for a, b, c, p in holdout]
+
+    def refuse(*args):
+        raise AssertionError("cross_validate built a path matrix")
+
+    monkeypatch.setattr(lgv, "_path_rows", refuse)
+    monkeypatch.setattr(lgv, "path_matrix", refuse)
+    assert cross_validate(poly, 2, holdout)["passed"]
+    bad = MultiPoly({**poly.coeffs, (0, 0, 0, 0): Fraction(5)})
+    failures = cross_validate(bad, 2, holdout)["failures"]
+    assert failures[0]["expected"] == true[0]
+    assert [f["expected"] for f in failures] == true
 
 
 def test_substitution_pattern_does_not_reproduce_samples():

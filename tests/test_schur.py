@@ -12,11 +12,12 @@ from hexatile.detkernel import det_bareiss, identity, mat_mul
 from hexatile.exactmath import NotIntegerError, binom, factorial, rising
 from hexatile.formulas import detF_factorized, macmahon
 from hexatile.hexmodel import EVEN, endpoints
-from hexatile.lgv import even_count
+from hexatile.lgv import even_count, path_matrix
 from hexatile.schur import (
     build_blocks,
     build_bundle,
     count_via_F,
+    count_via_inverse,
     inverse_scale,
     triple_sum_entry,
     verify_inverse,
@@ -144,6 +145,48 @@ def test_count_via_F_outside_the_needle_window():
                 for d in range(1, 4):
                     for p in (-2, a + 2):
                         assert count_via_F(a, b, c, d, p) == even_count(a, b, c, d, p).value
+
+
+def test_count_via_inverse_is_the_path_determinant():
+    # 8,100 points of prefactor_P's window, a = 0 among them
+    points = 0
+    for d in range(1, 6):
+        for a in range(9):
+            for p in range(a + 1):
+                for b in range(d + 1, d + 7):
+                    for c in range(d + p + 1, d + p + 7):
+                        want = det_bareiss(path_matrix(a, b, c, d, p, EVEN))
+                        assert count_via_inverse(a, b, c, d, p) == want, (a, b, c, d, p)
+                        points += 1
+    assert points == 8100
+
+
+@pytest.mark.parametrize("spec", [
+    (0, 8, 9, 7, 0), (14, 7, 9, 6, 0), (20, 8, 15, 6, 5), (25, 9, 18, 7, 6),
+    (30, 8, 40, 7, 20), (80, 4, 45, 3, 40),
+])
+def test_count_via_inverse_at_depths_6_and_7_and_on_a_long_side(spec):
+    assert count_via_inverse(*spec) == det_bareiss(path_matrix(*spec, EVEN))
+
+
+@pytest.mark.parametrize("spec", [
+    (3, 4, 5, 1, -1),  # p < 0
+    (3, 4, 9, 1, 4),  # p > a
+    (3, 2, 5, 2, 1),  # b <= d
+    (3, 4, 2, 1, 1),  # c <= d + p
+    (3, 4, 5, 0, 1),  # d < 1
+])
+def test_count_via_inverse_rejects_points_outside_its_window(spec):
+    with pytest.raises(ValueError):
+        count_via_inverse(*spec)
+
+
+def test_count_via_inverse_refuses_a_remainder(monkeypatch):
+    # one more on det(S F) leaves M(a, b, c) over S^d
+    det = schur.det_bareiss
+    monkeypatch.setattr(schur, "det_bareiss", lambda m: det(m) + 1)
+    with pytest.raises(NotIntegerError):
+        count_via_inverse(4, 5, 6, 2, 1)
 
 
 def test_blocks_delta_is_macmahon_and_solves_q2():
