@@ -18,16 +18,17 @@ over (b+c)_a.
 The blocks have one memo, kept by (a, b, c, p) with the depth d free: Q2
 depends on (a, b, c) alone, and row i of Q3 and column j of Q1 on their own
 index and p, so the blocks at every depth e <= d are leading parts of those
-at d, and so is Fp.  One build at d, with the leading minors of its Fp,
-gives the count at every e <= d, and count_via_F and verify_triple_sum read
-theirs from it.
+at d, and so is Fp.  build_blocks records the count at every e <= d from the
+leading minors of its Fp, and the memo keeps its decomposition whole:
+count_via_F and verify_triple_sum read theirs from it.
 
-count_via_inverse is the memo-free route to E inside prefactor_P's window,
-and qfit.cross_validate's source of truth: MacMahon's product
-(formulas.macmahon) times det(S F) / S^d, with S = (b+c+a-1)! / (b! c!),
-a divisor of W.  S F = S Q4 - Q3 (S M^-1) Q1 is built as a d x d integer
-matrix straight from the explicit inverse's Toeplitz factors, with no
-solve, no Y, no path matrix and no endpoints.
+count_via_inverse is the memo-free route to E, and qfit.cross_validate's
+source of truth: MacMahon's product (formulas.macmahon) times det(S F) / S^d,
+with S = (b+c+a-1)! / (b! c!), a divisor of W.  S F = S Q4 - Q3 (S M^-1) Q1
+is built as a d x d integer matrix straight from the explicit inverse's
+Toeplitz factors, with no solve, no Y, no path matrix and no endpoints.  Its
+algebra needs only M invertible, so it holds at every a, b, c, d >= 0 and
+every integer p, as lgv.count's domain does.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import NamedTuple
 
 from .detkernel import IntMatrix, det_bareiss, leading_minors, mat_mul, solve_exact
 from .exactmath import (NotIntegerError, OutOfValidityError, as_int, binom, factorial,
@@ -60,11 +60,8 @@ class MacMahonBundle:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    a: int
-    b: int
-    c: int
-    d: int
-    p: int
+    """The blocks at depth d, their complement, and counts: E at each e <= d."""
+
     Q1: list
     Q2: list
     Q3: list
@@ -72,6 +69,7 @@ class BlockDecomposition:
     delta: int  # det Q2 = M(a, b, c)
     Y: list  # delta Q2^-1.Q1, integral
     Fp: list  # delta F = delta Q4 - Q3.Y
+    counts: list  # E at depth 0..d, None where det(Fp_e) delta / delta^e leaves a remainder
 
 
 def inverse_scale(a: int, b: int, c: int) -> int:
@@ -122,30 +120,25 @@ def verify_inverse(bundle: MacMahonBundle) -> bool:
 
 
 def build_blocks(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
-    """Q1, Q2, Q3, Q4 blocks of the even-intrusion matrix, delta = det Q2,
-    Y = delta Q2^-1.Q1 and Fp = delta Q4 - Q3.Y, all integers."""
-    if a < 1 or d < 0:
-        raise ValueError("block decomposition needs a >= 1 and d >= 0")
+    """Q1-Q4 blocks of the even-intrusion matrix, delta = det Q2, Y = delta
+    Q2^-1.Q1, Fp = delta Q4 - Q3.Y, all integers, and the count at every
+    e <= d, det(Fp_e) delta / delta^e with Fp_e Fp's leading e x e block."""
+    if a < 1 or min(b, c, d) < 0:
+        raise ValueError("block decomposition needs a >= 1 and b, c, d >= 0")
     q1 = [[binom(2 * j - 1, -i + j + p) for j in range(1, d + 1)] for i in range(1, a + 1)]
     q2 = _macmahon_matrix(a, b, c)
     q3 = [[binom(b + c - 2 * i + 1, c - i + j - p) for j in range(1, a + 1)] for i in range(1, d + 1)]
     q4 = [[binom(2 * (j - i), j - i) for j in range(1, d + 1)] for i in range(1, d + 1)]
     delta, y = solve_exact(q2, q1)
     fp = [[delta * x - z for x, z in zip(r4, rz)] for r4, rz in zip(q4, mat_mul(q3, y))]
-    return BlockDecomposition(a=a, b=b, c=c, d=d, p=p, Q1=q1, Q2=q2, Q3=q3, Q4=q4,
-                              delta=delta, Y=y, Fp=fp)
+    counts = []
+    for e, minor in enumerate([1] + leading_minors(fp)):  # [1]: the empty Fp
+        count, rest = divmod(minor * delta, delta**e)
+        counts.append(None if rest else count)
+    return BlockDecomposition(Q1=q1, Q2=q2, Q3=q3, Q4=q4, delta=delta, Y=y, Fp=fp, counts=counts)
 
 
-class _Complement(NamedTuple):
-    """One block memo entry, built at depth d = len(counts) - 1."""
-
-    delta: int
-    Y: tuple  # delta Q2^-1.Q1, a rows of d
-    Q3: tuple  # d rows of a
-    counts: tuple  # E at depth 0..d, None where det(Fp) leaves a remainder
-
-
-# The block memo, (a, b, c, p) -> _Complement, and its bound in entries.  One
+# The block memo, (a, b, c, p) -> build_blocks' result, and its bound.  One
 # `hexatile verify all` pass builds 350 entries: complement_block_count asks
 # for each (a, b, c) from its largest d down, and inverse_entry_sums reads
 # the entries it left.  When full, the memo drops the entry stored first.
@@ -153,33 +146,21 @@ _BLOCKS: dict = {}
 _BLOCKS_MAX = 4096
 
 
-def _complement(a: int, b: int, c: int, d: int, p: int) -> _Complement:
-    """The memo entry of (a, b, c, p), built at depth d or deeper.
-
-    A miss, or an entry built at a smaller depth, builds the blocks at d
-    once and records the count at every e <= d, det(Fp_e) delta / delta^e
-    with Fp_e the leading e x e block of Fp, in place of the shallower entry.
-    """
-    if a < 1 or d < 0:
-        raise ValueError("block decomposition needs a >= 1 and d >= 0")
+def _complement(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
+    """The memo entry of (a, b, c, p), built at depth d or deeper: a miss, or
+    an entry built shallower, builds the blocks at d once in its place."""
+    if a < 1 or min(b, c, d) < 0:
+        raise ValueError("block decomposition needs a >= 1 and b, c, d >= 0")
     key = (a, b, c, p)
-    entry = _BLOCKS.get(key)
-    if entry is not None:
-        if d < len(entry.counts):
-            return entry
+    blocks = _BLOCKS.get(key)
+    if blocks is not None:
+        if d < len(blocks.counts):
+            return blocks
         del _BLOCKS[key]  # stored again below, as the newest entry
     elif len(_BLOCKS) >= _BLOCKS_MAX:
         del _BLOCKS[next(iter(_BLOCKS))]  # the entry stored first
-    blocks = build_blocks(a, b, c, d, p)
-    delta = blocks.delta
-    counts = []
-    for e, minor in enumerate([1] + leading_minors(blocks.Fp)):  # [1]: the empty Fp
-        count, rest = divmod(minor * delta, delta**e)
-        counts.append(None if rest else count)
-    entry = _Complement(delta, tuple(map(tuple, blocks.Y)), tuple(map(tuple, blocks.Q3)),
-                        tuple(counts))
-    _BLOCKS[key] = entry
-    return entry
+    blocks = _BLOCKS[key] = build_blocks(a, b, c, d, p)
+    return blocks
 
 
 def count_via_F(a: int, b: int, c: int, d: int, p: int) -> int:
@@ -206,8 +187,8 @@ def _times_series(u: list, h: list, n: int) -> list:
 
 
 def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
-    """E(a,b,c,d,p) = M(a,b,c) det(S F) / S^d inside prefactor_P's window
-    (0 <= p <= a, b > d >= 1, c > d+p), with no solve and no memo.
+    """E(a,b,c,d,p) = M(a,b,c) det(S F) / S^d for every a, b, c, d >= 0 and
+    every integer p, with no solve and no memo.
 
     build_bundle's T.diag(D).L = W M^-1 is, with its factorials (k-1)!
     moved to the middle, M^-1 = T' diag(1/m_k) L' for the integer matrices
@@ -217,13 +198,13 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
     divisor of W, clears every 1/m_k to the weight (k-1)! (b+c+k)_{a-k}.  So
     S F = S Q4 - Q3 (S M^-1) Q1 is a d x d integer matrix whose entry (i, j)
     is one sum over k of row i of Q3 T', the weights, and column j of L' Q1.
-    At a = 0, E = det Q4 = 1.  A remainder raises NotIntegerError.
+    At a = 0, E = det Q4 = 1.  A negative side is a ValueError, as in
+    lgv.count, and a remainder raises NotIntegerError.
     """
     from .formulas import macmahon  # formulas imports schur
 
-    if not (0 <= p <= a and b > d >= 1 and c > d + p):
-        raise ValueError(f"count_via_inverse needs 0 <= p <= a, b > d >= 1, c > d+p, "
-                         f"not {(a, b, c, d, p)}")
+    if min(a, b, c, d) < 0:
+        raise ValueError("a, b, c, d must be nonnegative")
     if a == 0:
         return 1
     scale = comb(b + c, b) * rising(b + c + 1, a - 1)
@@ -233,12 +214,12 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
     for k in range(a, 1, -1):
         weights.append(weights[-1] * (b + c + k - 1) // (k - 1))
     weights.reverse()
-    # inside the window every binomial index below is in range, so math.comb
-    # serves; row i of Q3 ends at column b+p+1-i, and column j of Q1 has its
-    # nonzeros at rows max(1, p+1-j)..min(a, p+j)
+    # row i of Q3 ends at column b+p+1-i and column j of Q1 has its nonzeros
+    # at rows max(1, p+1-j)..min(a, p+j), so math.comb sees only its support;
+    # Q3's entries take binom, as their top b+c-2i+1 or bottom may be negative
     left = []  # row i of Q3 T' diag(weights)
     for i in range(1, d + 1):
-        u = [comb(b + c - 2 * i + 1, c - i + t - p) * comb(c + t - 1, t - 1)
+        u = [binom(b + c - 2 * i + 1, c - i + t - p) * comb(c + t - 1, t - 1)
              for t in range(1, min(a, b + p + 1 - i) + 1)]
         left.append(list(map(mul, weights, _times_series(u, h_b, a))))
     sf = []  # S F transposed, which has the same determinant
@@ -292,11 +273,12 @@ def verify_triple_sum(a: int, b: int, c: int, p: int, i: int, j: int) -> bool:
     below 1 is a ValueError."""
     if i < 1 or j < 1:
         raise ValueError(f"the indices are 1-based, not (i, j) = ({i}, {j})")
-    delta, y, q3, _ = _complement(a, b, c, max(i, j), p)
+    blocks = _complement(a, b, c, max(i, j), p)
+    delta, y = blocks.delta, blocks.Y
     w = inverse_scale(a, b, c)
     if i <= a and delta * double_sum_entry(a, b, c, p, i, j) != w * y[i - 1][j - 1]:
         return False
-    q3y = sum(q * row[j - 1] for q, row in zip(q3[i - 1], y))
+    q3y = sum(q * row[j - 1] for q, row in zip(blocks.Q3[i - 1], y))
     return delta * triple_sum_entry(a, b, c, p, i, j) == w * q3y
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from hexatile import schur
+from hexatile import lgv, schur
 from hexatile.detkernel import det_bareiss, identity, mat_mul
 from hexatile.exactmath import NotIntegerError, binom, factorial, rising
 from hexatile.formulas import detF_factorized, macmahon
@@ -169,16 +169,44 @@ def test_count_via_inverse_at_depths_6_and_7_and_on_a_long_side(spec):
     assert count_via_inverse(*spec) == det_bareiss(path_matrix(*spec, EVEN))
 
 
-@pytest.mark.parametrize("spec", [
-    (3, 4, 5, 1, -1),  # p < 0
-    (3, 4, 9, 1, 4),  # p > a
-    (3, 2, 5, 2, 1),  # b <= d
-    (3, 4, 2, 1, 1),  # c <= d + p
-    (3, 4, 5, 0, 1),  # d < 1
-])
-def test_count_via_inverse_rejects_points_outside_its_window(spec):
-    with pytest.raises(ValueError):
-        count_via_inverse(*spec)
+def test_count_via_inverse_is_the_count_outside_prefactor_P_window(monkeypatch):
+    # p < 0, p > a, b <= d, c <= d + p, d = 0, a = 0, b = 0, c = 0 and
+    # b + c < 2i - 1; math.comb is asked only for binomials in its support
+    def comb_in_support(n, k):
+        assert 0 <= k <= n, (n, k)
+        return math.comb(n, k)
+
+    monkeypatch.setattr(schur, "comb", comb_in_support)
+    points = 0
+    schur._BLOCKS.clear()
+    try:
+        for a in range(5):
+            for b in range(5):
+                for c in range(5):
+                    for d in range(4):
+                        for p in range(-d - 2, a + d + 3):
+                            if 0 <= p <= a and b > d >= 1 and c > d + p:
+                                continue
+                            want = lgv.count(a, b, c, d, p, EVEN)
+                            assert count_via_inverse(a, b, c, d, p) == want, (a, b, c, d, p)
+                            assert a == 0 or count_via_F(a, b, c, d, p) == want, (a, b, c, d, p)
+                            points += 1
+    finally:
+        schur._BLOCKS.clear()
+    assert points == 4889
+
+
+@pytest.mark.parametrize("spec", [(-1, 3, 3, 1, 0), (2, -1, 3, 1, 0), (3, 2, -1, 1, 1),
+                                  (2, 3, 3, -1, 1), (0, -1, 2, 1, 0)])
+def test_count_via_inverse_rejects_points_outside_its_window(spec, monkeypatch):
+    # its window is a, b, c, d >= 0 (every integer p): a negative side, a = 0
+    # among them, is a ValueError on every route, raised before the memo is
+    # read (an entry planted at the key (a, b, c, p))
+    a, b, c, d, p = spec
+    monkeypatch.setattr(schur, "_BLOCKS", {(a, b, c, p): build_blocks(2, 3, 3, 2, 1)})
+    for route in (count_via_inverse, count_via_F, build_blocks, lambda *s: lgv.count(*s, EVEN)):
+        with pytest.raises(ValueError):
+            route(*spec)
 
 
 def test_count_via_inverse_refuses_a_remainder(monkeypatch):
@@ -199,6 +227,8 @@ def test_blocks_delta_is_macmahon_and_solves_q2():
                     for p in range(0, a + 1):
                         blocks = build_blocks(a, b, c, d, p)
                         assert blocks.delta == macmahon(a, b, c)
+                        want = [lgv.count(a, b, c, e, p, EVEN) for e in range(d + 1)]
+                        assert blocks.counts == want
                         assert mat_mul(blocks.Q2, blocks.Y) == [
                             [blocks.delta * v for v in row] for row in blocks.Q1
                         ]
@@ -384,8 +414,9 @@ def test_inverse_entry_sums_builds_each_distinct_block_once(monkeypatch):
         # once at its largest depth max(i, j) = 2, which is asked for first
         assert len(built) == len({args[:3] + args[4:] for args in built}) == 176
         assert {args[3] for args in built} == {2}
-        delta, y, q3, counts = schur._complement(3, 3, 3, 2, 1)
-        assert all(isinstance(v, tuple) for v in (y, q3, counts) + y + q3)
+        blocks = schur._complement(3, 3, 3, 2, 1)
+        assert [len(blocks.Y), len(blocks.Y[0]), len(blocks.Q3), len(blocks.Q3[0]),
+                len(blocks.counts)] == [3, 2, 2, 3, 3]
 
         # as the `schur` suite runs them, complement_block_count leaves every
         # block inverse_entry_sums reads, one per (a, b, c, p) at d = dmax
@@ -459,10 +490,10 @@ def test_a_planted_count_fails_its_complement_block_check():
 
     schur._BLOCKS.clear()
     try:
-        entry = schur._complement(2, 3, 3, 2, 1)
-        counts = list(entry.counts)
+        blocks = schur._complement(2, 3, 3, 2, 1)
+        counts = list(blocks.counts)
         counts[1] += 1
-        schur._BLOCKS[2, 3, 3, 1] = entry._replace(counts=tuple(counts))
+        schur._BLOCKS[2, 3, 3, 1] = replace(blocks, counts=counts)
         [result] = formulas._run_checks(["complement_block_count"], 2, 3, 3, 2)
         assert result.failures == [(2, 3, 3, 1, 1)]
     finally:
