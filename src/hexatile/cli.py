@@ -45,61 +45,54 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _inside(window, reason: str, value):
-    """A count method for the specs where window holds; elsewhere it raises
-    OutOfValidityError(reason)."""
-
-    def method(s: HexSpec) -> int:
-        if not window(s):
-            raise OutOfValidityError(reason)
-        return value(s)
-
-    return method
-
-
-# Every `count --method` name, in help order, with the signed count it gives.
+# Every `count --method` name, in help order: the signed count it gives, the
+# window of specs it takes (None: every spec) and why it refuses the others.
 # The entries look library functions up when they run, so a wrapped or patched
 # function is the one called.
 _METHODS = {
-    "det": lambda s: lgv.count(s.a, s.b, s.c, s.d, s.p, s.parity),
-    "modular": lambda s: det_modular(lgv.path_matrix(s.a, s.b, s.c, s.d, s.p, s.parity)),
-    "condense": _inside(lambda s: s.parity == EVEN, "condense counts even intrusions only",
-                        lambda s: lgv.even_count_by_condensation(s.a, s.b, s.c, s.d, s.p)),
-    "oracle": lambda s: oracle.signed_count(s),
-    "formula:macmahon": _inside(lambda s: s.d == 0, "formula:macmahon needs d = 0",
-                                lambda s: formulas.macmahon(s.a, s.b, s.c)),
-    "formula:byun_even": _inside(lambda s: s.parity == EVEN and s.a == 2 * s.p,
-                                 "formula:byun_even needs even parity and a = 2p",
-                                 lambda s: formulas.byun_even(s.p, s.b, s.c, s.d)),
-    "formula:byun_odd": _inside(lambda s: s.parity == ODD and s.a == 2 * s.p + 1,
-                                "formula:byun_odd needs odd parity and a = 2p+1",
-                                lambda s: formulas.byun_odd(s.p, s.b, s.c, s.d)),
-    "formula:byun_odd_corrected": _inside(
+    "det": (lambda s: lgv.count(s.a, s.b, s.c, s.d, s.p, s.parity), None, None),
+    "modular": (lambda s: det_modular(lgv.path_matrix(s.a, s.b, s.c, s.d, s.p, s.parity)),
+                None, None),
+    "condense": (lambda s: lgv.even_count_by_condensation(s.a, s.b, s.c, s.d, s.p),
+                 lambda s: s.parity == EVEN, "condense counts even intrusions only"),
+    "oracle": (lambda s: oracle.signed_count(s), None, None),
+    "formula:macmahon": (lambda s: formulas.macmahon(s.a, s.b, s.c),
+                         lambda s: s.d == 0, "formula:macmahon needs d = 0"),
+    "formula:byun_even": (lambda s: formulas.byun_even(s.p, s.b, s.c, s.d),
+                          lambda s: s.parity == EVEN and s.a == 2 * s.p,
+                          "formula:byun_even needs even parity and a = 2p"),
+    "formula:byun_odd": (lambda s: formulas.byun_odd(s.p, s.b, s.c, s.d),
+                         lambda s: s.parity == ODD and s.a == 2 * s.p + 1,
+                         "formula:byun_odd needs odd parity and a = 2p+1"),
+    "formula:byun_odd_corrected": (
+        lambda s: (-1) ** s.d * formulas.byun_odd_corrected(s.p, s.b, s.c, s.d),
         lambda s: s.parity == ODD and s.a == 2 * s.p + 1,
-        "formula:byun_odd_corrected needs odd parity and a = 2p+1",
-        lambda s: (-1) ** s.d * formulas.byun_odd_corrected(s.p, s.b, s.c, s.d)),
-    "formula:p1md": _inside(lambda s: s.parity == EVEN and s.p == 1 - s.d,
-                            "formula:p1md needs even parity and p = 1-d",
-                            lambda s: formulas.p_one_minus_d_simple(s.a, s.b, s.c, s.d)),
-    "formula:d1": _inside(lambda s: s.parity == EVEN and s.d == 1 and s.p == 0,
-                          "formula:d1 needs even parity, d = 1, p = 0",
-                          lambda s: formulas.d1_corollary(s.a, s.b, s.c)),
-    "formula:reflection": _inside(lambda s: s.parity == EVEN and s.a == 1,
-                                  "formula:reflection needs even parity and a = 1",
-                                  lambda s: formulas.count_a1_reflection(s.b, s.c, s.d, s.p)),
+        "formula:byun_odd_corrected needs odd parity and a = 2p+1"),
+    "formula:p1md": (lambda s: formulas.p_one_minus_d_simple(s.a, s.b, s.c, s.d),
+                     lambda s: s.parity == EVEN and s.p == 1 - s.d,
+                     "formula:p1md needs even parity and p = 1-d"),
+    "formula:d1": (lambda s: formulas.d1_corollary(s.a, s.b, s.c),
+                   lambda s: s.parity == EVEN and s.d == 1 and s.p == 0,
+                   "formula:d1 needs even parity, d = 1, p = 0"),
+    "formula:reflection": (lambda s: formulas.count_a1_reflection(s.b, s.c, s.d, s.p),
+                           lambda s: s.parity == EVEN and s.a == 1,
+                           "formula:reflection needs even parity and a = 1"),
 }
 
 
 def cmd_count(args) -> int:
     spec = HexSpec(args.a, args.b, args.c, args.d, args.p, args.parity)
     methods = args.method or ["det"]
-    unknown = [method for method in methods if method not in _METHODS]
-    if unknown:
-        raise ValueError(f"unknown method {unknown[0]!r}; known: {', '.join(_METHODS)}")
+    for method in methods:  # every name and every window, before any method runs
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
+        _, window, reason = _METHODS[method]
+        if window and not window(spec):
+            raise OutOfValidityError(reason)
     magnitudes = set()
     for method in methods:
         t0 = time.perf_counter()
-        sc = lgv.SignedCount.of(_METHODS[method](spec))
+        sc = lgv.SignedCount.of(_METHODS[method][0](spec))
         elapsed = (time.perf_counter() - t0) * 1000.0
         magnitudes.add(sc.tilings)
         print(json.dumps({
@@ -139,12 +132,13 @@ def cmd_verify(args) -> int:
         raise ValueError(f"ranges must be nonnegative: {', '.join(negative)}")
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     names = [name for suite in suites for name in _SUITES[suite]]
+    results = formulas.run_checks(names, args.amax, args.bmax, args.cmax, args.dmax)
     checks = []
-    for res in formulas._run_checks(names, args.amax, args.bmax, args.cmax, args.dmax):
+    for res in results:
         checks.append({"name": res.name, "cases": res.cases, "failures": res.failures})
         if res.informational:
             checks[-1]["informational"] = True
-    passed = all(not ch["failures"] or ch.get("informational") for ch in checks)
+    passed = all(res.passed for res in results)
     print(json.dumps({
         "suite": args.suite,
         "ranges": ranges,

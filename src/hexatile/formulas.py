@@ -6,10 +6,12 @@ engine on its validity window; integrality of rational products is
 asserted, never assumed.  MacMahon's M and the ansatz prefactor P are
 quotients of one box product (_plane) that steps over its shorter side.
 The registry is one ordered table of named checks
-(points, predicate, informational flag) and one runner: verify_identities
-sweeps the supporting recursions and summation identities on small grids,
-and the `hexatile verify` suites run the closed forms, the block and
-condensation structure, and seven of those identities from the same table.
+(points, predicate, informational flag) and one public runner, run_checks,
+whose IdentityResult.passed is the one verdict (no failures, or an
+informational check): verify_identities sweeps the supporting recursions and
+summation identities on small grids, and the `hexatile verify` suites run
+the closed forms, the block and condensation structure, and seven of those
+identities from the same table.
 The closed-form products are lists of Pochhammer factors for one routine
 that multiplies their integer parts and raises PoleError where the
 denominator vanishes; the halved products at a = 2p and 2p+1 and det F
@@ -177,11 +179,16 @@ def f_sum(a: int, b: int, c: int, d: int) -> int:
     )
 
 
+def _alt_linear(a: int, b: int, c: int, k: int) -> int:
+    """The linear factor of f's d-recursion at depth k, and of its k-th
+    iterated summand."""
+    return -a * (b - 2 * k + 3) + b * (5 - 4 * k) - 2 * c * k + 2 * c + 8 * k * k - 20 * k + 13
+
+
 def _alt_term(a: int, b: int, c: int, d: int, k: int) -> tuple[int, tuple]:
     """k-th summand of the iterated d-recursion for f (and the polynomial display),
     as a (coef, pairs) term of _sum; at k = 1 two Pochhammer indices are -1."""
-    lin = -a * (b - 2 * k + 3) + b * (5 - 4 * k) - 2 * c * k + 2 * c + 8 * k * k - 20 * k + 13
-    return lin, (
+    return _alt_linear(a, b, c, k), (
         pochhammer_parts(b + c - 2 * d + 2, 2 * d - 2 * k),
         pochhammer_parts(b - 2 * k + 4, 2 * k - 3),
         pochhammer_parts(a, 2 * k - 3),
@@ -306,10 +313,14 @@ def _vanishes(terms) -> bool:
 
 # --- check registry ----------------------------------------------------------
 #
-# One ordered table of exact sweeps, shared by verify_identities and the
-# `hexatile verify` suites.  A check is a points(amax, bmax, cmax, dmax)
-# generator and a predicate on one point: True passes, False fails (the
-# point is the failure entry), None skips (not counted).  Predicates look up
+# One ordered table of exact sweeps and one runner, run_checks, shared by
+# verify_identities and the `hexatile verify` suites; run_checks refuses a
+# negative range or an unknown name before any check runs, and a result
+# passes when it has no failures or is informational (IdentityResult.passed,
+# the verdict `hexatile verify` reports).  A check is a
+# points(amax, bmax, cmax, dmax) generator and a predicate on one point: True
+# passes, False fails (the point is the failure entry), None skips (not
+# counted).  Predicates look up
 # the functions they check when called, never when the table is built.
 # The runner evaluates a check's points in descending order of their first
 # coordinate (a, or p for the halved products at a = 2p and 2p + 1), equal
@@ -355,13 +366,22 @@ class IdentityResult:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """The one pass rule: no failures, or an informational check."""
+        return self.informational or not self.failures
 
 
-def _run_checks(names, amax: int, bmax: int, cmax: int, dmax: int) -> list[IdentityResult]:
+def run_checks(names, amax: int, bmax: int, cmax: int, dmax: int) -> list[IdentityResult]:
     """Run the registered checks in the order named, each one's points from
     the largest first coordinate down, and report failures in the order the
-    points generator gives them."""
+    points generator gives them.  A negative range or an unknown name is a
+    ValueError, raised before any check runs."""
+    ranges = {"amax": amax, "bmax": bmax, "cmax": cmax, "dmax": dmax}
+    negative = [f"{name} {value}" for name, value in ranges.items() if value < 0]
+    if negative:
+        raise ValueError(f"ranges must be nonnegative: {', '.join(negative)}")
+    unknown = [name for name in names if name not in _REGISTRY]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}; known: {', '.join(_REGISTRY)}")
     out = []
     for name in names:
         chk = _REGISTRY[name]
@@ -391,6 +411,12 @@ def _abcdp(a0):
         for a, b, c in _box(a0, 1, 1)(A, B, C, D)
         for d in range(D + 1)
         for p in range(a + 1)
+    )
+
+
+def _abcp(b0):
+    return lambda A, B, C, D: (
+        (a, b, c, p) for a, b, c in _box(1, b0, 1)(A, B, C, D) for p in range(a + 1)
     )
 
 
@@ -587,7 +613,7 @@ def _p1d_zb(a, b, c, d):
 
 @_check("f_d_recursion", _dabc(1, lambda a, d: 0, lambda a, d: 1, d0=2))
 def _f_d_recursion(a, b, c, d):
-    lin = -a * (b - 2 * d + 3) + b * (5 - 4 * d) - 2 * c * d + 2 * c + 8 * d * d - 20 * d + 13
+    lin = _alt_linear(a, b, c, d)
     lhs = (b - 2 * d + 2) * (b - 2 * d + 3) * f_sum(a, b, c, d)
     rhs = 2 * (d - 1) * (2 * d - 3) * (b + c - 2 * d + 2) * (b + c - 2 * d + 3) * f_sum(
         a, b, c, d - 1
@@ -607,14 +633,12 @@ def _f_alternative(a, b, c, d):
     return factorial(2 * d - 2) * total == want * s_den
 
 
-@_check("sum_formula", lambda A, B, C, D: (
-    (a, b, c, p)
-    for a, b, c in _box(1, 0, 1)(A, B, C, D)
-    for p in range(a + 1)
-    if b + p >= 1 and (p < 1 or c >= 2)
-))
+@_check("sum_formula", _abcp(0))
 def _sum_formula(a, b, c, p):
-    return schur.verify_sum_formula(a, b, c, p)
+    try:
+        return schur.verify_sum_formula(a, b, c, p)
+    except OutOfValidityError:
+        return None  # outside the display's pole-free window: skipped
 
 
 _IDENTITIES = tuple(_REGISTRY)
@@ -713,9 +737,7 @@ def _inverse_entry_sums(a, b, c, p, i, j):
     return schur.verify_triple_sum(a, b, c, p, i, j)
 
 
-@_check("telescoped_double_sum", lambda A, B, C, D: (
-    (a, b, c, p) for a, b, c in _box(1, 1, 1)(A, B, C, D) for p in range(a + 1)
-))
+@_check("telescoped_double_sum", _abcp(1))
 def _telescoped_double_sum(a, b, c, p):
     try:
         return schur.verify_sum_formula(a, b, c, p)
@@ -746,4 +768,4 @@ def verify_identities(
     for name in names:
         if name not in _IDENTITIES:
             raise ValueError(f"unknown identity {name!r}; known: {', '.join(_IDENTITIES)}")
-    return _run_checks(names, amax, bmax, cmax, dmax)
+    return run_checks(names, amax, bmax, cmax, dmax)

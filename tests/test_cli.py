@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hexatile import cli, oracle
+from hexatile import cli, lgv, oracle
 from hexatile.cli import main
 from hexatile.formulas import macmahon
 
@@ -202,6 +202,19 @@ def test_every_method_agrees_with_det_inside_its_window(capsys, method):
     else:
         assert (code, out) == (USAGE, "")
         assert err.count("\n") == 1 and err.startswith("count: ")
+
+
+@pytest.mark.parametrize("spec, formula", [
+    ((2, 2, 2, 1, 0, "even"), "formula:macmahon"),
+    ((2000, 3, 4, 0, 0, "even"), "formula:d1"),
+])
+def test_count_checks_every_window_before_running_any(monkeypatch, capsys, spec, formula):
+    calls = []
+    real = lgv.count
+    monkeypatch.setattr(lgv, "count", lambda *q: calls.append(q) or real(*q))
+    code, out, err = run(capsys, *count_flags(*spec), "--method", "det", "--method", formula)
+    assert (code, out, calls) == (USAGE, "", [])
+    assert err.count("\n") == 1 and err.startswith(f"count: {formula} needs ")
 
 
 def test_count_past_the_int_string_limit(capsys):

@@ -377,7 +377,7 @@ def test_special_ansatz_checks_fail_on_one_wrong_count(monkeypatch, name, point,
 
     monkeypatch.setattr(formulas, "count", off_by_one)
     assert check(*point) is False
-    [result] = formulas._run_checks([name], 4, 5, 5, 3)
+    [result] = formulas.run_checks([name], 4, 5, 5, 3)
     assert point in result.failures
 
 
@@ -410,7 +410,7 @@ def test_integer_checks_report_exactly_one_wrong_value(monkeypatch, name, target
         return value + 1
 
     monkeypatch.setattr(formulas, target, off_by_one)
-    [result] = formulas._run_checks([name], 4, 5, 5, 3)
+    [result] = formulas.run_checks([name], 4, 5, 5, 3)
     assert result.failures == [point]
 
 
@@ -463,6 +463,35 @@ def test_verify_identities_default_ranges_pinned():
     assert all(r.passed and not r.informational for r in report)
 
 
+def test_an_informational_result_passes_with_failures():
+    from hexatile import formulas
+
+    assert formulas.IdentityResult("x", 2, [(1,)], informational=True).passed
+    assert not formulas.IdentityResult("x", 2, [(1,)]).passed
+    [result] = formulas.run_checks(["halved_odd_product_printed"], 4, 5, 5, 3)
+    assert result.informational and result.failures and result.passed
+
+
+def test_run_checks_refuses_negative_ranges_and_unknown_names():
+    from hexatile import formulas
+
+    with pytest.raises(ValueError, match="ranges must be nonnegative: amax -1, dmax -2$"):
+        formulas.run_checks(["elementary"], -1, 3, 3, -2)
+    with pytest.raises(ValueError, match="ranges must be nonnegative: amax -1$"):
+        verify_identities("sa", -1, 3, 3, 1)
+    with pytest.raises(ValueError, match="unknown check 'nonsense'"):
+        formulas.run_checks(["sa", "nonsense"], 3, 3, 3, 1)
+
+
+@pytest.mark.parametrize("ranges, cases", [((4, 5, 5, 3), 340), ((5, 5, 5, 3), 485)])
+def test_sum_formula_skips_the_points_outside_its_window(ranges, cases):
+    from hexatile import formulas
+
+    [result] = formulas.run_checks(["sum_formula"], *ranges)
+    assert (result.cases, result.failures) == (cases, [])
+    assert formulas._REGISTRY["sum_formula"].predicate(1, 0, 1, 0) is None  # b + p = 0
+
+
 def test_verify_identities_comma_list_keeps_order():
     report = verify_identities(" sa, factorial_sum ", 3, 3, 3, 1)
     assert [r.name for r in report] == ["sa", "factorial_sum"]
@@ -483,7 +512,7 @@ def test_checks_run_from_the_largest_first_coordinate_down(monkeypatch):
 
     check = formulas._Check(lambda A, B, C, D: iter(points), predicate)
     monkeypatch.setattr(formulas, "_REGISTRY", {"synthetic": check})
-    [result] = formulas._run_checks(["synthetic"], 4, 5, 5, 3)
+    [result] = formulas.run_checks(["synthetic"], 4, 5, 5, 3)
     assert seen == ["b", "d", "g", "c", "f", "a", "e"]  # ties keep the generator's order
     assert result.failures == [(0, "a"), (2, "d"), (2, "g")]  # in the generator's order
     assert result.cases == 5  # c and e are skips

@@ -408,7 +408,7 @@ def test_inverse_entry_sums_builds_each_distinct_block_once(monkeypatch):
     built = _counting_builds(monkeypatch)
     schur._BLOCKS.clear()
     try:
-        [result] = formulas._run_checks(["inverse_entry_sums"], 5, 5, 5, 3)
+        [result] = formulas.run_checks(["inverse_entry_sums"], 5, 5, 5, 3)
         assert (result.cases, result.failures) == (704, [])
         # 704 (a, b, c, p, i, j) ask for 176 distinct (a, b, c, p), each built
         # once at its largest depth max(i, j) = 2, which is asked for first
@@ -423,11 +423,11 @@ def test_inverse_entry_sums_builds_each_distinct_block_once(monkeypatch):
         schur._BLOCKS.clear()
         built.clear()
         first, second = cli._SUITES["schur"]
-        [result] = formulas._run_checks([first], 4, 5, 5, 3)
+        [result] = formulas.run_checks([first], 4, 5, 5, 3)
         assert (result.cases, result.failures) == (1400, [])
         assert len(built) == len(set(built)) == 350 and {args[3] for args in built} == {3}
         built.clear()
-        [result] = formulas._run_checks([second], 4, 5, 5, 3)
+        [result] = formulas.run_checks([second], 4, 5, 5, 3)
         assert (result.cases, result.failures, built) == (704, [], [])
     finally:
         schur._BLOCKS.clear()
@@ -494,7 +494,7 @@ def test_a_planted_count_fails_its_complement_block_check():
         counts = list(blocks.counts)
         counts[1] += 1
         schur._BLOCKS[2, 3, 3, 1] = replace(blocks, counts=counts)
-        [result] = formulas._run_checks(["complement_block_count"], 2, 3, 3, 2)
+        [result] = formulas.run_checks(["complement_block_count"], 2, 3, 3, 2)
         assert result.failures == [(2, 3, 3, 1, 1)]
     finally:
         schur._BLOCKS.clear()
