@@ -7,7 +7,8 @@ strings, in full at any size.  Exit codes: 0 all good, 1 usage error
 (including a closed form with a pole at the spec, a negative verify range
 and an output file that cannot be written), 2 mathematical disagreement
 (including a closed form whose value is not an integer).  Every failure
-prints one line on stderr, `<command>: <reason>`.
+prints one line on stderr, `<command>: <reason>`.  `count` prints its
+records once every method has returned, and none on a usage error.
 """
 
 from __future__ import annotations
@@ -89,20 +90,28 @@ def cmd_count(args) -> int:
         _, window, reason = _METHODS[method]
         if window and not window(spec):
             raise OutOfValidityError(reason)
-    magnitudes = set()
-    for method in methods:
-        t0 = time.perf_counter()
-        sc = lgv.SignedCount.of(_METHODS[method][0](spec))
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        magnitudes.add(sc.tilings)
-        print(json.dumps({
-            "spec": dataclasses.asdict(spec),
-            "method": method,
-            "value": str(sc.value),
-            "sign": sc.sign,
-            "matrix_dim": spec.dim,
-            "elapsed_ms": round(elapsed, 3),
-        }))
+    # Records print once every method has returned, so a usage error that one
+    # raises (a bound the formula checks itself, the oracle's state cap) prints
+    # none; a value that is not an integer shows the ones computed before it.
+    magnitudes, lines = set(), []
+    try:
+        for method in methods:
+            t0 = time.perf_counter()
+            sc = lgv.SignedCount.of(_METHODS[method][0](spec))
+            elapsed = (time.perf_counter() - t0) * 1000.0
+            magnitudes.add(sc.tilings)
+            lines.append(json.dumps({
+                "spec": dataclasses.asdict(spec),
+                "method": method,
+                "value": str(sc.value),
+                "sign": sc.sign,
+                "matrix_dim": spec.dim,
+                "elapsed_ms": round(elapsed, 3),
+            }) + "\n")
+    except NotIntegerError:
+        sys.stdout.writelines(lines)
+        raise
+    sys.stdout.writelines(lines)
     if len(magnitudes) > 1:
         print("count: methods disagree on the tiling count", file=sys.stderr)
         return DISAGREEMENT

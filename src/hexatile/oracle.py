@@ -1,9 +1,11 @@
 """Ground truth for the determinant engine, from code that builds no LGV matrix.
 
 `signed_count` sums the signed vertex-disjoint path families by a
-transfer-matrix sweep over the antidiagonals x + y = t: it reads only the
-path endpoints (`hexmodel.endpoints`), never `lgv`, `detkernel` or the
-binomials, and costs polynomial time for a fixed number of paths.
+transfer-matrix sweep over the antidiagonals x + y = t: a state is the
+occupied vertices as one int bitmask, and a family's sign comes from the
+live paths each source and sink passes on its side.  It reads only the path
+endpoints (`hexmodel.endpoints`), never `lgv`, `detkernel` or the binomials,
+and costs polynomial time for a fixed number of paths.
 `count_families` runs the same sweep unsigned and for the identity
 assignment alone.  `region_count` shares not even the endpoints: it counts
 the tilings of the free unit triangles as the determinant of their
@@ -16,7 +18,6 @@ flow through the same endpoints by augmenting paths, and
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -63,83 +64,26 @@ class PathFamily:
     paths: tuple
 
 
-def _reach(ends: list, t: int, identity: bool) -> list:
-    """Per source label, the x on antidiagonal t from which a sink that label
-    may still end at (one at t or later) is reachable."""
-    if identity:
-        return [set(range(t - ey, ex + 1)) if ex + ey >= t else set() for ex, ey in ends]
-    ok: set = set()
-    for ex, ey in ends:
-        if ex + ey >= t:
-            ok.update(range(t - ey, ex + 1))
-    return [ok] * len(ends)
-
-
-def _move(states: dict, allowed: list, live: int) -> dict:
-    """Advance every live path to x or x + 1, one path per pass.
-
-    Before pass k, the paths left of k have moved and the rest have not, so
-    path k - 1 may sit on path k's vertex; path k must then move on.
-    """
-    for k in range(live):
-        step: dict = {}
-        for key, w in states.items():
-            xs, labels = key
-            x = xs[k]
-            ok = allowed[labels[k]]
-            if x in ok and (k == 0 or xs[k - 1] < x):
-                step[key] = step.get(key, 0) + w
-            if x + 1 in ok:
-                key = (xs[:k] + (x + 1,) + xs[k + 1:], labels)
-                step[key] = step.get(key, 0) + w
-        if len(step) > PATH_CAP:
-            raise CapExceededError(f"more than {PATH_CAP} sweep states on one antidiagonal")
-        states = step
-    return states
-
-
-def _settle(xs, labels, w, sources, sinks, joined, ended, mode):
-    """Join the sources and end the paths on the sinks of one antidiagonal.
-
-    Returns (xs, labels, w), or None when the state admits no family: a
-    source vertex already occupied, an empty sink vertex, or (IDENTITY) a
-    sink reached by another label.  joined masks the labels started so far,
-    ended the sinks used before this antidiagonal.
-    """
-    xs, labels = list(xs), list(labels)
-    for sx, i in sources:
-        k = bisect_left(xs, sx)
-        if k < len(xs) and xs[k] == sx:
-            return None
-        xs.insert(k, sx)
-        labels.insert(k, i)
-    for ex, j in sinks:
-        k = bisect_left(xs, ex)
-        if k == len(xs) or xs[k] != ex:
-            return None
-        i = labels[k]
-        if mode == IDENTITY and i != j:
-            return None
-        if mode == SIGNED:
-            # inversions against the pairs already ended, mod 2
-            finished = joined & ~sum(1 << label for label in labels)
-            if ((finished & ((1 << i) - 1)).bit_count() + (ended & ((1 << j) - 1)).bit_count()) & 1:
-                w = -w
-        ended |= 1 << j
-        del xs[k], labels[k]
-    return tuple(xs), tuple(labels), w
-
-
 def _sweep(spec: HexSpec, mode: str) -> int:
     """Sum over vertex-disjoint path families, swept over antidiagonals x + y = t.
 
     Disjoint unit-step paths keep their order on every antidiagonal, so a
-    state is the (x, source label) pairs of the live paths, sorted by x,
-    with an integer weight.  Each step moves every live path to x or x + 1,
-    drops paths that can reach no remaining sink, joins the sources at t and
-    ends the path on each sink at t.  SIGNED weighs a family by the sign of
-    its source-to-sink permutation, built up as paths end; UNSIGNED weighs
-    every family 1; IDENTITY counts the families that end source j at sink j.
+    state is one int: bit x + off is set where a live path sits, off = -min x
+    over the endpoints.  IDENTITY packs the source labels of the live paths,
+    in x order, above those bits and rejects a sink reached by another label;
+    SIGNED and UNSIGNED keep no labels.  Each step moves every live path to
+    x or x + 1, the rightmost first, so that x + 1 is free only if its bit is
+    clear; it drops paths that can reach no remaining sink, joins the sources
+    at t in label order and then ends the path on each sink at t.
+
+    SIGNED weighs a family by the sign of its source-to-sink permutation, the
+    product of the sign of the arrival order of the source labels (by t, then
+    label), that of the departure order of the sink labels, and -1 for each
+    live path to the right of a source as it joins and to the left of a
+    sink's path as it ends.  Two paths live together keep their order, so by
+    that last rule they give 1 (mod 2) exactly when the later arrival leaves
+    first, which is their inversion in arrival order against departure order;
+    paths never live together give 0 and leave in arrival order.
     """
     starts, ends = endpoints(spec.a, spec.b, spec.c, spec.d, spec.p, spec.parity)
     n = len(starts)
@@ -147,34 +91,70 @@ def _sweep(spec: HexSpec, mode: str) -> int:
         return 0  # two paths would share an endpoint
     if n == 0:
         return 1
-    sources: dict = {}
-    sinks: dict = {}
+    off = -min(x for x, _ in starts + ends)
+    width = max(x for x, _ in starts + ends) + off + 1  # IDENTITY's labels sit above
+    size = n.bit_length()  # bits per label
+    events: dict = {}  # t -> (bit, label, joins), the sources before the sinks
     for i, (x, y) in enumerate(starts):
-        sources.setdefault(x + y, []).append((x, i))
+        events.setdefault(x + y, []).append((1 << x + off, i, True))
     for j, (x, y) in enumerate(ends):
-        sinks.setdefault(x + y, []).append((x, j))
-    if min(sinks) < min(sources):
+        events.setdefault(x + y, []).append((1 << x + off, j, False))
+    first, last = min(events), max(events)
+    if not events[first][0][2]:
         return 0  # a sink before every source
-    states = {((), ()): 1}
-    joined = ended = live = 0  # joined, ended: bit masks over labels, sinks
-    for t in range(min(sources), max(sinks) + 1):
-        here, ending = sources.get(t, ()), sinks.get(t, ())
-        states = _move(states, _reach(ends, t, mode == IDENTITY), live)
-        if not (here or ending):
+    # the arrival order of the source labels and the departure order of the
+    # sinks' are by t, then label: an inversion is a label pair out of t order
+    inversions = sum(sum(u) > sum(v) for pts in (starts, ends)
+                     for u, v in itertools.combinations(pts, 2))
+    states = {0: -1 if mode == SIGNED and inversions & 1 else 1}
+    live = 0
+    for t in range(first, last + 1):
+        allowed = 0  # bits of the x from which a sink at t or later is reachable
+        for ex, ey in ends:
+            if ex + ey >= t:
+                allowed |= (2 << ex + off) - (1 << max(t - ey + off, 0))
+        for k in range(live - 1, -1, -1):  # the path on the k-th lowest set bit
+            step: dict = {}
+            for m, w in states.items():
+                r = m
+                for _ in range(k):
+                    r &= r - 1
+                bit = r & -r
+                if bit & allowed:
+                    step[m] = step.get(m, 0) + w
+                if bit << 1 & allowed and not bit << 1 & m:
+                    step[m + bit] = step.get(m + bit, 0) + w
+            if len(step) > PATH_CAP:
+                raise CapExceededError(f"more than {PATH_CAP} sweep states on one antidiagonal")
+            states = step
+        here = events.get(t)
+        if not here:
             continue
-        joined |= sum(1 << i for _, i in here)
         settled: dict = {}
-        for (xs, labels), w in states.items():
-            got = _settle(xs, labels, w, here, ending, joined, ended, mode)
-            if got is not None:
-                key = got[:2]
-                settled[key] = settled.get(key, 0) + got[2]
+        for m, w in states.items():
+            for bit, label, joins in here:
+                if bool(m & bit) == joins:
+                    break  # a source on a live path, or a sink with none
+                if mode == SIGNED:
+                    if (m & (-bit if joins else bit - 1)).bit_count() & 1:
+                        w = -w
+                elif mode == IDENTITY:
+                    shift = width + size * (m & bit - 1).bit_count()
+                    labels, kept = m >> shift, m & (1 << shift) - 1
+                    if joins:
+                        m = kept | (labels << size | label) << shift
+                    elif labels & (1 << size) - 1 == label:
+                        m = kept | labels >> size << shift
+                    else:
+                        break  # the sink's path started at another source
+                m ^= bit
+            else:
+                settled[m] = settled.get(m, 0) + w
         if not settled:
             return 0
         states = settled
-        ended |= sum(1 << j for _, j in ending)
-        live += len(here) - len(ending)
-    return states[(), ()]
+        live += sum(1 if joins else -1 for _, _, joins in here)
+    return states[0]
 
 
 def signed_count(spec: HexSpec) -> int:

@@ -74,6 +74,19 @@ def test_count_oracle_cap_is_usage_error(capsys, monkeypatch):
     assert "sweep states" in err
 
 
+@pytest.mark.parametrize("spec, method, cap", [
+    # count_a1_reflection checks p <= 0 itself, after det has run
+    ((1, 2, 2, 1, 1, "even"), "formula:reflection", None),
+    ((6, 3, 3, 2, 3, "even"), "oracle", 5),
+])
+def test_count_usage_error_after_det_prints_no_record(monkeypatch, capsys, spec, method, cap):
+    if cap is not None:
+        monkeypatch.setattr(oracle, "PATH_CAP", cap)
+    code, out, err = run(capsys, *count_flags(*spec), "--method", "det", "--method", method)
+    assert (code, out) == (USAGE, "")
+    assert err.count("\n") == 1 and err.startswith("count: ")
+
+
 def test_count_negative_odd_instance(capsys):
     code, out, _ = run(
         capsys, *count_flags(4, 5, 3, 3, 3, "odd"), "--method", "det", "--method", "oracle"

@@ -59,16 +59,46 @@ def test_signed_count_examples():
     assert signed_count(HexSpec(6, 3, 3, 2, 3, EVEN)) == even_count(6, 3, 3, 2, 3).value == 3000
 
 
+def _inversions(sigma):
+    return sum(i > j for i, j in itertools.combinations(sigma, 2))
+
+
+def test_sweep_matches_brute_force_families():
+    # every vertex-disjoint family, enumerated path by path with no determinant:
+    # a + d <= 3, b, c <= 2, p in -d-1..a+d+1, both parities
+    cases = 0
+    for a, d, b, c in itertools.product(range(4), range(4), range(3), range(3)):
+        if a + d > 3:
+            continue
+        for p, parity in itertools.product(range(-d - 1, a + d + 2), (EVEN, ODD)):
+            spec = HexSpec(a, b, c, d, p, parity)
+            starts, ends = _ends(spec)
+            signed = total = identity = 0
+            for sigma in itertools.permutations(range(len(starts))):
+                choices = [_monotone_paths(Point(*starts[i]), Point(*ends[j]))
+                           for i, j in enumerate(sigma)]
+                for family in itertools.product(*choices):
+                    if len(set().union(*family)) == sum(map(len, family)):
+                        signed += (-1) ** _inversions(sigma)
+                        total += 1
+                        identity += sigma == tuple(range(len(sigma)))
+            assert signed_count(spec) == signed, spec
+            assert count_families(spec) == (total, identity), spec
+            cases += 1
+    assert cases == 1080
+
+
 def test_even_families_realize_only_identity():
-    # all vertex-disjoint families use the identity endpoint assignment
-    for spec in [
-        HexSpec(2, 3, 3, 1, 1, EVEN),
-        HexSpec(3, 2, 2, 1, 0, EVEN),
-        HexSpec(2, 2, 2, 2, 1, EVEN),
-    ]:
-        total, identity_only = count_families(spec)
-        assert total == identity_only
-        assert total == even_count(spec.a, spec.b, spec.c, spec.d, spec.p).value
+    # all vertex-disjoint families use the identity endpoint assignment, on
+    # the even specs of test_first_tiling_exists_iff_families_exist's grid
+    cases = 0
+    for a, b, c, d in itertools.product(range(5), range(5), range(5), range(3)):
+        for p in range(-1, a + 2):
+            spec = HexSpec(a, b, c, d, p, EVEN)
+            total, identity_only = count_families(spec)
+            assert total == identity_only == even_count(a, b, c, d, p).value, spec
+            cases += 1
+    assert cases == 1875
 
 
 def test_count_families_with_other_assignments():
