@@ -7,8 +7,10 @@ strings, in full at any size.  Exit codes: 0 all good, 1 usage error
 (including a closed form with a pole at the spec, a negative verify range
 and an output file that cannot be written), 2 mathematical disagreement
 (including a closed form whose value is not an integer).  Every failure
-prints one line on stderr, `<command>: <reason>`.  `count` prints its
-records once every method has returned, and none on a usage error.
+prints one line on stderr, `<command>: <reason>`.  `count` checks every
+method's window (a closed form's is its entry in formulas.CLOSED_FORMS)
+before it runs any, and prints its records once every method has returned,
+and none on a usage error.
 """
 
 from __future__ import annotations
@@ -46,38 +48,17 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-# Every `count --method` name, in help order: the signed count it gives, the
-# window of specs it takes (None: every spec) and why it refuses the others.
-# The entries look library functions up when they run, so a wrapped or patched
-# function is the one called.
+# Every `count --method` name, in help order: the signed count at a spec, and
+# the window, as in formulas.CLOSED_FORMS (None: every spec).  The entries look
+# library functions up when they run, so a wrapped or patched one is called.
 _METHODS = {
-    "det": (lambda s: lgv.count(s.a, s.b, s.c, s.d, s.p, s.parity), None, None),
-    "modular": (lambda s: det_modular(lgv.path_matrix(s.a, s.b, s.c, s.d, s.p, s.parity)),
-                None, None),
+    "det": (lambda s: lgv.count(s.a, s.b, s.c, s.d, s.p, s.parity), None),
+    "modular": (lambda s: det_modular(lgv.path_matrix(s.a, s.b, s.c, s.d, s.p, s.parity)), None),
     "condense": (lambda s: lgv.even_count_by_condensation(s.a, s.b, s.c, s.d, s.p),
-                 lambda s: s.parity == EVEN, "condense counts even intrusions only"),
-    "oracle": (lambda s: oracle.signed_count(s), None, None),
-    "formula:macmahon": (lambda s: formulas.macmahon(s.a, s.b, s.c),
-                         lambda s: s.d == 0, "formula:macmahon needs d = 0"),
-    "formula:byun_even": (lambda s: formulas.byun_even(s.p, s.b, s.c, s.d),
-                          lambda s: s.parity == EVEN and s.a == 2 * s.p,
-                          "formula:byun_even needs even parity and a = 2p"),
-    "formula:byun_odd": (lambda s: formulas.byun_odd(s.p, s.b, s.c, s.d),
-                         lambda s: s.parity == ODD and s.a == 2 * s.p + 1,
-                         "formula:byun_odd needs odd parity and a = 2p+1"),
-    "formula:byun_odd_corrected": (
-        lambda s: (-1) ** s.d * formulas.byun_odd_corrected(s.p, s.b, s.c, s.d),
-        lambda s: s.parity == ODD and s.a == 2 * s.p + 1,
-        "formula:byun_odd_corrected needs odd parity and a = 2p+1"),
-    "formula:p1md": (lambda s: formulas.p_one_minus_d_simple(s.a, s.b, s.c, s.d),
-                     lambda s: s.parity == EVEN and s.p == 1 - s.d,
-                     "formula:p1md needs even parity and p = 1-d"),
-    "formula:d1": (lambda s: formulas.d1_corollary(s.a, s.b, s.c),
-                   lambda s: s.parity == EVEN and s.d == 1 and s.p == 0,
-                   "formula:d1 needs even parity, d = 1, p = 0"),
-    "formula:reflection": (lambda s: formulas.count_a1_reflection(s.b, s.c, s.d, s.p),
-                           lambda s: s.parity == EVEN and s.a == 1,
-                           "formula:reflection needs even parity and a = 1"),
+                 lambda a, b, c, d, p, parity: None if parity == EVEN else "even parity"),
+    "oracle": (lambda s: oracle.signed_count(s), None),
+    **{f"formula:{name}": (lambda s, form=form: form(s.a, s.b, s.c, s.d, s.p), window)
+       for name, (form, window) in formulas.CLOSED_FORMS.items()},
 }
 
 
@@ -87,12 +68,13 @@ def cmd_count(args) -> int:
     for method in methods:  # every name and every window, before any method runs
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
-        _, window, reason = _METHODS[method]
-        if window and not window(spec):
-            raise OutOfValidityError(reason)
+        window = _METHODS[method][1]
+        lack = window and window(*dataclasses.astuple(spec))
+        if lack:
+            raise OutOfValidityError(f"{method} needs {lack}")
     # Records print once every method has returned, so a usage error that one
-    # raises (a bound the formula checks itself, the oracle's state cap) prints
-    # none; a value that is not an integer shows the ones computed before it.
+    # raises (a pole, the oracle's state cap) prints none; a value that is not
+    # an integer shows the ones computed before it.
     magnitudes, lines = set(), []
     try:
         for method in methods:

@@ -3,8 +3,10 @@ registry behind every exact sweep.
 
 Every evaluator is exact and contracted to agree with the determinant
 engine on its validity window; integrality of rational products is
-asserted, never assumed.  MacMahon's M and the ansatz prefactor P are
-quotients of one box product (_plane) that steps over its shorter side.
+asserted, never assumed.  CLOSED_FORMS pairs each closed form of `hexatile
+count` with its window, the one predicate its display raises from.
+MacMahon's M and the ansatz prefactor P are quotients of one box product
+(_plane) that steps over its shorter side.
 The registry is one ordered table of named checks
 (points, predicate, informational flag) and one public runner, run_checks,
 whose IdentityResult.passed is the one verdict (no failures, or an
@@ -138,8 +140,7 @@ def byun_odd_corrected(p: int, b: int, c: int, d: int) -> int:
 
 def count_a1_reflection(b: int, c: int, d: int, p: int) -> int:
     """E(1,b,c,d,p) for p <= 0 and d <= (b+c+1)/2, by the reflection principle."""
-    if p > 0 or 2 * d > b + c + 1:
-        raise OutOfValidityError("reflection count needs p <= 0 and d <= (b+c+1)/2")
+    _refuse("reflection", 1, b, c, d, p)
     out = binom(b + c, b)
     for i in range(d + p):
         out -= binom(b + c - 2 * (-p + i) - 1, b + 2 * p - i - 1) * (
@@ -150,15 +151,11 @@ def count_a1_reflection(b: int, c: int, d: int, p: int) -> int:
 
 def p_one_minus_d_simple(a: int, b: int, c: int, d: int) -> int:
     """E(a,b,c,d,1-d): MacMahon count when d >= b/2+1, else the alternating sum."""
-    if d <= 0:
-        raise OutOfValidityError("needs an intrusion of length d > 0")
+    _refuse("p1md", a, b, c, d, 1 - d)
     if 2 * d >= b + 2:
         return macmahon(a, b, c)
     if a == 0:
         return 1
-    if c < 1:
-        # k = a-1 would divide by a+c-k-1 = 0
-        raise OutOfValidityError("the displayed sum needs c >= 1")
     s, s_den = _sum(
         ((-1) ** (a + k - 1) * binom(a - 1, k) * rising(-a + b - 2 * d + k + 3, a + 2 * d - 2),
          ((1, a + c - k - 1),))
@@ -230,11 +227,53 @@ def d1_corollary(a: int, b: int, c: int) -> int:
     """E(a,b,c,1,0) = M(a,b,c) (c)_a / (b+c)_a = M(a,b,c-1).  The quotient is
     (c)_m / (n+c)_m with m, n the shorter and longer of a and b, so the
     products step over the shorter side."""
-    if c < 1:
-        raise OutOfValidityError("needs c >= 1")
+    _refuse("d1", a, b, c, 1, 0)
     top = macmahon(a, b, c)
     m, n = sorted((a, b))
     return as_int("d1_corollary", top * rising(c, m), rising(n + c, m))
+
+
+def _odd_halved_window(a, b, c, d, p, parity):
+    return None if parity == ODD and a == 2 * p + 1 else "odd parity and a = 2p+1"
+
+
+# `hexatile count`'s closed forms, by name after `formula:`: each one's signed
+# count at (a, b, c, d, p), which looks its display up when called, and its
+# window at (a, b, c, d, p, parity): None inside, else the first unmet
+# condition.  A window holds the display's parity, shape and own bounds.
+CLOSED_FORMS = {
+    "macmahon": (lambda a, b, c, d, p: macmahon(a, b, c),
+                 lambda a, b, c, d, p, parity: None if d == 0 else "d = 0"),
+    "byun_even": (lambda a, b, c, d, p: byun_even(p, b, c, d),
+                  lambda a, b, c, d, p, parity: (
+                      None if parity == EVEN and a == 2 * p else "even parity and a = 2p")),
+    "byun_odd": (lambda a, b, c, d, p: byun_odd(p, b, c, d), _odd_halved_window),
+    "byun_odd_corrected": (lambda a, b, c, d, p: (-1) ** d * byun_odd_corrected(p, b, c, d),
+                           _odd_halved_window),
+    "p1md": (lambda a, b, c, d, p: p_one_minus_d_simple(a, b, c, d),
+             lambda a, b, c, d, p, parity: (
+                 "even parity and p = 1-d" if not (parity == EVEN and p == 1 - d)
+                 else "d >= 1" if d < 1
+                 # the alternating sum's k = a-1 term divides by a+c-k-1 = c
+                 else "c >= 1 or 2d >= b+2 or a = 0" if not (c >= 1 or 2 * d >= b + 2 or a == 0)
+                 else None)),
+    "d1": (lambda a, b, c, d, p: d1_corollary(a, b, c),
+           lambda a, b, c, d, p, parity: (
+               "even parity, d = 1, p = 0" if not (parity == EVEN and d == 1 and p == 0)
+               else "c >= 1" if c < 1 else None)),
+    "reflection": (lambda a, b, c, d, p: count_a1_reflection(b, c, d, p),
+                   lambda a, b, c, d, p, parity: (
+                       "even parity and a = 1" if not (parity == EVEN and a == 1)
+                       else "p <= 0 and 2d <= b+c+1" if not (p <= 0 and 2 * d <= b + c + 1)
+                       else None)),
+}
+
+
+def _refuse(name: str, a: int, b: int, c: int, d: int, p: int) -> None:
+    """Raise OutOfValidityError where the even (a, b, c, d, p) is outside name's window."""
+    lack = CLOSED_FORMS[name][1](a, b, c, d, p, EVEN)
+    if lack:
+        raise OutOfValidityError(f"{name} needs {lack}")
 
 
 def prefactor_P(a: int, b: int, c: int, d: int, p: int) -> Fraction:

@@ -75,8 +75,8 @@ def test_count_oracle_cap_is_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("spec, method, cap", [
-    # count_a1_reflection checks p <= 0 itself, after det has run
-    ((1, 2, 2, 1, 1, "even"), "formula:reflection", None),
+    # byun_even's pole is found only while computing, after det has run
+    ((2, 1, 1, 2, 1, "even"), "formula:byun_even", None),
     ((6, 3, 3, 2, 3, "even"), "oracle", 5),
 ])
 def test_count_usage_error_after_det_prints_no_record(monkeypatch, capsys, spec, method, cap):
@@ -220,6 +220,10 @@ def test_every_method_agrees_with_det_inside_its_window(capsys, method):
 @pytest.mark.parametrize("spec, formula", [
     ((2, 2, 2, 1, 0, "even"), "formula:macmahon"),
     ((2000, 3, 4, 0, 0, "even"), "formula:d1"),
+    # the bounds a display checks itself are in its window too
+    ((1, 2, 2, 1, 1, "even"), "formula:reflection"),
+    ((2, 2, 2, 0, 1, "even"), "formula:p1md"),
+    ((2, 2, 0, 1, 0, "even"), "formula:d1"),
 ])
 def test_count_checks_every_window_before_running_any(monkeypatch, capsys, spec, formula):
     calls = []

@@ -6,8 +6,10 @@ from itertools import permutations, product
 
 import pytest
 
+from hexatile import lgv
 from hexatile.exactmath import PoleError, binom, rising
 from hexatile.formulas import (
+    CLOSED_FORMS,
     OutOfValidityError,
     UnknownQError,
     byun_even,
@@ -25,7 +27,7 @@ from hexatile.formulas import (
     special_prefactor,
     verify_identities,
 )
-from hexatile.hexmodel import EVEN
+from hexatile.hexmodel import EVEN, ODD
 from hexatile.lgv import even_count, odd_count
 from hexatile.qfit import simplex_grid
 
@@ -176,6 +178,53 @@ def test_byun_odd_corrected_spot_value():
 def test_halved_products_reject_a_negative_depth(product):
     with pytest.raises(ValueError, match="d must be nonnegative"):
         product(1, 3, 3, -1)
+
+
+def test_every_closed_form_is_the_determinant_inside_its_window():
+    # a <= 5, b, c <= 5, d <= 3, p from -d-2 to a+d+2, both parities: inside
+    # its window no display refuses, and each is the signed count, or meets a
+    # pole (only the halved products have one); the printed byun_odd is
+    # informational, so it is only run
+    inside, poles = {name: 0 for name in CLOSED_FORMS}, {name: 0 for name in CLOSED_FORMS}
+    for a, b, c, d in product(range(6), range(6), range(6), range(4)):
+        for p, parity in product(range(-d - 2, a + d + 3), (EVEN, ODD)):
+            for name, (form, window) in CLOSED_FORMS.items():
+                if window(a, b, c, d, p, parity) is not None:
+                    continue
+                inside[name] += 1
+                spec = (a, b, c, d, p, parity)
+                try:
+                    value = form(a, b, c, d, p)
+                except OutOfValidityError:
+                    pytest.fail(f"{name} refuses {spec} inside its window")
+                except (ValueError, ArithmeticError) as exc:
+                    if name == "byun_odd":
+                        continue
+                    assert isinstance(exc, PoleError), (name, spec, exc)
+                    poles[name] += 1
+                    continue
+                if name != "byun_odd":
+                    assert value == lgv.count(*spec), (name, spec)
+    del inside["byun_odd"]
+    assert (sum(inside.values()), sum(poles.values())) == (5411, 146), (inside, poles)
+    assert {name for name, n in poles.items() if n} == {"byun_even", "byun_odd_corrected"}
+
+
+def test_every_window_names_the_condition_a_spec_fails():
+    lacks = {
+        "macmahon": ((2, 2, 2, 1, 0, EVEN), "d = 0"),
+        "byun_even": ((3, 2, 2, 1, 1, EVEN), "even parity and a = 2p"),
+        "byun_odd_corrected": ((2, 2, 2, 1, 1, ODD), "odd parity and a = 2p+1"),
+        "p1md": ((2, 2, 2, 0, 1, EVEN), "d >= 1"),
+        "d1": ((2, 2, 0, 1, 0, EVEN), "c >= 1"),
+        "reflection": ((1, 2, 2, 1, 1, EVEN), "p <= 0 and 2d <= b+c+1"),
+    }
+    for name, (spec, lack) in lacks.items():
+        assert CLOSED_FORMS[name][1](*spec) == lack
+    assert CLOSED_FORMS["p1md"][1](2, 3, 0, 1, 0, EVEN) == "c >= 1 or 2d >= b+2 or a = 0"
+    assert CLOSED_FORMS["p1md"][1](0, 3, 0, 1, 0, EVEN) is None  # a = 0: the count is 1
+    with pytest.raises(OutOfValidityError, match="^p1md needs d >= 1$"):
+        p_one_minus_d_simple(2, 2, 2, 0)
 
 
 def test_count_a1_reflection_examples():
