@@ -125,8 +125,10 @@ def leading_minors_in_place(rows: IntMatrix, ends: list[int]) -> list[int]:
 # no bound, the boxed (40, 40, 40) and (60, 60, 60) matrices of `hexatile
 # bench`, whose pivots pass 1,800 bits, took 7-12% and 16-21% longer than
 # single steps alone.  Of 256, 512 and 1024 bits, 512 was the fastest in
-# five of those six comparisons.  On the benchmark workloads' matrices the
-# bound declines 12 of 12,776 pairs, and every bound measured level there.
+# five of those six comparisons.  On one pass of each benchmark workload
+# (seed 1), with each even count with c > b eliminated as its transpose, the
+# bound declines 6 of 8,492 pairs, all in `count`; every bound measured
+# level on those workloads.
 _PAIR_BITS = 512
 
 

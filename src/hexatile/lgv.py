@@ -11,11 +11,15 @@ Every count goes through `_det` and its one memo, kept by line (b, c, d, p
 and the parity fixed, a free): path_matrix(a', ...) is a leading block of
 path_matrix(a, ...), so one elimination gives the count at every a' <= a
 from its leading minors, and qfit samples a line by asking for its top.
-A miss builds the matrix's rows with `_path_rows`, the lateral ones as
+A miss builds the matrix's rows with `_band_rows`, the lateral ones as
 windows of one band of binomials and each row's end from the binomials'
 support, and hands rows and ends to `leading_minors_in_place`: a
 dimension-n matrix is built in O(n (d + 1)) Python work and eliminated
-with no copy and no scan for its rows' ends.  `count` reads the memo as a
+with no copy and no scan for its rows' ends.  The elimination's cost
+follows the lateral band below the diagonal, c entries wide, so an even
+line with c > b is eliminated as the transpose, b wide there, which
+`_band_rows` builds from the point-reflected endpoints; odd lines keep
+path_matrix's orientation (see `_det`).  `count` reads the memo as a
 checked int; `even_count` and `odd_count` wrap it in a SignedCount.
 """
 
@@ -51,30 +55,45 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
     a x a Schur complement, the lateral paths that avoid it.  And since the
     lateral points do not depend on a, path_matrix(a', ...) is the leading
     (d + a') block of path_matrix(a, ...) for every a' <= a.  The rows are
-    `_path_rows`'s, each a list of its own.
+    `_path_rows`'s, each a list of its own.  A count eliminates this matrix
+    or, on an even line with c > b, its transpose (see `_det`).
     """
     return _path_rows(a, b, c, d, p, parity)[0]
 
 
 def _path_rows(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[IntMatrix, list[int]]:
     """(rows, ends): the rows of path_matrix(a, b, c, d, p, parity), each a
-    list of its own, and one past the last nonzero of each.
+    list of its own, and one past the last nonzero of each (`_band_rows` on
+    `endpoints`)."""
+    return _band_rows(a, b, c, d, *endpoints(a, b, c, d, p, parity))
 
-    Every lateral start lies on x + y = 0 and every lateral end on
-    x + y = b + c, one unit apart, so lateral row i over the lateral columns
+
+def _band_rows(a: int, b: int, c: int, d: int, starts: list,
+               ends: list) -> tuple[IntMatrix, list[int]]:
+    """(rows, ends): the path-count matrix from `starts` to `ends`, lateral
+    points first in each list as `endpoints` gives them, with the d intrusive
+    points moved first, and one past the last nonzero of each row.
+
+    The a lateral points must be those of sides b and c: start i at
+    (1-i, i-1) and end j at (b+1-j, c+j-1).  The d intrusive ends must rise
+    in both coordinates, as `endpoints` lists them for either parity.  So
+    every lateral start lies on x + y = 0 and every lateral end on
+    x + y = b + c, one unit apart, and lateral row i over the lateral columns
     j = 1..a is C(b+c, b+i-j): the window b+i-1 down to b+i-a of one band
     of 2a - 1 binomials, C(b+c, b+a-1) down to C(b+c, b+1-a).  Only the d
     intrusive rows and the d intrusive columns are evaluated entry by entry.
     The ends come from the binomials' support: a row from start (x, y)
     reaches lateral end j iff y+1-c <= j <= b+1-x, so when that range meets
     1..a the row ends at column d + min(a, b+1-x) (d + min(a, b+i) for
-    lateral row i).  Otherwise it ends inside its intrusive head: every
-    intrusive end rises in both coordinates with j, for either parity, so
-    the ones a start reaches are a suffix, and the row ends at d if its
-    head's last entry is nonzero, else at 0.  So the Python work is
-    O((a + d)(d + 1)), not the O((a + d)^2) of evaluating every entry.
+    lateral row i).  Otherwise it ends inside its intrusive head: the
+    intrusive ends rise in both coordinates with j, so the ones a start
+    reaches are a suffix, and the row ends at d if its head's last entry is
+    nonzero, else at 0.  So the Python work is O((a + d)(d + 1)), not the
+    O((a + d)^2) of evaluating every entry.  `_path_rows` calls it on
+    `endpoints`, and `_det`, for an even line with c > b, on the
+    point-reflected endpoints with the sides swapped, which gives the
+    transpose with its intrusive block reversed.
     """
-    starts, ends = endpoints(a, b, c, d, p, parity)
     n = b + c
     band = [comb(n, k) if 0 <= k <= n else 0 for k in range(b + a - 1, b - a, -1)]
     starts = starts[a:] + starts[:a]
@@ -115,13 +134,33 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     """det of path_matrix(a, b, c, d, p, parity), from the line memo.
 
     Every determinant in this module goes through here.  A miss eliminates
-    path_matrix(a, ...) once and records the count at every a' <= a, read
-    off its leading minors, in place of the shorter line.  Keys are
+    path_matrix(a, ...) or its transpose once and records the count at every
+    a' <= a, read off its leading minors, in place of the shorter line.  Keys are
     canonicalized only where the matrix is the same: every d = 0 request is
     kept as (b, c, 0, 0, EVEN).  Mirror images are not, so the symmetry and
     condensation checks still compare values computed at distinct points.
+
+    A miss on an even line with c > b eliminates the transpose.  Lateral
+    row i is C(b+c, b+i-j) over j, nonzero from c columns left of the
+    diagonal to b right of it.  A step updates only the rows with a nonzero in its
+    column, the c rows below the pivot, each up to its end, b past its
+    diagonal: about c (b + c/2) row entries a step, and b (c + b/2) in the
+    transpose.  Reversing every path transposes the matrix and keeps its
+    determinant.  The point reflection psi(x, y) = (c - y, b - x) reverses
+    paths and sends the ends to the lateral starts of sides (c, b) and the
+    starts to their lateral ends, so `_band_rows` with the sides swapped,
+    on psi(ends) as starts and psi(starts) as ends, builds the transpose;
+    listing the intrusive points in reverse makes them rise again.
+    Reversing the intrusive block, in rows and columns alike, leaves every
+    leading minor of size >= d as it is, so the line is the same in either
+    orientation.  Odd lines keep `_path_rows`: intrusive end 1, (-p, p), is
+    lateral start p + 1 itself, so in the transpose that row has no
+    intrusive entry and sinks one row a step, each step a single one, until
+    step d + p; measured, that about doubles the row updates.
     """
-    key = (b, c, d, p, parity) if d else (b, c, 0, 0, EVEN)
+    if not d:
+        p, parity = 0, EVEN
+    key = (b, c, d, p, parity)
     line = _LINES.get(key)
     if line is not None:
         if a < len(line):
@@ -129,7 +168,13 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
         del _LINES[key]  # stored again below, as the newest line
     elif len(_LINES) >= _LINES_MAX:
         del _LINES[next(iter(_LINES))]  # the line stored first
-    line = ([1] + leading_minors_in_place(*_path_rows(a, b, c, d, p, parity)))[d:]  # [1]: no rows
+    if parity == EVEN and c > b:
+        starts, ends = endpoints(a, b, c, d, p, EVEN)
+        rows = _band_rows(a, c, b, d, [(c - y, b - x) for x, y in ends[:a] + ends[a:][::-1]],
+                          [(c - y, b - x) for x, y in starts[:a] + starts[a:][::-1]])
+    else:
+        rows = _path_rows(a, b, c, d, p, parity)
+    line = ([1] + leading_minors_in_place(*rows))[d:]  # [1]: no rows
     _LINES[key] = line
     return line[a]
 

@@ -46,17 +46,41 @@ def scanned_ends(m):
     return ends
 
 
+def reflected(a, b, c, d, p, parity):
+    """(psi(ends), psi(starts)) under psi(x, y) = (c - y, b - x), which
+    reverses every path, each list with its intrusive points in reverse."""
+    starts, ends = endpoints(a, b, c, d, p, parity)
+    return tuple([(c - y, b - x) for x, y in pts[:a] + pts[a:][::-1]] for pts in (ends, starts))
+
+
+def transposed(m, d):
+    """The transpose of m with its first d rows and columns in reverse order."""
+    order = list(range(d))[::-1] + list(range(d, len(m)))
+    return [[m[j][i] for j in order] for i in order]
+
+
 def assert_path_rows(spec):
+    a, b, c, d = spec[:4]
     rows, ends = lgv._path_rows(*spec)
     want = intrusive_first(*spec)
     assert rows == want, spec
     assert ends == scanned_ends(want), spec
     assert len({id(row) for row in rows}) == len(rows), spec  # each row a list of its own
+    if spec[5] != EVEN or c <= b:
+        return
+    # the same builder on the reflected endpoints, with the sides swapped,
+    # builds the transpose: the orientation `_det` eliminates
+    rows, ends = lgv._band_rows(a, c, b, d, *reflected(*spec))
+    want = transposed(want, d)
+    assert rows == want, spec
+    assert ends == scanned_ends(want), spec
+    assert len({id(row) for row in rows}) == len(rows), spec
 
 
 def test_path_rows_match_the_entrywise_matrix_and_its_scanned_ends():
     # 54,432 specs: formal b, c < 0, p on both sides of 0..a, and rows whose
-    # lateral part is zero, where the builder reads the intrusive head's last entry
+    # lateral part is zero, where the builder reads the intrusive head's last
+    # entry; an even spec with c > b in both orientations
     for a, b, c, d in product(range(7), range(-3, 6), range(-3, 6), range(4)):
         for p in range(-4, a + 5):
             for parity in (EVEN, ODD):
@@ -64,8 +88,9 @@ def test_path_rows_match_the_entrywise_matrix_and_its_scanned_ends():
 
 
 def test_path_rows_on_long_narrow_bands():
-    # dims 60-80 with b + c = 11 or 12: each row ends well inside the matrix,
-    # and the intrusion sits mid-side (p = a/2) or at p = 1 - d
+    # dims 60-80 with b + c = 11 or 12, and their mirrors: each row ends
+    # well inside the matrix, and the intrusion sits mid-side (p = a/2) or at
+    # p = 1 - d
     for n in range(60, 81):
         d = n % 4
         a = n - d
@@ -74,6 +99,31 @@ def test_path_rows_on_long_narrow_bands():
             for p in (a // 2, 1 - d):
                 for parity in (EVEN, ODD):
                     assert_path_rows((a, b, s - b, d, p, parity))
+                    assert_path_rows((a, s - b, b, d, p, parity))
+
+
+def test_even_misses_with_c_above_b_eliminate_the_transpose(monkeypatch):
+    # an even line with c > b is eliminated along its narrower band, from the
+    # reflected endpoints; an odd line, or b >= c, from path_matrix's rows.  A
+    # d = 0 line is kept under EVEN, so an odd request there is reflected too
+    monkeypatch.setattr(lgv, "_LINES", {})
+    handed = []
+    real = lgv.leading_minors_in_place
+    monkeypatch.setattr(lgv, "leading_minors_in_place", lambda rows, ends: handed.append(
+        ([list(row) for row in rows], list(ends))) or real(rows, ends))
+    a, p = 6, 2
+    for b, c, d, parity in [(2, 5, 2, EVEN), (2, 5, 0, ODD), (2, 5, 2, ODD), (5, 2, 2, EVEN),
+                            (4, 4, 2, EVEN), (-1, 3, 1, EVEN)]:
+        spec = (a, b, c, d, p, parity)
+        value = lgv._det(*spec)  # b = -1: a formal line, as condensation asks for
+        assert value == det_bareiss(path_matrix(*spec)), spec
+        rows, ends = handed.pop()
+        want = intrusive_first(*spec)
+        if c > b and (parity == EVEN or not d):
+            assert rows != want, spec  # the two orientations differ here
+            want = transposed(want, d)
+        assert (rows, ends) == (want, scanned_ends(want)), spec
+    assert not handed
 
 
 def test_path_matrix_macmahon_form():
