@@ -126,9 +126,9 @@ def leading_minors_in_place(rows: IntMatrix, ends: list[int]) -> list[int]:
 # bench`, whose pivots pass 1,800 bits, took 7-12% and 16-21% longer than
 # single steps alone.  Of 256, 512 and 1024 bits, 512 was the fastest in
 # five of those six comparisons.  On one pass of each benchmark workload
-# (seed 1), with each even count with c > b eliminated as its transpose, the
-# bound declines 6 of 8,492 pairs, all in `count`; every bound measured
-# level on those workloads.
+# (seed 1), with each count in the orientation `lgv._det` picks, the bound
+# declines 6 of 8,492 pairs, all in `count`; every bound measured level on
+# those workloads.
 _PAIR_BITS = 512
 
 

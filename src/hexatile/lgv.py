@@ -17,8 +17,9 @@ support, and hands rows and ends to `leading_minors_in_place`: a
 dimension-n matrix is built in O(n (d + 1)) Python work and eliminated
 with no copy and no scan for its rows' ends.  The elimination's cost
 follows the lateral band below the diagonal, c entries wide, so an even
-line with c > b is eliminated as the transpose, b wide there, which
-`_band_rows` builds from the point-reflected endpoints; odd lines keep
+line with c > b and a > b + 2d is eliminated as the transpose, b wide
+there, which `_reflected_rows` builds with `_band_rows` from the
+point-reflected endpoints; odd lines and short even lines keep
 path_matrix's orientation (see `_det`).  `count` reads the memo as a
 checked int; `even_count` and `odd_count` wrap it in a SignedCount.
 """
@@ -56,7 +57,7 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
     lateral points do not depend on a, path_matrix(a', ...) is the leading
     (d + a') block of path_matrix(a, ...) for every a' <= a.  The rows are
     `_path_rows`'s, each a list of its own.  A count eliminates this matrix
-    or, on an even line with c > b, its transpose (see `_det`).
+    or, on an even line with c > b and a > b + 2d, its transpose (see `_det`).
     """
     return _path_rows(a, b, c, d, p, parity)[0]
 
@@ -90,9 +91,9 @@ def _band_rows(a: int, b: int, c: int, d: int, starts: list,
     reaches are a suffix, and the row ends at d if its head's last entry is
     nonzero, else at 0.  So the Python work is O((a + d)(d + 1)), not the
     O((a + d)^2) of evaluating every entry.  `_path_rows` calls it on
-    `endpoints`, and `_det`, for an even line with c > b, on the
-    point-reflected endpoints with the sides swapped, which gives the
-    transpose with its intrusive block reversed.
+    `endpoints`, and `_reflected_rows` on the point-reflected endpoints with
+    the sides swapped, which gives the transpose with its intrusive block
+    reversed.
     """
     n = b + c
     band = [comb(n, k) if 0 <= k <= n else 0 for k in range(b + a - 1, b - a, -1)]
@@ -114,6 +115,24 @@ def _band_rows(a: int, b: int, c: int, d: int, starts: list,
         else:  # no lateral end in reach: the head's nonzeros are a suffix
             row_ends.append(d if d and row[d - 1] else 0)
     return rows, row_ends
+
+
+def _reflected_rows(a: int, b: int, c: int, d: int, p: int) -> tuple[IntMatrix, list[int]]:
+    """(rows, ends) of the transpose of path_matrix(a, b, c, d, p, EVEN), its
+    first d rows and columns in reverse order, built by `_band_rows`.
+
+    Reversing every path transposes the matrix and keeps its determinant.
+    The point reflection psi(x, y) = (c - y, b - x) reverses paths and sends
+    the ends to the lateral starts of sides (c, b) and the starts to their
+    lateral ends, so `_band_rows` with the sides swapped, on psi(ends) as
+    starts and psi(starts) as ends, builds the transpose; listing the
+    intrusive points in reverse makes them rise again.  Reversing the
+    intrusive block, in rows and columns alike, leaves every leading minor
+    of size >= d as it is.
+    """
+    starts, ends = endpoints(a, b, c, d, p, EVEN)
+    return _band_rows(a, c, b, d, [(c - y, b - x) for x, y in ends[:a] + ends[a:][::-1]],
+                      [(c - y, b - x) for x, y in starts[:a] + starts[a:][::-1]])
 
 
 # The count memo, (b, c, d, p, parity) -> [count at a' = 0, 1, ...], and its
@@ -140,23 +159,24 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     kept as (b, c, 0, 0, EVEN).  Mirror images are not, so the symmetry and
     condensation checks still compare values computed at distinct points.
 
-    A miss on an even line with c > b eliminates the transpose.  Lateral
-    row i is C(b+c, b+i-j) over j, nonzero from c columns left of the
-    diagonal to b right of it.  A step updates only the rows with a nonzero in its
-    column, the c rows below the pivot, each up to its end, b past its
-    diagonal: about c (b + c/2) row entries a step, and b (c + b/2) in the
-    transpose.  Reversing every path transposes the matrix and keeps its
-    determinant.  The point reflection psi(x, y) = (c - y, b - x) reverses
-    paths and sends the ends to the lateral starts of sides (c, b) and the
-    starts to their lateral ends, so `_band_rows` with the sides swapped,
-    on psi(ends) as starts and psi(starts) as ends, builds the transpose;
-    listing the intrusive points in reverse makes them rise again.
-    Reversing the intrusive block, in rows and columns alike, leaves every
-    leading minor of size >= d as it is, so the line is the same in either
-    orientation.  Odd lines keep `_path_rows`: intrusive end 1, (-p, p), is
-    lateral start p + 1 itself, so in the transpose that row has no
-    intrusive entry and sinks one row a step, each step a single one, until
-    step d + p; measured, that about doubles the row updates.
+    A miss on an even line with c > b and a > b + 2d eliminates the
+    transpose, from `_reflected_rows`.  Lateral row i is C(b+c, b+i-j) over
+    j, nonzero from c columns left of the diagonal to b right of it.  A step
+    updates only the rows with a nonzero in its column, the c rows below the
+    pivot, each up to its end, b past its diagonal: about c (b + c/2) row
+    entries a step, and b (c + b/2) in the transpose.  That saving needs a
+    past the upper band: when a <= b every lateral row reaches the last
+    column in either orientation.  And the transpose's d intrusive steps
+    each update the lateral rows that reach the intrusion from the far
+    side, about b + c - 2j of them against about 2j, so short lines with an
+    intrusion (most of a fit's) cost more transposed.  Measured on the line
+    misses of the four benchmark workloads, a > b + 2d keeps the transpose's
+    saving on the long lines and routes none of a fit's lines to it.
+    Either orientation gives the same line.  Odd lines keep
+    `_path_rows`: intrusive end 1, (-p, p), is lateral start p + 1 itself,
+    so in the transpose that row has no intrusive entry and sinks one row a
+    step, each step a single one, until step d + p; measured, that about
+    doubles the row updates.
     """
     if not d:
         p, parity = 0, EVEN
@@ -168,10 +188,8 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
         del _LINES[key]  # stored again below, as the newest line
     elif len(_LINES) >= _LINES_MAX:
         del _LINES[next(iter(_LINES))]  # the line stored first
-    if parity == EVEN and c > b:
-        starts, ends = endpoints(a, b, c, d, p, EVEN)
-        rows = _band_rows(a, c, b, d, [(c - y, b - x) for x, y in ends[:a] + ends[a:][::-1]],
-                          [(c - y, b - x) for x, y in starts[:a] + starts[a:][::-1]])
+    if parity == EVEN and c > b and a > b + 2 * d:
+        rows = _reflected_rows(a, b, c, d, p)
     else:
         rows = _path_rows(a, b, c, d, p, parity)
     line = ([1] + leading_minors_in_place(*rows))[d:]  # [1]: no rows

@@ -46,13 +46,6 @@ def scanned_ends(m):
     return ends
 
 
-def reflected(a, b, c, d, p, parity):
-    """(psi(ends), psi(starts)) under psi(x, y) = (c - y, b - x), which
-    reverses every path, each list with its intrusive points in reverse."""
-    starts, ends = endpoints(a, b, c, d, p, parity)
-    return tuple([(c - y, b - x) for x, y in pts[:a] + pts[a:][::-1]] for pts in (ends, starts))
-
-
 def transposed(m, d):
     """The transpose of m with its first d rows and columns in reverse order."""
     order = list(range(d))[::-1] + list(range(d, len(m)))
@@ -69,8 +62,8 @@ def assert_path_rows(spec):
     if spec[5] != EVEN or c <= b:
         return
     # the same builder on the reflected endpoints, with the sides swapped,
-    # builds the transpose: the orientation `_det` eliminates
-    rows, ends = lgv._band_rows(a, c, b, d, *reflected(*spec))
+    # builds the transpose: the orientation `_det` eliminates for c > b
+    rows, ends = lgv._reflected_rows(*spec[:5])
     want = transposed(want, d)
     assert rows == want, spec
     assert ends == scanned_ends(want), spec
@@ -103,23 +96,27 @@ def test_path_rows_on_long_narrow_bands():
 
 
 def test_even_misses_with_c_above_b_eliminate_the_transpose(monkeypatch):
-    # an even line with c > b is eliminated along its narrower band, from the
-    # reflected endpoints; an odd line, or b >= c, from path_matrix's rows.  A
-    # d = 0 line is kept under EVEN, so an odd request there is reflected too
+    # an even line with c > b and a > b + 2d is eliminated along its narrower
+    # band, from the reflected endpoints; an odd line, b >= c or a <= b + 2d
+    # from path_matrix's rows.  A d = 0 line is kept under EVEN, so an odd
+    # request there is reflected too
     monkeypatch.setattr(lgv, "_LINES", {})
     handed = []
     real = lgv.leading_minors_in_place
     monkeypatch.setattr(lgv, "leading_minors_in_place", lambda rows, ends: handed.append(
         ([list(row) for row in rows], list(ends))) or real(rows, ends))
-    a, p = 6, 2
-    for b, c, d, parity in [(2, 5, 2, EVEN), (2, 5, 0, ODD), (2, 5, 2, ODD), (5, 2, 2, EVEN),
-                            (4, 4, 2, EVEN), (-1, 3, 1, EVEN)]:
+    p = 2
+    for a, b, c, d, parity, reflect in [
+            (7, 2, 5, 2, EVEN, True), (6, 2, 5, 2, EVEN, False), (3, 2, 5, 0, ODD, True),
+            (7, 2, 5, 2, ODD, False), (7, 5, 2, 2, EVEN, False), (7, 4, 4, 2, EVEN, False),
+            (2, -1, 3, 1, EVEN, True)]:
         spec = (a, b, c, d, p, parity)
+        lgv._LINES.clear()  # (7, 2, 5, 2) and (6, 2, 5, 2) share a line
         value = lgv._det(*spec)  # b = -1: a formal line, as condensation asks for
         assert value == det_bareiss(path_matrix(*spec)), spec
         rows, ends = handed.pop()
         want = intrusive_first(*spec)
-        if c > b and (parity == EVEN or not d):
+        if reflect:
             assert rows != want, spec  # the two orientations differ here
             want = transposed(want, d)
         assert (rows, ends) == (want, scanned_ends(want)), spec
