@@ -6,11 +6,13 @@ verification run, CSV for benchmarks.  Big integers are emitted as decimal
 strings, in full at any size.  Exit codes: 0 all good, 1 usage error
 (including a closed form with a pole at the spec, a negative verify range
 and an output file that cannot be written), 2 mathematical disagreement
-(including a closed form whose value is not an integer).  Every failure
-prints one line on stderr, `<command>: <reason>`.  `count` checks every
-method's window (a closed form's is its entry in formulas.CLOSED_FORMS)
-before it runs any, and prints its records once every method has returned,
-and none on a usage error.
+(including a closed form whose value is not an integer, and fit samples no
+polynomial interpolates up to --degree or, without it, Q's degree law
+d(d-1): a finding, not a usage error).  Every failure prints one line on
+stderr, `<command>: <reason>`.  `count` checks every method's window (a
+closed form's is its entry in formulas.CLOSED_FORMS) before it runs any,
+and prints its records once every method has returned, and none on a usage
+error.
 """
 
 from __future__ import annotations

@@ -142,7 +142,8 @@ def _reflected_rows(a: int, b: int, c: int, d: int, p: int) -> tuple[IntMatrix, 
 # lines and, as formulas' runner asks for each check's points from the
 # largest a down, eliminates 2,685 times; a fit up to layer n samples
 # C(n + 3, 3): 2,024 for fit_auto(5), 5,984 for fit_auto(6) and 15,180 at
-# d = 7, so each of these runs' lines all fit.
+# d = 7, so each of these runs' lines all fit.  Known limit: `hexatile fit
+# --d 8` reads 34,220, and from layer 45 on its reads miss and re-eliminate.
 # When full, the memo drops the line stored first.
 _LINES: dict = {}
 _LINES_MAX = 1 << 14

@@ -6,22 +6,23 @@ point is admissible (0 <= p <= a, b > d, c > d+p), and the set is unisolvent
 for total degree <= D+1.  The interpolant's Newton coefficients are the
 iterated forward differences along each axis, and layer n of them depends
 only on the samples in layers <= n.  So every fit, to a bound D or to
-fit_auto's least bound from 2(d-1) up, is one loop that samples a layer and
-grows one Newton table by it.  Layer D+1 must vanish for Q to have degree
-<= D; the layers below are expanded exactly into monomials in (a, b, c, p),
-and the candidate is re-checked exactly against every sample point:
-anything returned is the unique interpolant, and anything else raises.
+fit_auto's least bound from 2(d-1) up to Q's degree law d(d-1), is one loop
+that samples a layer and grows one Newton table by it.  Layer D+1 must
+vanish for Q to have degree <= D; the layers below are expanded exactly
+into monomials in (a, b, c, p), and the candidate is re-checked exactly
+against every sample point: anything returned is the unique interpolant,
+and anything else raises.
 
 Fixing (beta, gamma, t) fixes (b, c, p) and leaves a = t + alpha free, and
 path_matrix at a smaller a is a leading block of the one at a larger a.  So
-the samples come a line at a time: a count at a line's top records every E
-below it in lgv's memo, and sample_ratio reads its E there.  The holdout
-check (cross_validate) takes each E from schur.count_via_inverse: MacMahon's
-product times the determinant of the d x d complement F, built from the
-explicit inverse of MacMahon's matrix.  With the samples it shares exactmath,
-formulas.macmahon and det_bareiss, on the d x d complement only; it uses no
-endpoints, no lgv._band_rows, no line memo and no elimination of the path
-matrix.
+the samples come a line at a time: a count at a line's top, the fit's last
+layer, records every E below it in lgv's memo, and sample_ratio reads its E
+there.  The holdout check (cross_validate) takes each E from
+schur.count_via_inverse: MacMahon's product times the determinant of the
+d x d complement F, built from the explicit inverse of MacMahon's matrix.
+With the samples it shares exactmath, formulas.macmahon and det_bareiss, on
+the d x d complement only; it uses no endpoints, no lgv._band_rows, no line
+memo and no elimination of the path matrix.
 
 MultiPoly.values, the one exact evaluator, serves the recheck, the holdout
 check and the substitution check, each with one call over all its points,
@@ -38,7 +39,6 @@ Anal. 14 (1977); Sauer & Xu, Math. Comp. 64 (1995).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -229,30 +229,20 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
     layer that raises it rescales what is stored.
 
     The samples come one elimination per line along alpha (beta, gamma and
-    t fixed: b, c and p fixed, a free): a count at a line's top records the
-    line below it in lgv's memo.  Each line is primed up to the window's top
-    layer when first reached; a layer past the top grows the window by a
-    third (capped at hi + 1) and each line is primed anew up to it.  An
-    elimination costs about N^3, so a window grown by a factor r wastes up
-    to 1/(1 - r^-3) on re-elimination and r^3 on overshoot.  Doubling would
-    take fit_auto(5)'s lines to layer 31 for the 21 it needs: 2.8 times the
-    sum of N^3 of growing by a third.
-    fit(d, D) knows its last layer: one window, one elimination per line.
+    t fixed: b, c and p fixed, a free): at its first point each line is
+    eliminated up to layer hi + 1, the last any bound in [lo, hi] reads,
+    and the count there records the line below it in lgv's memo.
     """
     diagonals: list = [{}, {}, {}, {}]  # per axis: x less that axis -> diagonal
     newton: dict = {}
     samples: list = []  # ((a, b, c, p), ratio) in simplex order
     scale, failure = 1, ""
-    top = lo + 1  # the window: each line is eliminated up to layer top
     for n in range(hi + 2):
         layer = _layer(n)
         at = [_point(d, x) for x in layer]
-        grown = n > top
-        if grown:
-            top = min(top + (top + 2) // 3, hi + 1)
         for (alpha, beta, gamma, t), (a, b, c, p) in zip(layer, at):
-            if grown or not alpha:  # a new window, or the line's first point
-                count(top - beta - gamma, b, c, d, p, EVEN)
+            if not alpha:  # the line's first point
+                count(hi + 1 - beta - gamma, b, c, d, p, EVEN)
         new = [sample_ratio(a, b, c, d, p) for a, b, c, p in at]
         grow = math.lcm(scale, *(y.denominator for y in new)) // scale
         if grow > 1:
@@ -315,10 +305,10 @@ def _diff_degree(vals: list) -> Optional[int]:
     return max(deg - 1, 0) if len(seq) >= 2 else None
 
 
-def probe_degree(d: int, max_degree: int = 24) -> int:
+def probe_degree(d: int, limit: int = 24) -> int:
     """Total degree of Q along a generic admissible line (a lower bound)."""
     npts = 8
-    while npts <= max_degree + 2:
+    while npts <= limit + 2:
         vals = [
             sample_ratio(2 * t + 1, t + d + 2, 2 * t + d + 3, d, t) for t in range(npts)
         ]
@@ -326,23 +316,27 @@ def probe_degree(d: int, max_degree: int = 24) -> int:
         if deg is not None:
             return deg
         npts *= 2
-    raise ValueError(f"no polynomial behaviour up to degree {max_degree}")
+    raise ValueError(f"no polynomial behaviour up to degree {limit}")
 
 
-def fit_auto(d: int, max_degree: int = 30):
-    """(degree, poly) for the least degree bound from 2(d-1) up to max_degree
-    whose Newton layer above it vanishes and whose fit passes the recheck.
+def fit_auto(d: int):
+    """(degree, poly) for the least degree bound from 2(d-1) up to Q's degree
+    law d(d-1) whose Newton layer above it vanishes and whose fit passes the
+    recheck.  Every fit so far, d = 1..7, has found degree d(d-1); if Q at d
+    has more, this raises FitInconsistentError, and an explicit bound (fit(d,
+    D), hexatile fit --degree) can go higher.
 
-    The default cap, 30, is the degree d(d-1) of Q at d = 6, so `hexatile
-    fit --d 6` needs no --degree."""
-    _check_fit_args(d, max_degree)
-    lo = max(2 * (d - 1), 0)
-    if lo <= max_degree:
-        with contextlib.suppress(FitInconsistentError):
-            return _fit(d, lo, max_degree)
-    raise FitInconsistentError(
-        f"fit_auto reached its cap max_degree = {max_degree} with no interpolant; "
-        f"an explicit bound (hexatile fit --degree) can go higher")
+    Known limit: at d = 8 the fit reads C(60, 3) = 34,220 lines, more than
+    lgv's memo holds (_LINES_MAX = 16,384), so from layer 45 on its reads
+    miss, and each miss eliminates its line again up to the point read."""
+    _check_fit_args(d, None)
+    law = d * (d - 1)
+    try:
+        return _fit(d, 2 * (d - 1), law)
+    except FitInconsistentError as exc:
+        raise FitInconsistentError(
+            f"no interpolant up to Q's degree law d(d-1) = {law} ({exc}); "
+            f"an explicit bound (hexatile fit --degree) can go higher") from exc
 
 
 def substitution_check(poly: MultiPoly, d: int, points: list) -> dict:

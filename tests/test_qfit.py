@@ -95,12 +95,6 @@ def test_fit_d3_rejects_bound_5():
         fit(3, 5)
 
 
-def test_fit_auto_cap_error_names_the_cap():
-    # Q at d = 3 has degree 6, one past the cap
-    with pytest.raises(FitInconsistentError, match=r"cap max_degree = 5 .*hexatile fit --degree"):
-        fit_auto(3, max_degree=5)
-
-
 def fractional_q(a, b, c, d, p):
     """A degree-3 stand-in for Q whose samples' common denominator grows
     from layer to layer of the d = 2 simplex: 2, then 14, then 70."""
@@ -121,8 +115,22 @@ def test_fit_is_exact_when_the_common_denominator_grows(monkeypatch):
     assert dens == [2, 14, 70, 70]
     monkeypatch.setattr(qfit, "sample_ratio", fractional_q)
     assert fit(2, 5).coeffs == FRACTIONAL_Q
-    degree, poly = fit_auto(2)
-    assert degree == 3 and poly.coeffs == FRACTIONAL_Q
+    assert fit(2, 3).coeffs == FRACTIONAL_Q
+
+
+def test_fit_auto_cap_error_names_the_cap(monkeypatch):
+    # the stand-in has degree 3, past the law d(d-1) = 2 that bounds fit_auto(2)
+    monkeypatch.setattr(qfit, "sample_ratio", fractional_q)
+    with pytest.raises(FitInconsistentError, match=r"d\(d-1\) = 2 .*hexatile fit --degree"):
+        fit_auto(2)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_fit_auto_searches_from_twice_d_minus_one_to_the_degree_law(monkeypatch, d):
+    calls = []
+    monkeypatch.setattr(qfit, "_fit", lambda *args: calls.append(args) or (0, None))
+    fit_auto(d)
+    assert calls == [(d, 2 * (d - 1), d * (d - 1))]
 
 
 def test_each_simplex_point_is_sampled_once(monkeypatch):
@@ -139,7 +147,8 @@ def test_each_simplex_point_is_sampled_once(monkeypatch):
         assert len(calls) == len(set(calls)) == points
 
 
-def test_lines_are_eliminated_once_per_window_and_shared_across_fits(monkeypatch):
+@pytest.mark.parametrize("d", [3, 4])
+def test_lines_are_eliminated_once_per_window_and_shared_across_fits(monkeypatch, d):
     eliminated = []
     leading_minors_in_place = lgv.leading_minors_in_place
 
@@ -149,22 +158,22 @@ def test_lines_are_eliminated_once_per_window_and_shared_across_fits(monkeypatch
 
     monkeypatch.setattr(lgv, "leading_minors_in_place", counted)
     monkeypatch.setattr(lgv, "_LINES", {})
-    lines = [comb(n + 3, 3) for n in range(11)]  # lines with beta + gamma + t <= n
-    # fit_auto(3): the window is layer 5 (lo + 1) for the 56 lines of layers
-    # 0..5; layer 6 grows it to 7 and re-eliminates all 84 lines there, and
-    # layer 7 brings 36 new lines
-    fit_auto(3)
-    assert len(eliminated) == lines[5] + lines[6] + (lines[7] - lines[6]) == 176
-    # fit(3, 8) needs layer 9: every line is new or too short
-    fit(3, 8)
-    assert len(eliminated) == 176 + lines[9]
-    # the other way round, fit_auto(3) reads every value from fit(3, 8)'s lines
+    law = d * (d - 1)
+    lines = [comb(n + 3, 3) for n in range(law + 4)]  # lines with beta + gamma + t <= n
+    # fit_auto(d) eliminates each line once, to layer d(d-1) + 1: 120 lines
+    # at d = 3, 560 at d = 4
+    fit_auto(d)
+    assert len(eliminated) == lines[law + 1] == {3: 120, 4: 560}[d]
+    # fit(d, d(d-1) + 2) needs layer d(d-1) + 3: every line is new or too short
+    fit(d, law + 2)
+    assert len(eliminated) == lines[law + 1] + lines[law + 3]
+    # the other way round, fit_auto(d) reads every value from the longer lines
     eliminated.clear()
     monkeypatch.setattr(lgv, "_LINES", {})
-    fit(3, 8)
-    assert len(eliminated) == lines[9]
-    fit_auto(3)
-    assert len(eliminated) == lines[9]
+    fit(d, law + 2)
+    assert len(eliminated) == lines[law + 3]
+    fit_auto(d)
+    assert len(eliminated) == lines[law + 3]
 
 
 def test_fit_auto_starts_at_twice_d_minus_one(monkeypatch):
