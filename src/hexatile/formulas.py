@@ -276,16 +276,43 @@ def _refuse(name: str, a: int, b: int, c: int, d: int, p: int) -> None:
         raise OutOfValidityError(f"{name} needs {lack}")
 
 
-def prefactor_P(a: int, b: int, c: int, d: int, p: int) -> Fraction:
-    """Product P = B_p B_a B_d of the modified ansatz (0 <= p <= a, b > d > 0, c > d+p)."""
+def _refuse_P(a: int, b: int, c: int, d: int, p: int) -> None:
+    """Raise OutOfValidityError outside P's window."""
     if not (0 <= p <= a and b > d > 0 and c > d + p):
         raise OutOfValidityError("prefactor_P needs 0 <= p <= a, b > d > 0, c > d+p")
+
+
+def prefactor_P(a: int, b: int, c: int, d: int, p: int) -> Fraction:
+    """Product P = B_p B_a B_d of the modified ansatz (0 <= p <= a, b > d > 0, c > d+p)."""
+    _refuse_P(a, b, c, d, p)
     # B_p = M(p, b-d, c) / plane(c, p, a-p), B_a = M(a-p, b+p, c-d) plane(0, a-p, p)
     # and B_d = plane(a-p, d, p) / prod_{i<d} (p+i)! (b+c-2d+i+1)_i.
     num = macmahon(p, b - d, c) * macmahon(a - p, b + p, c - d) * _plane(0, a - p, p)
     den = _plane(c, p, a - p) * math.prod(
         factorial(p + i) * rising(b + c - 2 * d + i + 1, i) for i in range(d))
     return Fraction(num * _plane(a - p, d, p), den)
+
+
+def prefactor_P_line(top: int, b: int, c: int, d: int, p: int) -> list[tuple[int, int]]:
+    """[(num, den) with num/den = prefactor_P(a, b, c, d, p) for a = p..top],
+    unreduced positive integers, each a short product from the one before.
+
+    At a = p, B_a and plane(c, p, 0) are 1, so P is M(p, b-d, c) plane(0, d, p)
+    over prod_{i<d} (p+i)! (b+c-2d+i+1)_i.  A step from m = a - p to m + 1
+    adds row m to M(m, b+p, c-d) and to plane(0, m, p), column m to
+    plane(c, p, m), and shifts plane(m, d, p) by one: num gains
+    (c-d+m+1)_{b+p} (m+1)_p (m+p+1)_d and den gains (m+1)_{b+p} (m+1)_d
+    (c+m+1)_p.  Outside prefactor_P's window (with top for a) it raises as
+    prefactor_P does."""
+    _refuse_P(top, b, c, d, p)
+    num = macmahon(p, b - d, c) * _plane(0, d, p)
+    den = math.prod(factorial(p + i) * rising(b + c - 2 * d + i + 1, i) for i in range(d))
+    out = [(num, den)]
+    for m in range(top - p):
+        num *= rising(c - d + m + 1, b + p) * rising(m + 1, p) * rising(m + p + 1, d)
+        den *= rising(m + 1, b + p) * rising(m + 1, d) * rising(c + m + 1, p)
+        out.append((num, den))
+    return out
 
 
 def special_prefactor(a: int, b: int, c: int, d: int, p: int) -> Fraction:

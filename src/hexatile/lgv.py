@@ -7,21 +7,23 @@ intrusion before the dense lateral block.  For even intrusions the
 determinant is the tiling count; for odd intrusions it may be the
 negative of the count (the admissible permutation can be odd).
 
-Every count goes through `_det` and its one memo, kept by line (b, c, d, p
-and the parity fixed, a free): path_matrix(a', ...) is a leading block of
+Every count comes from `_line`: path_matrix(a', ...) is a leading block of
 path_matrix(a, ...), so one elimination gives the count at every a' <= a
-from its leading minors, and qfit samples a line by asking for its top.
-A miss builds the matrix's rows with `_band_rows`, the lateral ones as
-windows of one band of binomials and each row's end from the binomials'
-support, and hands rows and ends to `leading_minors_in_place`: a
-dimension-n matrix is built in O(n (d + 1)) Python work and eliminated
-with no copy and no scan for its rows' ends.  The elimination's cost
-follows the lateral band below the diagonal, c entries wide, so an even
-line with c > b and a > b + 2d is eliminated as the transpose, b wide
-there, which `_reflected_rows` builds with `_band_rows` from the
-point-reflected endpoints; odd lines and short even lines keep
-path_matrix's orientation (see `_det`).  `count` reads the memo as a
-checked int; `even_count` and `odd_count` wrap it in a SignedCount.
+along a line (b, c, d, p and the parity fixed, a free) from its leading
+minors.  `count` reads it through `_det` and its one memo, kept by line;
+`count_line` returns the whole line and leaves the memo alone, and qfit's
+fit reads each of its lines with one such call.  An elimination builds the
+matrix's rows with `_band_rows`, the lateral ones as windows of one band of
+binomials and each row's end from the binomials' support, and hands rows
+and ends to `leading_minors_in_place`: a dimension-n matrix is built in
+O(n (d + 1)) Python work and eliminated with no copy and no scan for its
+rows' ends.  The elimination's cost follows the lateral band below the
+diagonal, c entries wide, so an even line with c > b and a > b + 2d is
+eliminated as the transpose, b wide there, which `_reflected_rows` builds
+with `_band_rows` from the point-reflected endpoints; odd lines and short
+even lines keep path_matrix's orientation (see `_line`).  `count` reads the
+memo as a checked int; `even_count` and `odd_count` wrap it in a
+SignedCount.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
     lateral points do not depend on a, path_matrix(a', ...) is the leading
     (d + a') block of path_matrix(a, ...) for every a' <= a.  The rows are
     `_path_rows`'s, each a list of its own.  A count eliminates this matrix
-    or, on an even line with c > b and a > b + 2d, its transpose (see `_det`).
+    or, on an even line with c > b and a > b + 2d, its transpose (see `_line`).
     """
     return _path_rows(a, b, c, d, p, parity)[0]
 
@@ -140,11 +142,9 @@ def _reflected_rows(a: int, b: int, c: int, d: int, p: int) -> tuple[IntMatrix, 
 # every d = 0 line is kept as (b, c, 0, 0, EVEN).  One `hexatile verify all`
 # pass plus the identity registry at the CLI default ranges touches 2,026
 # lines and, as formulas' runner asks for each check's points from the
-# largest a down, eliminates 2,685 times; a fit up to layer n samples
-# C(n + 3, 3): 2,024 for fit_auto(5), 5,984 for fit_auto(6) and 15,180 at
-# d = 7, so each of these runs' lines all fit.  Known limit: `hexatile fit
-# --d 8` reads 34,220, and from layer 45 on its reads miss and re-eliminate.
-# When full, the memo drops the line stored first.
+# largest a down, eliminates 2,685 times.  A fit reads its lines through
+# `count_line` and leaves the memo as it found it.  When full, the memo drops
+# the line stored first.
 _LINES: dict = {}
 _LINES_MAX = 1 << 14
 _PARITIES = (EVEN, ODD)
@@ -153,14 +153,33 @@ _PARITIES = (EVEN, ODD)
 def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     """det of path_matrix(a, b, c, d, p, parity), from the line memo.
 
-    Every determinant in this module goes through here.  A miss eliminates
-    path_matrix(a, ...) or its transpose once and records the count at every
-    a' <= a, read off its leading minors, in place of the shorter line.  Keys are
-    canonicalized only where the matrix is the same: every d = 0 request is
-    kept as (b, c, 0, 0, EVEN).  Mirror images are not, so the symmetry and
-    condensation checks still compare values computed at distinct points.
+    Every determinant in this module but `count_line`'s goes through here.
+    A miss stores `_line`'s counts at every a' <= a in place of the shorter
+    line.  Keys are canonicalized only where the matrix is the same: every
+    d = 0 request is kept as (b, c, 0, 0, EVEN).  Mirror images are not, so
+    the symmetry and condensation checks still compare values computed at
+    distinct points.
+    """
+    if not d:
+        p, parity = 0, EVEN
+    key = (b, c, d, p, parity)
+    line = _LINES.get(key)
+    if line is not None:
+        if a < len(line):
+            return line[a]
+        del _LINES[key]  # stored again below, as the newest line
+    elif len(_LINES) >= _LINES_MAX:
+        del _LINES[next(iter(_LINES))]  # the line stored first
+    line = _LINES[key] = _line(a, b, c, d, p, parity)
+    return line[a]
 
-    A miss on an even line with c > b and a > b + 2d eliminates the
+
+def _line(a: int, b: int, c: int, d: int, p: int, parity: str) -> list[int]:
+    """[det of path_matrix(a', b, c, d, p, parity) for a' = 0..a], read off
+    the leading minors of one elimination of path_matrix(a, ...) or its
+    transpose; `_det` keeps it in the memo, `count_line` hands it out.
+
+    An even line with c > b and a > b + 2d is eliminated as the
     transpose, from `_reflected_rows`.  Lateral row i is C(b+c, b+i-j) over
     j, nonzero from c columns left of the diagonal to b right of it.  A step
     updates only the rows with a nonzero in its column, the c rows below the
@@ -179,34 +198,34 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     step, each step a single one, until step d + p; measured, that about
     doubles the row updates.
     """
-    if not d:
-        p, parity = 0, EVEN
-    key = (b, c, d, p, parity)
-    line = _LINES.get(key)
-    if line is not None:
-        if a < len(line):
-            return line[a]
-        del _LINES[key]  # stored again below, as the newest line
-    elif len(_LINES) >= _LINES_MAX:
-        del _LINES[next(iter(_LINES))]  # the line stored first
     if parity == EVEN and c > b and a > b + 2 * d:
         rows = _reflected_rows(a, b, c, d, p)
     else:
         rows = _path_rows(a, b, c, d, p, parity)
-    line = ([1] + leading_minors_in_place(*rows))[d:]  # [1]: no rows
-    _LINES[key] = line
-    return line[a]
+    return ([1] + leading_minors_in_place(*rows))[d:]  # [1]: no rows
+
+
+def _check_count_args(a: int, b: int, c: int, d: int, parity: str) -> None:
+    if a < 0 or b < 0 or c < 0 or d < 0:
+        raise ValueError("a, b, c, d must be nonnegative")
+    if parity not in _PARITIES:
+        raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, not {parity!r}")
 
 
 def count(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     """The signed count E(a,b,c,d,p) (parity EVEN) or O(a,b,c,d,p) (ODD) as an
     int, read from the line memo.  Negative a, b, c or d and any other parity
     are a ValueError."""
-    if a < 0 or b < 0 or c < 0 or d < 0:
-        raise ValueError("a, b, c, d must be nonnegative")
-    if parity not in _PARITIES:
-        raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, not {parity!r}")
+    _check_count_args(a, b, c, d, parity)
     return _det(a, b, c, d, p, parity)
+
+
+def count_line(a: int, b: int, c: int, d: int, p: int, parity: str) -> list[int]:
+    """[count(a', b, c, d, p, parity) for a' = 0..a] from one elimination,
+    which neither reads nor fills the line memo: a caller that reads a line
+    once (qfit's fit) holds it itself.  Rejects what `count` rejects."""
+    _check_count_args(a, b, c, d, parity)
+    return _line(a, b, c, d, p, parity)
 
 
 def even_count(a: int, b: int, c: int, d: int, p: int) -> SignedCount:

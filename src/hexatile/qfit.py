@@ -15,9 +15,12 @@ and anything else raises.
 
 Fixing (beta, gamma, t) fixes (b, c, p) and leaves a = t + alpha free, and
 path_matrix at a smaller a is a leading block of the one at a larger a.  So
-the samples come a line at a time: a count at a line's top, the fit's last
-layer, records every E below it in lgv's memo, and sample_ratio reads its E
-there.  The holdout check (cross_validate) takes each E from
+the samples come a line at a time, each line read once, at its first point,
+by sample_line: one elimination up to the fit's last layer gives every E on
+the line (lgv.count_line, which leaves lgv's memo as it was), P steps along
+it by its ratio (formulas.prefactor_P_line), and the fit holds the line's
+samples until its layers read them.  sample_ratio is the per-point
+reference.  The holdout check (cross_validate) takes each E from
 schur.count_via_inverse: MacMahon's product times the determinant of the
 d x d complement F, built from the explicit inverse of MacMahon's matrix.
 With the samples it shares exactmath, formulas.macmahon and det_bareiss, on
@@ -48,9 +51,9 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .formulas import prefactor_P
+from .formulas import prefactor_P, prefactor_P_line
 from .hexmodel import EVEN
-from .lgv import count
+from .lgv import count, count_line
 from .schur import count_via_inverse
 
 
@@ -138,12 +141,20 @@ def poly_from_json(text: str):
 
 
 def sample_ratio(a: int, b: int, c: int, d: int, p: int) -> Fraction:
-    """E(a,b,c,d,p)/P(a,b,c,d,p); the conjectured polynomial factor at a point.
-
-    E is read as an int through lgv.count, so a line the fit has eliminated
-    is read, not recomputed."""
+    """E(a,b,c,d,p)/P(a,b,c,d,p); the conjectured polynomial factor at a point,
+    E read through lgv.count and its memo.  The per-point reference for
+    sample_line, which the fit reads."""
     pf = prefactor_P(a, b, c, d, p)  # raises outside its window, is positive inside
     return Fraction(count(a, b, c, d, p, EVEN)) / pf
+
+
+def sample_line(top: int, b: int, c: int, d: int, p: int) -> list[Fraction]:
+    """[sample_ratio(a, b, c, d, p) for a = p..top], from one elimination
+    (lgv.count_line, which leaves lgv's memo alone) and P's pairs along the
+    line (formulas.prefactor_P_line): each sample is E den / num, one gcd."""
+    pairs = prefactor_P_line(top, b, c, d, p)  # raises outside its window
+    return [Fraction(e * den, num)
+            for e, (num, den) in zip(count_line(top, b, c, d, p, EVEN)[p:], pairs)]
 
 
 def _layer(n: int) -> list:
@@ -228,22 +239,23 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
     Values are integers over the samples' common denominator `scale`; a
     layer that raises it rescales what is stored.
 
-    The samples come one elimination per line along alpha (beta, gamma and
-    t fixed: b, c and p fixed, a free): at its first point each line is
-    eliminated up to layer hi + 1, the last any bound in [lo, hi] reads,
-    and the count there records the line below it in lgv's memo.
+    The samples come one sample_line call per line along alpha (beta, gamma
+    and t fixed: b, c and p fixed, a free): at its first point each line is
+    sampled up to layer hi + 1, the last any bound in [lo, hi] reads, and
+    the fit holds the line's samples until its layers read them.
     """
     diagonals: list = [{}, {}, {}, {}]  # per axis: x less that axis -> diagonal
     newton: dict = {}
     samples: list = []  # ((a, b, c, p), ratio) in simplex order
+    unread: dict = {}  # (beta, gamma, t) -> its line's samples not yet read
     scale, failure = 1, ""
     for n in range(hi + 2):
         layer = _layer(n)
         at = [_point(d, x) for x in layer]
-        for (alpha, beta, gamma, t), (a, b, c, p) in zip(layer, at):
-            if not alpha:  # the line's first point
-                count(hi + 1 - beta - gamma, b, c, d, p, EVEN)
-        new = [sample_ratio(a, b, c, d, p) for a, b, c, p in at]
+        for x, (a, b, c, p) in zip(layer, at):
+            if not x[0]:  # the line's first point
+                unread[x[1:]] = iter(sample_line(hi + 1 - x[1] - x[2], b, c, d, p))
+        new = [next(unread[x[1:]]) for x in layer]
         grow = math.lcm(scale, *(y.denominator for y in new)) // scale
         if grow > 1:
             scale *= grow
@@ -324,11 +336,7 @@ def fit_auto(d: int):
     law d(d-1) whose Newton layer above it vanishes and whose fit passes the
     recheck.  Every fit so far, d = 1..7, has found degree d(d-1); if Q at d
     has more, this raises FitInconsistentError, and an explicit bound (fit(d,
-    D), hexatile fit --degree) can go higher.
-
-    Known limit: at d = 8 the fit reads C(60, 3) = 34,220 lines, more than
-    lgv's memo holds (_LINES_MAX = 16,384), so from layer 45 on its reads
-    miss, and each miss eliminates its line again up to the point read."""
+    D), hexatile fit --degree) can go higher."""
     _check_fit_args(d, None)
     law = d * (d - 1)
     try:

@@ -19,8 +19,8 @@ The blocks have one memo, kept by (a, b, c, p) with the depth d free: Q2
 depends on (a, b, c) alone, and row i of Q3 and column j of Q1 on their own
 index and p, so the blocks at every depth e <= d are leading parts of those
 at d, and so is Fp.  build_blocks records the count at every e <= d from the
-leading minors of its Fp, and the memo keeps its decomposition whole:
-count_via_F and verify_triple_sum read theirs from it.
+leading minors of its Fp, and the memo keeps of it what count_via_F and
+verify_triple_sum read: the counts, delta, Y and Q3.
 
 count_via_inverse is the memo-free route to E, and qfit.cross_validate's
 source of truth: MacMahon's product (formulas.macmahon) times det(S F) / S^d,
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from .detkernel import IntMatrix, det_bareiss, leading_minors, mat_mul, solve_exact
 from .exactmath import (NotIntegerError, OutOfValidityError, as_int, binom, factorial,
@@ -138,15 +139,25 @@ def build_blocks(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
     return BlockDecomposition(Q1=q1, Q2=q2, Q3=q3, Q4=q4, delta=delta, Y=y, Fp=fp, counts=counts)
 
 
-# The block memo, (a, b, c, p) -> build_blocks' result, and its bound.  One
-# `hexatile verify all` pass builds 350 entries: complement_block_count asks
-# for each (a, b, c) from its largest d down, and inverse_entry_sums reads
-# the entries it left.  When full, the memo drops the entry stored first.
+class _Kept(NamedTuple):
+    """The fields of a BlockDecomposition that the block memo keeps."""
+
+    counts: list
+    delta: int
+    Y: list
+    Q3: list
+
+
+# The block memo, (a, b, c, p) -> the _Kept of build_blocks' result, and its
+# bound.  One `hexatile verify all` pass builds 350 entries:
+# complement_block_count asks for each (a, b, c) from its largest d down, and
+# inverse_entry_sums reads the entries it left.  When full, the memo drops
+# the entry stored first.
 _BLOCKS: dict = {}
 _BLOCKS_MAX = 4096
 
 
-def _complement(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
+def _complement(a: int, b: int, c: int, d: int, p: int) -> _Kept:
     """The memo entry of (a, b, c, p), built at depth d or deeper: a miss, or
     an entry built shallower, builds the blocks at d once in its place."""
     if a < 1 or min(b, c, d) < 0:
@@ -159,7 +170,8 @@ def _complement(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
         del _BLOCKS[key]  # stored again below, as the newest entry
     elif len(_BLOCKS) >= _BLOCKS_MAX:
         del _BLOCKS[next(iter(_BLOCKS))]  # the entry stored first
-    blocks = _BLOCKS[key] = build_blocks(a, b, c, d, p)
+    blocks = build_blocks(a, b, c, d, p)
+    blocks = _BLOCKS[key] = _Kept(blocks.counts, blocks.delta, blocks.Y, blocks.Q3)
     return blocks
 
 
@@ -180,12 +192,6 @@ def _series_inverse(x: int, n: int) -> list:
     return out
 
 
-def _times_series(u: list, h: list, n: int) -> list:
-    """The first n coefficients of u(z) h(z), for a list h of at least n."""
-    h_rev = h[n - 1::-1]  # h_rev[n-1-k+m] = h[k-m]
-    return [sum(map(mul, u[:k + 1], h_rev[n - 1 - k:])) for k in range(n)]
-
-
 def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
     """E(a,b,c,d,p) = M(a,b,c) det(S F) / S^d for every a, b, c, d >= 0 and
     every integer p, with no solve and no memo.
@@ -196,8 +202,9 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
     H_x is the upper triangular Toeplitz matrix of (1+z)^-x and m_k is the
     multinomial (b+c+k-1)! / (b! c! (k-1)!).  S = (b+c+a-1)! / (b! c!), a
     divisor of W, clears every 1/m_k to the weight (k-1)! (b+c+k)_{a-k}.  So
-    S F = S Q4 - Q3 (S M^-1) Q1 is a d x d integer matrix whose entry (i, j)
-    is one sum over k of row i of Q3 T', the weights, and column j of L' Q1.
+    S F = S Q4 - Q3 (S M^-1) Q1 is a d x d integer matrix.  Its entry (i, j)
+    is a short dot product of column j of Q1, nonzero on at most 2j rows,
+    with row i of Q3 T' diag(weights) H_c^T, built only at those rows.
     At a = 0, E = det Q4 = 1.  A negative side is a ValueError, as in
     lgv.count, and a remainder raises NotIntegerError.
     """
@@ -214,21 +221,26 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
     for k in range(a, 1, -1):
         weights.append(weights[-1] * (b + c + k - 1) // (k - 1))
     weights.reverse()
-    # row i of Q3 ends at column b+p+1-i and column j of Q1 has its nonzeros
-    # at rows max(1, p+1-j)..min(a, p+j), so math.comb sees only its support;
-    # Q3's entries take binom, as their top b+c-2i+1 or bottom may be negative
-    left = []  # row i of Q3 T' diag(weights)
+    # column j of Q1 has its nonzeros at rows max(1, p+1-j)..min(a, p+j), so
+    # (S M^-1) Q1 reads only columns lo..a of Q3 T' diag(weights), and L' Q1
+    # only rows lo..hi of the correlation of those columns with h_c; row i of
+    # Q3 ends at column b+p+1-i, so math.comb sees only its support.  Q3's
+    # entries take binom, as their top b+c-2i+1 or bottom may be negative
+    lo, hi = max(1, p + 1 - d), min(a, p + d)
+    near = []  # row i of Q3 T' diag(weights) H_c^T at columns lo..hi
     for i in range(1, d + 1):
         u = [binom(b + c - 2 * i + 1, c - i + t - p) * comb(c + t - 1, t - 1)
              for t in range(1, min(a, b + p + 1 - i) + 1)]
-        left.append(list(map(mul, weights, _times_series(u, h_b, a))))
+        row = [w * sum(map(mul, u, h_b[k - 1::-1]))
+               for k, w in zip(range(lo, a + 1), weights[lo - 1:])]
+        near.append([sum(map(mul, row[l - lo:], h_c)) for l in range(lo, hi + 1)])
     sf = []  # S F transposed, which has the same determinant
     for j in range(1, d + 1):
-        lo, hi = max(1, p + 1 - j), min(a, p + j)
-        v = [comb(b + l - 1, l - 1) * comb(2 * j - 1, j - l + p) for l in range(lo, hi + 1)]
-        right = _times_series(v, h_c, a - lo + 1)  # rows lo..a of column j of L' Q1
-        sf.append([scale * binom(2 * (j - i), j - i) - sum(map(mul, row[lo - 1:], right))
-                   for i, row in enumerate(left, 1)])
+        lo_j = max(1, p + 1 - j)
+        v = [comb(b + l - 1, l - 1) * comb(2 * j - 1, j - l + p)
+             for l in range(lo_j, min(a, p + j) + 1)]
+        sf.append([scale * binom(2 * (j - i), j - i) - sum(map(mul, v, row[lo_j - lo:]))
+                   for i, row in enumerate(near, 1)])
     return as_int(f"count_via_inverse at {(a, b, c, d, p)}",
                   macmahon(a, b, c) * det_bareiss(sf), scale**d)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexatile import cli, lgv, oracle, qfit
+from hexatile import cli, lgv, oracle
 from hexatile.cli import main
 from hexatile.formulas import macmahon
 
@@ -320,10 +320,10 @@ def test_fit_prints_the_degree_of_the_polynomial_not_the_bound(tmp_path, capsys)
     assert out == f"Q(d=2), total degree 2: 8 terms\nwrote {out_file}\n"
 
 
-def test_fit_past_the_degree_law_exits_2(tmp_path, capsys, monkeypatch):
+def test_fit_past_the_degree_law_exits_2(tmp_path, capsys, q_stand_in):
     # a degree-3 stand-in for Q at d = 2, past the law d(d-1) = 2 that bounds
     # the search without --degree: a finding, so exit 2, not a usage error
-    monkeypatch.setattr(qfit, "sample_ratio", lambda a, b, c, d, p: Fraction(a * b * c))
+    q_stand_in(lambda a, b, c, d, p: Fraction(a * b * c))
     code, out, err = run(capsys, "fit", "--d", "2", "--out", str(tmp_path / "q2.json"))
     assert code == DISAGREE
     assert out == ""

@@ -23,6 +23,7 @@ from hexatile.formulas import (
     p_one_minus_d_alt,
     p_one_minus_d_simple,
     prefactor_P,
+    prefactor_P_line,
     q_known,
     special_prefactor,
     verify_identities,
@@ -350,6 +351,25 @@ def test_prefactor_P():
         prefactor_P(2, 2, 2, 2, 0)  # needs b > d
     with pytest.raises(OutOfValidityError):
         prefactor_P(2, 4, 4, 1, 3)  # needs p <= a
+
+
+def test_prefactor_P_line_is_prefactor_P_along_each_line():
+    # a = p..top on lines of the d = 1..5 grid, top = p among them
+    for d in range(1, 6):
+        for b, c, p in product(range(d + 1, d + 4), range(d + 1, d + 7), range(4)):
+            if c <= d + p:
+                continue
+            for top in (p, p + 9):
+                pairs = prefactor_P_line(top, b, c, d, p)
+                assert all(num > 0 and den > 0 for num, den in pairs)
+                assert [Fraction(num, den) for num, den in pairs] == [
+                    prefactor_P(a, b, c, d, p) for a in range(p, top + 1)], (top, b, c, d, p)
+    # outside the window (top in place of a) both raise alike
+    for args in ((2, 2, 2, 2, 0), (2, 4, 4, 1, 3), (3, 4, 4, 0, 0), (3, 4, 3, 1, 2),
+                 (3, 4, 5, 1, -1)):
+        for route in (prefactor_P, prefactor_P_line):
+            with pytest.raises(OutOfValidityError):
+                route(*args)
 
 
 def test_q_known():

@@ -372,6 +372,34 @@ def test_count_reads_the_signed_count_as_an_int():
         lgv.count(2, 2, 2, 0, 0, "bogus")
 
 
+def test_count_line_is_the_counts_along_its_line_and_leaves_the_memo_alone(monkeypatch):
+    # both parities, p on both sides of 0..a, and both orientations: the even
+    # lines with c > b and a > b + 2d are eliminated as the transpose
+    planted = {(1, 4, 1, 2, EVEN): [None] * 9}  # a line count_line must not read
+    monkeypatch.setattr(lgv, "_LINES", dict(planted))
+    reflected = []
+    reflected_rows = lgv._reflected_rows
+    monkeypatch.setattr(lgv, "_reflected_rows",
+                        lambda *args: reflected.append(args) or reflected_rows(*args))
+    a = 8
+    for parity in (EVEN, ODD):
+        for b, c, d, p in product(range(4), range(6), range(3), range(-1, 4)):
+            want = [det_bareiss(path_matrix(x, b, c, d, p, parity)) for x in range(a + 1)]
+            assert lgv.count_line(a, b, c, d, p, parity) == want, (b, c, d, p, parity)
+    assert (a, 1, 4, 1, 2) in reflected
+    assert lgv._LINES == planted
+    # count reads the same line through the memo
+    monkeypatch.setattr(lgv, "_LINES", {})
+    assert [lgv.count(x, 1, 4, 1, 2, EVEN) for x in range(a, -1, -1)][::-1] == lgv.count_line(
+        a, 1, 4, 1, 2, EVEN)
+    # and count_line rejects what count rejects
+    for bad in ((-1, 2, 2, 1, 0, EVEN), (2, -1, 2, 1, 0, EVEN), (2, 2, -1, 1, 0, ODD),
+                (2, 2, 2, -1, 0, ODD), (2, 2, 2, 0, 0, "bogus"), (2, 2, 2, 1, 0, "bogus")):
+        for route in (lgv.count, lgv.count_line):
+            with pytest.raises(ValueError):
+                route(*bad)
+
+
 def test_d0_requests_eliminate_once_per_b_c(monkeypatch):
     # at d = 0 neither p nor the parity leaves a mark on path_matrix, also at
     # the formal b, c < 0 that condensation reaches ...

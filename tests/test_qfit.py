@@ -24,6 +24,7 @@ from hexatile.qfit import (
     poly_from_json,
     poly_to_json,
     probe_degree,
+    sample_line,
     sample_ratio,
     simplex_grid,
     substitution_check,
@@ -55,6 +56,20 @@ def test_sample_ratio_d2_value():
 def test_sample_ratio_rejects_invalid():
     with pytest.raises(ValueError):
         sample_ratio(2, 1, 5, 2, 0)  # needs b > d
+
+
+def test_sample_line_is_sample_ratio_along_each_line():
+    # every line of fit_auto(3)'s simplex, to its last layer 7, from its first point
+    grid = simplex_grid(3, 7)
+    tops = {}
+    for a, b, c, p in grid:
+        tops[b, c, p] = max(a, tops.get((b, c, p), a))
+    assert sum(top - p + 1 for (b, c, p), top in tops.items()) == len(grid)
+    for (b, c, p), top in tops.items():
+        assert sample_line(top, b, c, 3, p) == [sample_ratio(a, b, c, 3, p)
+                                                for a in range(p, top + 1)], (top, b, c, p)
+    with pytest.raises(ValueError):
+        sample_line(2, 1, 5, 2, 0)  # needs b > d, as sample_ratio does
 
 
 def test_fit_d1_constant_one():
@@ -109,18 +124,18 @@ FRACTIONAL_Q = {
 }
 
 
-def test_fit_is_exact_when_the_common_denominator_grows(monkeypatch):
+def test_fit_is_exact_when_the_common_denominator_grows(q_stand_in):
     dens = [lcm(*(fractional_q(a, b, c, 2, p).denominator for a, b, c, p in simplex_grid(2, n)))
             for n in range(4)]
     assert dens == [2, 14, 70, 70]
-    monkeypatch.setattr(qfit, "sample_ratio", fractional_q)
+    q_stand_in(fractional_q)
     assert fit(2, 5).coeffs == FRACTIONAL_Q
     assert fit(2, 3).coeffs == FRACTIONAL_Q
 
 
-def test_fit_auto_cap_error_names_the_cap(monkeypatch):
+def test_fit_auto_cap_error_names_the_cap(q_stand_in):
     # the stand-in has degree 3, past the law d(d-1) = 2 that bounds fit_auto(2)
-    monkeypatch.setattr(qfit, "sample_ratio", fractional_q)
+    q_stand_in(fractional_q)
     with pytest.raises(FitInconsistentError, match=r"d\(d-1\) = 2 .*hexatile fit --degree"):
         fit_auto(2)
 
@@ -134,21 +149,27 @@ def test_fit_auto_searches_from_twice_d_minus_one_to_the_degree_law(monkeypatch,
 
 
 def test_each_simplex_point_is_sampled_once(monkeypatch):
-    calls = []
+    # each fit reads each line once, at its first point, up to its last
+    # layer: every point of the simplex to that layer once, and no other
+    calls, points = [], []
+    sample_line = qfit.sample_line
 
-    def counted(*args):
-        calls.append(args)
-        return sample_ratio(*args)
+    def counted(top, b, c, d, p):
+        calls.append((b, c, d, p))
+        points.extend((a, b, c, p) for a in range(p, top + 1))
+        return sample_line(top, b, c, d, p)
 
-    monkeypatch.setattr(qfit, "sample_ratio", counted)
-    for run, points in ((lambda: fit_auto(3), comb(11, 4)), (lambda: fit(3, 8), comb(13, 4))):
+    monkeypatch.setattr(qfit, "sample_line", counted)
+    for run, layer in ((lambda: fit_auto(3), 7), (lambda: fit(3, 8), 9)):
         calls.clear()
+        points.clear()
         run()
-        assert len(calls) == len(set(calls)) == points
+        assert len(calls) == len(set(calls)) == comb(layer + 3, 3)
+        assert sorted(points) == sorted(simplex_grid(3, layer))
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_lines_are_eliminated_once_per_window_and_shared_across_fits(monkeypatch, d):
+def test_each_fit_eliminates_each_line_once_and_leaves_the_memo_alone(monkeypatch, d):
     eliminated = []
     leading_minors_in_place = lgv.leading_minors_in_place
 
@@ -157,29 +178,27 @@ def test_lines_are_eliminated_once_per_window_and_shared_across_fits(monkeypatch
         return leading_minors_in_place(rows, ends)
 
     monkeypatch.setattr(lgv, "leading_minors_in_place", counted)
-    monkeypatch.setattr(lgv, "_LINES", {})
+    planted = {(5, 6, 2, 1, EVEN): [None] * 4 + [0]}  # a wrong line the fit must not read
+    monkeypatch.setattr(lgv, "_LINES", dict(planted))
     law = d * (d - 1)
     lines = [comb(n + 3, 3) for n in range(law + 4)]  # lines with beta + gamma + t <= n
     # fit_auto(d) eliminates each line once, to layer d(d-1) + 1: 120 lines
     # at d = 3, 560 at d = 4
-    fit_auto(d)
+    want = fit_auto(d)
     assert len(eliminated) == lines[law + 1] == {3: 120, 4: 560}[d]
-    # fit(d, d(d-1) + 2) needs layer d(d-1) + 3: every line is new or too short
+    # fit(d, d(d-1) + 2) needs layer d(d-1) + 3, and no fit shares a line
+    # with another: each eliminates all of its own
     fit(d, law + 2)
     assert len(eliminated) == lines[law + 1] + lines[law + 3]
-    # the other way round, fit_auto(d) reads every value from the longer lines
-    eliminated.clear()
-    monkeypatch.setattr(lgv, "_LINES", {})
-    fit(d, law + 2)
-    assert len(eliminated) == lines[law + 3]
-    fit_auto(d)
-    assert len(eliminated) == lines[law + 3]
+    assert fit_auto(d) == want
+    assert len(eliminated) == 2 * lines[law + 1] + lines[law + 3]
+    assert lgv._LINES == planted
 
 
-def test_fit_auto_starts_at_twice_d_minus_one(monkeypatch):
+def test_fit_auto_starts_at_twice_d_minus_one(q_stand_in):
     # linear data at d = 3: layers 2, 3 and 4 vanish, but the least bound
     # fit_auto may accept is 2(d - 1) = 4
-    monkeypatch.setattr(qfit, "sample_ratio", lambda a, b, c, d, p: Fraction(a + 2 * b - c + 3 * p + 1))
+    q_stand_in(lambda a, b, c, d, p: Fraction(a + 2 * b - c + 3 * p + 1))
     degree, poly = fit_auto(3)
     assert degree == 4
     assert poly.coeffs == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2, (0, 0, 1, 0): -1,

@@ -203,7 +203,9 @@ def test_count_via_inverse_rejects_points_outside_its_window(spec, monkeypatch):
     # among them, is a ValueError on every route, raised before the memo is
     # read (an entry planted at the key (a, b, c, p))
     a, b, c, d, p = spec
-    monkeypatch.setattr(schur, "_BLOCKS", {(a, b, c, p): build_blocks(2, 3, 3, 2, 1)})
+    monkeypatch.setattr(schur, "_BLOCKS", {})
+    planted = schur._complement(2, 3, 3, 2, 1)
+    monkeypatch.setattr(schur, "_BLOCKS", {(a, b, c, p): planted})
     for route in (count_via_inverse, count_via_F, build_blocks, lambda *s: lgv.count(*s, EVEN)):
         with pytest.raises(ValueError):
             route(*spec)
@@ -417,6 +419,8 @@ def test_inverse_entry_sums_builds_each_distinct_block_once(monkeypatch):
         blocks = schur._complement(3, 3, 3, 2, 1)
         assert [len(blocks.Y), len(blocks.Y[0]), len(blocks.Q3), len(blocks.Q3[0]),
                 len(blocks.counts)] == [3, 2, 2, 3, 3]
+        # the memo keeps only what its readers read: not Q1, Q2, Q4 or Fp
+        assert blocks._fields == ("counts", "delta", "Y", "Q3")
 
         # as the `schur` suite runs them, complement_block_count leaves every
         # block inverse_entry_sums reads, one per (a, b, c, p) at d = dmax
@@ -493,7 +497,7 @@ def test_a_planted_count_fails_its_complement_block_check():
         blocks = schur._complement(2, 3, 3, 2, 1)
         counts = list(blocks.counts)
         counts[1] += 1
-        schur._BLOCKS[2, 3, 3, 1] = replace(blocks, counts=counts)
+        schur._BLOCKS[2, 3, 3, 1] = blocks._replace(counts=counts)
         [result] = formulas.run_checks(["complement_block_count"], 2, 3, 3, 2)
         assert result.failures == [(2, 3, 3, 1, 1)]
     finally:
