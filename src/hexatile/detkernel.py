@@ -297,18 +297,14 @@ _PRIME_CACHE: list[int] = []
 
 
 def _pool_prime(k: int) -> int:
-    """Prime k (from 0) of the fixed pool, found on first use."""
+    """Prime k (from 0) of the fixed pool, the largest primes below 2^62 in
+    descending order, found on first use."""
     candidate = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 62) - 1
     while len(_PRIME_CACHE) <= k:
         if _is_prime(candidate):
             _PRIME_CACHE.append(candidate)
         candidate -= 2
     return _PRIME_CACHE[k]
-
-
-def prime_pool(count: int) -> list[int]:
-    """First `count` primes of the fixed pool: largest primes below 2^62, descending."""
-    return [_pool_prime(k) for k in range(count)]
 
 
 def _det_mod(m: IntMatrix, p: int) -> int:

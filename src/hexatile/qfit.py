@@ -6,20 +6,21 @@ point is admissible (0 <= p <= a, b > d, c > d+p), and the set is unisolvent
 for total degree <= D+1.  The interpolant's Newton coefficients are the
 iterated forward differences along each axis, and layer n of them depends
 only on the samples in layers <= n.  So every fit, to a bound D or to
-fit_auto's least bound from 2(d-1) up to Q's degree law d(d-1), is one loop
-that samples a layer and grows one Newton table by it.  Layer D+1 must
-vanish for Q to have degree <= D; the layers below are expanded exactly
-into monomials in (a, b, c, p), and the candidate is re-checked exactly
-against every sample point: anything returned is the unique interpolant,
-and anything else raises.
+fit_auto's least bound from 2(d-1) up to Q's degree law d(d-1), reads the
+simplex up to the last layer any of its bounds needs and builds one Newton
+table from it: the samples over one common denominator, then whole lines
+differenced one axis after another.  Layer D+1 must vanish for Q to have
+degree <= D; the layers below are expanded exactly into monomials in (a,
+b, c, p), one falling-factorial map per axis and two shifts, and the
+candidate is re-checked exactly against every sample point it rests on:
+anything returned is the unique interpolant, and anything else raises.
 
 Fixing (beta, gamma, t) fixes (b, c, p) and leaves a = t + alpha free, and
 path_matrix at a smaller a is a leading block of the one at a larger a.  So
-the samples come a line at a time, each line read once, at its first point,
-by sample_line: one elimination up to the fit's last layer gives every E on
-the line (lgv.count_line, which leaves lgv's memo as it was), P steps along
-it by its ratio (formulas.prefactor_P_line), and the fit holds the line's
-samples until its layers read them.  sample_ratio is the per-point
+the samples come a line at a time, each line read once by sample_line: one
+elimination up to the fit's last layer gives every E on the line
+(lgv.count_line, which leaves lgv's memo as it was), and P steps along it
+by its ratio (formulas.prefactor_P_line).  sample_ratio is the per-point
 reference.  The holdout check (cross_validate) takes each E from
 schur.count_via_inverse: MacMahon's product times the determinant of the
 d x d complement F, built from the explicit inverse of MacMahon's matrix.
@@ -47,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -159,7 +160,8 @@ def sample_line(top: int, b: int, c: int, d: int, p: int) -> list[Fraction]:
 
 def _layer(n: int) -> list:
     """Lattice points x = (alpha, beta, gamma, t) with |x| = n.  Layers 0..n
-    in turn are the n-simplex, in the order fit() samples and rechecks it."""
+    in turn are the n-simplex, in the order fit() reads its lines and
+    rechecks it."""
     return [
         (n - beta - gamma - t, beta, gamma, t)
         for t in range(n + 1)
@@ -205,26 +207,26 @@ def _shift_rows(degree: int, s: int) -> list:
             for k in range(degree + 1)]
 
 
+def _falling_rows(degree: int, s: int) -> list:
+    """rows for _along: degree! C(x - s, k) = sum_e w x^e, for k = 0..degree."""
+    fact, rows, poly = math.factorial(degree), [], [1]  # poly: k! C(x - s, k)
+    for k in range(degree + 1):
+        rows.append([(e, w * (fact // math.factorial(k))) for e, w in enumerate(poly) if w])
+        poly = [hi - (s + k) * lo for hi, lo in zip([0] + poly, poly + [0])]
+    return rows
+
+
 def _newton_to_poly(coeffs: dict, degree: int, d: int, scale: int) -> MultiPoly:
     """Monomial form in (a, b, c, p) of sum_k coeffs[k] prod_i C(x_i, k_i) / scale."""
-    # C(x, k) = sum_e s(k, e) x^e / k!, s the signed Stirling numbers of the
-    # first kind; multiplying by degree! per axis keeps every weight integral
-    fact = math.factorial(degree)
-    stirling = [[1]]
-    for k in range(degree):
-        prev = stirling[-1] + [0]
-        stirling.append([(prev[e - 1] if e else 0) - k * prev[e] for e in range(k + 2)])
-    rows = [[(e, s_ke * (fact // math.factorial(k))) for e, s_ke in enumerate(row)]
-            for k, row in enumerate(stirling)]
+    # alpha = a - p, beta = b - (d+1), gamma = c - p - (d+1), t = p: one
+    # falling-factorial map per axis gives alpha, b, c - p and p, and two
+    # shifts move the -p of a - p and c - p onto p
     terms = dict(coeffs)
-    for axis in range(4):
-        terms = _along(terms, axis, rows)
-    # alpha = a - p, beta = b - (d+1), gamma = c - p - (d+1), t = p
-    terms = _along(terms, 1, _shift_rows(degree, -(d + 1)))
-    terms = _along(terms, 2, _shift_rows(degree, -(d + 1)))
+    for axis, s in enumerate((0, d + 1, d + 1, 0)):
+        terms = _along(terms, axis, _falling_rows(degree, s))
     terms = _along(terms, 2, _shift_rows(degree, -1), into=3)
     terms = _along(terms, 0, _shift_rows(degree, -1), into=3)
-    den = scale * fact**4
+    den = scale * math.factorial(degree) ** 4
     return MultiPoly({key: Fraction(v, den) for key, v in terms.items()})
 
 
@@ -232,55 +234,46 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
     """(bound, poly) for the least bound in [lo, hi] whose Newton layer
     bound + 1 vanishes and whose expansion reproduces every sample.
 
-    One table grows a layer at a time: the coefficient at k is Delta^k f(0),
-    differenced one axis after another.  Each line along an axis keeps its
-    backward-difference diagonal, and a new layer brings each line its next
-    point, so extending the diagonal gives the next axis its value there.
-    Values are integers over the samples' common denominator `scale`; a
-    layer that raises it rescales what is stored.
-
-    The samples come one sample_line call per line along alpha (beta, gamma
-    and t fixed: b, c and p fixed, a free): at its first point each line is
-    sampled up to layer hi + 1, the last any bound in [lo, hi] reads, and
-    the fit holds the line's samples until its layers read them.
+    Every line along alpha (beta, gamma and t fixed: b, c and p fixed, a
+    free) of the simplex up to layer hi + 1, the last any bound in [lo, hi]
+    reads, is sampled first, one sample_line call each, whatever bound is
+    then accepted.  Over the samples' one common denominator `scale`, the
+    table's coefficient at k is Delta^k f(0): the forward differences of
+    whole lines, one axis after another.  Only the layers below the first
+    vanishing one are expanded, and the recheck reads the samples of the
+    layers up to it in simplex_grid order.
     """
-    diagonals: list = [{}, {}, {}, {}]  # per axis: x less that axis -> diagonal
-    newton: dict = {}
-    samples: list = []  # ((a, b, c, p), ratio) in simplex order
-    unread: dict = {}  # (beta, gamma, t) -> its line's samples not yet read
-    scale, failure = 1, ""
-    for n in range(hi + 2):
-        layer = _layer(n)
-        at = [_point(d, x) for x in layer]
-        for x, (a, b, c, p) in zip(layer, at):
-            if not x[0]:  # the line's first point
-                unread[x[1:]] = iter(sample_line(hi + 1 - x[1] - x[2], b, c, d, p))
-        new = [next(unread[x[1:]]) for x in layer]
-        grow = math.lcm(scale, *(y.denominator for y in new)) // scale
-        if grow > 1:
-            scale *= grow
-            newton = {k: v * grow for k, v in newton.items()}
-            for lines in diagonals:
-                for diag in lines.values():
-                    diag[:] = [v * grow for v in diag]
-        for x, y in zip(layer, new):
-            v = y.numerator * (scale // y.denominator)
-            for axis, lines in enumerate(diagonals):
-                diag = lines.setdefault(x[:axis] + x[axis + 1:], [])
-                for m, old in enumerate(diag):
-                    diag[m], v = v, v - old
-                diag.append(v)
-            newton[x] = v
-        samples += zip(at, new)
-        if n - 1 < lo:
-            continue
-        if any(newton[x] for x in layer):
+    top = hi + 1
+    simplex = [x for n in range(top + 1) for x in _layer(n)]
+    lines = {}  # (beta, gamma, t) -> Q along the line, alpha = 0, 1, ...
+    for x in simplex:
+        if not x[0]:
+            _, b, c, p = _point(d, x)
+            lines[x[1:]] = sample_line(top - x[1] - x[2], b, c, d, p)
+    scale = math.lcm(*(y.denominator for line in lines.values() for y in line))
+    newton = {}
+    for x in simplex:
+        y = lines[x[1:]][x[0]]
+        newton[x] = y.numerator * (scale // y.denominator)
+    for axis in range(4):
+        for x in simplex:
+            if not x[axis]:  # the line along axis from x
+                diag: list = []  # f(m), Delta f(m-1), ..., Delta^m f(0) at step m
+                for k in range(top + 1 - sum(x)):
+                    key = x[:axis] + (k,) + x[axis + 1:]
+                    diag[:] = accumulate(diag, sub, initial=newton[key])
+                    newton[key] = diag[-1]
+    failure = ""
+    for n in range(lo + 1, top + 1):
+        if any(newton[x] for x in _layer(n)):
             failure = (f"degree {n - 1} cannot interpolate the samples: "
                        f"Newton layer {n} does not vanish")
             continue
-        poly = _newton_to_poly({k: v for k, v in newton.items() if v}, n - 1, d, scale)
-        got = poly.values([pt for pt, _ in samples])
-        miss = next((pt for (pt, y), v in zip(samples, got) if v != y), None)
+        poly = _newton_to_poly({x: v for x, v in newton.items() if v and sum(x) < n},
+                               n - 1, d, scale)
+        points = simplex_grid(d, n)
+        miss = next((pt for pt, x, v in zip(points, simplex, poly.values(points))
+                     if v != lines[x[1:]][x[0]]), None)
         if miss is None:
             return n - 1, poly
         failure = f"degree {n - 1} cannot interpolate sample at {miss}"

@@ -17,7 +17,6 @@ from hexatile.detkernel import (
     leading_minors,
     leading_minors_in_place,
     mat_mul,
-    prime_pool,
     solve_exact,
 )
 from hexatile.exactmath import binom
@@ -305,7 +304,8 @@ def test_solve_round_trip(n, data):
 
 def _isprime(n: int) -> bool:
     """Miller-Rabin with Sinclair's bases, deterministic below 2^64; a base set
-    apart from the one prime_pool uses, so the check does not share it."""
+    apart from the one det_modular's prime pool uses, so the check does not
+    share it."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -337,6 +337,7 @@ def test_miller_rabin_reference_matches_trial_division():
 
 
 def test_prime_pools_are_prime_and_deterministic():
-    pool = prime_pool(6)
-    assert pool == prime_pool(6)
+    pool = [detkernel._pool_prime(k) for k in range(6)]
+    assert pool == [detkernel._pool_prime(k) for k in range(6)]
     assert all(_isprime(q) for q in pool)
+    assert pool == sorted(pool, reverse=True) and pool[0] < 2**62

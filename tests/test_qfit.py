@@ -2,10 +2,11 @@
 
 import copy
 import pickle
+import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,22 @@ def test_fit_auto_starts_at_twice_d_minus_one(q_stand_in):
                            (0, 0, 0, 1): 3, (0, 0, 0, 0): 1}
 
 
+def test_a_low_degree_fit_samples_every_line_to_the_last_layer(q_stand_in, monkeypatch):
+    # a degree-4 stand-in at d = 3 is accepted at the first bound fit_auto
+    # tries, but every alpha-line up to layer d(d-1) + 1 = 7 is read first
+    q_stand_in(lambda a, b, c, d, p: Fraction(a * b * c * p - 3 * b * b + 5))
+    stand_in, calls = qfit.sample_line, []
+    monkeypatch.setattr(qfit, "sample_line",
+                        lambda *args: calls.append(args) or stand_in(*args))
+    degree, poly = fit_auto(3)
+    assert degree == 4
+    assert poly.coeffs == {(1, 1, 1, 1): 1, (0, 2, 0, 0): -3, (0, 0, 0, 0): 5}
+    lines = [(7 - beta - gamma, 4 + beta, 4 + t + gamma, 3, t)
+             for beta, gamma, t in product(range(8), repeat=3) if beta + gamma + t <= 7]
+    assert len(calls) == len(lines) == comb(10, 3)
+    assert sorted(calls) == sorted(lines)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_fit_auto_degree_law_and_mirror_identity(d):
     degree, poly = fit_auto(d)
@@ -307,6 +324,37 @@ def test_recheck_rejects_a_fit_with_one_coefficient_changed(monkeypatch):
     with pytest.raises(FitInconsistentError,
                        match=re.escape(f"cannot interpolate sample at {first_miss}")):
         fit(2, 2)
+
+
+def test_falling_rows_are_scaled_stirling_numbers():
+    # s(k, e), the signed Stirling numbers of the first kind: C(x, k) k! =
+    # x (x - 1) ... (x - k + 1) = sum_e s(k, e) x^e
+    top = 7
+    stirling = [[1]]
+    for k in range(top):
+        row = stirling[-1] + [0]
+        stirling.append([(row[e - 1] if e else 0) - k * row[e] for e in range(k + 2)])
+    want = [[(e, factorial(top) // factorial(k) * s_ke) for e, s_ke in enumerate(row) if s_ke]
+            for k, row in enumerate(stirling)]
+    assert qfit._falling_rows(top, 0) == want
+
+
+def test_newton_to_poly_expands_a_random_table():
+    # sum_k c_k prod_i C(x_i, k_i) / scale at x = (alpha, beta, gamma, t) =
+    # (a - p, b - d - 1, c - p - d - 1, p), against the expansion in (a, b, c, p)
+    rng, d, degree, scale = random.Random(7), 2, 4, 36
+    table = {k: rng.randint(-50, 50) for k in product(range(degree + 1), repeat=4)
+             if sum(k) <= degree}
+    poly = qfit._newton_to_poly(table, degree, d, scale)
+    points = []
+    while len(points) < 50:
+        a, p = rng.randint(0, 12), rng.randint(0, 12)
+        if p <= a:
+            points.append((a, rng.randint(d + 1, 12), rng.randint(d + p + 1, d + p + 12), p))
+    for (a, b, c, p), got in zip(points, poly.values(points)):
+        x = (a - p, b - d - 1, c - p - d - 1, p)
+        want = sum(v * prod(comb(xi, ki) for xi, ki in zip(x, k)) for k, v in table.items())
+        assert got == Fraction(want, scale)
 
 
 def test_poly_json_round_trip():
