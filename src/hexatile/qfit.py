@@ -6,12 +6,11 @@ point is admissible (0 <= p <= a, b > d, c > d+p), and the set is unisolvent
 for total degree <= D+1.  The interpolant's Newton coefficients are the
 iterated forward differences along each axis, and layer n of them depends
 only on the samples in layers <= n.  So every fit, to a bound D or to
-fit_auto's least bound from 2(d-1) up to Q's degree law d(d-1), reads the
-simplex up to the last layer any of its bounds needs and builds one Newton
-table from it: the samples over one common denominator, then whole lines
-differenced one axis after another.  Layer D+1 must vanish for Q to have
-degree <= D; the layers below are expanded exactly into monomials in (a,
-b, c, p), one falling-factorial map per axis and two shifts, and the
+fit_auto's least bound from 2(d-1) up to Q's degree law d(d-1), samples the
+simplex up to the last layer any of its bounds reads, and differences whole
+lines, one axis after another, into one Newton table.  Layer D+1 must
+vanish for Q to have degree <= D; the layers below are expanded exactly
+into monomials in (a, b, c, p), one falling-factorial map per axis, and the
 candidate is re-checked exactly against every sample point it rests on:
 anything returned is the unique interpolant, and anything else raises.
 
@@ -48,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul, sub
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -230,18 +229,33 @@ def _newton_to_poly(coeffs: dict, degree: int, d: int, scale: int) -> MultiPoly:
     return MultiPoly({key: Fraction(v, den) for key, v in terms.items()})
 
 
+def _newton_table(table: list, axes: int) -> list:
+    """Delta^k f(0) at every k, for f on a simplex held as nested lists, one
+    level per axis: the lines along the outer axis are differenced whole,
+    all at once, and each Delta^k f at 0 on that axis then along the rest."""
+    out = []
+    while table:
+        out.append(_newton_table(table[0], axes - 1) if axes > 1 else table[0])
+        table = _minus(table[1:], table, axes)
+    return out
+
+
+def _minus(b: list, a: list, axes: int) -> list:
+    """b - a for nested lists `axes` levels deep, in the shape of b."""
+    if axes == 1:
+        return [y - x for x, y in zip(a, b)]
+    return [_minus(y, x, axes - 1) for x, y in zip(a, b)]
+
+
 def _fit(d: int, lo: int, hi: int) -> tuple:
     """(bound, poly) for the least bound in [lo, hi] whose Newton layer
     bound + 1 vanishes and whose expansion reproduces every sample.
 
-    Every line along alpha (beta, gamma and t fixed: b, c and p fixed, a
-    free) of the simplex up to layer hi + 1, the last any bound in [lo, hi]
-    reads, is sampled first, one sample_line call each, whatever bound is
-    then accepted.  Over the samples' one common denominator `scale`, the
-    table's coefficient at k is Delta^k f(0): the forward differences of
-    whole lines, one axis after another.  Only the layers below the first
-    vanishing one are expanded, and the recheck reads the samples of the
-    layers up to it in simplex_grid order.
+    Every alpha-line (b, c and p fixed, a free) of the simplex up to layer
+    hi + 1, the last any bound in [lo, hi] reads, is sampled first, one
+    sample_line call each, whatever bound is then accepted.  The table
+    differences whole lines over the samples' one common denominator, and
+    the recheck reads the layers up to the bound's in simplex_grid order.
     """
     top = hi + 1
     simplex = [x for n in range(top + 1) for x in _layer(n)]
@@ -251,18 +265,11 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
             _, b, c, p = _point(d, x)
             lines[x[1:]] = sample_line(top - x[1] - x[2], b, c, d, p)
     scale = math.lcm(*(y.denominator for line in lines.values() for y in line))
-    newton = {}
-    for x in simplex:
-        y = lines[x[1:]][x[0]]
-        newton[x] = y.numerator * (scale // y.denominator)
-    for axis in range(4):
-        for x in simplex:
-            if not x[axis]:  # the line along axis from x
-                diag: list = []  # f(m), Delta f(m-1), ..., Delta^m f(0) at step m
-                for k in range(top + 1 - sum(x)):
-                    key = x[:axis] + (k,) + x[axis + 1:]
-                    diag[:] = accumulate(diag, sub, initial=newton[key])
-                    newton[key] = diag[-1]
+    # the integer samples nested [t][gamma][beta][alpha], the table likewise
+    table = _newton_table([[[[y.numerator * (scale // y.denominator) for y in lines[beta, gamma, t]]
+                              for beta in range(top + 1 - t - gamma)]
+                             for gamma in range(top + 1 - t)] for t in range(top + 1)], 4)
+    newton = {x: table[x[3]][x[2]][x[1]][x[0]] for x in simplex}
     failure = ""
     for n in range(lo + 1, top + 1):
         if any(newton[x] for x in _layer(n)):
