@@ -159,8 +159,7 @@ def sample_line(top: int, b: int, c: int, d: int, p: int) -> list[Fraction]:
 
 def _layer(n: int) -> list:
     """Lattice points x = (alpha, beta, gamma, t) with |x| = n.  Layers 0..n
-    in turn are the n-simplex, in the order fit() reads its lines and
-    rechecks it."""
+    in turn are the n-simplex, in the order fit() samples and rechecks it."""
     return [
         (n - beta - gamma - t, beta, gamma, t)
         for t in range(n + 1)
@@ -259,11 +258,9 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
     """
     top = hi + 1
     simplex = [x for n in range(top + 1) for x in _layer(n)]
-    lines = {}  # (beta, gamma, t) -> Q along the line, alpha = 0, 1, ...
-    for x in simplex:
-        if not x[0]:
-            _, b, c, p = _point(d, x)
-            lines[x[1:]] = sample_line(top - x[1] - x[2], b, c, d, p)
+    # (beta, gamma, t) -> Q along the alpha-line from x = (0, beta, gamma, t)
+    lines = {x[1:]: sample_line(top - x[1] - x[2], *_point(d, x)[1:3], d, x[3])
+             for x in simplex if not x[0]}
     scale = math.lcm(*(y.denominator for line in lines.values() for y in line))
     # the integer samples nested [t][gamma][beta][alpha], the table likewise
     table = _newton_table([[[[y.numerator * (scale // y.denominator) for y in lines[beta, gamma, t]]

@@ -339,6 +339,28 @@ def test_falling_rows_are_scaled_stirling_numbers():
     assert qfit._falling_rows(top, 0) == want
 
 
+def test_newton_table_is_the_forward_differences_at_zero():
+    # Delta^k f(0) = sum_{j <= k} prod_i (-1)^(k_i - j_i) C(k_i, j_i) f(j) on the
+    # simplex |x| <= 5 in one, two and three axes, nested first axis outermost
+    rng = random.Random(3)
+    for axes in (1, 2, 3):
+        points = [x for x in product(range(6), repeat=axes) if sum(x) <= 5]
+        f = {x: rng.randint(-99, 99) for x in points}
+
+        def nested(prefix):
+            if len(prefix) == axes:
+                return f[prefix]
+            return [nested(prefix + (i,)) for i in range(6 - sum(prefix))]
+
+        table = qfit._newton_table(nested(()), axes)
+        for k in points:
+            got = table
+            for i in k:
+                got = got[i]
+            assert got == sum(f[j] * prod((-1) ** (ki - ji) * comb(ki, ji) for ki, ji in zip(k, j))
+                              for j in points if all(ji <= ki for ji, ki in zip(j, k)))
+
+
 def test_newton_to_poly_expands_a_random_table():
     # sum_k c_k prod_i C(x_i, k_i) / scale at x = (alpha, beta, gamma, t) =
     # (a - p, b - d - 1, c - p - d - 1, p), against the expansion in (a, b, c, p)
