@@ -64,17 +64,3 @@ def endpoints(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[list
     starts += [(i - p, p + i) for i in range(1, d + 1)]
     ends += [(j - 1 - p, p + j - 1) for j in range(1, d + 1)]
     return starts, ends
-
-
-def is_damage_free(spec: HexSpec) -> bool:
-    """True iff the (even) intrusion does not affect the number of tilings.
-
-    Only defined for even parity; the criterion for odd intrusions is not
-    established, so odd specs are rejected.
-    """
-    if spec.parity != EVEN:
-        raise ValueError("damage-free criterion is only defined for even intrusions")
-    a, b, c, d, p = spec.a, spec.b, spec.c, spec.d, spec.p
-    if d == 0:
-        return True
-    return p <= max(-d, -((b + 1) // 2)) or p >= min(a + d, a + (c + 1) // 2)

@@ -1,18 +1,18 @@
 """Exact multivariate interpolation of the residual factor Q = E/P.
 
-A fit samples Q on the lattice simplex {x in N^4 : |x| <= D+1} in shifted
-coordinates a = t+alpha, b = d+1+beta, c = d+t+1+gamma, p = t.  Every such
-point is admissible (0 <= p <= a, b > d, c > d+p), and the set is unisolvent
-for total degree <= D+1.  The interpolant's Newton coefficients are the
-iterated forward differences along each axis, and layer n of them depends
-only on the samples in layers <= n.  So every fit, to a bound D or to
-fit_auto's least bound from 2(d-1) up to Q's degree law d(d-1), samples the
-simplex up to the last layer any of its bounds reads, and differences whole
-lines, one axis after another, into one Newton table.  Layer D+1 must
-vanish for Q to have degree <= D; the layers below are expanded exactly
-into monomials in (a, b, c, p), one falling-factorial map per axis, and the
-candidate is re-checked exactly against every sample point it rests on:
-anything returned is the unique interpolant, and anything else raises.
+A fit up to the bound hi (D for fit(d, D), Q's degree law d(d-1) for
+fit_auto) samples Q on the lattice simplex {x in N^4 : |x| <= hi+1} in
+shifted coordinates a = t+alpha, b = d+1+beta, c = d+t+1+gamma, p = t.
+Every such point is admissible (0 <= p <= a, b > d, c > d+p), and the set is
+unisolvent for total degree <= hi+1.  The interpolant's Newton coefficients
+are the iterated forward differences along each axis, taken over whole
+lines, one axis after another, into one Newton table.  Its layer hi+1 must
+vanish, and the bound is its highest nonzero layer (or the fit's least
+bound, if higher), so every layer above the bound that the fit holds
+vanishes.  The nonzero coefficients are expanded exactly into monomials in
+(a, b, c, p), one falling-factorial map per axis, and the candidate is
+re-checked exactly against every sample the fit read: anything returned is
+the unique interpolant, and anything else raises.
 
 Fixing (beta, gamma, t) fixes (b, c, p) and leaves a = t + alpha free, and
 path_matrix at a smaller a is a leading block of the one at a larger a.  So
@@ -159,7 +159,7 @@ def sample_line(top: int, b: int, c: int, d: int, p: int) -> list[Fraction]:
 
 def _layer(n: int) -> list:
     """Lattice points x = (alpha, beta, gamma, t) with |x| = n.  Layers 0..n
-    in turn are the n-simplex, in the order fit() samples and rechecks it."""
+    in turn are the n-simplex, in the order fit() rechecks it."""
     return [
         (n - beta - gamma - t, beta, gamma, t)
         for t in range(n + 1)
@@ -168,15 +168,11 @@ def _layer(n: int) -> list:
     ]
 
 
-def _point(d: int, x: tuple) -> tuple:
-    """(a, b, c, p) of the shifted lattice point x = (alpha, beta, gamma, t)."""
-    alpha, beta, gamma, t = x
-    return (t + alpha, d + 1 + beta, d + t + 1 + gamma, t)
-
-
 def simplex_grid(d: int, n: int) -> list:
-    """The (a, b, c, p) points fit() samples for degree bound n - 1."""
-    return [_point(d, x) for m in range(n + 1) for x in _layer(m)]
+    """The (a, b, c, p) points fit() samples for degree bound n - 1: each
+    lattice point x = (alpha, beta, gamma, t) of the n-simplex, shifted."""
+    return [(t + alpha, d + 1 + beta, d + t + 1 + gamma, t)
+            for m in range(n + 1) for alpha, beta, gamma, t in _layer(m)]
 
 
 def _along(terms: dict, axis: int, rows: list, into: Optional[int] = None) -> dict:
@@ -247,41 +243,41 @@ def _minus(b: list, a: list, axes: int) -> list:
 
 
 def _fit(d: int, lo: int, hi: int) -> tuple:
-    """(bound, poly) for the least bound in [lo, hi] whose Newton layer
-    bound + 1 vanishes and whose expansion reproduces every sample.
+    """(bound, poly) with bound = max(lo, the highest nonzero Newton layer),
+    so that every layer above it that the fit holds vanishes, and poly the
+    expansion that reproduces every sample the fit read.
 
     Every alpha-line (b, c and p fixed, a free) of the simplex up to layer
-    hi + 1, the last any bound in [lo, hi] reads, is sampled first, one
-    sample_line call each, whatever bound is then accepted.  The table
-    differences whole lines over the samples' one common denominator, and
-    the recheck reads the layers up to the bound's in simplex_grid order.
+    hi + 1 is sampled first, one sample_line call each.  The table
+    differences whole lines over the samples' one common denominator; a
+    nonzero coefficient on layer hi + 1 raises, the nonzero ones below are
+    expanded once, at the bound, and the recheck reads every sample in
+    simplex_grid order.  A miss raises; no other bound is tried.
     """
     top = hi + 1
-    simplex = [x for n in range(top + 1) for x in _layer(n)]
-    # (beta, gamma, t) -> Q along the alpha-line from x = (0, beta, gamma, t)
-    lines = {x[1:]: sample_line(top - x[1] - x[2], *_point(d, x)[1:3], d, x[3])
-             for x in simplex if not x[0]}
-    scale = math.lcm(*(y.denominator for line in lines.values() for y in line))
-    # the integer samples nested [t][gamma][beta][alpha], the table likewise
-    table = _newton_table([[[[y.numerator * (scale // y.denominator) for y in lines[beta, gamma, t]]
-                              for beta in range(top + 1 - t - gamma)]
-                             for gamma in range(top + 1 - t)] for t in range(top + 1)], 4)
-    newton = {x: table[x[3]][x[2]][x[1]][x[0]] for x in simplex}
-    failure = ""
-    for n in range(lo + 1, top + 1):
-        if any(newton[x] for x in _layer(n)):
-            failure = (f"degree {n - 1} cannot interpolate the samples: "
-                       f"Newton layer {n} does not vanish")
-            continue
-        poly = _newton_to_poly({x: v for x, v in newton.items() if v and sum(x) < n},
-                               n - 1, d, scale)
-        points = simplex_grid(d, n)
-        miss = next((pt for pt, x, v in zip(points, simplex, poly.values(points))
-                     if v != lines[x[1:]][x[0]]), None)
-        if miss is None:
-            return n - 1, poly
-        failure = f"degree {n - 1} cannot interpolate sample at {miss}"
-    raise FitInconsistentError(failure)
+    # Q along the alpha-line from x = (0, beta, gamma, t), nested [t][gamma][beta]
+    lines = [[[sample_line(top - beta - gamma, d + 1 + beta, d + t + 1 + gamma, d, t)
+               for beta in range(top + 1 - t - gamma)]
+              for gamma in range(top + 1 - t)] for t in range(top + 1)]
+    scale = math.lcm(*(y.denominator for by_t in lines for by_gamma in by_t
+                       for line in by_gamma for y in line))
+    # the integer samples, and the table, nested likewise [t][gamma][beta][alpha]
+    table = _newton_table([[[[y.numerator * (scale // y.denominator) for y in line]
+                             for line in by_gamma] for by_gamma in by_t] for by_t in lines], 4)
+    newton = {(alpha, beta, gamma, t): v
+              for t, by_t in enumerate(table) for gamma, by_gamma in enumerate(by_t)
+              for beta, diffs in enumerate(by_gamma) for alpha, v in enumerate(diffs) if v}
+    layer = max(map(sum, newton), default=0)  # the highest nonzero one
+    if layer > hi:
+        raise FitInconsistentError(f"degree {hi} cannot interpolate the samples: "
+                                   f"Newton layer {top} does not vanish")
+    bound = max(lo, layer)
+    poly = _newton_to_poly(newton, bound, d, scale)
+    points = simplex_grid(d, top)
+    for (a, b, c, p), v in zip(points, poly.values(points)):
+        if v != lines[p][c - p - d - 1][b - d - 1][a - p]:
+            raise FitInconsistentError(f"degree {bound} cannot interpolate sample at {(a, b, c, p)}")
+    return bound, poly
 
 
 def _check_fit_args(d: int, degree: Optional[int]) -> None:
@@ -330,10 +326,10 @@ def probe_degree(d: int, limit: int = 24) -> int:
 
 def fit_auto(d: int):
     """(degree, poly) for the least degree bound from 2(d-1) up to Q's degree
-    law d(d-1) whose Newton layer above it vanishes and whose fit passes the
-    recheck.  Every fit so far, d = 1..7, has found degree d(d-1); if Q at d
-    has more, this raises FitInconsistentError, and an explicit bound (fit(d,
-    D), hexatile fit --degree) can go higher."""
+    law d(d-1) above which every Newton layer the fit holds vanishes, and
+    whose fit passes the recheck.  Every fit so far, d = 1..7, has found
+    degree d(d-1); if Q at d has more, this raises FitInconsistentError, and
+    an explicit bound (fit(d, D), hexatile fit --degree) can go higher."""
     _check_fit_args(d, None)
     law = d * (d - 1)
     try:

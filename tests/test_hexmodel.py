@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from hexatile.exactmath import binom
-from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints, is_damage_free
+from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints
 from hexatile.lgv import path_matrix
 
 
@@ -105,15 +105,3 @@ def test_path_matrix_leading_blocks():
                 n = d + a2
                 lead = [row[:n] for row in m[:n]]
                 assert path_matrix(a2, b, c, d, p, parity) == lead, (a2, a, b, c, d, p, parity)
-
-
-def test_is_damage_free_examples():
-    assert is_damage_free(HexSpec(2, 4, 2, 1, -1, EVEN)) is True
-    assert is_damage_free(HexSpec(2, 4, 2, 3, -2, EVEN)) is True
-    assert is_damage_free(HexSpec(2, 4, 2, 2, -1, EVEN)) is False
-    assert is_damage_free(HexSpec(3, 4, 2, 0, 1, EVEN)) is True
-
-
-def test_is_damage_free_odd_not_applicable():
-    with pytest.raises(ValueError):
-        is_damage_free(HexSpec(2, 4, 2, 1, -1, ODD))

@@ -10,7 +10,7 @@ from hexatile import lgv
 from hexatile.detkernel import det_bareiss, det_modular, leading_minors
 from hexatile.exactmath import binom
 from hexatile.formulas import byun_even, macmahon
-from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints, is_damage_free
+from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints
 from hexatile.lgv import (
     even_count,
     even_count_by_condensation,
@@ -185,7 +185,6 @@ def test_signed_count_fields():
 def test_damage_free_even_specs_give_macmahon():
     for a, b, c, d, p in [(2, 4, 2, 1, -1), (2, 4, 2, 3, -2), (3, 3, 3, 2, 5)]:
         spec = HexSpec(a, b, c, d, p, EVEN)
-        assert is_damage_free(spec)
         assert even_count(a, b, c, d, p).value == macmahon(a, b, c)
         assert region_count(spec) == macmahon(a, b, c)  # without the determinant
 

@@ -206,6 +206,23 @@ def test_fit_auto_starts_at_twice_d_minus_one(q_stand_in):
                            (0, 0, 0, 1): 3, (0, 0, 0, 0): 1}
 
 
+def binomial_q(a, b, c, d, p):
+    """A stand-in for Q with zeros on lattice hyperplanes: C(a - p, 6) is
+    zero on the layers below 6 and its Newton table is one coefficient, on
+    layer 6."""
+    return Fraction(comb(a - p, 6))
+
+
+def test_fit_auto_takes_its_bound_from_every_layer_it_holds(q_stand_in):
+    # layer 5 vanishes, but layer 6 does not: a bound of 4 would return the
+    # zero polynomial against the samples on layers 6 and 7
+    q_stand_in(binomial_q)
+    degree, poly = fit_auto(3)
+    assert degree == poly.total_degree() == 6
+    grid = simplex_grid(3, 7)
+    assert poly.values(grid) == [binomial_q(a, b, c, 3, p) for a, b, c, p in grid]
+
+
 def test_a_low_degree_fit_samples_every_line_to_the_last_layer(q_stand_in, monkeypatch):
     # a degree-4 stand-in at d = 3 is accepted at the first bound fit_auto
     # tries, but every alpha-line up to layer d(d-1) + 1 = 7 is read first
@@ -311,12 +328,13 @@ def test_evaluate_matches_term_by_term_sum(first, second, cps, abs_, rng):
         assert poly.values([]) == []
 
 
-def test_recheck_rejects_a_fit_with_one_coefficient_changed(monkeypatch):
-    newton_to_poly = qfit._newton_to_poly
+def test_recheck_rejects_a_fit_with_one_coefficient_changed(monkeypatch, q_stand_in):
+    newton_to_poly, bounds = qfit._newton_to_poly, []
 
     def perturbed(*args):
+        bounds.append(args[1])
         poly = newton_to_poly(*args)
-        return MultiPoly({**poly.coeffs, (1, 0, 0, 1): poly.coeffs[(1, 0, 0, 1)] + Fraction(1, 3)})
+        return MultiPoly({**poly.coeffs, (1, 0, 0, 1): poly.coeffs.get((1, 0, 0, 1), 0) + Fraction(1, 3)})
 
     monkeypatch.setattr(qfit, "_newton_to_poly", perturbed)
     # the change adds a*p/3, so the first sample it misses has a*p != 0
@@ -324,6 +342,15 @@ def test_recheck_rejects_a_fit_with_one_coefficient_changed(monkeypatch):
     with pytest.raises(FitInconsistentError,
                        match=re.escape(f"cannot interpolate sample at {first_miss}")):
         fit(2, 2)
+    # fit_auto raises at its first miss too, after one expansion at its one
+    # bound: no other bound is tried
+    bounds.clear()
+    q_stand_in(binomial_q)
+    first_miss = next(pt for pt in simplex_grid(3, 7) if pt[0] * pt[3])
+    with pytest.raises(FitInconsistentError,
+                       match=re.escape(f"degree 6 cannot interpolate sample at {first_miss}")):
+        fit_auto(3)
+    assert bounds == [6]
 
 
 def test_falling_rows_are_scaled_stirling_numbers():
