@@ -27,14 +27,17 @@ With the samples it shares exactmath, formulas.macmahon and det_bareiss, on
 the d x d complement only; it uses no endpoints, no lgv._band_rows, no line
 memo and no elimination of the path matrix.
 
-MultiPoly.values, the one exact evaluator, serves the recheck, the holdout
-check and the substitution check, each with one call over all its points,
-and keeps nothing from one call to the next.  It holds integer numerators
-over one denominator, grouped by (a, b) exponents.  Over a call's points it
-computes each (c, p) part once per distinct (c, p), the polynomial in a once
-per distinct (b, c, p), and each point by Horner's rule in a: a nested
-Horner scheme (Pena & Sauer, SIAM J. Numer. Anal. 37 (2000)) with c and p
-substituted together.
+MultiPoly.numerators, the one exact evaluator, serves the recheck and the
+holdout check, and through MultiPoly.values the substitution check, each
+with one call over all its points, and keeps nothing from one call to the
+next.  It holds integer numerators over one denominator as flat arrays in
+exponent order.  Over a call's points it substitutes p once per distinct p,
+c once per distinct (c, p) and b once per distinct (b, c, p), each one
+C-level pass over the arrays, and takes each point by Horner's rule in a: a
+nested Horner scheme (Pena & Sauer, SIAM J. Numer. Anal. 37 (2000)), one
+variable at a time.  Both checks compare integers: the recheck each
+numerator against the integer sample the fit holds, the holdout check P's
+numerator times it against the count times both denominators.
 
 Newton interpolation on principal lattices: Chung & Yao, SIAM J. Numer.
 Anal. 14 (1977); Sauer & Xu, Math. Comp. 64 (1995).
@@ -44,10 +47,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul
+from operator import itemgetter, mul, sub
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -61,57 +65,74 @@ class FitInconsistentError(ValueError):
     """No polynomial of the requested degree interpolates the samples."""
 
 
+class _LayerError(FitInconsistentError):
+    """The Newton layer past the bound does not vanish: a higher bound may fit."""
+
+
 @dataclass(frozen=True)
 class MultiPoly:
     """Polynomial in (a, b, c, p) as exponent-vector -> coefficient; coeffs is
-    read-only, so the integer form values() uses can never go stale.
+    read-only, so the integer form the evaluator reads can never go stale.
 
-    values() is the one evaluator, and it keeps nothing between calls: over
-    the points of one call it computes each (c, p) part once per distinct
-    (c, p), the polynomial in a once per distinct (b, c, p), and each point
-    by Horner's rule in a.  evaluate() is values() at one point."""
+    numerators() is the one evaluator, and it keeps nothing between calls:
+    over the points of one call it substitutes p once per distinct p, then c
+    once per distinct (c, p), then b once per distinct (b, c, p), and takes
+    each point by Horner's rule in a.  Each substitution is one pass over
+    flat arrays in exponent order (see _substitute).  values() divides by
+    the one denominator, and evaluate() is values() at one point."""
 
     coeffs: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {tuple(k): Fraction(v) for k, v in self.coeffs.items() if v != 0}
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
-        # integer numerators over one common denominator, grouped by (a, b):
-        # rows[ea] lists (eb, ((ec, ep, numerator), ...))
-        scale = math.lcm(*(coef.denominator for coef in clean.values()))
-        groups: dict = {}
-        for (ea, eb, ec, ep), coef in clean.items():
-            groups.setdefault((ea, eb), []).append((ec, ep, int(coef * scale)))
-        tops = [max((k[axis] for k in clean), default=0) for axis in range(4)]
-        rows: list = [[] for _ in range(tops[0] + 1)]
-        for (ea, eb), terms in groups.items():
-            rows[ea].append((eb, tuple(terms)))
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "_tops", tuple(tops[1:]))  # sizes the power tables of b, c, p
+        # integer numerators over one common denominator, in exponent order;
+        # the zero polynomial is one zero term, so every array has an entry
+        denominator = math.lcm(*(coef.denominator for coef in clean.values()))
+        keys = sorted(clean) or [(0, 0, 0, 0)]
+        nums = [int(clean[k] * denominator) if k in clean else 0 for k in keys]
+        stages = []  # p, then c, then b: (exponent per entry, group bounds, top exponent)
+        for axis in (3, 2, 1):
+            prefixes = [k[:axis] for k in keys]
+            if axis > 1:  # one group per exponent prefix present
+                starts = [i for i, k in enumerate(prefixes) if not i or k != prefixes[i - 1]]
+            else:  # one group per exponent of a, empty ones too, for Horner's rule
+                starts = [bisect_left(prefixes, (ea,)) for ea in range(keys[-1][0] + 1)]
+            # the spare index 0 keeps a lone term's itemgetter from returning
+            # a bare power; the map that reads the tuple stops at the terms
+            stages.append((itemgetter(*(k[axis] for k in keys), 0),
+                           itemgetter(*starts, len(keys)), max(k[axis] for k in keys)))
+            keys = [keys[i] for i in starts]
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_stages", tuple(stages))
+
+    def numerators(self, points: list) -> list[int]:
+        """The value at each (a, b, c, p) of points, in their order, times
+        the polynomial's one denominator."""
+        (p_exps, p_groups, top_p), (c_exps, c_groups, top_c), (b_exps, b_groups, top_b) \
+            = self._stages
+        at_p: dict = {}  # p -> c -> b -> indices of the points there
+        for i, (_, b, c, p) in enumerate(points):
+            at_p.setdefault(p, {}).setdefault(c, {}).setdefault(b, []).append(i)
+        out: list = [0] * len(points)
+        for p, at_c in at_p.items():
+            in_abc = _substitute(self._nums, p_exps, p_groups, p, top_p)
+            for c, at_b in at_c.items():
+                in_ab = _substitute(in_abc, c_exps, c_groups, c, top_c)
+                for b, at in at_b.items():
+                    in_a = _substitute(in_ab, b_exps, b_groups, b, top_b)
+                    in_a.reverse()
+                    for i in at:
+                        a, value = points[i][0], 0
+                        for v in in_a:
+                            value = value * a + v
+                        out[i] = value
+        return out
 
     def values(self, points: list) -> list[Fraction]:
         """Exact value at each (a, b, c, p) of points, in their order."""
-        rows, scale = self._rows, self._scale
-        top_b, top_c, top_p = self._tops
-        at_cp: dict = {}  # (c, p) -> b -> indices of the points there
-        for i, (_, b, c, p) in enumerate(points):
-            at_cp.setdefault((c, p), {}).setdefault(b, []).append(i)
-        out: list = [None] * len(points)
-        for (c, p), at_b in at_cp.items():
-            cs = list(accumulate(repeat(c, top_c), mul, initial=1))
-            ps = list(accumulate(repeat(p, top_p), mul, initial=1))
-            inner = [[(eb, sum(k * cs[ec] * ps[ep] for ec, ep, k in terms))
-                      for eb, terms in row] for row in rows]
-            for b, at in at_b.items():
-                bs = list(accumulate(repeat(b, top_b), mul, initial=1))
-                in_a = [sum(v * bs[eb] for eb, v in row) for row in reversed(inner)]
-                for i in at:
-                    a, value = points[i][0], 0
-                    for v in in_a:
-                        value = value * a + v
-                    out[i] = Fraction(value, scale)
-        return out
+        return [Fraction(n, self.denominator) for n in self.numerators(points)]
 
     def evaluate(self, a: int, b: int, c: int, p: int) -> Fraction:
         """Exact value at (a, b, c, p)."""
@@ -122,6 +143,16 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         return max((sum(k) for k in self.coeffs), default=0)
+
+
+def _substitute(values: list, exps, groups, x: int, top: int) -> list:
+    """Substitute x for one variable: the group sums of values[i] * x**exps[i],
+    one C-level pass each.  Powers by repeated multiplication, each entry's
+    power picked by its exponent, and each group's sum as the difference of
+    one running sum read at the group's bounds."""
+    powers = list(accumulate(repeat(x, top), mul, initial=1))
+    at = groups(list(accumulate(map(mul, values, exps(powers)), initial=0)))
+    return list(map(sub, at[1:], at))
 
 
 def poly_to_json(poly: MultiPoly, d: int) -> str:
@@ -252,7 +283,8 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
     differences whole lines over the samples' one common denominator; a
     nonzero coefficient on layer hi + 1 raises, the nonzero ones below are
     expanded once, at the bound, and the recheck reads every sample in
-    simplex_grid order.  A miss raises; no other bound is tried.
+    simplex_grid order, as integers over the two denominators.  A miss
+    raises; no other bound is tried.
     """
     top = hi + 1
     # Q along the alpha-line from x = (0, beta, gamma, t), nested [t][gamma][beta]
@@ -262,20 +294,22 @@ def _fit(d: int, lo: int, hi: int) -> tuple:
     scale = math.lcm(*(y.denominator for by_t in lines for by_gamma in by_t
                        for line in by_gamma for y in line))
     # the integer samples, and the table, nested likewise [t][gamma][beta][alpha]
-    table = _newton_table([[[[y.numerator * (scale // y.denominator) for y in line]
-                             for line in by_gamma] for by_gamma in by_t] for by_t in lines], 4)
+    samples = [[[[y.numerator * (scale // y.denominator) for y in line]
+                 for line in by_gamma] for by_gamma in by_t] for by_t in lines]
+    del lines  # the recheck reads the integer samples
+    table = _newton_table(samples, 4)
     newton = {(alpha, beta, gamma, t): v
               for t, by_t in enumerate(table) for gamma, by_gamma in enumerate(by_t)
               for beta, diffs in enumerate(by_gamma) for alpha, v in enumerate(diffs) if v}
     layer = max(map(sum, newton), default=0)  # the highest nonzero one
     if layer > hi:
-        raise FitInconsistentError(f"degree {hi} cannot interpolate the samples: "
-                                   f"Newton layer {top} does not vanish")
+        raise _LayerError(f"degree {hi} cannot interpolate the samples: "
+                          f"Newton layer {top} does not vanish")
     bound = max(lo, layer)
     poly = _newton_to_poly(newton, bound, d, scale)
     points = simplex_grid(d, top)
-    for (a, b, c, p), v in zip(points, poly.values(points)):
-        if v != lines[p][c - p - d - 1][b - d - 1][a - p]:
+    for (a, b, c, p), v in zip(points, poly.numerators(points)):
+        if v * scale != samples[p][c - p - d - 1][b - d - 1][a - p] * poly.denominator:
             raise FitInconsistentError(f"degree {bound} cannot interpolate sample at {(a, b, c, p)}")
     return bound, poly
 
@@ -329,12 +363,13 @@ def fit_auto(d: int):
     law d(d-1) above which every Newton layer the fit holds vanishes, and
     whose fit passes the recheck.  Every fit so far, d = 1..7, has found
     degree d(d-1); if Q at d has more, this raises FitInconsistentError, and
-    an explicit bound (fit(d, D), hexatile fit --degree) can go higher."""
+    an explicit bound (fit(d, D), hexatile fit --degree) can go higher.  A
+    recheck miss raises as it is: no higher bound cures it."""
     _check_fit_args(d, None)
     law = d * (d - 1)
     try:
         return _fit(d, 2 * (d - 1), law)
-    except FitInconsistentError as exc:
+    except _LayerError as exc:
         raise FitInconsistentError(
             f"no interpolant up to Q's degree law d(d-1) = {law} ({exc}); "
             f"an explicit bound (hexatile fit --degree) can go higher") from exc
@@ -358,11 +393,14 @@ def cross_validate(poly: MultiPoly, d: int, holdout: list) -> dict:
     path matrix the samples eliminate: a defect in lgv's builder, its line
     memo or the elimination of a whole path matrix cannot agree with itself
     here.  Both routes share exactmath, formulas.macmahon and det_bareiss,
-    which here sees only the d x d complement."""
+    which here sees only the d x d complement.  The check compares integers,
+    P's numerator times poly's numerator against the count times both
+    denominators; a failure entry holds the count and the Fraction P*poly."""
     failures = []
-    for (a, b, c, p), q in zip(holdout, poly.values(holdout)):
-        got = prefactor_P(a, b, c, d, p) * q  # checks the point
+    for (a, b, c, p), q in zip(holdout, poly.numerators(holdout)):
+        pf = prefactor_P(a, b, c, d, p)  # checks the point
         want = count_via_inverse(a, b, c, d, p)
-        if got != want:
-            failures.append({"point": (a, b, c, p), "expected": want, "got": got})
+        if pf.numerator * q != want * pf.denominator * poly.denominator:
+            failures.append({"point": (a, b, c, p), "expected": want,
+                             "got": pf * Fraction(q, poly.denominator)})
     return {"points": len(holdout), "failures": failures, "passed": not failures}

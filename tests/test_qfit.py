@@ -309,13 +309,17 @@ coords = st.integers(min_value=-4, max_value=6)
 
 @given(polys, polys, st.lists(st.tuples(coords, coords), min_size=1, max_size=4),
        st.lists(st.tuples(coords, coords), min_size=2, max_size=3, unique=True),
+       st.lists(coords, min_size=2, max_size=3, unique=True),
        st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
-def test_evaluate_matches_term_by_term_sum(first, second, cps, abs_, rng):
-    # points that share (c, p) but differ in (a, b), and two polynomials
-    # asked in turn at the same (c, p), so a wrongly reused part shows
+def test_evaluate_matches_term_by_term_sum(first, second, cps, abs_, others, rng):
+    # points that share (c, p) but differ in (a, b), points that share p but
+    # not c and (c, p) but not b, each stage a p-first evaluator could reuse
+    # wrongly, and two polynomials asked in turn at the same (c, p)
     one, two = MultiPoly(first), MultiPoly(second)
     points = [(a, b, c, p) for c, p in cps for a, b in abs_]
+    a, b, c, p = points[0]
+    points += [(a, b, x, p) for x in others] + [(a, x, c, p) for x in others]
     for a, b, c, p in points:
         assert one.evaluate(a, b, c, p) == naive_value(first, a, b, c, p)
         assert two.evaluate(a, b, c, p) == naive_value(second, a, b, c, p)
@@ -343,12 +347,13 @@ def test_recheck_rejects_a_fit_with_one_coefficient_changed(monkeypatch, q_stand
                        match=re.escape(f"cannot interpolate sample at {first_miss}")):
         fit(2, 2)
     # fit_auto raises at its first miss too, after one expansion at its one
-    # bound: no other bound is tried
+    # bound: no other bound is tried, and the text is the miss's own, with
+    # no advice to raise the bound, which cannot cure a miss
     bounds.clear()
     q_stand_in(binomial_q)
     first_miss = next(pt for pt in simplex_grid(3, 7) if pt[0] * pt[3])
-    with pytest.raises(FitInconsistentError,
-                       match=re.escape(f"degree 6 cannot interpolate sample at {first_miss}")):
+    miss = f"degree 6 cannot interpolate sample at {first_miss}"
+    with pytest.raises(FitInconsistentError, match=f"^{re.escape(miss)}$"):
         fit_auto(3)
     assert bounds == [6]
 
@@ -426,9 +431,15 @@ def test_cross_validate_passes_for_true_poly():
 def test_cross_validate_flags_perturbed_poly():
     poly = fit(2)
     bad = MultiPoly({**poly.coeffs, (0, 0, 0, 0): Fraction(5)})
-    report = cross_validate(bad, 2, [(4, 5, 6, 1), (5, 7, 9, 2)])
+    holdout = [(4, 5, 6, 1), (5, 7, 9, 2)]
+    report = cross_validate(bad, 2, holdout)
     assert not report["passed"]
-    assert len(report["failures"]) == 2
+    assert [f["point"] for f in report["failures"]] == holdout
+    # the check compares integers; each entry holds the int count and P*poly
+    for failure, (a, b, c, p) in zip(report["failures"], holdout):
+        assert type(failure["expected"]) is int
+        assert failure["expected"] == lgv.count(a, b, c, 2, p, EVEN)
+        assert failure["got"] == prefactor_P(a, b, c, 2, p) * bad.evaluate(a, b, c, p)
 
 
 def test_cross_validate_reads_no_memo(monkeypatch):

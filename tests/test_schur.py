@@ -196,6 +196,18 @@ def test_count_via_inverse_is_the_count_outside_prefactor_P_window(monkeypatch):
     assert points == 4889
 
 
+@pytest.mark.parametrize("spec", [
+    (24, 0, 9, 3, 5),  # b = 0: no running sum
+    (22, 1, 12, 2, 7),  # b = 1: one
+    (1, 7, 9, 3, 2),  # a = 1, with p > a
+    (20, 3, 10, 4, -2),  # rows 2..4 of Q3 end before column 1: b + p + 1 - i < 1
+])
+def test_count_via_inverse_on_long_rows_outside_prefactor_P_window(spec):
+    a, b, c, d, p = spec
+    assert not (0 <= p <= a and b > d >= 1 and c > d + p)
+    assert count_via_inverse(*spec) == lgv.count(*spec, EVEN)
+
+
 @pytest.mark.parametrize("spec", [(-1, 3, 3, 1, 0), (2, -1, 3, 1, 0), (3, 2, -1, 1, 1),
                                   (2, 3, 3, -1, 1), (0, -1, 2, 1, 0)])
 def test_count_via_inverse_rejects_points_outside_its_window(spec, monkeypatch):
