@@ -284,13 +284,19 @@ def _refuse_P(a: int, b: int, c: int, d: int, p: int) -> None:
 
 def prefactor_P(a: int, b: int, c: int, d: int, p: int) -> Fraction:
     """Product P = B_p B_a B_d of the modified ansatz (0 <= p <= a, b > d > 0, c > d+p)."""
+    return Fraction(*prefactor_P_pair(a, b, c, d, p))
+
+
+def prefactor_P_pair(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
+    """(num, den) with num/den = prefactor_P(a, b, c, d, p), unreduced positive
+    integers, for callers that compare P against integers and need no gcd."""
     _refuse_P(a, b, c, d, p)
     # B_p = M(p, b-d, c) / plane(c, p, a-p), B_a = M(a-p, b+p, c-d) plane(0, a-p, p)
     # and B_d = plane(a-p, d, p) / prod_{i<d} (p+i)! (b+c-2d+i+1)_i.
     num = macmahon(p, b - d, c) * macmahon(a - p, b + p, c - d) * _plane(0, a - p, p)
     den = _plane(c, p, a - p) * math.prod(
         factorial(p + i) * rising(b + c - 2 * d + i + 1, i) for i in range(d))
-    return Fraction(num * _plane(a - p, d, p), den)
+    return num * _plane(a - p, d, p), den
 
 
 def prefactor_P_line(top: int, b: int, c: int, d: int, p: int) -> list[tuple[int, int]]:

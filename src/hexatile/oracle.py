@@ -4,8 +4,9 @@
 transfer-matrix sweep over the antidiagonals x + y = t: a state is the
 occupied vertices as one int bitmask, and a family's sign comes from the
 live paths each source and sink passes on its side.  It reads only the path
-endpoints (`hexmodel.endpoints`), never `lgv`, `detkernel` or the binomials,
-and costs polynomial time for a fixed number of paths.
+endpoints (`hexmodel.endpoints`), never `lgv`, `detkernel` or the binomials.
+Each antidiagonal costs one pass over the states per occupied column, one
+bit test per move, so a fixed number of paths takes polynomial time.
 `count_families` runs the same sweep unsigned and for the identity
 assignment alone.  `region_count` shares not even the endpoints: it counts
 the tilings of the free unit triangles as the determinant of their
@@ -20,6 +21,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import gt, or_
 from typing import NamedTuple, Optional
 
 from .detkernel import det_bareiss
@@ -71,10 +74,15 @@ def _sweep(spec: HexSpec, mode: str) -> int:
     state is one int: bit x + off is set where a live path sits, off = -min x
     over the endpoints.  IDENTITY packs the source labels of the live paths,
     in x order, above those bits and rejects a sink reached by another label;
-    SIGNED and UNSIGNED keep no labels.  Each step moves every live path to
-    x or x + 1, the rightmost first, so that x + 1 is free only if its bit is
-    clear; it drops paths that can reach no remaining sink, joins the sources
-    at t in label order and then ends the path on each sink at t.
+    SIGNED and UNSIGNED keep no labels.  A step to t moves each path on x to
+    x or x + 1, one pass per occupied column x, the rightmost first, in place:
+    a pass reads only the states with bit x set, and such a state keeps its
+    weight if x can still reach a sink, is dropped if not, and adds its weight
+    to the state with the path on x + 1 if x + 1 can reach a sink and its bit
+    is clear (a path there has already moved on).  Each move is one bit test,
+    and a pass at most doubles the states, so PATH_CAP is checked after each.
+    The step then joins the sources at t in label order and ends the path on
+    each sink at t.
 
     SIGNED weighs a family by the sign of its source-to-sink permutation, the
     product of the sign of the arrival order of the source labels (by t, then
@@ -91,42 +99,58 @@ def _sweep(spec: HexSpec, mode: str) -> int:
         return 0  # two paths would share an endpoint
     if n == 0:
         return 1
-    off = -min(x for x, _ in starts + ends)
-    width = max(x for x, _ in starts + ends) + off + 1  # IDENTITY's labels sit above
+    xs = [x for x, _ in starts + ends]
+    off = -min(xs)
+    width = max(xs) + off + 1  # IDENTITY's labels sit above
     size = n.bit_length()  # bits per label
+    arrive, leave = [x + y for x, y in starts], [x + y for x, y in ends]
     events: dict = {}  # t -> (bit, label, joins), the sources before the sinks
-    for i, (x, y) in enumerate(starts):
-        events.setdefault(x + y, []).append((1 << x + off, i, True))
-    for j, (x, y) in enumerate(ends):
-        events.setdefault(x + y, []).append((1 << x + off, j, False))
+    for i, (x, _) in enumerate(starts):
+        events.setdefault(arrive[i], []).append((1 << x + off, i, True))
+    for j, (x, _) in enumerate(ends):
+        events.setdefault(leave[j], []).append((1 << x + off, j, False))
     first, last = min(events), max(events)
     if not events[first][0][2]:
         return 0  # a sink before every source
     # the arrival order of the source labels and the departure order of the
     # sinks' are by t, then label: an inversion is a label pair out of t order
-    inversions = sum(sum(u) > sum(v) for pts in (starts, ends)
-                     for u, v in itertools.combinations(pts, 2))
+    inversions = sum(sum(itertools.starmap(gt, itertools.combinations(line, 2)))
+                     for line in (arrive, leave))
+    # the sink at (x, y) is reachable from antidiagonal t <= x + y on the
+    # columns t - y..x; the masks sit `lift` bits up, where t - y + off + lift
+    # >= 0 for every t and y (as y <= last + off), and the shift drops the
+    # columns below the lowest endpoint's
+    lift = last - first
+    reach = [(due, 2 << x + off + lift, 1 << last - y + off) for due, (x, y) in zip(leave, ends)]
     states = {0: -1 if mode == SIGNED and inversions & 1 else 1}
-    live = 0
     for t in range(first, last + 1):
         allowed = 0  # bits of the x from which a sink at t or later is reachable
-        for ex, ey in ends:
-            if ex + ey >= t:
-                allowed |= (2 << ex + off) - (1 << max(t - ey + off, 0))
-        for k in range(live - 1, -1, -1):  # the path on the k-th lowest set bit
-            step: dict = {}
-            for m, w in states.items():
-                r = m
-                for _ in range(k):
-                    r &= r - 1
-                bit = r & -r
-                if bit & allowed:
-                    step[m] = step.get(m, 0) + w
-                if bit << 1 & allowed and not bit << 1 & m:
-                    step[m + bit] = step.get(m + bit, 0) + w
-            if len(step) > PATH_CAP:
+        for due, top, low in reach:
+            if due >= t:
+                allowed |= top - (low << t - first)
+        allowed >>= lift
+        occupied = reduce(or_, states, 0) & (1 << width) - 1
+        while occupied:  # each occupied column x, the rightmost first
+            bit = 1 << occupied.bit_length() - 1
+            occupied ^= bit
+            stay, step = bit & allowed, bit << 1 & allowed
+            if stay and not step:
+                continue  # every path on x stays there
+            moving = [m for m in states if m & bit]
+            if not step:
+                for m in moving:
+                    del states[m]
+            elif stay:
+                for m in moving:
+                    if not m & step:  # x + 1 is free: its path has moved on
+                        states[m + bit] = states.get(m + bit, 0) + states[m]
+            else:
+                for m in moving:
+                    w = states.pop(m)
+                    if not m & step:
+                        states[m + bit] = states.get(m + bit, 0) + w
+            if len(states) > PATH_CAP:
                 raise CapExceededError(f"more than {PATH_CAP} sweep states on one antidiagonal")
-            states = step
         here = events.get(t)
         if not here:
             continue
@@ -153,7 +177,6 @@ def _sweep(spec: HexSpec, mode: str) -> int:
         if not settled:
             return 0
         states = settled
-        live += sum(1 if joins else -1 for _, _, joins in here)
     return states[0]
 
 

@@ -55,7 +55,7 @@ from operator import itemgetter, mul, sub
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .formulas import prefactor_P, prefactor_P_line
+from .formulas import prefactor_P, prefactor_P_line, prefactor_P_pair
 from .hexmodel import EVEN
 from .lgv import count, count_line
 from .schur import count_via_inverse
@@ -394,13 +394,14 @@ def cross_validate(poly: MultiPoly, d: int, holdout: list) -> dict:
     memo or the elimination of a whole path matrix cannot agree with itself
     here.  Both routes share exactmath, formulas.macmahon and det_bareiss,
     which here sees only the d x d complement.  The check compares integers,
-    P's numerator times poly's numerator against the count times both
-    denominators; a failure entry holds the count and the Fraction P*poly."""
+    P's unreduced numerator (formulas.prefactor_P_pair, no gcd) times poly's
+    numerator against the count times both denominators; a failure entry
+    holds the count and the Fraction P*poly."""
     failures = []
     for (a, b, c, p), q in zip(holdout, poly.numerators(holdout)):
-        pf = prefactor_P(a, b, c, d, p)  # checks the point
+        num, den = prefactor_P_pair(a, b, c, d, p)  # checks the point
         want = count_via_inverse(a, b, c, d, p)
-        if pf.numerator * q != want * pf.denominator * poly.denominator:
+        if num * q != want * den * poly.denominator:
             failures.append({"point": (a, b, c, p), "expected": want,
-                             "got": pf * Fraction(q, poly.denominator)})
+                             "got": Fraction(num, den) * Fraction(q, poly.denominator)})
     return {"points": len(holdout), "failures": failures, "passed": not failures}

@@ -24,6 +24,7 @@ from hexatile.formulas import (
     p_one_minus_d_simple,
     prefactor_P,
     prefactor_P_line,
+    prefactor_P_pair,
     q_known,
     special_prefactor,
     verify_identities,
@@ -370,6 +371,24 @@ def test_prefactor_P_line_is_prefactor_P_along_each_line():
         for route in (prefactor_P, prefactor_P_line):
             with pytest.raises(OutOfValidityError):
                 route(*args)
+
+
+def test_prefactor_P_pair_is_prefactor_P_on_the_holdout_box():
+    # criterion 14's holdout box at d = 3 and 4 (fit bounds 6 and 12, so
+    # width D + 1), every third point on each axis: the unreduced pair is
+    # positive and its ratio is P and the factorial loops' B_p B_a B_d
+    cases = 0
+    for d, width in ((3, 7), (4, 13)):
+        for p in range(0, width + 5, 3):
+            for a, b, c in product(range(p, p + width + 7, 3), range(d + 1, d + width + 8, 3),
+                                   range(d + p + 1, d + p + width + 8, 3)):
+                num, den = prefactor_P_pair(a, b, c, d, p)
+                assert num > 0 and den > 0
+                assert Fraction(num, den) == prefactor_P(a, b, c, d, p) == _factorial_P(a, b, c, d, p)
+                cases += 1
+    assert cases == 2558
+    with pytest.raises(OutOfValidityError):
+        prefactor_P_pair(2, 4, 4, 1, 3)  # needs p <= a
 
 
 def test_q_known():

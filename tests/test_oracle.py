@@ -138,6 +138,21 @@ def test_signed_count_matches_determinant_on_wide_grid():
     assert cases == 11100
 
 
+def test_sweep_matches_determinant_on_long_line_shapes():
+    # eight to eleven paths, past the wide grid; the shapes of CI's sweep step,
+    # where many live paths share each antidiagonal
+    for a, b, c, d, p in ((8, 6, 6, 0, 0), (10, 5, 5, 1, 5), (6, 6, 6, 2, 3)):
+        spec = HexSpec(a, b, c, d, p, EVEN)
+        value = even_count(a, b, c, d, p).value
+        assert signed_count(spec) == value, spec
+        assert count_families(spec) == (value, value), spec  # every family is the identity's
+    spec = HexSpec(5, 6, 6, 3, 2, ODD)
+    value = odd_count(5, 6, 6, 3, 2).value
+    assert value < 0
+    assert signed_count(spec) == value
+    assert count_families(spec) == (-value, 0)  # no family is the identity's
+
+
 def _endpoints_coincide(spec):
     """Some endpoint is shared beyond the pairs every spec of its parity shares."""
     starts, ends = _ends(spec)
