@@ -46,10 +46,6 @@ def _check_square(m: Sequence[Sequence]) -> int:
     return n
 
 
-def identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b):
     """Exact product of two integer matrices."""
     if not a or not b:

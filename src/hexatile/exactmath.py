@@ -1,4 +1,4 @@
-"""Exact combinatorial primitives: binomials, factorials, Pochhammer symbols.
+"""Exact combinatorial primitives: binomials, rising factorials, Pochhammer symbols.
 
 All arithmetic is exact. Python's built-in int serves as the
 arbitrary-precision integer type and fractions.Fraction as the rational
@@ -37,12 +37,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return math.factorial(n)
 
 
 def rising(x: int, n: int) -> int:

@@ -31,12 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import perm
+from math import factorial, perm
 from typing import Callable
 
 from . import lgv, schur
-from .exactmath import (OutOfValidityError, PoleError, as_int, binom, factorial,
-                        pochhammer_parts, rising)
+from .exactmath import OutOfValidityError, PoleError, as_int, binom, pochhammer_parts, rising
 from .hexmodel import EVEN, ODD
 from .lgv import count
 

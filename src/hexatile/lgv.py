@@ -250,7 +250,9 @@ def even_count_by_condensation(a: int, b: int, c: int, d: int, p: int) -> int:
     Recurses through E(a-1, b+-1, c-+1, d, p or p-1) down to the base case
     E(0,...) = 1.  A node takes the direct determinant where the recursion
     gives no exact quotient: at a = 1, at a zero divisor (a condensation
-    breakdown) and at a division that leaves a remainder.
+    breakdown) and at a division that leaves a remainder.  The recursion
+    deepens with a; past Python's recursion limit it raises ValueError (at
+    the default limit, a = 480 runs and a = 520 does not, for b = c = 2).
     """
     if min(a, b, c, d) < 0:
         raise ValueError("a, b, c, d must be nonnegative")
@@ -268,7 +270,11 @@ def even_count_by_condensation(a: int, b: int, c: int, d: int, p: int) -> int:
         memo[key] = v = _det(a, b, c, d, p, EVEN) if r else q
         return v
 
-    return rec(a, b, c, p)
+    try:
+        return rec(a, b, c, p)
+    except RecursionError:
+        raise ValueError(f"condensation at a = {a} recurses past Python's recursion "
+                         f"limit; count it by det") from None
 
 
 def verify_symmetry(a: int, b: int, c: int, d: int, p: int) -> bool:

@@ -331,31 +331,21 @@ def fit(d: int, degree_bound: Optional[int] = None) -> MultiPoly:
     return _fit(d, degree_bound, degree_bound)[1]
 
 
-def _diff_degree(vals: list) -> Optional[int]:
-    """Degree of the sequence under finite differencing; None if not settled."""
-    seq = list(vals)
-    deg = 0
-    while any(v != 0 for v in seq):
-        if len(seq) < 2:
-            return None
-        seq = [seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
-        deg += 1
-    # demand at least two vanishing differences so a lone zero cannot settle it
-    return max(deg - 1, 0) if len(seq) >= 2 else None
-
-
 def probe_degree(d: int, limit: int = 24) -> int:
-    """Total degree of Q along a generic admissible line (a lower bound)."""
-    npts = 8
-    while npts <= limit + 2:
-        vals = [
-            sample_ratio(2 * t + 1, t + d + 2, 2 * t + d + 3, d, t) for t in range(npts)
-        ]
-        deg = _diff_degree(vals)
-        if deg is not None:
-            return deg
-        npts *= 2
-    raise ValueError(f"no polynomial behaviour up to degree {limit}")
+    """Total degree of Q along a generic admissible line (a lower bound): the
+    last nonzero forward difference at 0 (0 for the zero sequence), accepted
+    once two above it vanish.  The sample doubles from 8 points to limit + 3,
+    enough to settle every degree <= limit."""
+    npts = min(8, limit + 3)
+    while True:
+        diffs = _newton_table([sample_ratio(2 * t + 1, t + d + 2, 2 * t + d + 3, d, t)
+                               for t in range(npts)], 1)
+        top = max((k for k, v in enumerate(diffs) if v), default=-1)
+        if npts - top >= 3:  # two vanishing differences: a lone zero cannot settle it
+            return max(top, 0)
+        if npts >= limit + 3:
+            raise ValueError(f"no polynomial behaviour up to degree {limit}")
+        npts = min(2 * npts, limit + 3)
 
 
 def fit_auto(d: int):

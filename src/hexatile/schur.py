@@ -36,13 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb
+from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
 from .detkernel import IntMatrix, det_bareiss, leading_minors, mat_mul, solve_exact
-from .exactmath import (NotIntegerError, OutOfValidityError, as_int, binom, factorial,
-                        rising)
+from .exactmath import NotIntegerError, OutOfValidityError, as_int, binom, rising
 
 
 @dataclass(frozen=True)
@@ -263,6 +262,9 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
                   macmahon(a, b, c) * det_bareiss(sf), scale**d)
 
 
+# Read by verify_inverse and double_sum_entry.  The bound: a `verify all`
+# pass at the CLI defaults holds 750 entries in 2,466 calls, and one at
+# (6, 6, 6, 4) 3,276 in 4,992; the identity registry asks for none.
 @lru_cache(maxsize=4096)
 def _inner_sum(a: int, b: int, c: int, i: int, l: int) -> int:
     # W times the sum over k of the M^-1-shaped kernel: W / ((k-1)! (b+c+k-1)!)
@@ -274,6 +276,9 @@ def _inner_sum(a: int, b: int, c: int, i: int, l: int) -> int:
     )
 
 
+# Read by the inverse_entry_sums check, whose box stops at a, b, c = 4 and
+# i, j = 2: a `verify all` pass holds 832 entries in 1,976 calls, at the CLI
+# defaults and at (6, 6, 6, 4) alike.
 @lru_cache(maxsize=4096)
 def double_sum_entry(a: int, b: int, c: int, p: int, i: int, j: int) -> int:
     """W times the (i,j)-entry of Q2^-1.Q1, as the displayed double sum (1-based)."""

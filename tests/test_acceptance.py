@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from hexatile.detkernel import det_bareiss, det_modular, identity, mat_mul
+from hexatile.detkernel import det_bareiss, det_modular, mat_mul
 from hexatile.exactmath import PoleError, binom
 from hexatile.formulas import (
     OutOfValidityError,

@@ -76,6 +76,14 @@ def test_count_oracle_cap_is_usage_error(capsys, monkeypatch):
     assert "sweep states" in err
 
 
+def test_count_condense_past_the_recursion_limit_is_usage_error(capsys):
+    code, out, err = run(capsys, *count_flags(2000, 2, 2, 0, 0, "even"), "--method", "condense")
+    assert code == USAGE
+    assert out == ""
+    assert err == ("count: condensation at a = 2000 recurses past Python's recursion limit; "
+                   "count it by det\n")
+
+
 @pytest.mark.parametrize("spec, method, cap", [
     # byun_even's pole is found only while computing, after det has run
     ((2, 1, 1, 2, 1, "even"), "formula:byun_even", None),

@@ -13,7 +13,6 @@ from hexatile.detkernel import (
     SingularMatrixError,
     det_bareiss,
     det_modular,
-    identity,
     leading_minors,
     leading_minors_in_place,
     mat_mul,
@@ -25,6 +24,10 @@ small_entries = st.integers(min_value=-1000, max_value=1000)
 # Mostly zeros: zero pivots, row swaps, rows skipped at some steps (and so
 # scaled lazily) and short rows all turn up often.
 sparse_entries = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-40, 40))
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def square(n, draw):

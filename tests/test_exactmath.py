@@ -1,4 +1,4 @@
-"""Combinatorial primitives: binomials, factorials, Pochhammer symbols."""
+"""Combinatorial primitives: binomials, rising factorials, Pochhammer symbols."""
 
 import math
 from fractions import Fraction
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hexatile.exactmath import (NotIntegerError, PoleError, as_int, binom, factorial,
-                                pochhammer, pochhammer_parts, rising)
+from hexatile.exactmath import (NotIntegerError, PoleError, as_int, binom, pochhammer,
+                                pochhammer_parts, rising)
 
 
 def test_binom_vanishes_outside_range():
@@ -28,17 +28,6 @@ def test_binom_small_values():
 def test_binom_pascal_recurrence(n, data):
     k = data.draw(st.integers(min_value=0, max_value=n))
     assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(20) == 2432902008176640000
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_pochhammer_rising():
@@ -74,7 +63,7 @@ def test_pochhammer_splicing(x, m, n):
 
 @given(st.integers(min_value=0, max_value=40))
 def test_pochhammer_of_one_is_factorial(n):
-    assert pochhammer(1, n) == factorial(n)
+    assert pochhammer(1, n) == math.factorial(n)
 
 
 def test_as_int_accepts_exact_integers():

@@ -277,6 +277,17 @@ def test_probe_degree_doubles_its_sample_until_the_degree_settles(monkeypatch):
         probe_degree(3)
 
 
+def test_probe_degree_settles_every_degree_up_to_its_limit(monkeypatch):
+    # 16 points settle degree 13 at most; the last try takes limit + 3 = 27 points
+    monkeypatch.setattr(qfit, "sample_ratio", lambda a, b, c, d, p: Fraction(p) ** 22)
+    assert probe_degree(3) == 22
+    monkeypatch.setattr(qfit, "sample_ratio", lambda a, b, c, d, p: Fraction(p) ** 24)
+    assert probe_degree(3) == 24
+    monkeypatch.setattr(qfit, "sample_ratio", lambda a, b, c, d, p: Fraction(p) ** 25)
+    with pytest.raises(ValueError, match="no polynomial behaviour up to degree 24"):
+        probe_degree(3)
+
+
 def test_fit_auto_d2():
     degree, poly = fit_auto(2)
     assert degree == 2
