@@ -28,16 +28,16 @@ the d x d complement only; it uses no endpoints, no lgv._band_rows, no line
 memo and no elimination of the path matrix.
 
 MultiPoly.numerators, the one exact evaluator, serves the recheck and the
-holdout check, and through MultiPoly.values the substitution check, each
-with one call over all its points, and keeps nothing from one call to the
-next.  It holds integer numerators over one denominator as flat arrays in
-exponent order.  Over a call's points it substitutes p once per distinct p,
-c once per distinct (c, p) and b once per distinct (b, c, p), each one
-C-level pass over the arrays, and takes each point by Horner's rule in a: a
-nested Horner scheme (Pena & Sauer, SIAM J. Numer. Anal. 37 (2000)), one
-variable at a time.  Both checks compare integers: the recheck each
-numerator against the integer sample the fit holds, the holdout check P's
-numerator times it against the count times both denominators.
+holdout check, each with one call over all its points, and keeps nothing
+from one call to the next.  It holds integer numerators over one
+denominator as flat arrays in exponent order.  Over a call's points it
+substitutes p once per distinct p, c once per distinct (c, p) and b once
+per distinct (b, c, p), each one C-level pass over the arrays, and takes
+each point by Horner's rule in a: a nested Horner scheme (Pena & Sauer,
+SIAM J. Numer. Anal. 37 (2000)), one variable at a time.  Both checks
+compare integers: the recheck each numerator against the integer sample the
+fit holds, the holdout check P's numerator times it against the count times
+both denominators.
 
 Newton interpolation on principal lattices: Chung & Yao, SIAM J. Numer.
 Anal. 14 (1977); Sauer & Xu, Math. Comp. 64 (1995).
@@ -363,16 +363,6 @@ def fit_auto(d: int):
         raise FitInconsistentError(
             f"no interpolant up to Q's degree law d(d-1) = {law} ({exc}); "
             f"an explicit bound (hexatile fit --degree) can go higher") from exc
-
-
-def substitution_check(poly: MultiPoly, d: int, points: list) -> dict:
-    """Does evaluating the factor with arguments permuted to (p, c, b, p) still
-    reproduce the samples?  One printed form of the conjecture orders the
-    arguments that way; callers record the outcome, nothing assumes it."""
-    permuted = poly.values([(p, c, b, p) for a, b, c, p in points])
-    mismatches = [(a, b, c, p) for (a, b, c, p), v in zip(points, permuted)
-                  if v != sample_ratio(a, b, c, d, p)]
-    return {"points": len(points), "mismatches": mismatches, "matches": not mismatches}
 
 
 def cross_validate(poly: MultiPoly, d: int, holdout: list) -> dict:

@@ -28,7 +28,6 @@ from hexatile.qfit import (
     sample_line,
     sample_ratio,
     simplex_grid,
-    substitution_check,
 )
 
 D2_EXPECTED = {
@@ -485,13 +484,18 @@ def test_cross_validate_builds_no_path_matrix(monkeypatch):
 
 
 def test_substitution_pattern_does_not_reproduce_samples():
-    # evaluating the fitted polynomial with arguments permuted to
-    # (p, c, b, p) disagrees with the sampled ratios
-    poly = fit(2)
-    points = [(3, 4, 6, 1), (4, 5, 7, 2), (5, 6, 9, 1), (6, 7, 10, 3)]
-    report = substitution_check(poly, 2, points)
-    assert report["matches"] is False
-    assert report["mismatches"] == points
+    # one printed form of the conjecture evaluates Q with its arguments
+    # ordered (p, c, b, p); the fitted Q in that order misses every sampled
+    # ratio, while in its own order it reproduces each one
+    for d, points in [
+        (2, [(3, 4, 6, 1), (4, 5, 7, 2), (5, 6, 9, 1), (6, 7, 10, 3)]),
+        (3, [(4, 5, 8, 1), (5, 6, 10, 2), (6, 7, 11, 1), (7, 8, 13, 3)]),
+    ]:
+        poly = fit(d)
+        want = [sample_ratio(a, b, c, d, p) for a, b, c, p in points]
+        assert poly.values(points) == want
+        permuted = poly.values([(p, c, b, p) for a, b, c, p in points])
+        assert all(v != w for v, w in zip(permuted, want)), d
 
 
 def test_fitted_q_reproduces_halved_even_product():
