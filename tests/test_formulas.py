@@ -299,6 +299,42 @@ def test_f_sum_keeps_the_pole_at_d_below_one():
                 f_sum(a, 3, 4, d)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PoleError, OutOfValidityError) as exc:
+        return type(exc)
+
+
+def test_the_closed_form_memos_change_no_result():
+    from hexatile import formulas
+
+    grid = {
+        formulas._f_sum: product(range(7), range(7), range(7), range(5)),
+        formulas._special: ((a, b, c, d, p) for a, b, c, d in product(
+            range(7), range(7), range(7), range(5)) for p in range(-d - 1, 2)),
+        formulas._s_coef: product(range(7), range(7), range(7)),
+    }
+    for memo, points in grid.items():
+        memo.cache_clear()
+        for point in points:
+            want = _outcome(memo.__wrapped__, *point)
+            assert _outcome(memo, *point) == _outcome(memo, *point) == want, (memo, point)
+    # an exception is raised on every call, never stored
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            f_sum(1, 2, 2, 0)
+        with pytest.raises(OutOfValidityError):
+            formulas._special(3, 2, 2, 1, 1)
+    # one registry pass at the CLI defaults fits every memo: nothing is evicted
+    for memo in grid:
+        memo.cache_clear()
+    verify_identities("all", 4, 5, 5, 3)
+    for memo in grid:
+        info = memo.cache_info()
+        assert 0 < info.currsize < info.maxsize, (memo, info)
+
+
 def test_d1_corollary():
     assert d1_corollary(2, 2, 2) == 6
     assert d1_corollary(4, 3, 1) == 1

@@ -18,15 +18,22 @@ def test_version_matches_pyproject():
     assert hexatile.__version__ == match.group(1)
 
 
+# the tables of hexatile names in perfbench/tracing.py
+HOOK_TABLES = ("REQUIRED", "COUNT_FNS", "CONDENSE_FNS", "CLOSED_FORM_FNS")
+
+
 def test_every_benchmark_hook_is_a_public_function_of_its_module():
-    # perfbench's tracer wraps the names in REQUIRED; one it cannot find drops
-    # that hook's metrics from the benchmark output
+    # perfbench's tracer wraps only plain functions (inspect.isfunction) by
+    # their public names; a hook it cannot find, or one behind a memo
+    # decorator, drops that hook's metrics from the benchmark output
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
-    required = next(ast.literal_eval(node.value) for node in tree.body
-                    if isinstance(node, ast.Assign)
-                    and getattr(node.targets[0], "id", None) == "REQUIRED")
-    assert required
-    for name in required:
+    tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) in HOOK_TABLES}
+    assert set(tables) == set(HOOK_TABLES) and all(tables.values())
+    hooks = {name for names in tables.values() for name in names}
+    assert len(hooks) == 29
+    for name in sorted(hooks):
         short, attr = name.split(".")
         module = importlib.import_module(f"hexatile.{short}")
         fn = getattr(module, attr, None)
