@@ -3,8 +3,8 @@
 After tilting the triangular lattice, the nonintersecting paths live in
 Z x Z with unit steps to the right and upwards.  The lowest lateral
 starting point sits at (0,0); `endpoints` gives every other coordinate.
-It is the only place they are written: the determinant (`lgv`) and the
-path sweep (`oracle`) both read it.
+The path sweep (`oracle`) reads it; the determinant (`lgv`) writes the path
+counts between these points in closed form, and tests check those against it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def endpoints(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[list
     intrusions: start i = (i-p, p+i) and end j = (j-1-p, p+j-1), so start i
     equals end i+1.  b and c may be negative: the condensation recursion
     shifts them formally below zero.  Any parity but EVEN and ODD is a
-    ValueError.
+    ValueError.  The path sweep (`oracle`) and the tests read it; `lgv` does not.
     """
     if parity not in (EVEN, ODD):
         raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, not {parity!r}")

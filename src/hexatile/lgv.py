@@ -1,38 +1,32 @@
 """LGV determinants for damaged hexagons: E(a,b,c,d,p) and O(a,b,c,d,p).
 
-E and O denote the determinants of the path-count matrix on `endpoints`.
-`path_matrix` lists the intrusive points first, in rows and columns alike,
-which leaves the determinant as it is and lets the elimination clear the
-intrusion before the dense lateral block.  For even intrusions the
-determinant is the tiling count; for odd intrusions it may be the
-negative of the count (the admissible permutation can be odd).
+E and O denote the determinants of the path-count matrix of the a lateral
+and d intrusive paths, `path_matrix`.  For even intrusions the determinant
+is the tiling count; for odd intrusions it may be the negative of the count
+(the admissible permutation can be odd).
 
 Every count comes from `_line`: path_matrix(a', ...) is a leading block of
 path_matrix(a, ...), so one elimination gives the count at every a' <= a
 along a line (b, c, d, p and the parity fixed, a free) from its leading
 minors.  `count` reads it through `_det` and its one memo, kept by line;
 `count_line` returns the whole line and leaves the memo alone, and qfit's
-fit reads each of its lines with one such call.  An elimination builds the
-matrix's rows with `_band_rows`, the lateral ones as windows of one band of
-binomials and each row's end from the binomials' support, and hands rows
-and ends to `leading_minors_in_place`: a dimension-n matrix is built in
-O(n (d + 1)) Python work and eliminated with no copy and no scan for its
-rows' ends.  The elimination's cost follows the lateral band below the
-diagonal, c entries wide, so an even line with c > b and a > b + 2d is
-eliminated as the transpose, b wide there, which `_reflected_rows` builds
-with `_band_rows` from the point-reflected endpoints; odd lines and short
-even lines keep path_matrix's orientation (see `_line`).  `count` reads the
-memo as a checked int; `even_count` and `odd_count` wrap it in a
-SignedCount.
+fit reads each of its lines with one such call.  `_path_rows` builds the
+rows, in either orientation (see `_line`), and their ends from the closed
+forms of the path counts, the part free of b and c once per intrusion shape
+(`_shape`), for `leading_minors_in_place` to eliminate with no copy and no
+scan.  No lattice point is written here: the path sweep (`oracle`) reads
+hexmodel's endpoints, and the two share no geometry code.  `count` reads
+the memo as a checked int; `even_count` and `odd_count` wrap it.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
 from .detkernel import IntMatrix, leading_minors_in_place
-from .hexmodel import EVEN, ODD, endpoints
+from .hexmodel import EVEN, ODD
 
 
 class SignedCount(NamedTuple):
@@ -46,7 +40,8 @@ class SignedCount(NamedTuple):
 
 
 def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatrix:
-    """Path-count matrix on `endpoints`, for any integer b, c (formal extension).
+    """Path-count matrix of the LGV paths, for any integer b, c (formal
+    extension); any parity but EVEN and ODD is a ValueError.
 
     Entry (i, j) counts the monotone paths from start i to end j: C(dx+dy, dx)
     for their offset (dx, dy), and 0 when dx or dy is negative.  The d
@@ -57,84 +52,97 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
     only the lateral rows that reach the intrusion; what is left is the
     a x a Schur complement, the lateral paths that avoid it.  And since the
     lateral points do not depend on a, path_matrix(a', ...) is the leading
-    (d + a') block of path_matrix(a, ...) for every a' <= a.  The rows are
-    `_path_rows`'s, each a list of its own.  A count eliminates this matrix
-    or, on an even line with c > b and a > b + 2d, its transpose (see `_line`).
+    (d + a') block of path_matrix(a, ...) for every a' <= a.
     """
-    return _path_rows(a, b, c, d, p, parity)[0]
+    _check_count_args(0, 0, 0, 0, parity)  # b and c may be formal
+    return _path_rows(a, b, c, d, p, parity, False)[0]
 
 
-def _path_rows(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[IntMatrix, list[int]]:
-    """(rows, ends): the rows of path_matrix(a, b, c, d, p, parity), each a
-    list of its own, and one past the last nonzero of each (`_band_rows` on
-    `endpoints`)."""
-    return _band_rows(a, b, c, d, *endpoints(a, b, c, d, p, parity))
+def _window(n: int, hi: int, size: int) -> list[int]:
+    """[C(n, k) for k = hi, hi - 1, ..., hi - size + 1], 0 outside 0 <= k <= n."""
+    lo = hi - size + 1
+    top, bottom = (hi if hi < n else n), (lo if lo > 0 else 0)  # C(n, k)'s support
+    if top < bottom:
+        return [0] * size
+    window = [*[0] * (hi - top), *map(comb, repeat(n), range(top, bottom - 1, -1))]
+    if bottom > lo:
+        window += [0] * (bottom - lo)
+    return window
 
 
-def _band_rows(a: int, b: int, c: int, d: int, starts: list,
-               ends: list) -> tuple[IntMatrix, list[int]]:
-    """(rows, ends): the path-count matrix from `starts` to `ends`, lateral
-    points first in each list as `endpoints` gives them, with the d intrusive
-    points moved first, and one past the last nonzero of each row.
+def _tails(a: int, b: int, c: int, d: int, p: int, odd: bool) -> IntMatrix:
+    """Intrusive row m's lateral entries C(b+c+1-2m-odd, b+1+p-m-j), j = 1..a."""
+    return [_window(b + c + 1 - odd - 2 * m, b + p - m, a) for m in range(1, d + 1)]
 
-    The a lateral points must be those of sides b and c: start i at
-    (1-i, i-1) and end j at (b+1-j, c+j-1).  The d intrusive ends must rise
-    in both coordinates, as `endpoints` lists them for either parity.  So
-    every lateral start lies on x + y = 0 and every lateral end on
-    x + y = b + c, one unit apart, and lateral row i over the lateral columns
-    j = 1..a is C(b+c, b+i-j): the window b+i-1 down to b+i-a of one band
-    of 2a - 1 binomials, C(b+c, b+a-1) down to C(b+c, b+1-a).  Only the d
-    intrusive rows and the d intrusive columns are evaluated entry by entry.
-    The ends come from the binomials' support: a row from start (x, y)
-    reaches lateral end j iff y+1-c <= j <= b+1-x, so when that range meets
-    1..a the row ends at column d + min(a, b+1-x) (d + min(a, b+i) for
-    lateral row i).  Otherwise it ends inside its intrusive head: the
-    intrusive ends rise in both coordinates with j, so the ones a start
-    reaches are a suffix, and the row ends at d if its head's last entry is
-    nonzero, else at 0.  So the Python work is O((a + d)(d + 1)), not the
-    O((a + d)^2) of evaluating every entry.  `_path_rows` calls it on
-    `endpoints`, and `_reflected_rows` on the point-reflected endpoints with
-    the sides swapped, which gives the transpose with its intrusive block
-    reversed.
+
+def _path_rows(a: int, b: int, c: int, d: int, p: int, parity: str,
+               transpose: bool) -> tuple[IntMatrix, list[int]]:
+    """(rows, ends) of path_matrix(a, b, c, d, p, parity), or with `transpose`
+    of its transpose, first d rows and columns reversed: each row a fresh list
+    (the elimination works in place), each end one past its last nonzero.
+
+    With o = 1 for odd intrusions, else 0, the paths run from lateral start
+    i = (1-i, i-1) to lateral end j = (b+1-j, c+j-1) and from intrusive start
+    m = (m-p, p+m-1+o) to intrusive end m = (m-p-o, p+m-1).  So lateral row i
+    is C(b+c, b+i-j), a window of one band; intrusive row m is
+    C(b+c+1-2m-o, b+1+p-m-j) (`_tails`); lateral row i's head is
+    C(2m-1-o, m+p-i), `_tails` at sides (d, d) read by column from the bottom
+    up; and the intrusive block is C(2(m'-m-o), m'-m-o), both kept by
+    `_shape`.  The transpose, its intrusive points reversed, has the same
+    block and `_tails` at sides (d, d) in its intrusive rows, and the band of
+    sides (c, b) behind `_tails`' columns in its lateral rows.  A row with
+    tail or band sides (B, C) reaches lateral column j for p+m+o-C <= j <=
+    B+1+p-m (intrusive row m) or i-C <= j <= B+i (lateral row i), and ends at
+    d plus the upper bound, at most a, if that meets 1..a; otherwise in its
+    head, whose nonzeros are a suffix as the intrusive ends rise: at d if the
+    head's last entry is nonzero, else at 0.
     """
-    n = b + c
-    band = [comb(n, k) if 0 <= k <= n else 0 for k in range(b + a - 1, b - a, -1)]
-    starts = starts[a:] + starts[:a]
+    odd = parity == ODD
+    block, tails, heads = [], [], [[]] * a  # d = 0: the lateral rows alone
     if d:
-        mids = ends[a:]
-        cols = mids + ends[:a]
-        rows = [[comb(u - x + v - y, u - x) if u >= x and v >= y else 0 for (u, v) in cols]
-                for (x, y) in starts[:d]]
-        rows += [[comb(u - x + v - y, u - x) if u >= x and v >= y else 0 for (u, v) in mids]
-                 + band[a - i:2 * a - i] for i, (x, y) in enumerate(starts[d:], 1)]
-    else:  # the lateral rows alone, without an empty head to join
-        rows = [band[a - i:2 * a - i] for i in range(1, a + 1)]
-    row_ends = []
-    for (x, y), row in zip(starts, rows):
-        last = b + 1 - x if b + 1 - x < a else a
-        if last >= 1 and last >= y + 1 - c:
-            row_ends.append(d + last)
-        else:  # no lateral end in reach: the head's nonzeros are a suffix
-            row_ends.append(d if d and row[d - 1] else 0)
-    return rows, row_ends
+        block, tails_dd, heads = _shape(a, d, p, parity)
+        tails = _tails(a, b, c, d, p, odd)
+        if transpose:
+            tails, heads = [tail[:a] for tail in tails_dd], [*map(list, zip(*tails[::-1]))]
+    tb, tc, b, c = (d, d, c, b) if transpose else (b, c, b, c)
+    band = _window(b + c, b + a - 1, 2 * a - 1)
+    rows = [head + tail for head, tail in zip(block, tails)]
+    rows += [head + band[a - i:2 * a - i] for i, head in enumerate(heads[:a], 1)]
+    ends = []
+    for m in range(1, d + 1):
+        u = tb + 1 + p - m if tb + 1 + p - m < a else a
+        ends.append(d + u if u >= 1 and u >= p + m + odd - tc else d if m + odd <= d else 0)
+    for i, row in enumerate(rows[d:], 1):
+        u = b + i if b + i < a else a
+        ends.append(d + u if u >= 1 and u >= i - c else d if row[d - 1] else 0)
+    return rows, ends
 
 
-def _reflected_rows(a: int, b: int, c: int, d: int, p: int) -> tuple[IntMatrix, list[int]]:
-    """(rows, ends) of the transpose of path_matrix(a, b, c, d, p, EVEN), its
-    first d rows and columns in reverse order, built by `_band_rows`.
+# The shape memo, (d, p, parity) -> (block, tails, heads) for d > 0, for the
+# longest a asked so far: a longer request replaces it, and a full memo drops
+# the shape stored first.  One `hexatile verify all` pass plus the identity
+# registry at the CLI default ranges builds 2,685 lines on 48 shapes;
+# perfbench's `oracle`, `count` and `fit` passes use 65, 46 and 10.
+_SHAPES: dict = {}
+_SHAPES_MAX = 1 << 10
 
-    Reversing every path transposes the matrix and keeps its determinant.
-    The point reflection psi(x, y) = (c - y, b - x) reverses paths and sends
-    the ends to the lateral starts of sides (c, b) and the starts to their
-    lateral ends, so `_band_rows` with the sides swapped, on psi(ends) as
-    starts and psi(starts) as ends, builds the transpose; listing the
-    intrusive points in reverse makes them rise again.  Reversing the
-    intrusive block, in rows and columns alike, leaves every leading minor
-    of size >= d as it is.
-    """
-    starts, ends = endpoints(a, b, c, d, p, EVEN)
-    return _band_rows(a, c, b, d, [(c - y, b - x) for x, y in ends[:a] + ends[a:][::-1]],
-                      [(c - y, b - x) for x, y in starts[:a] + starts[a:][::-1]])
+
+def _shape(a: int, d: int, p: int, parity: str) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(intrusive block, `_tails` at sides (d, d), lateral heads); never rows."""
+    key = (d, p, parity)
+    shape = _SHAPES.get(key)
+    if shape is not None:
+        if a <= len(shape[2]):
+            return shape
+        del _SHAPES[key]  # stored again below, at a
+    elif len(_SHAPES) >= _SHAPES_MAX:
+        del _SHAPES[next(iter(_SHAPES))]  # the shape stored first
+    odd = parity == ODD
+    block = [[0] * (m + odd) + [comb(2 * t, t) for t in range(d - m - odd)] for m in range(d)]
+    tails = _tails(a, d, d, d, p, odd)
+    zero = [0] * d  # shared by every head with no nonzero
+    shape = _SHAPES[key] = (block, tails, [list(h) if any(h) else zero for h in zip(*tails[::-1])])
+    return shape
 
 
 # The count memo, (b, c, d, p, parity) -> [count at a' = 0, 1, ...], and its
@@ -179,29 +187,21 @@ def _line(a: int, b: int, c: int, d: int, p: int, parity: str) -> list[int]:
     the leading minors of one elimination of path_matrix(a, ...) or its
     transpose; `_det` keeps it in the memo, `count_line` hands it out.
 
-    An even line with c > b and a > b + 2d is eliminated as the
-    transpose, from `_reflected_rows`.  Lateral row i is C(b+c, b+i-j) over
-    j, nonzero from c columns left of the diagonal to b right of it.  A step
-    updates only the rows with a nonzero in its column, the c rows below the
-    pivot, each up to its end, b past its diagonal: about c (b + c/2) row
-    entries a step, and b (c + b/2) in the transpose.  That saving needs a
-    past the upper band: when a <= b every lateral row reaches the last
-    column in either orientation.  And the transpose's d intrusive steps
-    each update the lateral rows that reach the intrusion from the far
-    side, about b + c - 2j of them against about 2j, so short lines with an
-    intrusion (most of a fit's) cost more transposed.  Measured on the line
-    misses of the four benchmark workloads, a > b + 2d keeps the transpose's
-    saving on the long lines and routes none of a fit's lines to it.
-    Either orientation gives the same line.  Odd lines keep
-    `_path_rows`: intrusive end 1, (-p, p), is lateral start p + 1 itself,
-    so in the transpose that row has no intrusive entry and sinks one row a
-    step, each step a single one, until step d + p; measured, that about
-    doubles the row updates.
+    Lateral row i is C(b+c, b+i-j) over j, nonzero from c columns left of
+    the diagonal to b right of it.  A step updates only the rows with a
+    nonzero in its column, each up to its end: about c (b + c/2) row entries
+    a step, and b (c + b/2) in the transpose, a saving that needs a past the
+    upper band (when a <= b every lateral row reaches the last column).  The
+    transpose's d intrusive steps each update about b + c - 2j lateral rows
+    against about 2j, so short lines with an intrusion (most of a fit's)
+    cost more transposed.  Measured on the four benchmark workloads' line
+    misses, transposing even lines with c > b and a > b + 2d keeps the
+    saving on long lines and sends no fit line there.  Odd lines keep
+    path_matrix's: intrusive end 1, (-p, p), is lateral start p + 1, so in
+    the transpose that row has no intrusive entry and sinks one row a step
+    until step d + p, which about doubles the row updates (measured).
     """
-    if parity == EVEN and c > b and a > b + 2 * d:
-        rows = _reflected_rows(a, b, c, d, p)
-    else:
-        rows = _path_rows(a, b, c, d, p, parity)
+    rows = _path_rows(a, b, c, d, p, parity, parity == EVEN and c > b and a > b + 2 * d)
     return ([1] + leading_minors_in_place(*rows))[d:]  # [1]: no rows
 
 

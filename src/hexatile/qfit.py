@@ -24,7 +24,7 @@ reference.  The holdout check (cross_validate) takes each E from
 schur.count_via_inverse: MacMahon's product times the determinant of the
 d x d complement F, built from the explicit inverse of MacMahon's matrix.
 With the samples it shares exactmath, formulas.macmahon and det_bareiss, on
-the d x d complement only; it uses no endpoints, no lgv._band_rows, no line
+the d x d complement only; it uses no endpoints, no lgv._path_rows, no line
 memo and no elimination of the path matrix.
 
 MultiPoly.numerators, the one exact evaluator, serves the recheck and the

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hexatile import lgv
 from hexatile.detkernel import det_bareiss, det_modular, leading_minors
 from hexatile.exactmath import binom
-from hexatile.formulas import byun_even, macmahon
+from hexatile.cli import main
+from hexatile.formulas import byun_even, macmahon, verify_identities
 from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints
 from hexatile.lgv import (
     even_count,
@@ -53,27 +54,22 @@ def transposed(m, d):
 
 
 def assert_path_rows(spec):
-    a, b, c, d = spec[:4]
-    rows, ends = lgv._path_rows(*spec)
+    d = spec[3]
     want = intrusive_first(*spec)
-    assert rows == want, spec
-    assert ends == scanned_ends(want), spec
-    assert len({id(row) for row in rows}) == len(rows), spec  # each row a list of its own
-    if spec[5] != EVEN or c <= b:
-        return
-    # the same builder on the reflected endpoints, with the sides swapped,
-    # builds the transpose: the orientation `_det` eliminates for c > b
-    rows, ends = lgv._reflected_rows(*spec[:5])
-    want = transposed(want, d)
-    assert rows == want, spec
-    assert ends == scanned_ends(want), spec
-    assert len({id(row) for row in rows}) == len(rows), spec
+    # the same builder gives the transpose, with the intrusive points in
+    # reverse order: the orientation `_line` eliminates an even line in when
+    # c > b and a > b + 2d; it is checked here for every spec
+    for transpose, want in ((False, want), (True, transposed(want, d))):
+        rows, ends = lgv._path_rows(*spec, transpose)
+        assert rows == want, (spec, transpose)
+        assert ends == scanned_ends(want), (spec, transpose)
+        assert len({id(row) for row in rows}) == len(rows), spec  # each row a list of its own
 
 
 def test_path_rows_match_the_entrywise_matrix_and_its_scanned_ends():
     # 54,432 specs: formal b, c < 0, p on both sides of 0..a, and rows whose
     # lateral part is zero, where the builder reads the intrusive head's last
-    # entry; an even spec with c > b in both orientations
+    # entry; every spec in both orientations
     for a, b, c, d in product(range(7), range(-3, 6), range(-3, 6), range(4)):
         for p in range(-4, a + 5):
             for parity in (EVEN, ODD):
@@ -95,11 +91,60 @@ def test_path_rows_on_long_narrow_bands():
                     assert_path_rows((a, s - b, b, d, p, parity))
 
 
+def test_shape_memo_never_hands_out_a_row(monkeypatch):
+    # each row is a fresh list: lines eliminated in place leave their shape's
+    # memo entry as it was, so the next lines of that shape, with other sides
+    # and in either orientation, are still the entrywise matrices; so are
+    # shorter ones, which read a prefix of the entry
+    monkeypatch.setattr(lgv, "_SHAPES", {})
+    for parity, d, p in product((EVEN, ODD), (1, 2, 3), (-1, 0, 2, 5)):
+        for b, c, transpose in product((3, 5), (3, 5), (False, True)):
+            lgv.leading_minors_in_place(*lgv._path_rows(6, b, c, d, p, parity, transpose))
+        for a, b, c in ((6, 2, 7), (6, 6, 1), (4, 4, 4), (0, 3, 3)):
+            want = intrusive_first(a, b, c, d, p, parity)
+            for transpose, want in ((False, want), (True, transposed(want, d))):
+                got = lgv._path_rows(a, b, c, d, p, parity, transpose)
+                assert got == (want, scanned_ends(want)), (a, b, c, d, p, parity, transpose)
+    assert len(lgv._SHAPES) == 24
+
+
+def test_shape_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(lgv, "_SHAPES", {})
+    monkeypatch.setattr(lgv, "_SHAPES_MAX", 2)
+    for p in range(4):
+        lgv._path_rows(3, 2, 2, 1, p, EVEN, False)
+        assert len(lgv._SHAPES) <= 2
+    assert list(lgv._SHAPES) == [(1, 2, EVEN), (1, 3, EVEN)]  # the shape stored first went first
+    # a longer line stores its shape again, as the newest, and a shorter one reads it
+    lgv._path_rows(5, 2, 2, 1, 2, EVEN, False)
+    assert list(lgv._SHAPES) == [(1, 3, EVEN), (1, 2, EVEN)]
+    assert len(lgv._SHAPES[1, 2, EVEN][2]) == 5
+    want = intrusive_first(2, 2, 2, 1, 2, EVEN)
+    assert lgv._path_rows(2, 2, 2, 1, 2, EVEN, False) == (want, scanned_ends(want))
+
+
+def test_one_verify_pass_fits_the_shape_memo(monkeypatch, capsys):
+    # `hexatile verify all` plus the identity registry at the CLI default
+    # ranges, with no line memoized yet, builds its lines on 48 shapes, and
+    # the memo keeps every one
+    monkeypatch.setattr(lgv, "_LINES", {})
+    monkeypatch.setattr(lgv, "_SHAPES", {})
+    asked = set()
+    shape = lgv._shape
+    monkeypatch.setattr(lgv, "_shape", lambda a, d, p, parity: asked.add((d, p, parity))
+                        or shape(a, d, p, parity))
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    verify_identities("all", 4, 5, 5, 3)
+    assert set(lgv._SHAPES) == asked
+    assert len(asked) == 48 < lgv._SHAPES_MAX
+
+
 def test_even_misses_with_c_above_b_eliminate_the_transpose(monkeypatch):
     # an even line with c > b and a > b + 2d is eliminated along its narrower
-    # band, from the reflected endpoints; an odd line, b >= c or a <= b + 2d
-    # from path_matrix's rows.  A d = 0 line is kept under EVEN, so an odd
-    # request there is reflected too
+    # band, as the transpose; an odd line, b >= c or a <= b + 2d from
+    # path_matrix's rows.  A d = 0 line is kept under EVEN, so an odd
+    # request there is transposed too
     monkeypatch.setattr(lgv, "_LINES", {})
     handed = []
     real = lgv.leading_minors_in_place
@@ -377,9 +422,9 @@ def test_count_line_is_the_counts_along_its_line_and_leaves_the_memo_alone(monke
     planted = {(1, 4, 1, 2, EVEN): [None] * 9}  # a line count_line must not read
     monkeypatch.setattr(lgv, "_LINES", dict(planted))
     reflected = []
-    reflected_rows = lgv._reflected_rows
-    monkeypatch.setattr(lgv, "_reflected_rows",
-                        lambda *args: reflected.append(args) or reflected_rows(*args))
+    path_rows = lgv._path_rows
+    monkeypatch.setattr(lgv, "_path_rows", lambda *args: (
+        args[-1] and reflected.append(args[:5])) or path_rows(*args))
     a = 8
     for parity in (EVEN, ODD):
         for b, c, d, p in product(range(4), range(6), range(3), range(-1, 4)):
@@ -487,8 +532,12 @@ def test_zero_count_line_is_known_past_its_zero(monkeypatch):
     m = [[0, 1, 2], [1, 0, 3], [2, 1, 1]]
     assert leading_minors(m) == [0, -1, 7]
     eliminated = []
-    monkeypatch.setattr(lgv, "_path_rows", lambda a, b, c, d, p, parity: eliminated.append(a)
-                        or ([row[:d + a] for row in m[:d + a]], [d + a] * (d + a)))
+
+    def rows_of_m(a, b, c, d, p, parity, transpose):
+        eliminated.append(a)
+        return [row[:d + a] for row in m[:d + a]], [d + a] * (d + a)
+
+    monkeypatch.setattr(lgv, "_path_rows", rows_of_m)
     assert even_count(3, 5, 5, 0, 0).value == 7
     assert lgv._LINES[5, 5, 0, 0, EVEN] == [1, 0, -1, 7]
     assert even_count(2, 5, 5, 0, 0).value == -1  # from the memo

@@ -38,3 +38,23 @@ def test_every_benchmark_hook_is_a_public_function_of_its_module():
         module = importlib.import_module(f"hexatile.{short}")
         fn = getattr(module, attr, None)
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+
+
+def test_lgv_shares_no_geometry_code_with_the_oracle():
+    # the path sweep reads hexmodel's endpoints; the determinant writes the
+    # path counts between them in closed form and never names the function
+    def names(module):
+        tree = ast.parse((ROOT / "src" / "hexatile" / f"{module}.py").read_text())
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name for alias in node.names)
+        return found
+
+    assert "endpoints" in names("oracle")
+    assert "endpoints" not in names("lgv")
+    assert not hasattr(importlib.import_module("hexatile.lgv"), "endpoints")

@@ -474,7 +474,7 @@ def test_cross_validate_builds_no_path_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("cross_validate built a path matrix")
 
-    monkeypatch.setattr(lgv, "_band_rows", refuse)  # the builder of either orientation
+    monkeypatch.setattr(lgv, "_path_rows", refuse)  # the builder of either orientation
     monkeypatch.setattr(lgv, "path_matrix", refuse)
     assert cross_validate(poly, 2, holdout)["passed"]
     bad = MultiPoly({**poly.coeffs, (0, 0, 0, 0): Fraction(5)})
