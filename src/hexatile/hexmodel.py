@@ -13,6 +13,16 @@ from dataclasses import dataclass
 
 EVEN = "even"
 ODD = "odd"
+_PARITIES = (EVEN, ODD)
+
+
+def _check_spec(a: int, b: int, c: int, d: int, parity: str) -> None:
+    """The domain of a spec: sides a, b, c, d >= 0 and parity EVEN or ODD,
+    else a ValueError.  Callers whose b and c may be formal pass 0 for them."""
+    if a < 0 or b < 0 or c < 0 or d < 0:
+        raise ValueError("a, b, c, d must be nonnegative")
+    if parity not in _PARITIES:
+        raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, not {parity!r}")
 
 
 @dataclass(frozen=True)
@@ -31,10 +41,7 @@ class HexSpec:
     parity: str = EVEN
 
     def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ValueError("a, b, c, d must be nonnegative")
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be {EVEN!r} or {ODD!r}")
+        _check_spec(self.a, self.b, self.c, self.d, self.parity)
 
     @property
     def dim(self) -> int:
@@ -51,11 +58,11 @@ def endpoints(a: int, b: int, c: int, d: int, p: int, parity: str) -> tuple[list
     end i coincide at (i-p, p+i-1), so those paths have length 0.  Odd
     intrusions: start i = (i-p, p+i) and end j = (j-1-p, p+j-1), so start i
     equals end i+1.  b and c may be negative: the condensation recursion
-    shifts them formally below zero.  Any parity but EVEN and ODD is a
-    ValueError.  The path sweep (`oracle`) and the tests read it; `lgv` does not.
+    shifts them formally below zero.  A negative a or d, or any parity but
+    EVEN and ODD, is a ValueError.  The path sweep (`oracle`) and the tests
+    read it; `lgv` does not.
     """
-    if parity not in (EVEN, ODD):
-        raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, not {parity!r}")
+    _check_spec(a, 0, 0, d, parity)  # b and c may be formal
     starts = [(1 - i, i - 1) for i in range(1, a + 1)]
     ends = [(b + 1 - j, c + j - 1) for j in range(1, a + 1)]
     if parity == EVEN:

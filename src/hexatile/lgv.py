@@ -26,7 +26,7 @@ from math import comb
 from typing import NamedTuple
 
 from .detkernel import IntMatrix, leading_minors_in_place
-from .hexmodel import EVEN, ODD
+from .hexmodel import EVEN, ODD, _check_spec
 
 
 class SignedCount(NamedTuple):
@@ -41,7 +41,8 @@ class SignedCount(NamedTuple):
 
 def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatrix:
     """Path-count matrix of the LGV paths, for any integer b, c (formal
-    extension); any parity but EVEN and ODD is a ValueError.
+    extension); a negative a or d, or any parity but EVEN and ODD, is a
+    ValueError.
 
     Entry (i, j) counts the monotone paths from start i to end j: C(dx+dy, dx)
     for their offset (dx, dy), and 0 when dx or dy is negative.  The d
@@ -54,7 +55,7 @@ def path_matrix(a: int, b: int, c: int, d: int, p: int, parity: str) -> IntMatri
     lateral points do not depend on a, path_matrix(a', ...) is the leading
     (d + a') block of path_matrix(a, ...) for every a' <= a.
     """
-    _check_count_args(0, 0, 0, 0, parity)  # b and c may be formal
+    _check_spec(a, 0, 0, d, parity)  # b and c may be formal
     return _path_rows(a, b, c, d, p, parity, False)[0]
 
 
@@ -119,10 +120,10 @@ def _path_rows(a: int, b: int, c: int, d: int, p: int, parity: str,
 
 
 # The shape memo, (d, p, parity) -> (block, tails, heads) for d > 0, for the
-# longest a asked so far: a longer request replaces it, and a full memo drops
-# the shape stored first.  One `hexatile verify all` pass plus the identity
+# longest a asked so far.  One `hexatile verify all` pass plus the identity
 # registry at the CLI default ranges builds 2,685 lines on 48 shapes;
-# perfbench's `oracle`, `count` and `fit` passes use 65, 46 and 10.
+# perfbench's `oracle`, `count` and `fit` passes use 65, 46 and 10, and the
+# largest CI sweep, `verify all` at 6/6/6/4, 66.
 _SHAPES: dict = {}
 _SHAPES_MAX = 1 << 10
 
@@ -131,12 +132,10 @@ def _shape(a: int, d: int, p: int, parity: str) -> tuple[IntMatrix, IntMatrix, I
     """(intrusive block, `_tails` at sides (d, d), lateral heads); never rows."""
     key = (d, p, parity)
     shape = _SHAPES.get(key)
-    if shape is not None:
-        if a <= len(shape[2]):
-            return shape
-        del _SHAPES[key]  # stored again below, at a
-    elif len(_SHAPES) >= _SHAPES_MAX:
-        del _SHAPES[next(iter(_SHAPES))]  # the shape stored first
+    if shape is not None and a <= len(shape[2]):
+        return shape
+    if len(_SHAPES) >= _SHAPES_MAX:
+        _SHAPES.clear()
     odd = parity == ODD
     block = [[0] * (m + odd) + [comb(2 * t, t) for t in range(d - m - odd)] for m in range(d)]
     tails = _tails(a, d, d, d, p, odd)
@@ -150,34 +149,31 @@ def _shape(a: int, d: int, p: int, parity: str) -> tuple[IntMatrix, IntMatrix, I
 # every d = 0 line is kept as (b, c, 0, 0, EVEN).  One `hexatile verify all`
 # pass plus the identity registry at the CLI default ranges touches 2,026
 # lines and, as formulas' runner asks for each check's points from the
-# largest a down, eliminates 2,685 times.  A fit reads its lines through
-# `count_line` and leaves the memo as it found it.  When full, the memo drops
-# the line stored first.
+# largest a down, eliminates 2,685 times; the largest fill measured, CI's
+# `verify byun` at 12/12/12/4, is 6,244 lines.  A fit reads its lines through
+# `count_line` and leaves the memo as it found it.
 _LINES: dict = {}
 _LINES_MAX = 1 << 14
-_PARITIES = (EVEN, ODD)
 
 
 def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     """det of path_matrix(a, b, c, d, p, parity), from the line memo.
 
     Every determinant in this module but `count_line`'s goes through here.
-    A miss stores `_line`'s counts at every a' <= a in place of the shorter
-    line.  Keys are canonicalized only where the matrix is the same: every
-    d = 0 request is kept as (b, c, 0, 0, EVEN).  Mirror images are not, so
-    the symmetry and condensation checks still compare values computed at
-    distinct points.
+    A miss, or a line shorter than a, stores `_line`'s counts at every
+    a' <= a, after clearing the memo if it holds its bound.  Keys are
+    canonicalized only where the matrix is the same: every d = 0 request is
+    kept as (b, c, 0, 0, EVEN).  Mirror images are not, so the symmetry and
+    condensation checks still compare values computed at distinct points.
     """
     if not d:
         p, parity = 0, EVEN
     key = (b, c, d, p, parity)
     line = _LINES.get(key)
-    if line is not None:
-        if a < len(line):
-            return line[a]
-        del _LINES[key]  # stored again below, as the newest line
-    elif len(_LINES) >= _LINES_MAX:
-        del _LINES[next(iter(_LINES))]  # the line stored first
+    if line is not None and a < len(line):
+        return line[a]
+    if len(_LINES) >= _LINES_MAX:
+        _LINES.clear()
     line = _LINES[key] = _line(a, b, c, d, p, parity)
     return line[a]
 
@@ -205,18 +201,11 @@ def _line(a: int, b: int, c: int, d: int, p: int, parity: str) -> list[int]:
     return ([1] + leading_minors_in_place(*rows))[d:]  # [1]: no rows
 
 
-def _check_count_args(a: int, b: int, c: int, d: int, parity: str) -> None:
-    if a < 0 or b < 0 or c < 0 or d < 0:
-        raise ValueError("a, b, c, d must be nonnegative")
-    if parity not in _PARITIES:
-        raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, not {parity!r}")
-
-
 def count(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     """The signed count E(a,b,c,d,p) (parity EVEN) or O(a,b,c,d,p) (ODD) as an
     int, read from the line memo.  Negative a, b, c or d and any other parity
     are a ValueError."""
-    _check_count_args(a, b, c, d, parity)
+    _check_spec(a, b, c, d, parity)
     return _det(a, b, c, d, p, parity)
 
 
@@ -224,7 +213,7 @@ def count_line(a: int, b: int, c: int, d: int, p: int, parity: str) -> list[int]
     """[count(a', b, c, d, p, parity) for a' = 0..a] from one elimination,
     which neither reads nor fills the line memo: a caller that reads a line
     once (qfit's fit) holds it itself.  Rejects what `count` rejects."""
-    _check_count_args(a, b, c, d, parity)
+    _check_spec(a, b, c, d, parity)
     return _line(a, b, c, d, p, parity)
 
 
@@ -254,8 +243,7 @@ def even_count_by_condensation(a: int, b: int, c: int, d: int, p: int) -> int:
     deepens with a; past Python's recursion limit it raises ValueError (at
     the default limit, a = 480 runs and a = 520 does not, for b = c = 2).
     """
-    if min(a, b, c, d) < 0:
-        raise ValueError("a, b, c, d must be nonnegative")
+    _check_spec(a, b, c, d, EVEN)
     memo: dict[tuple[int, int, int, int], int] = {}
 
     def rec(a: int, b: int, c: int, p: int) -> int:

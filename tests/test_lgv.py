@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexatile import lgv
+from hexatile import lgv, schur
 from hexatile.detkernel import det_bareiss, det_modular, leading_minors
 from hexatile.exactmath import binom
 from hexatile.cli import main
@@ -109,18 +109,22 @@ def test_shape_memo_never_hands_out_a_row(monkeypatch):
 
 
 def test_shape_memo_stays_within_its_bound(monkeypatch):
+    # a memo that holds its bound is cleared before a miss or a longer line
+    # is stored: it never holds more than its bound, a full memo holds only
+    # the new shape after a miss, and every read is a fresh build's rows
     monkeypatch.setattr(lgv, "_SHAPES", {})
     monkeypatch.setattr(lgv, "_SHAPES_MAX", 2)
-    for p in range(4):
-        lgv._path_rows(3, 2, 2, 1, p, EVEN, False)
-        assert len(lgv._SHAPES) <= 2
-    assert list(lgv._SHAPES) == [(1, 2, EVEN), (1, 3, EVEN)]  # the shape stored first went first
-    # a longer line stores its shape again, as the newest, and a shorter one reads it
-    lgv._path_rows(5, 2, 2, 1, 2, EVEN, False)
-    assert list(lgv._SHAPES) == [(1, 3, EVEN), (1, 2, EVEN)]
-    assert len(lgv._SHAPES[1, 2, EVEN][2]) == 5
-    want = intrusive_first(2, 2, 2, 1, 2, EVEN)
-    assert lgv._path_rows(2, 2, 2, 1, 2, EVEN, False) == (want, scanned_ends(want))
+    for a, p, held in [(3, 0, {0: 3}), (3, 1, {0: 3, 1: 3}),
+                       (3, 2, {2: 3}),  # a miss in a full memo
+                       (5, 2, {2: 5}),  # a longer line, in place
+                       (3, 1, {2: 5, 1: 3}), (2, 1, {2: 5, 1: 3}),  # a shorter line reads it
+                       (5, 1, {1: 5}),  # a longer line in a full memo
+                       (4, 1, {1: 5})]:
+        for transpose in (False, True):
+            want = intrusive_first(a, 2, 2, 1, p, EVEN)
+            want = transposed(want, 1) if transpose else want
+            assert lgv._path_rows(a, 2, 2, 1, p, EVEN, transpose) == (want, scanned_ends(want))
+        assert {key[1]: len(shape[2]) for key, shape in lgv._SHAPES.items()} == held, (a, p)
 
 
 def test_one_verify_pass_fits_the_shape_memo(monkeypatch, capsys):
@@ -138,6 +142,23 @@ def test_one_verify_pass_fits_the_shape_memo(monkeypatch, capsys):
     verify_identities("all", 4, 5, 5, 3)
     assert set(lgv._SHAPES) == asked
     assert len(asked) == 48 < lgv._SHAPES_MAX
+
+
+def test_a_verify_pass_reports_the_same_with_every_memo_full(monkeypatch, capsys):
+    # with the line, shape and block memos bounded at 2, nearly every miss
+    # finds its memo full and clears it; `verify all` and the identity
+    # registry at the CLI default ranges report the same cases and failures
+    def reports(bound):
+        for memo, name in ((lgv, "_LINES"), (lgv, "_SHAPES"), (schur, "_BLOCKS")):
+            monkeypatch.setattr(memo, name, {})
+            if bound:
+                monkeypatch.setattr(memo, name + "_MAX", bound)
+        assert main(["verify", "all"]) == 0
+        return capsys.readouterr().out, verify_identities("all", 4, 5, 5, 3)
+
+    want = reports(None)
+    assert reports(2) == want
+    assert max(len(lgv._LINES), len(lgv._SHAPES), len(schur._BLOCKS)) <= 2
 
 
 def test_even_misses_with_c_above_b_eliminate_the_transpose(monkeypatch):
@@ -475,7 +496,7 @@ def test_memo_stays_within_its_bound(monkeypatch):
     for b in range(4, 12):
         odd_count(1, b, 4, 1, 0)
         assert len(lgv._LINES) <= 4
-    # the line stored first went first
+    # b = 4..7 filled the memo, so b = 8 found it full and cleared it
     assert list(lgv._LINES) == [(b, 4, 1, 0, ODD) for b in range(8, 12)]
     assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)
     assert even_count(3, 2, 4, 0, 0).value == macmahon(3, 2, 4)

@@ -6,8 +6,8 @@ import pytest
 from hexatile import detkernel
 from hexatile.detkernel import det_modular, mat_mul, solve_exact
 from hexatile.formulas import OutOfValidityError, p_one_minus_d_alt
-from hexatile.hexmodel import EVEN, ODD, HexSpec
-from hexatile.lgv import even_count_by_condensation
+from hexatile.hexmodel import EVEN, ODD, HexSpec, endpoints
+from hexatile.lgv import even_count_by_condensation, path_matrix
 from hexatile.oracle import MonotonePath, PathFamily, Point, first_tiling, reconstruct_tiling
 from hexatile.schur import build_bundle
 
@@ -31,6 +31,15 @@ def _foreign_witness():
                  (OutOfValidityError, "^needs an intrusion of length d > 0$"), id="p1md_alt-d0"),
     pytest.param(lambda: even_count_by_condensation(1, -1, 1, 0, 0),
                  (ValueError, "^a, b, c, d must be nonnegative$"), id="condense-negative-side"),
+    # b and c may be formal there, but a and d may not
+    pytest.param(lambda: path_matrix(-2, 3, 3, 1, 0, EVEN),
+                 (ValueError, "^a, b, c, d must be nonnegative$"), id="path_matrix-negative-a"),
+    pytest.param(lambda: path_matrix(2, 3, 3, -1, 0, EVEN),
+                 (ValueError, "^a, b, c, d must be nonnegative$"), id="path_matrix-negative-d"),
+    pytest.param(lambda: endpoints(-2, 3, 3, 1, 0, EVEN),
+                 (ValueError, "^a, b, c, d must be nonnegative$"), id="endpoints-negative-a"),
+    pytest.param(lambda: endpoints(2, 3, 3, -1, 0, EVEN),
+                 (ValueError, "^a, b, c, d must be nonnegative$"), id="endpoints-negative-d"),
     pytest.param(lambda: MonotonePath((Point(0, 0), Point(1, 1))),
                  (ValueError, r"^steps must be \+\(1,0\) or \+\(0,1\)$"), id="path-diagonal-step"),
     pytest.param(lambda: build_bundle(1, -1, 1), (ValueError, "^a, b, c must be nonnegative$"),

@@ -477,27 +477,29 @@ def test_block_memo_counts_match_a_fresh_build_in_either_order(monkeypatch):
         schur._BLOCKS.clear()
 
 
-def test_block_memo_drops_the_entry_stored_first(monkeypatch):
+def test_block_memo_stays_within_its_bound(monkeypatch):
+    # a memo that holds its bound is cleared before a miss or a deeper entry
+    # is stored: it never holds more than its bound, a full memo holds only
+    # the new entry after a miss, and every read is a fresh build's count
     monkeypatch.setattr(schur, "_BLOCKS_MAX", 4)
-    keys = [(2, 3, 3, 1), (3, 2, 4, 0), (1, 5, 1, 1), (4, 4, 4, 2), (3, 3, 2, 3)]
+    k0, k1, k2, k3, k4 = [(2, 3, 3, 1), (3, 2, 4, 0), (1, 5, 1, 1), (4, 4, 4, 2), (3, 3, 2, 3)]
     schur._BLOCKS.clear()
     try:
-        for a, b, c, p in keys:
-            assert count_via_F(a, b, c, 2, p) == _fresh_count(a, b, c, 2, p)
-        assert list(schur._BLOCKS) == keys[1:]
-        # a deeper ask rebuilds its entry and stores it as the newest
-        a, b, c, p = keys[1]
-        assert count_via_F(a, b, c, 3, p) == _fresh_count(a, b, c, 3, p)
-        assert list(schur._BLOCKS) == keys[2:] + keys[1:2]
-        a, b, c, p = keys[0]
-        assert count_via_F(a, b, c, 1, p) == _fresh_count(a, b, c, 1, p)
-        assert list(schur._BLOCKS) == keys[3:] + keys[1:2] + keys[:1]
-        stored = {key: len(entry.counts) for key, entry in schur._BLOCKS.items()}
-        assert list(stored.values()) == [3, 3, 4, 2]
-        for (a, b, c, p), depths in stored.items():
-            for d in range(depths):
-                assert count_via_F(a, b, c, d, p) == _fresh_count(a, b, c, d, p)
-        assert list(schur._BLOCKS) == list(stored)  # reads move nothing
+        for key, d, held in [(k0, 2, {k0: 3}), (k1, 2, {k0: 3, k1: 3}),
+                             (k2, 2, {k0: 3, k1: 3, k2: 3}), (k3, 2, {k0: 3, k1: 3, k2: 3, k3: 3}),
+                             (k4, 2, {k4: 3}),  # a miss in a full memo
+                             (k0, 1, {k4: 3, k0: 2}),
+                             (k0, 3, {k4: 3, k0: 4}),  # deeper, in place
+                             (k1, 2, {k4: 3, k0: 4, k1: 3}), (k2, 0, {k4: 3, k0: 4, k1: 3, k2: 1}),
+                             (k0, 1, {k4: 3, k0: 4, k1: 3, k2: 1}),  # a read stores nothing
+                             (k1, 4, {k1: 5})]:  # deeper, in a full memo
+            a, b, c, p = key
+            assert count_via_F(a, b, c, d, p) == _fresh_count(a, b, c, d, p), (key, d)
+            assert {k: len(entry.counts) for k, entry in schur._BLOCKS.items()} == held, (key, d)
+        a, b, c, p = k1
+        for d in range(5):
+            assert count_via_F(a, b, c, d, p) == _fresh_count(a, b, c, d, p)
+        assert list(schur._BLOCKS) == [k1]
     finally:
         schur._BLOCKS.clear()
 
