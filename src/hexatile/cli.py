@@ -23,7 +23,7 @@ import json
 import sys
 import time
 
-from . import formulas, lgv, oracle, qfit
+from . import formulas, lgv, oracle, qfit, schur
 from .detkernel import det_bareiss, det_modular
 from .exactmath import NotIntegerError, PoleError
 from .formulas import OutOfValidityError
@@ -53,8 +53,11 @@ def _write(path: str, text: str) -> None:
 # Every `count --method` name, in help order: the signed count at a spec, and
 # the window, as in formulas.CLOSED_FORMS (None: every spec).  The entries look
 # library functions up when they run, so a wrapped or patched one is called.
+# `det` is the path matrix's elimination at every size (lgv.count would take
+# the complement for a large point); `complement` is schur's d x d route.
 _METHODS = {
-    "det": (lambda s: lgv.count(s.a, s.b, s.c, s.d, s.p, s.parity), None),
+    "det": (lambda s: lgv.count_line(s.a, s.b, s.c, s.d, s.p, s.parity)[-1], None),
+    "complement": (lambda s: schur.count_via_inverse(s.a, s.b, s.c, s.d, s.p, s.parity), None),
     "modular": (lambda s: det_modular(lgv.path_matrix(s.a, s.b, s.c, s.d, s.p, s.parity)), None),
     "condense": (lambda s: lgv.even_count_by_condensation(s.a, s.b, s.c, s.d, s.p),
                  lambda a, b, c, d, p, parity: None if parity == EVEN else "even parity"),
@@ -236,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("count", help="count tilings by one or more methods")
     _add_spec_flags(sub)
     sub.add_argument("--method", action="append",
-                     help=f"{' | '.join(_METHODS)} (repeatable; default det)")
+                     help=f"{' | '.join(_METHODS)} (repeatable; default det). det "
+                          "eliminates the path matrix; complement is MacMahon's product "
+                          "times a d x d determinant, and at d = 0 MacMahon's product alone")
     sub.set_defaults(fn=cmd_count)
 
     sub = subs.add_parser("verify", help="run an identity sweep suite")

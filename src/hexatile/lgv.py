@@ -5,13 +5,16 @@ and d intrusive paths, `path_matrix`.  For even intrusions the determinant
 is the tiling count; for odd intrusions it may be the negative of the count
 (the admissible permutation can be odd).
 
-Every count comes from `_line`: path_matrix(a', ...) is a leading block of
+Counts come from `_line`: path_matrix(a', ...) is a leading block of
 path_matrix(a, ...), so one elimination gives the count at every a' <= a
 along a line (b, c, d, p and the parity fixed, a free) from its leading
 minors.  `count` reads it through `_det` and its one memo, kept by line;
 `count_line` returns the whole line and leaves the memo alone, and qfit's
-fit reads each of its lines with one such call.  `_path_rows` builds the
-rows, in either orientation (see `_line`), and their ends from the closed
+fit reads each of its lines with one such call.  The exception is one large
+point with an intrusion that misses the memo (d >= 1, a >= 16, b <= 2a and
+b + c > 2d): `_det` returns schur's d x d complement for it, MacMahon's
+product times a d x d determinant, and stores nothing.  `_path_rows` builds
+the rows, in either orientation (see `_line`), and their ends from the closed
 forms of the path counts, the part free of b and c once per intrusion shape
 (`_shape`), for `leading_minors_in_place` to eliminate with no copy and no
 scan.  No lattice point is written here: the path sweep (`oracle`) reads
@@ -25,6 +28,7 @@ from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
+from . import schur
 from .detkernel import IntMatrix, leading_minors_in_place
 from .hexmodel import EVEN, ODD, _check_spec
 
@@ -155,16 +159,33 @@ def _shape(a: int, d: int, p: int, parity: str) -> tuple[IntMatrix, IntMatrix, I
 _LINES: dict = {}
 _LINES_MAX = 1 << 14
 
+# The shortest side a at which a memo miss with an intrusion is counted
+# through schur's d x d complement, when b <= 2a and b + c > 2d.  The time of
+# one elimination of the path matrix over the complement's (BENCH_pr51.json:
+# a = 4..24, b + c = 6, 9, 18, 31, d = 1, 3, both parities) was 0.27-1.93 at
+# a <= 8 and 1.4-33 at a >= 16 with b + c > 2d.  With b >> a the b running
+# sums dominate: 0.06 at (16, 2000, 3, 2, 8), against 1.2-2.1 at b = 2a + 1.
+# With b + c <= 2d the d^2 a products do: 0.56 at (20, 3, 5, 4, 10) and 0.05
+# at (100, 5, 5, 20, 50).
+_COMPLEMENT_A = 16
+
 
 def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
-    """det of path_matrix(a, b, c, d, p, parity), from the line memo.
+    """det of path_matrix(a, b, c, d, p, parity), from the line memo or, for
+    one large point, from schur's d x d complement.
 
     Every determinant in this module but `count_line`'s goes through here.
-    A miss, or a line shorter than a, stores `_line`'s counts at every
-    a' <= a, after clearing the memo if it holds its bound.  Keys are
-    canonicalized only where the matrix is the same: every d = 0 request is
-    kept as (b, c, 0, 0, EVEN).  Mirror images are not, so the symmetry and
-    condensation checks still compare values computed at distinct points.
+    A hit is read from the memo.  A miss (no line, or one shorter than a)
+    with d >= 1, a >= _COMPLEMENT_A, b <= 2a and b + c > 2d returns
+    `schur.count_via_inverse` for that one point and stores nothing: the
+    complement gives one point, and the memo holds whole lines.  Any other
+    miss stores `_line`'s counts at every a' <= a, after clearing the memo if
+    it holds its bound.  d = 0 never takes the complement, which is then
+    MacMahon's product itself, and neither do the formal b, c < 0 of the
+    condensation recursion.  Keys are canonicalized only where the matrix is
+    the same: every d = 0 request is kept as (b, c, 0, 0, EVEN).  Mirror
+    images are not, so the symmetry and condensation checks still compare
+    values computed at distinct points.
     """
     if not d:
         p, parity = 0, EVEN
@@ -172,6 +193,8 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     line = _LINES.get(key)
     if line is not None and a < len(line):
         return line[a]
+    if d and a >= _COMPLEMENT_A and 0 <= b <= 2 * a and 0 <= c and b + c > 2 * d:
+        return schur.count_via_inverse(a, b, c, d, p, parity)
     if len(_LINES) >= _LINES_MAX:
         _LINES.clear()
     line = _LINES[key] = _line(a, b, c, d, p, parity)

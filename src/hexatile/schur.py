@@ -22,13 +22,15 @@ at d, and so is Fp.  build_blocks records the count at every e <= d from the
 leading minors of its Fp, and the memo keeps of it what count_via_F and
 verify_triple_sum read: the counts, delta, Y and Q3.
 
-count_via_inverse is the memo-free route to E, and qfit.cross_validate's
-source of truth: MacMahon's product (formulas.macmahon) times det(S F) / S^d,
-with S = (b+c+a-1)! / (b! c!), a divisor of W.  S F = S Q4 - Q3 (S M^-1) Q1
-is built as a d x d integer matrix straight from the explicit inverse's
-Toeplitz factors, with no solve, no Y, no path matrix and no endpoints.  Its
-algebra needs only M invertible, so it holds at every a, b, c, d >= 0 and
-every integer p, as lgv.count's domain does.
+count_via_inverse is the memo-free route to E and O, in either parity:
+qfit.cross_validate's source of truth, and lgv.count's for a large point
+that misses its line memo.  It is MacMahon's product (formulas.macmahon)
+times det(S F) / S^d, with S = (b+c+a-1)! / (b! c!), a divisor of W.
+S F = S Q4 - Q3 (S M^-1) Q1 is built as a d x d integer matrix straight from
+the explicit inverse's Toeplitz factors, with no solve, no Y, no path matrix
+and no endpoints.  Its algebra needs only M invertible, so it holds at every
+a, b, c, d >= 0 and every integer p, as lgv.count's domain does.  The odd
+blocks are the even ones shifted by the odd needle's offset o = 1.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 from .detkernel import IntMatrix, det_bareiss, leading_minors, mat_mul, solve_exact
 from .exactmath import NotIntegerError, OutOfValidityError, as_int, binom, rising
-from .hexmodel import EVEN, _check_spec
+from .hexmodel import EVEN, ODD, _check_spec
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,18 @@ def verify_inverse(bundle: MacMahonBundle) -> bool:
     )
 
 
+def _check_blocks(a: int, b: int, c: int, d: int) -> None:
+    """The blocks' domain, a >= 1 and b, c, d >= 0, else a ValueError; the
+    memo checks it before it reads an entry."""
+    if a < 1 or min(b, c, d) < 0:
+        raise ValueError("block decomposition needs a >= 1 and b, c, d >= 0")
+
+
 def build_blocks(a: int, b: int, c: int, d: int, p: int) -> BlockDecomposition:
     """Q1-Q4 blocks of the even-intrusion matrix, delta = det Q2, Y = delta
     Q2^-1.Q1, Fp = delta Q4 - Q3.Y, all integers, and the count at every
     e <= d, det(Fp_e) delta / delta^e with Fp_e Fp's leading e x e block."""
-    if a < 1 or min(b, c, d) < 0:
-        raise ValueError("block decomposition needs a >= 1 and b, c, d >= 0")
+    _check_blocks(a, b, c, d)
     q1 = [[binom(2 * j - 1, -i + j + p) for j in range(1, d + 1)] for i in range(1, a + 1)]
     q2 = _macmahon_matrix(a, b, c)
     q3 = [[binom(b + c - 2 * i + 1, c - i + j - p) for j in range(1, a + 1)] for i in range(1, d + 1)]
@@ -162,8 +170,7 @@ def _complement(a: int, b: int, c: int, d: int, p: int) -> _Kept:
     """The memo entry of (a, b, c, p), built at depth d or deeper: a miss, or
     an entry built shallower, builds the blocks at d once, after clearing the
     memo if it holds its bound."""
-    if a < 1 or min(b, c, d) < 0:
-        raise ValueError("block decomposition needs a >= 1 and b, c, d >= 0")
+    _check_blocks(a, b, c, d)  # a negative d must not read a stored entry
     key = (a, b, c, p)
     blocks = _BLOCKS.get(key)
     if blocks is not None and d < len(blocks.counts):
@@ -193,9 +200,15 @@ def _series(x: int, n: int) -> list:
     return out
 
 
-def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
-    """E(a,b,c,d,p) = M(a,b,c) det(S F) / S^d for every a, b, c, d >= 0 and
-    every integer p, with no solve and no memo.
+def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN) -> int:
+    """E(a,b,c,d,p) (parity EVEN) or O(a,b,c,d,p) (ODD) = M(a,b,c) det(S F) /
+    S^d for every a, b, c, d >= 0 and every integer p, with no solve and no
+    memo.
+
+    With o = 1 for odd intrusions, else 0, the blocks are those of
+    lgv.path_matrix: row i of Q3 is C(b+c+1-2i-o, c-i+t-p-o) over t,
+    column j of Q1 is C(2j-1-o, j-l+p) over l, and Q4 is C(2(j-i-o), j-i-o),
+    unitriangular for even intrusions and strictly upper triangular for odd.
 
     build_bundle's T.diag(D).L = W M^-1 is, with its factorials (k-1)!
     moved to the middle, M^-1 = T' diag(1/m_k) L' for the integer matrices
@@ -215,16 +228,19 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
     cost about a T products for the T nonzeros of the row of Q3, which is
     less once b passes about 2a: at a = 5..20 and d = 3 this route took
     1.1-1.2 times as long at b = 2a and 1.4-1.5 times at b = 4a.  perfbench's
-    holdout points have b <= 19 and a up to 28, and CI's shapes outside
-    prefactor_P's window b <= 12.
-    At a = 0, E = det Q4 = 1.  A negative side is a ValueError, as in
-    lgv.count, and a remainder raises NotIntegerError.
+    holdout points have b <= 19 and a up to 28, CI's shapes outside
+    prefactor_P's window b <= 12, and lgv.count sends a point here only at
+    b <= 2a.
+    At a = 0 the count is det Q4: 1 for even intrusions and at d = 0, and 0
+    for odd ones with d > 0.  A negative side or an unknown parity is a
+    ValueError, as in lgv.count, and a remainder raises NotIntegerError.
     """
     from .formulas import macmahon  # formulas imports schur
 
-    _check_spec(a, b, c, d, EVEN)
+    _check_spec(a, b, c, d, parity)
+    o = parity == ODD
     if a == 0:
-        return 1
+        return 0 if o and d else 1
     scale = comb(b + c, b) * rising(b + c + 1, a - 1)
     # the weights (k-1)! (b+c+k)_{a-k} for k = 1..a, and C(c+t-1, t-1) with
     # the sign (-1)^t for t = 1..a, both shared by the d rows
@@ -232,14 +248,15 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
     weights = list(map(mul, accumulate(range(1, a), mul, initial=1), reversed(tails)))
     signed_c = [-s if t % 2 else s for t, s in enumerate(_series(c + 1, a), 1)]
     h_c = _series(c, a)  # (1+z)^-c unsigned: the sign (-1)^l moves onto Q1
-    # column j of Q1 has its nonzeros at rows max(1, p+1-j)..min(a, p+j), so
-    # (S M^-1) Q1 reads only columns lo..a of Q3 T' diag(weights), and L' Q1
-    # only rows lo..hi of the correlation of those columns with h_c.  Row i
-    # of Q3 is C(b+c-2i+1, c-i+t-p), nonzero only at columns first..last
-    lo, hi = max(1, p + 1 - d), min(a, p + d)
+    # column j of Q1 has its nonzeros at rows max(1, p+1-j+o)..min(a, p+j),
+    # so (S M^-1) Q1 reads only columns lo..a of Q3 T' diag(weights), and
+    # L' Q1 only rows lo..hi of the correlation of those columns with h_c.
+    # Row i of Q3 is C(b+c+1-2i-o, c-i+t-p-o), nonzero only at columns
+    # first..last
+    lo, hi = max(1, p + 1 - d + o), min(a, p + d)
     near = []  # (-1)^l times row i of Q3 T' diag(weights) H_c^T at columns lo..hi
     for i in range(1, d + 1):
-        top, shift = b + c - 2 * i + 1, c - i - p
+        top, shift = b + c + 1 - 2 * i - o, c - i - p - o
         first, last = max(1, -shift), min(a, top - shift)
         u = [0] * a
         if first <= last:  # a negative last would slice from the end
@@ -252,12 +269,12 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int) -> int:
         near.append([sum(map(mul, row[l - lo:], h_c)) for l in range(lo, hi + 1)])
     sf = []  # S F transposed, which has the same determinant
     for j in range(1, d + 1):
-        lo_j = max(1, p + 1 - j)
-        v = [(-1) ** l * comb(b + l - 1, l - 1) * comb(2 * j - 1, j - l + p)
+        lo_j = max(1, p + 1 - j + o)
+        v = [(-1) ** l * comb(b + l - 1, l - 1) * comb(2 * j - 1 - o, j - l + p)
              for l in range(lo_j, min(a, p + j) + 1)]
-        sf.append([scale * binom(2 * (j - i), j - i) - sum(map(mul, v, row[lo_j - lo:]))
+        sf.append([scale * binom(2 * (j - i - o), j - i - o) - sum(map(mul, v, row[lo_j - lo:]))
                    for i, row in enumerate(near, 1)])
-    return as_int(f"count_via_inverse at {(a, b, c, d, p)}",
+    return as_int(f"count_via_inverse at {(a, b, c, d, p, parity)}",
                   macmahon(a, b, c) * det_bareiss(sf), scale**d)
 
 

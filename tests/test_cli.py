@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexatile import cli, lgv, oracle
+from hexatile import cli, lgv, oracle, schur
 from hexatile.cli import main
 from hexatile.formulas import macmahon
 
@@ -95,6 +95,26 @@ def test_count_usage_error_after_det_prints_no_record(monkeypatch, capsys, spec,
     code, out, err = run(capsys, *count_flags(*spec), "--method", "det", "--method", method)
     assert (code, out) == (USAGE, "")
     assert err.count("\n") == 1 and err.startswith("count: ")
+
+
+@pytest.mark.parametrize("spec, formula", [
+    ((60, 5, 7, 3, 30, "even"), "formula:byun_even"),
+    ((61, 5, 7, 3, 30, "odd"), "formula:byun_odd_corrected"),
+])
+def test_count_det_eliminates_where_lgv_count_takes_the_complement(monkeypatch, capsys,
+                                                                   spec, formula):
+    # lgv.count counts these points through schur's d x d complement; det is
+    # still the path matrix's elimination, and complement agrees with both
+    real = schur.count_via_inverse
+    monkeypatch.setattr(schur, "count_via_inverse", lambda *q: pytest.fail("complement ran"))
+    code, out, err = run(capsys, *count_flags(*spec), "--method", "det", "--method", formula)
+    assert (code, err) == (PASS, "")
+    monkeypatch.setattr(schur, "count_via_inverse", real)
+    code, out2, err = run(capsys, *count_flags(*spec), "--method", "det",
+                          "--method", "complement", "--method", formula)
+    assert (code, err) == (PASS, "")
+    values = [json.loads(line)["value"] for line in out2.strip().splitlines()]
+    assert values == [json.loads(out.splitlines()[0])["value"]] * 3
 
 
 def test_count_negative_odd_instance(capsys):
@@ -196,6 +216,7 @@ def test_count_formula_out_of_window_usage_error(capsys):
 # For every count method, one spec inside its window.
 INSIDE = {
     "det": (2, 2, 2, 1, 0, "even"),
+    "complement": (4, 5, 3, 3, 3, "odd"),
     "modular": (4, 5, 3, 3, 3, "odd"),
     "condense": (3, 2, 3, 1, 1, "even"),
     "oracle": (3, 2, 3, 2, 1, "odd"),
@@ -207,7 +228,8 @@ INSIDE = {
     "formula:d1": (3, 3, 4, 1, 0, "even"),
     "formula:reflection": (1, 3, 4, 2, -1, "even"),
 }
-# Odd, d = 1 and a = 2 = 2p: outside every window but those of det, modular, oracle.
+# Odd, d = 1 and a = 2 = 2p: outside every window but those of det,
+# complement, modular and oracle.
 OUTSIDE = (2, 2, 2, 1, 1, "odd")
 
 
@@ -220,7 +242,7 @@ def test_every_method_agrees_with_det_inside_its_window(capsys, method):
     assert rec["method"] == method
     assert rec["value"] == det["value"]
     code, out, err = run(capsys, *count_flags(*OUTSIDE), "--method", method)
-    if method in ("det", "modular", "oracle"):
+    if method in ("det", "complement", "modular", "oracle"):
         assert code == PASS and json.loads(out)["value"] == "-8"
     else:
         assert (code, out) == (USAGE, "")
@@ -237,8 +259,9 @@ def test_every_method_agrees_with_det_inside_its_window(capsys, method):
 ])
 def test_count_checks_every_window_before_running_any(monkeypatch, capsys, spec, formula):
     calls = []
-    real = lgv.count
-    monkeypatch.setattr(lgv, "count", lambda *q: calls.append(q) or real(*q))
+    for name in ("count", "count_line"):  # det reads count_line
+        real = getattr(lgv, name)
+        monkeypatch.setattr(lgv, name, lambda *q, real=real: calls.append(q) or real(*q))
     code, out, err = run(capsys, *count_flags(*spec), "--method", "det", "--method", formula)
     assert (code, out, calls) == (USAGE, "", [])
     assert err.count("\n") == 1 and err.startswith(f"count: {formula} needs ")

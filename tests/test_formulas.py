@@ -67,14 +67,18 @@ def test_macmahon_memo_is_keyed_by_the_sides_as_given():
             macmahon(*order)
 
 
-@pytest.mark.parametrize("closed_form, count", [
-    (lambda: macmahon(600, 3, 4), lambda: even_count(600, 3, 4, 0, 0)),
-    (lambda: d1_corollary(600, 3, 4), lambda: even_count(600, 3, 4, 1, 0)),
-    (lambda: byun_even(300, 3, 4, 2), lambda: even_count(600, 3, 4, 2, 300)),
-    (lambda: -byun_odd_corrected(300, 3, 4, 1), lambda: odd_count(601, 3, 4, 1, 300)),
+@pytest.mark.parametrize("closed_form, spec", [
+    (lambda: macmahon(600, 3, 4), (600, 3, 4, 0, 0, EVEN)),
+    (lambda: d1_corollary(600, 3, 4), (600, 3, 4, 1, 0, EVEN)),
+    (lambda: byun_even(300, 3, 4, 2), (600, 3, 4, 2, 300, EVEN)),
+    (lambda: -byun_odd_corrected(300, 3, 4, 1), (601, 3, 4, 1, 300, ODD)),
 ], ids=["macmahon", "d1_corollary", "byun_even", "byun_odd_corrected"])
-def test_closed_forms_on_a_long_side_match_the_determinant(closed_form, count):
-    assert closed_form() == count().value
+def test_closed_forms_on_a_long_side_match_the_determinant(closed_form, spec):
+    # both routes: the path matrix's elimination, and lgv.count, which takes
+    # schur's d x d complement at these points once d >= 1
+    want = closed_form()
+    assert lgv.count_line(*spec)[-1] == want
+    assert lgv.count(*spec) == want
 
 
 def _count_steps(monkeypatch):

@@ -228,8 +228,88 @@ def test_dim_80_thin_hexagon_matches_macmahon():
 
 
 def test_large_halved_hexagon_matches_byun_even():
-    # dim 63: a = 60 = 2p with a three-unit intrusion at the centre
-    assert even_count(60, 5, 7, 3, 30).value == byun_even(30, 5, 7, 3)
+    # dim 63: a = 60 = 2p with a three-unit intrusion at the centre, by the
+    # path matrix's elimination and by lgv.count, which takes schur's d x d
+    # complement here
+    want = byun_even(30, 5, 7, 3)
+    assert lgv.count_line(60, 5, 7, 3, 30, EVEN)[-1] == want
+    assert even_count(60, 5, 7, 3, 30).value == want
+
+
+def _complement_calls(monkeypatch, fail=False):
+    """Record lgv's calls to schur.count_via_inverse; with `fail`, raise."""
+    calls = []
+    real = schur.count_via_inverse
+
+    def recorded(*spec):
+        calls.append(spec)
+        if fail:
+            raise AssertionError(f"count_via_inverse{spec}")
+        return real(*spec)
+
+    monkeypatch.setattr(schur, "count_via_inverse", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    (16, 32, 5, 2, 8), (16, 0, 3, 1, 0), (20, 3, 6, 4, -2), (40, 6, 9, 3, 41),
+    (60, 5, 7, 3, 30), (24, 7, 30, 6, 11),
+])
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_a_large_miss_with_an_intrusion_is_counted_through_the_complement(monkeypatch, spec,
+                                                                          parity):
+    # d >= 1, a >= 16, b <= 2a and b + c > 2d: one call to schur's
+    # complement, which is the elimination's count, and the line memo is left
+    # as it was
+    planted = {(1, 4, 1, 2, EVEN): [1, 2, 3]}
+    monkeypatch.setattr(lgv, "_LINES", dict(planted))
+    calls = _complement_calls(monkeypatch)
+    assert lgv.count(*spec, parity) == lgv.count_line(*spec, parity)[-1]
+    assert calls == [(*spec, parity)]
+    assert lgv._LINES == planted
+
+
+@pytest.mark.parametrize("spec", [
+    (600, 3, 4, 0, 0),  # d = 0: the complement would be MacMahon's product itself
+    (16, 2000, 3, 2, 8),  # b >> a: the b running sums dominate
+    (16, 33, 5, 2, 8),  # b = 2a + 1
+    (15, 30, 5, 2, 8),  # a = 15
+    (20, 3, 5, 4, 10),  # b + c = 2d: the d x d part dominates
+])
+def test_misses_outside_the_complement_bounds_are_eliminated(monkeypatch, spec):
+    monkeypatch.setattr(lgv, "_LINES", {})
+    _complement_calls(monkeypatch, fail=True)
+    for parity in (EVEN, ODD):
+        assert lgv.count(*spec, parity) == det_bareiss(path_matrix(*spec, parity))
+        assert lgv.count(spec[0] - 1, *spec[1:], parity) == det_bareiss(
+            path_matrix(spec[0] - 1, *spec[1:], parity))  # a line memo hit
+    # nor the formal b or c < 0 of the condensation recursion
+    for spec in ((20, -1, 8, 2, 3), (20, 8, -1, 2, 3)):
+        assert lgv._det(*spec, EVEN) == det_bareiss(path_matrix(*spec, EVEN))
+
+
+def test_a_memo_hit_at_a_large_point_is_read_from_the_memo(monkeypatch):
+    # a hit is served from the memo, also where a miss would take the complement
+    line = lgv.count_line(20, 6, 9, 3, 8, ODD)
+    monkeypatch.setattr(lgv, "_LINES", {(6, 9, 3, 8, ODD): line})
+    _complement_calls(monkeypatch, fail=True)
+    assert [lgv.count(a, 6, 9, 3, 8, ODD) for a in range(21)] == line
+    assert lgv._LINES == {(6, 9, 3, 8, ODD): line}
+
+
+def test_no_verify_check_at_the_cli_defaults_takes_the_complement(monkeypatch, capsys):
+    # `verify all` and the identity registry at the CLI default ranges ask
+    # a <= 5, so each reads the path matrix's elimination: the same report
+    # with schur's complement patched to raise
+    def reports():
+        monkeypatch.setattr(lgv, "_LINES", {})
+        assert main(["verify", "all"]) == 0
+        return capsys.readouterr().out, verify_identities("all", 4, 5, 5, 3)
+
+    want = reports()
+    calls = _complement_calls(monkeypatch, fail=True)
+    assert reports() == want
+    assert calls == []
 
 
 def test_even_count_base_cases():

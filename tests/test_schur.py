@@ -4,6 +4,7 @@ binomial matrix behind the intact-hexagon count."""
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 from math import factorial
 
 import pytest
@@ -12,7 +13,7 @@ from hexatile import lgv, schur
 from hexatile.detkernel import det_bareiss, mat_mul
 from hexatile.exactmath import NotIntegerError, binom, rising
 from hexatile.formulas import detF_factorized, macmahon
-from hexatile.hexmodel import EVEN, endpoints
+from hexatile.hexmodel import EVEN, ODD, endpoints
 from hexatile.lgv import even_count, path_matrix
 from hexatile.schur import (
     build_blocks,
@@ -204,9 +205,39 @@ def test_count_via_inverse_is_the_count_outside_prefactor_P_window(monkeypatch):
     (20, 3, 10, 4, -2),  # rows 2..4 of Q3 end before column 1: b + p + 1 - i < 1
 ])
 def test_count_via_inverse_on_long_rows_outside_prefactor_P_window(spec):
+    # against the elimination: lgv.count takes this route itself at a >= 16
     a, b, c, d, p = spec
     assert not (0 <= p <= a and b > d >= 1 and c > d + p)
-    assert count_via_inverse(*spec) == lgv.count(*spec, EVEN)
+    assert count_via_inverse(*spec) == lgv.count_line(*spec, EVEN)[-1]
+
+
+def test_count_via_inverse_is_the_path_determinant_in_both_parities(monkeypatch):
+    # every a <= 5, b, c <= 4, d <= 3 and p in -d-2..a+d+2: p < 0, p > a,
+    # b or c = 0, a = 0 (where the odd count is 0 once d > 0) and odd needles
+    # that leave the hexagon; math.comb is asked only inside its support
+    def comb_in_support(n, k):
+        assert 0 <= k <= n, (n, k)
+        return math.comb(n, k)
+
+    monkeypatch.setattr(schur, "comb", comb_in_support)
+    points = 0
+    for parity in (EVEN, ODD):
+        for a, b, c, d in product(range(6), range(5), range(5), range(4)):
+            for p in range(-d - 2, a + d + 3):
+                want = det_bareiss(path_matrix(a, b, c, d, p, parity))
+                assert count_via_inverse(a, b, c, d, p, parity) == want, (a, b, c, d, p, parity)
+                points += 1
+    assert points == 2 * 25 * sum(a + 2 * d + 5 for a in range(6) for d in range(4))
+    assert count_via_inverse(0, 3, 3, 2, 0, ODD) == 0
+    assert count_via_inverse(0, 3, 3, 0, 0, ODD) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    (9, 8, 9, 7, 4), (14, 7, 9, 6, 0), (20, 8, 15, 6, 5), (25, 9, 18, 7, 6),
+    (31, 8, 40, 7, 15), (79, 9, 5, 3, 39), (30, 6, 4, 2, -1), (20, 3, 9, 4, 22),
+])
+def test_odd_count_via_inverse_at_depths_6_and_7_and_on_a_long_side(spec):
+    assert count_via_inverse(*spec, ODD) == det_bareiss(path_matrix(*spec, ODD))
 
 
 @pytest.mark.parametrize("spec", [(-1, 3, 3, 1, 0), (2, -1, 3, 1, 0), (3, 2, -1, 1, 1),
