@@ -10,16 +10,20 @@ path_matrix(a, ...), so one elimination gives the count at every a' <= a
 along a line (b, c, d, p and the parity fixed, a free) from its leading
 minors.  `count` reads it through `_det` and its one memo, kept by line;
 `count_line` returns the whole line and leaves the memo alone, and qfit's
-fit reads each of its lines with one such call.  The exception is one large
-point with an intrusion that misses the memo (d >= 1, a >= 16, b <= 2a and
-b + c > 2d): `_det` returns schur's d x d complement for it, MacMahon's
-product times a d x d determinant, and stores nothing.  `_path_rows` builds
-the rows, in either orientation (see `_line`), and their ends from the closed
-forms of the path counts, the part free of b and c once per intrusion shape
-(`_shape`), for `leading_minors_in_place` to eliminate with no copy and no
-scan.  No lattice point is written here: the path sweep (`oracle`) reads
-hexmodel's endpoints, and the two share no geometry code.  `count` reads
-the memo as a checked int; `even_count` and `odd_count` wrap it.
+fit reads each of its lines with one such call.  The exceptions are one
+large point that misses the memo, counted alone and stored nowhere: with an
+intrusion (d >= 1, a >= 16, b <= 2a and b + c > 2d) `_det` returns schur's
+d x d complement, MacMahon's product times a d x d determinant; d = 0 never
+takes the complement, and an intact hexagon with a >= 16, a shorter side and
+a longer one (min(b, c) < a != max(b, c)) is counted along its shortest side
+instead, the b x b or c x c path matrix of the hexagon turned cyclically.
+`_path_rows` builds the rows, in either orientation (see `_line`), and their
+ends from the closed forms of the path counts, the part free of b and c once
+per intrusion shape (`_shape`), for `leading_minors_in_place` to eliminate
+with no copy and no scan.  No lattice point is written here: the path sweep
+(`oracle`) reads hexmodel's endpoints, and the two share no geometry code.
+`count` reads the memo as a checked int; `even_count` and `odd_count` wrap
+it.
 """
 
 from __future__ import annotations
@@ -159,33 +163,48 @@ def _shape(a: int, d: int, p: int, parity: str) -> tuple[IntMatrix, IntMatrix, I
 _LINES: dict = {}
 _LINES_MAX = 1 << 14
 
-# The shortest side a at which a memo miss with an intrusion is counted
-# through schur's d x d complement, when b <= 2a and b + c > 2d.  The time of
-# one elimination of the path matrix over the complement's (BENCH_pr51.json:
-# a = 4..24, b + c = 6, 9, 18, 31, d = 1, 3, both parities) was 0.27-1.93 at
-# a <= 8 and 1.4-33 at a >= 16 with b + c > 2d.  With b >> a the b running
-# sums dominate: 0.06 at (16, 2000, 3, 2, 8), against 1.2-2.1 at b = 2a + 1.
-# With b + c <= 2d the d^2 a products do: 0.56 at (20, 3, 5, 4, 10) and 0.05
-# at (100, 5, 5, 20, 50).
+# The side a at which a memo miss is counted as one point: with an intrusion
+# through schur's d x d complement, when b <= 2a and b + c > 2d, and at d = 0
+# along the hexagon's shortest side, when min(b, c) < a != max(b, c).  The
+# time of one elimination of the path matrix over the complement's
+# (BENCH_pr51.json: a = 4..24, b + c = 6, 9, 18, 31, d = 1, 3, both
+# parities) was 0.27-1.93 at a <= 8 and 1.4-33 at a >= 16 with b + c > 2d.
+# With b >> a the b running sums dominate: 0.06 at (16, 2000, 3, 2, 8),
+# against 1.2-2.1 at b = 2a + 1.  With b + c <= 2d the d^2 a products do:
+# 0.56 at (20, 3, 5, 4, 10) and 0.05 at (100, 5, 5, 20, 50).  Over the turned
+# hexagon's (BENCH_pr52.json: 165 shapes at a = 16..32, the shortest side 0,
+# 1, 3, 7, a/2, a - 2 or a - 1) it was 6.95 at the median and 0.88 at worst,
+# at (20, 24, 19), where the shortest side is a - 1; 61 at (50, 8, 24) and 23
+# at (100, 30, 30).
 _COMPLEMENT_A = 16
 
 
 def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     """det of path_matrix(a, b, c, d, p, parity), from the line memo or, for
-    one large point, from schur's d x d complement.
+    one large point, from schur's d x d complement or the turned hexagon.
 
     Every determinant in this module but `count_line`'s goes through here.
     A hit is read from the memo.  A miss (no line, or one shorter than a)
     with d >= 1, a >= _COMPLEMENT_A, b <= 2a and b + c > 2d returns
     `schur.count_via_inverse` for that one point and stores nothing: the
-    complement gives one point, and the memo holds whole lines.  Any other
+    complement gives one point, and the memo holds whole lines.  d = 0 never
+    takes the complement, which is then MacMahon's product itself.  A d = 0
+    miss with a >= _COMPLEMENT_A, min(b, c) < a and a != max(b, c) is
+    counted through the intact hexagon turned cyclically so that its
+    shortest side comes first, (b, c, a) when b <= c and (c, a, b)
+    otherwise: the same region, so its b x b or c x c path matrix has the
+    same determinant.  It too is one point, eliminated and stored nowhere,
+    so the memo holds only lines of the matrices it is keyed by.  Any other
     miss stores `_line`'s counts at every a' <= a, after clearing the memo if
-    it holds its bound.  d = 0 never takes the complement, which is then
-    MacMahon's product itself, and neither do the formal b, c < 0 of the
-    condensation recursion.  Keys are canonicalized only where the matrix is
-    the same: every d = 0 request is kept as (b, c, 0, 0, EVEN).  Mirror
-    images are not, so the symmetry and condensation checks still compare
-    values computed at distinct points.
+    it holds its bound.  Neither single-point route takes the formal b, c < 0
+    of the condensation recursion.  Keys are canonicalized only where the
+    matrix is the same: every d = 0 request is kept as (b, c, 0, 0, EVEN).
+    Mirror images are not, and the turn is cyclic, not a swap: (a, b, c) and
+    (a, c, b) with b != c reach two matrices, transposes of each other, so
+    the symmetry and condensation checks still compare values computed at
+    distinct points.  Where a is the longer of b and c, (a, b, a) and
+    (a, a, b) are one turn apart and a turn would read one matrix for both,
+    so neither is turned.
     """
     if not d:
         p, parity = 0, EVEN
@@ -193,8 +212,11 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     line = _LINES.get(key)
     if line is not None and a < len(line):
         return line[a]
-    if d and a >= _COMPLEMENT_A and 0 <= b <= 2 * a and 0 <= c and b + c > 2 * d:
-        return schur.count_via_inverse(a, b, c, d, p, parity)
+    if a >= _COMPLEMENT_A and 0 <= b and 0 <= c:
+        if d and b <= 2 * a and b + c > 2 * d:
+            return schur.count_via_inverse(a, b, c, d, p, parity)
+        if not d and min(b, c) < a != max(b, c):  # turned cyclically, shortest side first
+            return _line(b, c, a, 0, 0, EVEN)[b] if b <= c else _line(c, a, b, 0, 0, EVEN)[c]
     if len(_LINES) >= _LINES_MAX:
         _LINES.clear()
     line = _LINES[key] = _line(a, b, c, d, p, parity)

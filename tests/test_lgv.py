@@ -270,7 +270,8 @@ def test_a_large_miss_with_an_intrusion_is_counted_through_the_complement(monkey
 
 
 @pytest.mark.parametrize("spec", [
-    (600, 3, 4, 0, 0),  # d = 0: the complement would be MacMahon's product itself
+    (16, 20, 20, 0, 0),  # d = 0 with no side shorter than a: the complement would be
+    # MacMahon's product itself, and the turned hexagon would be no smaller
     (16, 2000, 3, 2, 8),  # b >> a: the b running sums dominate
     (16, 33, 5, 2, 8),  # b = 2a + 1
     (15, 30, 5, 2, 8),  # a = 15
@@ -288,6 +289,69 @@ def test_misses_outside_the_complement_bounds_are_eliminated(monkeypatch, spec):
         assert lgv._det(*spec, EVEN) == det_bareiss(path_matrix(*spec, EVEN))
 
 
+def _line_calls(monkeypatch):
+    """Record the calls to lgv._line, the one elimination of a count."""
+    calls = []
+    real = lgv._line
+    monkeypatch.setattr(lgv, "_line", lambda *spec: calls.append(spec) or real(*spec))
+    return calls
+
+
+@pytest.mark.parametrize("sides", [
+    (16, 3, 9), (17, 9, 3), (20, 7, 7), (24, 0, 11), (16, 11, 0), (16, 0, 0),
+    (18, 17, 30), (19, 25, 18), (23, 22, 22), (24, 23, 23), (21, 20, 40), (600, 3, 4),
+])
+def test_a_large_intact_miss_with_a_shorter_side_is_counted_along_it(monkeypatch, sides):
+    # d = 0, a >= 16 and min(b, c) < a != max(b, c): one elimination of the
+    # hexagon turned cyclically, its shortest side first, whose count is the
+    # unturned a x a determinant's, in either parity and at any p; the memo
+    # is left as it was
+    a, b, c = sides
+    planted = {(1, 4, 1, 2, EVEN): [1, 2, 3]}
+    monkeypatch.setattr(lgv, "_LINES", dict(planted))
+    _complement_calls(monkeypatch, fail=True)
+    calls = _line_calls(monkeypatch)
+    want = det_bareiss(path_matrix(a, b, c, 0, 0, EVEN))
+    assert lgv.count(a, b, c, 0, 0, EVEN) == want
+    turned = (b, c, a, 0, 0, EVEN) if b <= c else (c, a, b, 0, 0, EVEN)
+    assert calls == [turned] and turned[0] == min(sides)
+    assert lgv.count(a, b, c, 0, a // 2, ODD) == want
+    assert calls == [turned] * 2
+    assert lgv._LINES == planted
+
+
+@pytest.mark.parametrize("sides", [(16, 3, 9), (20, 2, 7), (24, 23, 30), (40, 39, 45)])
+def test_mirror_images_of_a_large_intact_hexagon_are_turned_to_distinct_matrices(
+        monkeypatch, sides):
+    # the turn is cyclic, not a swap: (a, b, c) and (a, c, b) with b != c
+    # eliminate two matrices, transposes of each other, so a mirror check
+    # still compares two eliminations
+    a, b, c = sides
+    monkeypatch.setattr(lgv, "_LINES", {})
+    calls = _line_calls(monkeypatch)
+    assert lgv.count(a, b, c, 0, 0, EVEN) == lgv.count(a, c, b, 0, 0, EVEN)
+    assert len(calls) == 2 and calls[0] != calls[1]
+    first, second = (path_matrix(*spec) for spec in calls)
+    assert first != second and first == [list(row) for row in zip(*second)]
+    assert lgv._LINES == {}
+
+
+@pytest.mark.parametrize("sides", [(16, 16, 20), (16, 20, 20), (20, 40, 21), (15, 3, 4),
+                                   (20, -1, 8), (20, 8, -1), (20, 5, 20), (20, 20, 5)])
+def test_intact_misses_outside_the_turned_bounds_are_eliminated_and_stored(monkeypatch, sides):
+    # min(b, c) >= a, a = 15, the formal b or c < 0 of the condensation
+    # recursion, and a = max(b, c), where the mirror images (a, b, a) and
+    # (a, a, b) are one turn apart: the a x a matrix's line, stored under its
+    # own key
+    a, b, c = sides
+    monkeypatch.setattr(lgv, "_LINES", {})
+    calls = _line_calls(monkeypatch)
+    want = [det_bareiss(path_matrix(k, b, c, 0, 0, EVEN)) for k in range(a + 1)]
+    assert lgv._det(a, b, c, 0, 0, EVEN) == want[a]
+    assert calls == [(a, b, c, 0, 0, EVEN)]
+    assert lgv._LINES == {(b, c, 0, 0, EVEN): want}
+
+
 def test_a_memo_hit_at_a_large_point_is_read_from_the_memo(monkeypatch):
     # a hit is served from the memo, also where a miss would take the complement
     line = lgv.count_line(20, 6, 9, 3, 8, ODD)
@@ -300,7 +364,9 @@ def test_a_memo_hit_at_a_large_point_is_read_from_the_memo(monkeypatch):
 def test_no_verify_check_at_the_cli_defaults_takes_the_complement(monkeypatch, capsys):
     # `verify all` and the identity registry at the CLI default ranges ask
     # a <= 5, so each reads the path matrix's elimination: the same report
-    # with schur's complement patched to raise
+    # with schur's complement patched to raise, and every elimination is of
+    # a matrix `_det` was asked for (a d = 0 one kept as (b, c, 0, 0, EVEN)),
+    # never of a turned hexagon
     def reports():
         monkeypatch.setattr(lgv, "_LINES", {})
         assert main(["verify", "all"]) == 0
@@ -308,8 +374,18 @@ def test_no_verify_check_at_the_cli_defaults_takes_the_complement(monkeypatch, c
 
     want = reports()
     calls = _complement_calls(monkeypatch, fail=True)
+    asked = set()
+    real_det = lgv._det
+
+    def det(a, b, c, d, p, parity):
+        asked.add((a, b, c, d, p, parity) if d else (a, b, c, 0, 0, EVEN))
+        return real_det(a, b, c, d, p, parity)
+
+    monkeypatch.setattr(lgv, "_det", det)
+    eliminated = _line_calls(monkeypatch)
     assert reports() == want
     assert calls == []
+    assert eliminated and set(eliminated) <= asked
 
 
 def test_even_count_base_cases():
