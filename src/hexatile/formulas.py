@@ -18,8 +18,9 @@ The closed-form products are lists of Pochhammer factors for one routine
 that multiplies their integer parts and raises PoleError where the
 denominator vanishes; the halved products at a = 2p and 2p+1 and det F
 share one list.  Every other display and check compares integers: one
-cross-multiplied sum of integer-pair terms (_sum), with G = E/M and
-R = G/special_prefactor held as pairs, and as_int for integrality.  Fractions
+cross-multiplied sum of integer-pair terms (_sum), or for p1md's
+alternating sum integer terms over one common denominator, with G = E/M
+and R = G/special_prefactor held as pairs, and as_int for integrality.  Fractions
 remain only in byun_odd's half-integer arguments and the rational returns of
 prefactor_P, special_prefactor, detF_factorized and q_known.
 """
@@ -149,20 +150,27 @@ def count_a1_reflection(b: int, c: int, d: int, p: int) -> int:
 
 
 def p_one_minus_d_simple(a: int, b: int, c: int, d: int) -> int:
-    """E(a,b,c,d,1-d): MacMahon count when d >= b/2+1, else the alternating sum."""
+    """E(a,b,c,d,1-d): MacMahon count when d >= b/2+1, else the alternating sum
+    M(a,b,c) (1 - (c)_a sum_k (-1)^(a+k-1) C(a-1,k) (x_k)_n / (a+c-1-k) /
+    ((a-1)! (b+c-2d+2)_n)) over k = 0..a-1, with x_k = b-a-2d+k+3 and
+    n = a+2d-2.
+
+    The sum is taken over its one common denominator (c)_a, of which every
+    a+c-1-k = c..c+a-1 is a factor, so each term is an integer.  A term
+    whose (x_k)_n has the factor 0 vanishes: x_k + n = b+k+1 > 0, so those
+    are the k with x_k <= 0, and the sum starts past them.
+    """
     _refuse("p1md", a, b, c, d, 1 - d)
     if 2 * d >= b + 2:
         return macmahon(a, b, c)
     if a == 0:
         return 1
-    s, s_den = _sum(
-        ((-1) ** (a + k - 1) * binom(a - 1, k) * rising(-a + b - 2 * d + k + 3, a + 2 * d - 2),
-         ((1, a + c - k - 1),))
-        for k in range(a)
-    )
-    # d >= 1, b >= 2d - 1 and c >= 1 here, so every factor of den is positive
-    den = factorial(a - 1) * rising(b + c - 2 * d + 2, a + 2 * d - 2) * s_den
-    return as_int("p_one_minus_d_simple", macmahon(a, b, c) * (den - rising(c, a) * s), den)
+    # d >= 1, b >= 2d - 1 and c >= 1 here, so every factor of den and of (c)_a is positive
+    n, c_a = a + 2 * d - 2, rising(c, a)
+    s = sum((-1) ** (a + k - 1) * math.comb(a - 1, k) * rising(b - a - 2 * d + k + 3, n)
+            * (c_a // (a + c - 1 - k)) for k in range(max(0, a - b + 2 * d - 2), a))
+    den = factorial(a - 1) * rising(b + c - 2 * d + 2, n)
+    return as_int("p_one_minus_d_simple", macmahon(a, b, c) * (den - s), den)
 
 
 def f_sum(a: int, b: int, c: int, d: int) -> int:

@@ -12,11 +12,12 @@ minors.  `count` reads it through `_det` and its one memo, kept by line;
 `count_line` returns the whole line and leaves the memo alone, and qfit's
 fit reads each of its lines with one such call.  The exceptions are one
 large point that misses the memo, counted alone and stored nowhere: with an
-intrusion (d >= 1, a >= 16, b <= 2a and b + c > 2d) `_det` returns schur's
+intrusion (d >= 1, a >= 10, b <= 2a and b + c > 2d) `_det` returns schur's
 d x d complement, MacMahon's product times a d x d determinant; d = 0 never
-takes the complement, and an intact hexagon with a >= 16, a shorter side and
+takes the complement, and an intact hexagon with a >= 10, a shorter side and
 a longer one (min(b, c) < a != max(b, c)) is counted along its shortest side
 instead, the b x b or c x c path matrix of the hexagon turned cyclically.
+One bound, `_COMPLEMENT_A`, serves both routes.
 `_path_rows` builds the rows, in either orientation (see `_line`), and their
 ends from the closed forms of the path counts, the part free of b and c once
 per intrusion shape (`_shape`), for `leading_minors_in_place` to eliminate
@@ -166,17 +167,22 @@ _LINES_MAX = 1 << 14
 # The side a at which a memo miss is counted as one point: with an intrusion
 # through schur's d x d complement, when b <= 2a and b + c > 2d, and at d = 0
 # along the hexagon's shortest side, when min(b, c) < a != max(b, c).  The
-# time of one elimination of the path matrix over the complement's
-# (BENCH_pr51.json: a = 4..24, b + c = 6, 9, 18, 31, d = 1, 3, both
-# parities) was 0.27-1.93 at a <= 8 and 1.4-33 at a >= 16 with b + c > 2d.
-# With b >> a the b running sums dominate: 0.06 at (16, 2000, 3, 2, 8),
-# against 1.2-2.1 at b = 2a + 1.  With b + c <= 2d the d^2 a products do:
-# 0.56 at (20, 3, 5, 4, 10) and 0.05 at (100, 5, 5, 20, 50).  Over the turned
-# hexagon's (BENCH_pr52.json: 165 shapes at a = 16..32, the shortest side 0,
-# 1, 3, 7, a/2, a - 2 or a - 1) it was 6.95 at the median and 0.88 at worst,
-# at (20, 24, 19), where the shortest side is a - 1; 61 at (50, 8, 24) and 23
-# at (100, 30, 30).
-_COMPLEMENT_A = 16
+# bound is the crossover of a grid (BENCH_pr53.json: at each a = 6..20, 24
+# shapes with d = 1..4, 2d < b + c <= 32, b <= 2a and p = -1..a+1, in both
+# parities, and 12 intact ones with b + c <= 32).  The median time of one
+# elimination of the path matrix over the complement's was 0.99 at a = 8,
+# 1.03 at a = 9, 1.23 at a = 10, 1.72 at a = 14 and 2.78 at a = 16; over
+# a >= 10 it was 1.59, and the complement won at 73% of the points.  The
+# worst rows are odd intrusions with d = 4 outside the odd window, whose
+# count is 0 and whose elimination is cheap: 0.17 at (10, 12, 12, 4, -1) and
+# (20, 12, 5, 4, -1).  With b >> a the b running sums dominate: 0.06 at
+# (16, 2000, 3, 2, 8) (BENCH_pr51.json), against 1.2-2.1 at b = 2a + 1.
+# With b + c <= 2d the d^2 a products do: 0.56 at (20, 3, 5, 4, 10) and 0.05
+# at (100, 5, 5, 20, 50).  The turned hexagon beat the a x a elimination at
+# every a of the grid, 1.3 times at worst and 2.2 at the median at a = 6,
+# 4.5 at a = 10; BENCH_pr52.json has it 0.88 times at (20, 24, 19), where
+# the shortest side is a - 1, 61 at (50, 8, 24) and 23 at (100, 30, 30).
+_COMPLEMENT_A = 10
 
 
 def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
@@ -185,7 +191,7 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
 
     Every determinant in this module but `count_line`'s goes through here.
     A hit is read from the memo.  A miss (no line, or one shorter than a)
-    with d >= 1, a >= _COMPLEMENT_A, b <= 2a and b + c > 2d returns
+    with d >= 1, a >= _COMPLEMENT_A (10), b <= 2a and b + c > 2d returns
     `schur.count_via_inverse` for that one point and stores nothing: the
     complement gives one point, and the memo holds whole lines.  d = 0 never
     takes the complement, which is then MacMahon's product itself.  A d = 0

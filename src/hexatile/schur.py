@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, factorial
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple
 
 from .detkernel import IntMatrix, det_bareiss, leading_minors, mat_mul, solve_exact
@@ -220,11 +220,22 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
     is a short dot product of column j of Q1, nonzero on at most 2j rows,
     with row i of Q3 T' diag(weights) H_c^T, built only at those rows.
 
+    Only what reaches S F is built.  Q1's columns have their nonzeros in
+    rows lo..hi, lo = max(1, p+1-d+o) and hi = min(a, p+d), so the weights
+    are taken only for k = lo..a and the series of (1+z)^-c only up to
+    a - lo; with lo > hi, Q1 is zero and S F is S Q4.  Row i of Q3 is
+    nonzero only at columns first..last, and u below (with C(c+t-1, t-1)
+    and its sign) is built there alone, its b running sums from column
+    first on, since the columns below it are zero and stay zero; a row
+    with first > last adds nothing.  Q1's columns are taken on their rows
+    lo_j..hi_j with their signs set by slice, and Q4's entries only where
+    they are nonzero, j >= i + o.
+
     Row i of Q3 T' is the series of u(z) (1+z)^-b with u_t = Q3[i, t]
     C(c+t-1, t-1), and (1+z)^-b is b applications of (1+z)^-1: with the
     signs (-1)^t moved onto u, each application is one running sum, so a
-    row costs about b a additions and its weighted correlation with H_c^T
-    about 2 d a products.  A convolution with the series of (1+z)^-b would
+    row costs about b (a - first) additions and its weighted correlation
+    with H_c^T about 2 d (a - lo) products.  A convolution with the series of (1+z)^-b would
     cost about a T products for the T nonzeros of the row of Q3, which is
     less once b passes about 2a: at a = 5..20 and d = 3 this route took
     1.1-1.2 times as long at b = 2a and 1.4-1.5 times at b = 4a.  perfbench's
@@ -242,38 +253,46 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
     if a == 0:
         return 0 if o and d else 1
     scale = comb(b + c, b) * rising(b + c + 1, a - 1)
-    # the weights (k-1)! (b+c+k)_{a-k} for k = 1..a, and C(c+t-1, t-1) with
-    # the sign (-1)^t for t = 1..a, both shared by the d rows
-    tails = list(accumulate(range(b + c + a - 1, b + c, -1), mul, initial=1))  # (b+c+a-m)_m
-    weights = list(map(mul, accumulate(range(1, a), mul, initial=1), reversed(tails)))
-    signed_c = [-s if t % 2 else s for t, s in enumerate(_series(c + 1, a), 1)]
-    h_c = _series(c, a)  # (1+z)^-c unsigned: the sign (-1)^l moves onto Q1
     # column j of Q1 has its nonzeros at rows max(1, p+1-j+o)..min(a, p+j),
     # so (S M^-1) Q1 reads only columns lo..a of Q3 T' diag(weights), and
-    # L' Q1 only rows lo..hi of the correlation of those columns with h_c.
-    # Row i of Q3 is C(b+c+1-2i-o, c-i+t-p-o), nonzero only at columns
-    # first..last
+    # L' Q1 only rows lo..hi of the correlation of those columns with h_c
     lo, hi = max(1, p + 1 - d + o), min(a, p + d)
-    near = []  # (-1)^l times row i of Q3 T' diag(weights) H_c^T at columns lo..hi
-    for i in range(1, d + 1):
-        top, shift = b + c + 1 - 2 * i - o, c - i - p - o
-        first, last = max(1, -shift), min(a, top - shift)
-        u = [0] * a
-        if first <= last:  # a negative last would slice from the end
-            q3 = map(comb, repeat(top), range(first + shift, last + shift + 1))
-            u[first - 1:last] = map(mul, q3, signed_c[first - 1:last])
-        # (-1)^k times the coefficient of z^k in u(z) (1+z)^-b: b running sums
-        for _ in range(b):
-            u = list(accumulate(u))
-        row = list(map(mul, weights[lo - 1:], u[lo - 1:]))
-        near.append([sum(map(mul, row[l - lo:], h_c)) for l in range(lo, hi + 1)])
+    near = [[]] * d  # with lo > hi, Q1 is zero and S F is S Q4
+    if lo <= hi:
+        # the weights (k-1)! (b+c+k)_{a-k} for k = lo..a, shared by the d rows
+        tails = [*accumulate(range(b + c + a - 1, b + c + lo - 1, -1), mul, initial=1)]
+        facts = accumulate(range(lo, a), mul, initial=factorial(lo - 1))
+        weights = [*map(mul, facts, reversed(tails))]
+        h_c = _series(c, a - lo + 1)  # (1+z)^-c unsigned: the sign (-1)^l moves onto Q1
+        near = []  # (-1)^l times row i of Q3 T' diag(weights) H_c^T at columns lo..hi
+        for i in range(1, d + 1):
+            # row i of Q3, C(b+c+1-2i-o, c-i+t-p-o), is nonzero only at columns first..last
+            top, shift = b + c + 1 - 2 * i - o, c - i - p - o
+            first, last = max(1, -shift), min(a, top - shift)
+            if first > last:
+                near.append([0] * (hi - lo + 1))
+                continue
+            # u_t = (-1)^t Q3[i, t] C(c+t-1, t-1) for t = first..a, zero past last
+            u = [*map(mul, map(comb, repeat(top), range(first + shift, last + shift + 1)),
+                      map(comb, range(c + first - 1, c + last), range(first - 1, last)))]
+            u[1 - first % 2::2] = map(neg, u[1 - first % 2::2])  # the odd t
+            u += repeat(0, a - last)
+            # (-1)^k times the coefficient of z^k in u(z) (1+z)^-b: b running
+            # sums, which leave the columns below first at zero
+            for _ in range(b):
+                u = [*accumulate(u)]
+            row = [*map(mul, weights, u[lo - first:])] if lo >= first else [
+                *repeat(0, first - lo), *map(mul, weights[first - lo:], u)]  # columns lo..a
+            near.append([sum(map(mul, row[l - lo:], h_c)) for l in range(lo, hi + 1)])
     sf = []  # S F transposed, which has the same determinant
     for j in range(1, d + 1):
-        lo_j = max(1, p + 1 - j + o)
-        v = [(-1) ** l * comb(b + l - 1, l - 1) * comb(2 * j - 1 - o, j - l + p)
-             for l in range(lo_j, min(a, p + j) + 1)]
-        sf.append([scale * binom(2 * (j - i - o), j - i - o) - sum(map(mul, v, row[lo_j - lo:]))
-                   for i, row in enumerate(near, 1)])
+        # (-1)^l C(b+l-1, l-1) times column j of Q1, C(2j-1-o, j-l+p), at its rows
+        lo_j, hi_j = max(1, p + 1 - j + o), min(a, p + j)
+        v = [*map(mul, map(comb, range(b + lo_j - 1, b + hi_j), range(lo_j - 1, hi_j)),
+                  map(comb, repeat(2 * j - 1 - o), range(j + p - lo_j, j + p - hi_j - 1, -1)))]
+        v[1 - lo_j % 2::2] = map(neg, v[1 - lo_j % 2::2])  # the odd l
+        sf.append([(scale * comb(2 * (j - i - o), j - i - o) if i + o <= j else 0)
+                   - sum(map(mul, v, row[lo_j - lo:])) for i, row in enumerate(near, 1)])
     return as_int(f"count_via_inverse at {(a, b, c, d, p, parity)}",
                   macmahon(a, b, c) * det_bareiss(sf), scale**d)
 

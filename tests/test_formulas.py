@@ -260,6 +260,16 @@ def test_p_one_minus_d_simple():
         p_one_minus_d_simple(2, 2, 2, 0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_p_one_minus_d_simple_over_its_common_denominator(d):
+    # the alternating sum over (c)_a, its terms with a factor 0 in (x)_n
+    # skipped: at b = 2d - 1, c = 1, a = 1, and at a > b - 2d + 2, where the
+    # terms k < a - b + 2d - 2 vanish (at b = 2d - 1 all but the last); the
+    # points at a >= 10 are counted through the complement
+    for a, b, c in product((1, 2, 7, 12, 14), (2 * d - 1, 2 * d, 2 * d + 3), (1, 2, 5)):
+        assert p_one_minus_d_simple(a, b, c, d) == lgv.count(a, b, c, d, 1 - d, EVEN), (a, b, c)
+
+
 def test_p_one_minus_d_simple_agrees_with_a1_reflection():
     for b in range(2, 7):
         for c in range(2, 7):

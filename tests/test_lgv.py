@@ -258,7 +258,7 @@ def _complement_calls(monkeypatch, fail=False):
 @pytest.mark.parametrize("parity", [EVEN, ODD])
 def test_a_large_miss_with_an_intrusion_is_counted_through_the_complement(monkeypatch, spec,
                                                                           parity):
-    # d >= 1, a >= 16, b <= 2a and b + c > 2d: one call to schur's
+    # d >= 1, a >= 10, b <= 2a and b + c > 2d: one call to schur's
     # complement, which is the elimination's count, and the line memo is left
     # as it was
     planted = {(1, 4, 1, 2, EVEN): [1, 2, 3]}
@@ -274,7 +274,7 @@ def test_a_large_miss_with_an_intrusion_is_counted_through_the_complement(monkey
     # MacMahon's product itself, and the turned hexagon would be no smaller
     (16, 2000, 3, 2, 8),  # b >> a: the b running sums dominate
     (16, 33, 5, 2, 8),  # b = 2a + 1
-    (15, 30, 5, 2, 8),  # a = 15
+    (9, 18, 5, 2, 4),  # a = 9, just below the bound
     (20, 3, 5, 4, 10),  # b + c = 2d: the d x d part dominates
 ])
 def test_misses_outside_the_complement_bounds_are_eliminated(monkeypatch, spec):
@@ -287,6 +287,28 @@ def test_misses_outside_the_complement_bounds_are_eliminated(monkeypatch, spec):
     # nor the formal b or c < 0 of the condensation recursion
     for spec in ((20, -1, 8, 2, 3), (20, 8, -1, 2, 3)):
         assert lgv._det(*spec, EVEN) == det_bareiss(path_matrix(*spec, EVEN))
+
+
+@pytest.mark.parametrize("a", sorted({lgv._COMPLEMENT_A - 1, lgv._COMPLEMENT_A,
+                                       lgv._COMPLEMENT_A + 1, 15}))
+def test_misses_at_the_complement_bound_take_the_route_its_rule_names(monkeypatch, a):
+    # on both sides of a = _COMPLEMENT_A, of b <= 2a and of b + c > 2d: the
+    # count is the path determinant, and exactly the misses that the rule
+    # sends to the complement call it once, eliminate nothing and leave the
+    # line memo empty; every other miss eliminates its own line and stores it
+    complement = _complement_calls(monkeypatch)
+    eliminated = _line_calls(monkeypatch)
+    for d, parity in product((1, 2, 3), (EVEN, ODD)):
+        for b, c in ((0, 2 * d), (0, 2 * d + 1), (d, d), (d, d + 1), (2 * a, 0), (2 * a + 1, 0)):
+            spec = (a, b, c, d, a // 2, parity)
+            monkeypatch.setattr(lgv, "_LINES", {})
+            complement.clear()
+            eliminated.clear()
+            assert lgv._det(*spec) == det_bareiss(path_matrix(*spec)), spec
+            routed = a >= lgv._COMPLEMENT_A and b <= 2 * a and b + c > 2 * d
+            assert (lgv._LINES == {}) == routed, spec
+            assert complement == ([spec] if routed else [])
+            assert eliminated == ([] if routed else [spec])
 
 
 def _line_calls(monkeypatch):
@@ -302,7 +324,7 @@ def _line_calls(monkeypatch):
     (18, 17, 30), (19, 25, 18), (23, 22, 22), (24, 23, 23), (21, 20, 40), (600, 3, 4),
 ])
 def test_a_large_intact_miss_with_a_shorter_side_is_counted_along_it(monkeypatch, sides):
-    # d = 0, a >= 16 and min(b, c) < a != max(b, c): one elimination of the
+    # d = 0, a >= 10 and min(b, c) < a != max(b, c): one elimination of the
     # hexagon turned cyclically, its shortest side first, whose count is the
     # unturned a x a determinant's, in either parity and at any p; the memo
     # is left as it was
@@ -336,10 +358,10 @@ def test_mirror_images_of_a_large_intact_hexagon_are_turned_to_distinct_matrices
     assert lgv._LINES == {}
 
 
-@pytest.mark.parametrize("sides", [(16, 16, 20), (16, 20, 20), (20, 40, 21), (15, 3, 4),
+@pytest.mark.parametrize("sides", [(16, 16, 20), (16, 20, 20), (20, 40, 21), (9, 3, 4),
                                    (20, -1, 8), (20, 8, -1), (20, 5, 20), (20, 20, 5)])
 def test_intact_misses_outside_the_turned_bounds_are_eliminated_and_stored(monkeypatch, sides):
-    # min(b, c) >= a, a = 15, the formal b or c < 0 of the condensation
+    # min(b, c) >= a, a = 9, the formal b or c < 0 of the condensation
     # recursion, and a = max(b, c), where the mirror images (a, b, a) and
     # (a, a, b) are one turn apart: the a x a matrix's line, stored under its
     # own key

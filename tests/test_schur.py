@@ -171,14 +171,19 @@ def test_count_via_inverse_at_depths_6_and_7_and_on_a_long_side(spec):
     assert count_via_inverse(*spec) == det_bareiss(path_matrix(*spec, EVEN))
 
 
-def test_count_via_inverse_is_the_count_outside_prefactor_P_window(monkeypatch):
-    # p < 0, p > a, b <= d, c <= d + p, d = 0, a = 0, b = 0, c = 0 and
-    # b + c < 2i - 1; math.comb is asked only for binomials in its support
+def _comb_only_in_support(monkeypatch):
+    """Make schur's math.comb fail for a binomial outside its support."""
     def comb_in_support(n, k):
         assert 0 <= k <= n, (n, k)
         return math.comb(n, k)
 
     monkeypatch.setattr(schur, "comb", comb_in_support)
+
+
+def test_count_via_inverse_is_the_count_outside_prefactor_P_window(monkeypatch):
+    # p < 0, p > a, b <= d, c <= d + p, d = 0, a = 0, b = 0, c = 0 and
+    # b + c < 2i - 1; math.comb is asked only for binomials in its support
+    _comb_only_in_support(monkeypatch)
     points = 0
     schur._BLOCKS.clear()
     try:
@@ -205,7 +210,7 @@ def test_count_via_inverse_is_the_count_outside_prefactor_P_window(monkeypatch):
     (20, 3, 10, 4, -2),  # rows 2..4 of Q3 end before column 1: b + p + 1 - i < 1
 ])
 def test_count_via_inverse_on_long_rows_outside_prefactor_P_window(spec):
-    # against the elimination: lgv.count takes this route itself at a >= 16
+    # against the elimination: lgv.count takes this route itself at a >= 10
     a, b, c, d, p = spec
     assert not (0 <= p <= a and b > d >= 1 and c > d + p)
     assert count_via_inverse(*spec) == lgv.count_line(*spec, EVEN)[-1]
@@ -215,11 +220,7 @@ def test_count_via_inverse_is_the_path_determinant_in_both_parities(monkeypatch)
     # every a <= 5, b, c <= 4, d <= 3 and p in -d-2..a+d+2: p < 0, p > a,
     # b or c = 0, a = 0 (where the odd count is 0 once d > 0) and odd needles
     # that leave the hexagon; math.comb is asked only inside its support
-    def comb_in_support(n, k):
-        assert 0 <= k <= n, (n, k)
-        return math.comb(n, k)
-
-    monkeypatch.setattr(schur, "comb", comb_in_support)
+    _comb_only_in_support(monkeypatch)
     points = 0
     for parity in (EVEN, ODD):
         for a, b, c, d in product(range(6), range(5), range(5), range(4)):
@@ -230,6 +231,29 @@ def test_count_via_inverse_is_the_path_determinant_in_both_parities(monkeypatch)
     assert points == 2 * 25 * sum(a + 2 * d + 5 for a in range(6) for d in range(4))
     assert count_via_inverse(0, 3, 3, 2, 0, ODD) == 0
     assert count_via_inverse(0, 3, 3, 0, 0, ODD) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    (12, 5, 0, 2, 6),  # c = 0, and row 1 of Q3 starts past lo: lo < first
+    (14, 6, 1, 3, 7),  # lo < first
+    (12, 3, 9, 2, 6),  # lo > first
+    (12, 0, 7, 3, 5),  # b = 0: no running sum
+    (12, 5, 6, 3, -3), (12, 5, 6, 3, -5),  # p <= -d: Q1 is zero on rows 1..a
+    (12, 5, 6, 3, 15), (12, 5, 6, 3, 18),  # p >= a + d: so too
+    (12, 5, 6, 3, 11), (12, 5, 6, 3, 12),  # p = a - 1 and a, the odd window's edge
+    (2, 6, 7, 4, 1), (3, 9, 9, 5, 2),  # d > a
+    (1, 4, 5, 2, 0), (1, 4, 5, 2, 1),  # a = 1
+    (10, 1, 2, 3, 4),  # row 3 of Q3 is empty: first > last
+    (20, 10, 3, 4, 12),
+])
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_count_via_inverse_at_the_edges_of_its_windows(monkeypatch, spec, parity):
+    # the weights and the series of (1+z)^-c from row lo of Q1 on, each row
+    # of Q3 built on its support first..last and summed from column first:
+    # the path determinant where those windows have edges, with math.comb
+    # asked only inside its support
+    _comb_only_in_support(monkeypatch)
+    assert count_via_inverse(*spec, parity) == det_bareiss(path_matrix(*spec, parity))
 
 
 @pytest.mark.parametrize("spec", [
