@@ -175,9 +175,12 @@ _LINES_MAX = 1 << 14
 # a >= 10 it was 1.59, and the complement won at 73% of the points.  The
 # worst rows are odd intrusions with d = 4 outside the odd window, whose
 # count is 0 and whose elimination is cheap: 0.17 at (10, 12, 12, 4, -1) and
-# (20, 12, 5, 4, -1).  With b >> a the b running sums dominate: 0.06 at
-# (16, 2000, 3, 2, 8) (BENCH_pr51.json), against 1.2-2.1 at b = 2a + 1.
-# With b + c <= 2d the d^2 a products do: 0.56 at (20, 3, 5, 4, 10) and 0.05
+# (20, 12, 5, 4, -1).  Past b = 2a, where the rule sends nothing, a row of
+# the complement takes 2i-1+o running sums, not b (BENCH_pr54.json, c = 3,
+# d = 2, p = a/2 and a = 10..24): 1.2-5.5 at b = 2a + 1, 0.87-10.5 at
+# b = 4a and 8a, and 1.5-10.1 at b = 2000; 4.3 at (16, 2000, 3, 2, 8), where
+# it read 0.06 with b sums (BENCH_pr51.json).  With b + c <= 2d the d^2 a
+# products dominate: 0.56 at (20, 3, 5, 4, 10) and 0.05
 # at (100, 5, 5, 20, 50).  The turned hexagon beat the a x a elimination at
 # every a of the grid, 1.3 times at worst and 2.2 at the median at a = 6,
 # 4.5 at a = 10; BENCH_pr52.json has it 0.88 times at (20, 24, 19), where

@@ -191,15 +191,6 @@ def count_via_F(a: int, b: int, c: int, d: int, p: int) -> int:
     return count
 
 
-def _series(x: int, n: int) -> list:
-    """C(x+m-1, m) for m < n: the first n coefficients of (1-z)^-x, whose
-    signs alternated give those of (1+z)^-x."""
-    out = [1]
-    for m in range(1, n):
-        out.append(out[-1] * (x + m - 1) // m)
-    return out
-
-
 def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN) -> int:
     """E(a,b,c,d,p) (parity EVEN) or O(a,b,c,d,p) (ODD) = M(a,b,c) det(S F) /
     S^d for every a, b, c, d >= 0 and every integer p, with no solve and no
@@ -225,7 +216,7 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
     are taken only for k = lo..a and the series of (1+z)^-c only up to
     a - lo; with lo > hi, Q1 is zero and S F is S Q4.  Row i of Q3 is
     nonzero only at columns first..last, and u below (with C(c+t-1, t-1)
-    and its sign) is built there alone, its b running sums from column
+    and its sign) is built there alone, its running sums from column
     first on, since the columns below it are zero and stay zero; a row
     with first > last adds nothing.  Q1's columns are taken on their rows
     lo_j..hi_j with their signs set by slice, and Q4's entries only where
@@ -233,15 +224,26 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
 
     Row i of Q3 T' is the series of u(z) (1+z)^-b with u_t = Q3[i, t]
     C(c+t-1, t-1), and (1+z)^-b is b applications of (1+z)^-1: with the
-    signs (-1)^t moved onto u, each application is one running sum, so a
-    row costs about b (a - first) additions and its weighted correlation
-    with H_c^T about 2 d (a - lo) products.  A convolution with the series of (1+z)^-b would
-    cost about a T products for the T nonzeros of the row of Q3, which is
-    less once b passes about 2a: at a = 5..20 and d = 3 this route took
-    1.1-1.2 times as long at b = 2a and 1.4-1.5 times at b = 4a.  perfbench's
-    holdout points have b <= 19 and a up to 28, CI's shapes outside
-    prefactor_P's window b <= 12, and lgv.count sends a point here only at
-    b <= 2a.
+    signs (-1)^t moved onto u, each application is one running sum.  When
+    p >= 1-i-o, u(z) has the factor (1+z)^e, e = b+1-2i-o, and the first e
+    sums have a closed form.  Proof: with N = b+c+1-2i-o and
+    m = i+p+o-1 >= 0, the sum over t >= 1 of u_t z^(t-1) is
+    D^c[z^m (1+z)^N] / c!, which Leibniz's rule writes as the sum over j of
+    C(m, j) z^(m-j) C(N, c-j) (1+z)^(N-c+j): (1+z)^(N-c) = (1+z)^e times
+    the sum over j of C(m, j) C(N, c-j) z^(m-j) (1+z)^j, whose coefficient
+    of z^(m-s) is C(m, s) C(N+m-s, c-s) by Vandermonde's sum, a polynomial
+    of degree <= m; with m >= 0 no negative power of z arises
+    (Krattenthaler's identification of factors, "Advanced determinant
+    calculus", 1999, section 2.4).  So e running sums of the signed row,
+    (1-z)^-e times it, are (-1)^t C(m, t-1) C(N+t-1, c+t-1-m) at column t:
+    0 past column i+p+o, and the row cut at column a agrees with them up
+    to a.  Such a row, with e > 0, is built in that closed form on columns
+    first..min(a, i+p+o), two binomials a column as u has, and takes only
+    the other 2i-1+o running sums, over columns first..a.  With p <= -i-o
+    the series has negative powers and its sums do not vanish, so those
+    rows, and rows with e <= 0, are built as u and take all b sums.  A row
+    costs about (2i-1+o)(a+1-first) additions in place of b (a+1-first),
+    and its weighted correlation with H_c^T about 2 d (a - lo) products.
     At a = 0 the count is det Q4: 1 for even intrusions and at d = 0, and 0
     for odd ones with d > 0.  A negative side or an unknown parity is a
     ValueError, as in lgv.count, and a remainder raises NotIntegerError.
@@ -263,7 +265,10 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
         tails = [*accumulate(range(b + c + a - 1, b + c + lo - 1, -1), mul, initial=1)]
         facts = accumulate(range(lo, a), mul, initial=factorial(lo - 1))
         weights = [*map(mul, facts, reversed(tails))]
-        h_c = _series(c, a - lo + 1)  # (1+z)^-c unsigned: the sign (-1)^l moves onto Q1
+        # C(c-1+k, k), the series of (1+z)^-c unsigned (the unit series at c = 0):
+        # the sign (-1)^l moves onto Q1
+        h_c = [*map(comb, range(c - 1, c + a - lo), range(a - lo + 1))] if c else [
+            1, *repeat(0, a - lo)]
         near = []  # (-1)^l times row i of Q3 T' diag(weights) H_c^T at columns lo..hi
         for i in range(1, d + 1):
             # row i of Q3, C(b+c+1-2i-o, c-i+t-p-o), is nonzero only at columns first..last
@@ -272,14 +277,24 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
             if first > last:
                 near.append([0] * (hi - lo + 1))
                 continue
-            # u_t = (-1)^t Q3[i, t] C(c+t-1, t-1) for t = first..a, zero past last
-            u = [*map(mul, map(comb, repeat(top), range(first + shift, last + shift + 1)),
-                      map(comb, range(c + first - 1, c + last), range(first - 1, last)))]
+            # (-1)^k times the coefficient of z^k in u(z) (1+z)^-b, u as below,
+            # is b running sums of u, which leave the columns below first at
+            # zero; when p >= 1-i-o and e > 0, the first e of them are the
+            # closed form above, 0 past column m+1
+            m, e = i + p + o - 1, b + 1 - 2 * i - o
+            if m >= 0 and e > 0:
+                stop, sums = min(a, m + 1), b - e
+                u = [*map(mul, map(comb, repeat(m), range(first - 1, stop)),
+                          map(comb, range(top + first - 1, top + stop),
+                              range(first + shift, stop + shift + 1)))]
+            else:
+                # u_t = (-1)^t Q3[i, t] C(c+t-1, t-1) for t = first..last
+                stop, sums = last, b
+                u = [*map(mul, map(comb, repeat(top), range(first + shift, last + shift + 1)),
+                          map(comb, range(c + first - 1, c + last), range(first - 1, last)))]
             u[1 - first % 2::2] = map(neg, u[1 - first % 2::2])  # the odd t
-            u += repeat(0, a - last)
-            # (-1)^k times the coefficient of z^k in u(z) (1+z)^-b: b running
-            # sums, which leave the columns below first at zero
-            for _ in range(b):
+            u += repeat(0, a - stop)
+            for _ in range(sums):
                 u = [*accumulate(u)]
             row = [*map(mul, weights, u[lo - first:])] if lo >= first else [
                 *repeat(0, first - lo), *map(mul, weights[first - lo:], u)]  # columns lo..a

@@ -2,9 +2,10 @@
 binomial matrix behind the intact-hexagon count."""
 
 import math
+import random
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import accumulate, product
 from math import factorial
 
 import pytest
@@ -254,6 +255,99 @@ def test_count_via_inverse_at_the_edges_of_its_windows(monkeypatch, spec, parity
     # asked only inside its support
     _comb_only_in_support(monkeypatch)
     assert count_via_inverse(*spec, parity) == det_bareiss(path_matrix(*spec, parity))
+
+
+def _signed_q3_row(b, c, i, p, o, columns):
+    """(-1)^t Q3[i, t] C(c+t-1, t-1) for t = 1..columns, not cut at any a."""
+    return [(-1) ** t * binom(b + c + 1 - 2 * i - o, c - i + t - p - o) * binom(c + t - 1, t - 1)
+            for t in range(1, columns + 1)]
+
+
+def _running_sums(row, times):
+    for _ in range(times):
+        row = [*accumulate(row)]
+    return row
+
+
+@pytest.mark.parametrize("o", [0, 1])
+def test_e_running_sums_of_a_q3_row_are_its_closed_form_and_vanish_past_column_i_plus_p_plus_o(o):
+    # with p >= 1-i-o, row i of Q3 diag(C(c+t-1, t-1)) has the factor
+    # (1+z)^e, e = b+1-2i-o: e running sums of the signed row are
+    # (-1)^t C(m, t-1) C(N+t-1, c+t-1-m), m = i+p+o-1 and N = b+c+1-2i-o,
+    # so nothing is left past column i+p+o, on rows taken past their last
+    # nonzero, which count_via_inverse cuts at column a
+    rng = random.Random(54 + o)
+    seen, rows = set(), 0
+    while rows < 600:
+        i, c, a, e = rng.randint(1, 6), rng.randint(0, 12), rng.randint(1, 12), rng.randint(0, 14)
+        b, p = e + 2 * i + o - 1, rng.randint(1 - i - o, a + 4)
+        m, n = i + p + o - 1, b + c + 1 - 2 * i - o
+        columns = max(m + 1, b + 1 - i + p) + 3
+        row = _signed_q3_row(b, c, i, p, o, columns)
+        if not any(row):
+            continue
+        closed = [(-1) ** t * binom(m, t - 1) * binom(n + t - 1, c + t - 1 - m)
+                  for t in range(1, columns + 1)]
+        assert _running_sums(row, e) == closed, (b, c, i, p, o)
+        assert any(closed) and not any(closed[m + 1:])
+        seen |= {name for name, hit in [("c = 0", c == 0), ("e = 0", e == 0),
+                                        ("first > 1", m + 1 - c > 1), ("i+p+o > a", m + 1 > a)]
+                 if hit}
+        rows += 1
+    assert seen == {"c = 0", "e = 0", "first > 1", "i+p+o > a"}
+
+
+@pytest.mark.parametrize("b, c, i, p, o", [(6, 3, 2, -2, 0), (7, 3, 2, -3, 1)])
+def test_e_running_sums_of_a_q3_row_at_p_minus_i_minus_o_do_not_vanish(b, c, i, p, o):
+    # at p = -i-o the row's series has a negative power of z, and after its
+    # e = 3 running sums no column is 0: -C(k+2, 2) at column k
+    row = _signed_q3_row(b, c, i, p, o, 30)
+    assert row[:4] == [-15, 24, -10, 0] and not any(row[3:])
+    assert _running_sums(row, b + 1 - 2 * i - o) == [-math.comb(k + 2, 2) for k in range(4, 34)]
+
+
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_count_via_inverse_past_b_2a_is_the_path_determinant(monkeypatch, parity):
+    # b in (2a, 4a] and b >> a, where lgv.count sends no point here: rows
+    # with p >= 1-i-o start from the closed form of their first e running
+    # sums on columns first..i+p+o and take the other 2i-1+o on the whole
+    # row; p <= -i-o keeps all b sums.  math.comb is asked only inside its
+    # support
+    _comb_only_in_support(monkeypatch)
+    points = 0
+    for a in (1, 2, 3, 5, 8, 12):
+        for b in sorted({2 * a + 1, 3 * a, 4 * a, 60}):
+            for d, c in product((1, 2, 3), (0, 2 + (a + b) % 10)):
+                for p in range(-d - 2, a + d + 3):
+                    want = lgv.count_line(a, b, c, d, p, parity)[-1]
+                    assert count_via_inverse(a, b, c, d, p, parity) == want, (a, b, c, d, p)
+                    points += 1
+    assert points == 1980
+
+
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_count_via_inverse_eliminates_s_f_entry_by_entry(monkeypatch, parity):
+    # S F = S Q4 - Q3 (S M^-1) Q1 from build_bundle's inverse, S / W being
+    # 1 / ((a-1)! b! c!).  At p <= -i-o, rows i.. of S F vanish left of
+    # column i+o, so the count does not read their other entries: only this
+    # comparison sees a row there that took the factor it does not have
+    o = parity == ODD
+    taken = []
+    monkeypatch.setattr(schur, "det_bareiss", lambda m: taken.append(m) or det_bareiss(m))
+    for a, b, c in product((1, 3, 6), (0, 2, 5, 13), (0, 1, 4)):
+        x, den = _scaled_inverse(build_bundle(a, b, c)), factorial(a - 1) * factorial(b) * factorial(c)
+        s = factorial(b + c + a - 1) // (factorial(b) * factorial(c))
+        for d in (1, 2, 3):
+            for p in range(-d - 2, a + d + 3):
+                q3 = [[binom(b + c + 1 - 2 * i - o, c - i + t - p - o) for t in range(1, a + 1)]
+                      for i in range(1, d + 1)]
+                q1 = [[binom(2 * j - 1 - o, j - l + p) for j in range(1, d + 1)] for l in range(1, a + 1)]
+                q3xq1 = mat_mul(mat_mul(q3, x), q1)
+                want = [[(s * den * binom(2 * (j - i - o), j - i - o) - q3xq1[i - 1][j - 1]) // den
+                         for i in range(1, d + 1)] for j in range(1, d + 1)]  # transposed
+                taken.clear()
+                count_via_inverse(a, b, c, d, p, parity)
+                assert taken == [want], (a, b, c, d, p)
 
 
 @pytest.mark.parametrize("spec", [
