@@ -12,7 +12,7 @@ minors.  `count` reads it through `_det` and its one memo, kept by line;
 `count_line` returns the whole line and leaves the memo alone, and qfit's
 fit reads each of its lines with one such call.  The exceptions are one
 large point that misses the memo, counted alone and stored nowhere: with an
-intrusion (d >= 1, a >= 10, b <= 2a and b + c > 2d) `_det` returns schur's
+intrusion (d >= 1, a >= 10 and b + c > 2d) `_det` returns schur's
 d x d complement, MacMahon's product times a d x d determinant; d = 0 never
 takes the complement, and an intact hexagon with a >= 10, a shorter side and
 a longer one (min(b, c) < a != max(b, c)) is counted along its shortest side
@@ -165,22 +165,19 @@ _LINES: dict = {}
 _LINES_MAX = 1 << 14
 
 # The side a at which a memo miss is counted as one point: with an intrusion
-# through schur's d x d complement, when b <= 2a and b + c > 2d, and at d = 0
-# along the hexagon's shortest side, when min(b, c) < a != max(b, c).  The
-# bound is the crossover of a grid (BENCH_pr53.json: at each a = 6..20, 24
-# shapes with d = 1..4, 2d < b + c <= 32, b <= 2a and p = -1..a+1, in both
-# parities, and 12 intact ones with b + c <= 32).  The median time of one
-# elimination of the path matrix over the complement's was 0.99 at a = 8,
-# 1.03 at a = 9, 1.23 at a = 10, 1.72 at a = 14 and 2.78 at a = 16; over
-# a >= 10 it was 1.59, and the complement won at 73% of the points.  The
-# worst rows are odd intrusions with d = 4 outside the odd window, whose
-# count is 0 and whose elimination is cheap: 0.17 at (10, 12, 12, 4, -1) and
-# (20, 12, 5, 4, -1).  Past b = 2a, where the rule sends nothing, a row of
-# the complement takes 2i-1+o running sums, not b (BENCH_pr54.json, c = 3,
-# d = 2, p = a/2 and a = 10..24): 1.2-5.5 at b = 2a + 1, 0.87-10.5 at
-# b = 4a and 8a, and 1.5-10.1 at b = 2000; 4.3 at (16, 2000, 3, 2, 8), where
-# it read 0.06 with b sums (BENCH_pr51.json).  With b + c <= 2d the d^2 a
-# products dominate: 0.56 at (20, 3, 5, 4, 10) and 0.05
+# through schur's d x d complement, when b + c > 2d, and at d = 0 along the
+# hexagon's shortest side, when min(b, c) < a != max(b, c).  The bound is the
+# crossover of a grid (BENCH_pr53.json: at each a = 6..20, 24 shapes with
+# d = 1..4, 2d < b + c <= 32, b <= 2a and p = -1..a+1, in both parities, and
+# 12 intact ones with b + c <= 32).  The median time of one elimination of
+# the path matrix over the complement's was 0.99 at a = 8, 1.03 at a = 9,
+# 1.23 at a = 10, 1.72 at a = 14 and 2.78 at a = 16; over a >= 10 it was
+# 1.59, and the complement won at 73% of the points.  The worst rows are odd
+# intrusions with d = 4 outside the odd window, whose count is 0 and whose
+# elimination is cheap: 0.17 at (10, 12, 12, 4, -1) and (20, 12, 5, 4, -1).
+# A row of the complement takes 2i-1+o running sums whatever b is, so a long
+# b costs it little (BENCH_pr55.json has the grid past b = 2a).  With
+# b + c <= 2d the d^2 a products dominate: 0.56 at (20, 3, 5, 4, 10) and 0.05
 # at (100, 5, 5, 20, 50).  The turned hexagon beat the a x a elimination at
 # every a of the grid, 1.3 times at worst and 2.2 at the median at a = 6,
 # 4.5 at a = 10; BENCH_pr52.json has it 0.88 times at (20, 24, 19), where
@@ -194,7 +191,7 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
 
     Every determinant in this module but `count_line`'s goes through here.
     A hit is read from the memo.  A miss (no line, or one shorter than a)
-    with d >= 1, a >= _COMPLEMENT_A (10), b <= 2a and b + c > 2d returns
+    with d >= 1, a >= _COMPLEMENT_A (10) and b + c > 2d returns
     `schur.count_via_inverse` for that one point and stores nothing: the
     complement gives one point, and the memo holds whole lines.  d = 0 never
     takes the complement, which is then MacMahon's product itself.  A d = 0
@@ -222,7 +219,7 @@ def _det(a: int, b: int, c: int, d: int, p: int, parity: str) -> int:
     if line is not None and a < len(line):
         return line[a]
     if a >= _COMPLEMENT_A and 0 <= b and 0 <= c:
-        if d and b <= 2 * a and b + c > 2 * d:
+        if d and b + c > 2 * d:
             return schur.count_via_inverse(a, b, c, d, p, parity)
         if not d and min(b, c) < a != max(b, c):  # turned cyclically, shortest side first
             return _line(b, c, a, 0, 0, EVEN)[b] if b <= c else _line(c, a, b, 0, 0, EVEN)[c]

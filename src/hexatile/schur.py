@@ -211,39 +211,40 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
     is a short dot product of column j of Q1, nonzero on at most 2j rows,
     with row i of Q3 T' diag(weights) H_c^T, built only at those rows.
 
+    A point with p + o < 0 is counted at its mirror image, (a, c, b, d,
+    a-o-p): E(a,b,c,d,p) = E(a,c,b,d,a-p) and O(a,b,c,d,p) =
+    O(a,c,b,d,a-1-p), and S F itself is the same matrix there.  After it
+    every row has m = i+p+o-1 >= 0.
+
     Only what reaches S F is built.  Q1's columns have their nonzeros in
     rows lo..hi, lo = max(1, p+1-d+o) and hi = min(a, p+d), so the weights
     are taken only for k = lo..a and the series of (1+z)^-c only up to
     a - lo; with lo > hi, Q1 is zero and S F is S Q4.  Row i of Q3 is
-    nonzero only at columns first..last, and u below (with C(c+t-1, t-1)
-    and its sign) is built there alone, its running sums from column
-    first on, since the columns below it are zero and stay zero; a row
-    with first > last adds nothing.  Q1's columns are taken on their rows
-    lo_j..hi_j with their signs set by slice, and Q4's entries only where
-    they are nonzero, j >= i + o.
+    nonzero only at columns first..last, and its row of Q3 T' is built
+    there alone, its running sums from column first on, since the columns
+    below it are zero and stay zero; a row with first > last adds nothing.
+    Q1's columns are taken on their rows lo_j..hi_j with their signs set by
+    slice, and Q4's entries only where they are nonzero, j >= i + o.
 
     Row i of Q3 T' is the series of u(z) (1+z)^-b with u_t = Q3[i, t]
-    C(c+t-1, t-1), and (1+z)^-b is b applications of (1+z)^-1: with the
-    signs (-1)^t moved onto u, each application is one running sum.  When
-    p >= 1-i-o, u(z) has the factor (1+z)^e, e = b+1-2i-o, and the first e
-    sums have a closed form.  Proof: with N = b+c+1-2i-o and
-    m = i+p+o-1 >= 0, the sum over t >= 1 of u_t z^(t-1) is
+    C(c+t-1, t-1), and with the signs (-1)^t moved onto u, each factor
+    (1+z)^-1 is one running sum.  u(z) has the factor (1+z)^e, e =
+    b+1-2i-o, of either sign.  Proof: with N = b+c+1-2i-o >= 0 (else the
+    row is zero) and m >= 0, the sum over t >= 1 of u_t z^(t-1) is
     D^c[z^m (1+z)^N] / c!, which Leibniz's rule writes as the sum over j of
     C(m, j) z^(m-j) C(N, c-j) (1+z)^(N-c+j): (1+z)^(N-c) = (1+z)^e times
     the sum over j of C(m, j) C(N, c-j) z^(m-j) (1+z)^j, whose coefficient
     of z^(m-s) is C(m, s) C(N+m-s, c-s) by Vandermonde's sum, a polynomial
-    of degree <= m; with m >= 0 no negative power of z arises
-    (Krattenthaler's identification of factors, "Advanced determinant
-    calculus", 1999, section 2.4).  So e running sums of the signed row,
-    (1-z)^-e times it, are (-1)^t C(m, t-1) C(N+t-1, c+t-1-m) at column t:
-    0 past column i+p+o, and the row cut at column a agrees with them up
-    to a.  Such a row, with e > 0, is built in that closed form on columns
-    first..min(a, i+p+o), two binomials a column as u has, and takes only
-    the other 2i-1+o running sums, over columns first..a.  With p <= -i-o
-    the series has negative powers and its sums do not vanish, so those
-    rows, and rows with e <= 0, are built as u and take all b sums.  A row
-    costs about (2i-1+o)(a+1-first) additions in place of b (a+1-first),
-    and its weighted correlation with H_c^T about 2 d (a - lo) products.
+    q(z) of degree <= m; with m >= 0 no negative power of z arises, and
+    neither step asks e > 0 (Krattenthaler's identification of factors,
+    "Advanced determinant calculus", 1999, section 2.4).  So u(z) (1+z)^-b
+    = q(z) (1+z)^-(2i-1+o), and the signed q is (-1)^t C(m, t-1)
+    C(N+t-1, c+t-1-m) at column t, 0 past column i+p+o.  Every row is
+    built in that form on columns first..min(a, i+p+o), two binomials a
+    column, and takes 2i-1+o running sums over columns first..a: about
+    (2i-1+o)(a+1-first) additions, whatever b, and its weighted correlation
+    with H_c^T about 2 d (a - lo) products.  With m < 0 the series has
+    negative powers and no such cut, hence the mirror.
     At a = 0 the count is det Q4: 1 for even intrusions and at d = 0, and 0
     for odd ones with d > 0.  A negative side or an unknown parity is a
     ValueError, as in lgv.count, and a remainder raises NotIntegerError.
@@ -254,6 +255,9 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
     o = parity == ODD
     if a == 0:
         return 0 if o and d else 1
+    spec = (a, b, c, d, p, parity)  # as asked, for the error below
+    if p + o < 0:  # the mirror image, where m >= 0 on every row
+        b, c, p = c, b, a - o - p
     scale = comb(b + c, b) * rising(b + c + 1, a - 1)
     # column j of Q1 has its nonzeros at rows max(1, p+1-j+o)..min(a, p+j),
     # so (S M^-1) Q1 reads only columns lo..a of Q3 T' diag(weights), and
@@ -277,24 +281,15 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
             if first > last:
                 near.append([0] * (hi - lo + 1))
                 continue
-            # (-1)^k times the coefficient of z^k in u(z) (1+z)^-b, u as below,
-            # is b running sums of u, which leave the columns below first at
-            # zero; when p >= 1-i-o and e > 0, the first e of them are the
-            # closed form above, 0 past column m+1
-            m, e = i + p + o - 1, b + 1 - 2 * i - o
-            if m >= 0 and e > 0:
-                stop, sums = min(a, m + 1), b - e
-                u = [*map(mul, map(comb, repeat(m), range(first - 1, stop)),
-                          map(comb, range(top + first - 1, top + stop),
-                              range(first + shift, stop + shift + 1)))]
-            else:
-                # u_t = (-1)^t Q3[i, t] C(c+t-1, t-1) for t = first..last
-                stop, sums = last, b
-                u = [*map(mul, map(comb, repeat(top), range(first + shift, last + shift + 1)),
-                          map(comb, range(c + first - 1, c + last), range(first - 1, last)))]
+            # (-1)^k times the coefficient of z^k in u(z) (1+z)^-b: 2i-1+o
+            # running sums of the closed form q above, 0 past column m+1
+            m, stop = i + p + o - 1, min(a, i + p + o)
+            u = [*map(mul, map(comb, repeat(m), range(first - 1, stop)),
+                      map(comb, range(top + first - 1, top + stop),
+                          range(first + shift, stop + shift + 1)))]
             u[1 - first % 2::2] = map(neg, u[1 - first % 2::2])  # the odd t
             u += repeat(0, a - stop)
-            for _ in range(sums):
+            for _ in range(2 * i - 1 + o):
                 u = [*accumulate(u)]
             row = [*map(mul, weights, u[lo - first:])] if lo >= first else [
                 *repeat(0, first - lo), *map(mul, weights[first - lo:], u)]  # columns lo..a
@@ -308,7 +303,7 @@ def count_via_inverse(a: int, b: int, c: int, d: int, p: int, parity: str = EVEN
         v[1 - lo_j % 2::2] = map(neg, v[1 - lo_j % 2::2])  # the odd l
         sf.append([(scale * comb(2 * (j - i - o), j - i - o) if i + o <= j else 0)
                    - sum(map(mul, v, row[lo_j - lo:])) for i, row in enumerate(near, 1)])
-    return as_int(f"count_via_inverse at {(a, b, c, d, p, parity)}",
+    return as_int(f"count_via_inverse at {spec}",
                   macmahon(a, b, c) * det_bareiss(sf), scale**d)
 
 

@@ -254,11 +254,13 @@ def _complement_calls(monkeypatch, fail=False):
 @pytest.mark.parametrize("spec", [
     (16, 32, 5, 2, 8), (16, 0, 3, 1, 0), (20, 3, 6, 4, -2), (40, 6, 9, 3, 41),
     (60, 5, 7, 3, 30), (24, 7, 30, 6, 11),
+    (16, 2000, 3, 2, 8),  # b >> a: a row takes 2i-1+o running sums whatever b is
+    (16, 33, 5, 2, 8),  # b = 2a + 1
 ])
 @pytest.mark.parametrize("parity", [EVEN, ODD])
 def test_a_large_miss_with_an_intrusion_is_counted_through_the_complement(monkeypatch, spec,
                                                                           parity):
-    # d >= 1, a >= 10, b <= 2a and b + c > 2d: one call to schur's
+    # d >= 1, a >= 10 and b + c > 2d, at any b: one call to schur's
     # complement, which is the elimination's count, and the line memo is left
     # as it was
     planted = {(1, 4, 1, 2, EVEN): [1, 2, 3]}
@@ -272,8 +274,6 @@ def test_a_large_miss_with_an_intrusion_is_counted_through_the_complement(monkey
 @pytest.mark.parametrize("spec", [
     (16, 20, 20, 0, 0),  # d = 0 with no side shorter than a: the complement would be
     # MacMahon's product itself, and the turned hexagon would be no smaller
-    (16, 2000, 3, 2, 8),  # b >> a: the b running sums dominate
-    (16, 33, 5, 2, 8),  # b = 2a + 1
     (9, 18, 5, 2, 4),  # a = 9, just below the bound
     (20, 3, 5, 4, 10),  # b + c = 2d: the d x d part dominates
 ])
@@ -292,7 +292,7 @@ def test_misses_outside_the_complement_bounds_are_eliminated(monkeypatch, spec):
 @pytest.mark.parametrize("a", sorted({lgv._COMPLEMENT_A - 1, lgv._COMPLEMENT_A,
                                        lgv._COMPLEMENT_A + 1, 15}))
 def test_misses_at_the_complement_bound_take_the_route_its_rule_names(monkeypatch, a):
-    # on both sides of a = _COMPLEMENT_A, of b <= 2a and of b + c > 2d: the
+    # on both sides of a = _COMPLEMENT_A and of b + c > 2d, and at b = 2a + 1: the
     # count is the path determinant, and exactly the misses that the rule
     # sends to the complement call it once, eliminate nothing and leave the
     # line memo empty; every other miss eliminates its own line and stores it
@@ -305,7 +305,7 @@ def test_misses_at_the_complement_bound_take_the_route_its_rule_names(monkeypatc
             complement.clear()
             eliminated.clear()
             assert lgv._det(*spec) == det_bareiss(path_matrix(*spec)), spec
-            routed = a >= lgv._COMPLEMENT_A and b <= 2 * a and b + c > 2 * d
+            routed = a >= lgv._COMPLEMENT_A and b + c > 2 * d
             assert (lgv._LINES == {}) == routed, spec
             assert complement == ([spec] if routed else [])
             assert eliminated == ([] if routed else [spec])

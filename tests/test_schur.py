@@ -10,7 +10,7 @@ from math import factorial
 
 import pytest
 
-from hexatile import lgv, schur
+from hexatile import formulas, lgv, schur
 from hexatile.detkernel import det_bareiss, mat_mul
 from hexatile.exactmath import NotIntegerError, binom, rising
 from hexatile.formulas import detF_factorized, macmahon
@@ -297,10 +297,37 @@ def test_e_running_sums_of_a_q3_row_are_its_closed_form_and_vanish_past_column_i
     assert seen == {"c = 0", "e = 0", "first > 1", "i+p+o > a"}
 
 
+@pytest.mark.parametrize("o", [0, 1])
+def test_rows_with_e_below_0_take_2i_minus_1_plus_o_sums_of_their_closed_form(o):
+    # with m = i+p+o-1 >= 0 the factor needs no e > 0: u(z) (1+z)^-b is
+    # (1+z)^-(2i-1+o) times the closed form at every b, so b running sums of
+    # the signed row are 2i-1+o running sums of the closed form, also where
+    # b < 2i-1+o and the closed form is the row's differences, not its sums
+    rng = random.Random(55 + o)
+    seen, rows = set(), 0
+    while rows < 600:
+        i, c = rng.randint(1, 6), rng.randint(0, 12)
+        b, m = rng.randint(0, 2 * i - 2 + o), rng.randint(0, 12)
+        p, n = m + 1 - i - o, b + c + 1 - 2 * i - o
+        columns = m + c + 4
+        row = _signed_q3_row(b, c, i, p, o, columns)
+        if not any(row):  # m < c - n: first > last, a row count_via_inverse skips
+            continue
+        closed = [(-1) ** t * binom(m, t - 1) * binom(n + t - 1, c + t - 1 - m)
+                  for t in range(1, columns + 1)]
+        assert _running_sums(closed, 2 * i - 1 + o) == _running_sums(row, b), (b, c, i, p, o)
+        seen |= {name for name, hit in [("b = 0", b == 0), ("e < -1", n - c < -1),
+                                        ("first = 1", m < c), ("first > 1", m > c)] if hit}
+        rows += 1
+    assert seen == {"b = 0", "e < -1", "first = 1", "first > 1"}
+
+
 @pytest.mark.parametrize("b, c, i, p, o", [(6, 3, 2, -2, 0), (7, 3, 2, -3, 1)])
 def test_e_running_sums_of_a_q3_row_at_p_minus_i_minus_o_do_not_vanish(b, c, i, p, o):
     # at p = -i-o the row's series has a negative power of z, and after its
-    # e = 3 running sums no column is 0: -C(k+2, 2) at column k
+    # e = 3 running sums no column is 0: -C(k+2, 2) at column k.  So no closed
+    # form cuts such a row short, and count_via_inverse counts every p + o < 0
+    # at its mirror image, where m >= 0 on every row
     row = _signed_q3_row(b, c, i, p, o, 30)
     assert row[:4] == [-15, 24, -10, 0] and not any(row[3:])
     assert _running_sums(row, b + 1 - 2 * i - o) == [-math.comb(k + 2, 2) for k in range(4, 34)]
@@ -308,11 +335,11 @@ def test_e_running_sums_of_a_q3_row_at_p_minus_i_minus_o_do_not_vanish(b, c, i, 
 
 @pytest.mark.parametrize("parity", [EVEN, ODD])
 def test_count_via_inverse_past_b_2a_is_the_path_determinant(monkeypatch, parity):
-    # b in (2a, 4a] and b >> a, where lgv.count sends no point here: rows
-    # with p >= 1-i-o start from the closed form of their first e running
-    # sums on columns first..i+p+o and take the other 2i-1+o on the whole
-    # row; p <= -i-o keeps all b sums.  math.comb is asked only inside its
-    # support
+    # b in (2a, 4a] and b >> a, which lgv.count sends here at a >= 10 and
+    # b + c > 2d: every row starts from its closed form on columns
+    # first..i+p+o and takes 2i-1+o running sums, e <= 0 among them, and
+    # p + o < 0 is counted at its mirror image, where c is the long side.
+    # math.comb is asked only inside its support
     _comb_only_in_support(monkeypatch)
     points = 0
     for a in (1, 2, 3, 5, 8, 12):
@@ -325,12 +352,46 @@ def test_count_via_inverse_past_b_2a_is_the_path_determinant(monkeypatch, parity
     assert points == 1980
 
 
+@pytest.mark.parametrize("spec", [
+    (10, 2000, 3, 4, -1), (16, 2000, 3, 2, -1), (10, 3, 2000, 4, -1), (12, 25, 6, 3, -2),
+    (12, 6, 25, 2, -3), (8, 17, 60, 3, -1), (5, 60, 4, 2, -4), (10, 21, 21, 2, -1),
+])
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_count_via_inverse_at_p_plus_o_below_0_is_the_path_determinant(monkeypatch, spec,
+                                                                       parity):
+    # counted at the mirror image (a, c, b, d, a-o-p), with b or c in
+    # {2a+1, 60, 2000}, the odd needle one step further left so that p + o
+    # < 0; at b = 2000 the mirror has c = 2000
+    _comb_only_in_support(monkeypatch)
+    spec = (*spec[:4], spec[4] - (parity == ODD))
+    assert count_via_inverse(*spec, parity) == lgv.count_line(*spec, parity)[-1]
+
+
+def test_mirror_symmetry_never_compares_the_complements_mirror_with_itself(monkeypatch):
+    # the check's points have p in 0..a, so neither side has p + o < 0 and no
+    # count it compares goes through count_via_inverse's mirror; a >= 10 with
+    # b + c > 2d still reaches the complement
+    real, calls = schur.count_via_inverse, []
+
+    def unmirrored(a, b, c, d, p, parity=EVEN):
+        if p + (parity == ODD) < 0:
+            raise AssertionError(f"count_via_inverse at its mirror: {(a, b, c, d, p, parity)}")
+        calls.append((a, b, c, d, p, parity))
+        return real(a, b, c, d, p, parity)
+
+    monkeypatch.setattr(schur, "count_via_inverse", unmirrored)
+    monkeypatch.setattr(lgv, "_LINES", {})
+    [result] = formulas.run_checks(["mirror_symmetry"], 12, 4, 4, 2)
+    assert result.cases and not result.failures
+    assert calls
+
+
 @pytest.mark.parametrize("parity", [EVEN, ODD])
 def test_count_via_inverse_eliminates_s_f_entry_by_entry(monkeypatch, parity):
     # S F = S Q4 - Q3 (S M^-1) Q1 from build_bundle's inverse, S / W being
-    # 1 / ((a-1)! b! c!).  At p <= -i-o, rows i.. of S F vanish left of
-    # column i+o, so the count does not read their other entries: only this
-    # comparison sees a row there that took the factor it does not have
+    # 1 / ((a-1)! b! c!).  At p + o < 0 the count builds S F at its mirror
+    # image (a, c, b, d, a-o-p), and this comparison, which reads every
+    # entry, finds the original's S F there entry by entry
     o = parity == ODD
     taken = []
     monkeypatch.setattr(schur, "det_bareiss", lambda m: taken.append(m) or det_bareiss(m))
@@ -379,6 +440,9 @@ def test_count_via_inverse_refuses_a_remainder(monkeypatch):
     monkeypatch.setattr(schur, "det_bareiss", lambda m: det(m) + 1)
     with pytest.raises(NotIntegerError):
         count_via_inverse(4, 5, 6, 2, 1)
+    # a point counted at its mirror image is named as asked
+    with pytest.raises(NotIntegerError, match=r"\(4, 5, 6, 2, -1, 'even'\)"):
+        count_via_inverse(4, 5, 6, 2, -1)
 
 
 def test_blocks_delta_is_macmahon_and_solves_q2():
