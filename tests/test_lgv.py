@@ -274,6 +274,8 @@ def test_a_large_miss_with_an_intrusion_is_counted_through_the_complement(monkey
 @pytest.mark.parametrize("spec", [
     (16, 20, 20, 0, 0),  # d = 0 with no side shorter than a: the complement would be
     # MacMahon's product itself, and the turned hexagon would be no smaller
+    (9, 19, 5, 2, 4),  # a = 9 with b = 2a + 1: the a bound holds at any b
+    (16, 1, 2, 2, 8),  # b + c < 2d
     (9, 18, 5, 2, 4),  # a = 9, just below the bound
     (20, 3, 5, 4, 10),  # b + c = 2d: the d x d part dominates
 ])
